@@ -19,17 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .operators import (
-    SpinQuantum,
-    eig_sym,
-    embed,
-    lower_coefficient,
-    raise_coefficient,
-    spin_matrices,
-)
+from .operators import SpinQuantum, eig_sym, embed, spin_matrices
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -178,6 +172,35 @@ def _enumerate_sectors(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
     return out
 
 
+def _hops(
+    labels: np.ndarray,
+    codes: np.ndarray,
+    tspins: np.ndarray,
+    strides: np.ndarray,
+    a: int,
+    b: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero elements of S_a^+ S_b^- within one sector.
+
+    Returns (src, tgt, coeff) with <tgt| S_a^+ S_b^- |src> = coeff, as
+    row indices into the sector basis. The roots are taken of exact
+    integers and multiplied in the order of
+    `raise_coefficient(...) * lower_coefficient(...)`, so every coeff is
+    bitwise equal to the scalar form.
+    """
+    ta, tb = tspins[a], tspins[b]
+    ma = labels[:, a].astype(np.int64)
+    mb = labels[:, b].astype(np.int64)
+    src = np.flatnonzero((ma < ta) & (mb > -tb))
+    # raising m_a lowers its mixed-radix digit, lowering m_b raises its digit
+    tgt = np.searchsorted(codes, codes[src] - strides[a] + strides[b])
+    ma, mb = ma[src], mb[src]
+    coeff = (0.5 * np.sqrt(ta * (ta + 2) - ma * (ma + 2))) * (
+        0.5 * np.sqrt(tb * (tb + 2) - mb * (mb - 2))
+    )
+    return src, tgt, coeff
+
+
 def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
     """Assemble the Hamiltonian blocked by total Sz.
 
@@ -203,24 +226,10 @@ def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
         for i, k in bonds:
             diag += j * m[:, i] * m[:, k]
         h[np.diag_indices(d)] = diag
-        pos = np.arange(d)
         for i, k in bonds:
             for a, b in ((i, k), (k, i)):
-                # raise site a, lower site b; raising m_a lowers its digit
-                mask = (lab[:, a] < tspins[a]) & (lab[:, b] > -tspins[b])
-                src = pos[mask]
-                if src.size == 0:
-                    continue
-                tgt_codes = codes[src] - strides[a] + strides[b]
-                tgt = np.searchsorted(codes, tgt_codes)
-                coeff = 0.5 * j * np.array(
-                    [
-                        raise_coefficient(int(tspins[a]), int(lab[s, a]))
-                        * lower_coefficient(int(tspins[b]), int(lab[s, b]))
-                        for s in src
-                    ]
-                )
-                h[tgt, src] += coeff
+                src, tgt, coeff = _hops(lab, codes, tspins, strides, a, b)
+                h[tgt, src] += 0.5 * j * coeff
         blocks.append(
             SectorBlock(twice_total_sz=tsz, labels=labels, codes=codes, hamiltonian=h)
         )
@@ -294,7 +303,8 @@ class CorrelatorMatrix:
 
     g_zz[i, j] = <Sz_i Sz_j>, g_dot[i, j] = <S_i . S_j>; diagonal entries
     are on-site moments, so g_dot[i, i] = S_i(S_i + 1). Isotropy of the
-    Hamiltonian makes g_dot = 3 g_zz.
+    Hamiltonian makes g_dot = 3 g_zz. Off-diagonal g_dot entries of pairs
+    that `correlator_matrix` was not asked for are NaN.
     """
 
     temperature_kelvin: float
@@ -318,19 +328,7 @@ def _flip_flop(
     amp = V * sqrt(w) column-scaled eigenvectors, so rho = amp @ amp.T;
     the expectation gathers rho[target, source] rows without forming rho.
     """
-    lab = sector.labels
-    mask = (lab[:, i] < tspins[i]) & (lab[:, k] > -tspins[k])
-    src = np.flatnonzero(mask)
-    if src.size == 0:
-        return 0.0
-    tgt = np.searchsorted(sector.codes, sector.codes[src] - strides[i] + strides[k])
-    coeff = np.array(
-        [
-            raise_coefficient(int(tspins[i]), int(lab[s, i]))
-            * lower_coefficient(int(tspins[k]), int(lab[s, k]))
-            for s in src
-        ]
-    )
+    src, tgt, coeff = _hops(sector.labels, sector.codes, tspins, strides, i, k)
     total = 0.0
     for lo in range(0, src.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
@@ -340,18 +338,36 @@ def _flip_flop(
 
 
 def correlator_matrix(
-    data: SectorSpectralData, temperature_kelvin: float
+    data: SectorSpectralData,
+    temperature_kelvin: float,
+    pairs: Iterable[tuple[int, int]] | None = None,
 ) -> CorrelatorMatrix:
-    """All two-site thermal correlators at one temperature.
+    """Two-site thermal correlators at one temperature.
 
     Diagonal operators (Sz_i Sz_j and the on-site part) only need the
     basis-state occupation probabilities P_b = sum_k w_k V[b,k]^2; the
     transverse part is assembled from flip-flop expectations. Sectors do
     not mix because every operator involved conserves total Sz.
+
+    `pairs` limits the flip-flop part, the costly one, to the given site
+    pairs; (i, k) and (k, i) both fill g_dot[i, k] and g_dot[k, i]. The
+    default None computes every pair. The requested entries are bitwise
+    equal to the full matrix's; the other off-diagonal entries of g_dot
+    are NaN, while g_zz and the diagonal of g_dot are always complete.
     """
     spec = data.spec
-    weights = thermal_weights(data, temperature_kelvin)
     n = spec.n_sites
+    if pairs is None:
+        pairs = itertools.combinations(range(n), 2)
+    todo = set()
+    for i, k in pairs:
+        if i == k or i not in range(n) or k not in range(n):
+            raise ValueError(
+                f"pair {(i, k)} is not two distinct sites of a {n}-site chain"
+            )
+        todo.add((min(i, k), max(i, k)))
+    todo = sorted(todo)
+    weights = thermal_weights(data, temperature_kelvin)
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
     strides = _strides(spec.site_dimensions)
     casimirs = tspins * (tspins + 2) / 4.0
@@ -366,14 +382,17 @@ def correlator_matrix(
             axis=0
         )
         amp = sector.eigenvectors * np.sqrt(w)[None, :]
-        for i in range(n):
-            for k in range(i + 1, n):
-                # <S_i^+ S_k^-> = <S_i^- S_k^+> for a real symmetric rho
-                val = _flip_flop(sector, amp, tspins, strides, i, k)
-                flip[i, k] += val
-                flip[k, i] += val
+        for i, k in todo:
+            # <S_i^+ S_k^-> = <S_i^- S_k^+> for a real symmetric rho
+            val = _flip_flop(sector, amp, tspins, strides, i, k)
+            flip[i, k] += val
+            flip[k, i] += val
     g_zz = 0.5 * (g_zz + g_zz.T)  # BLAS output is not bitwise symmetric
     g_dot = g_zz + flip
+    computed = np.eye(n, dtype=bool)
+    for i, k in todo:
+        computed[i, k] = computed[k, i] = True
+    g_dot[~computed] = np.nan
     return CorrelatorMatrix(
         temperature_kelvin=temperature_kelvin, g_zz=g_zz, g_dot=g_dot
     )

@@ -186,7 +186,7 @@ def _jsonify(obj):
 
 
 def _chain_g1(data, temperature: float) -> float:
-    return float(correlator_matrix(data, temperature).g_dot[0, 1])
+    return float(correlator_matrix(data, temperature, pairs=((0, 1),)).g_dot[0, 1])
 
 
 def _cmd_tc(args) -> None:

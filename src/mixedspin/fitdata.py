@@ -30,7 +30,11 @@ import numpy as np
 from .chain import ChainSpec, SectorSpectralData, diagonalize, susceptibility_exact
 from .operators import SpinQuantum
 from .pair import pair_correlator
-from .units import chi_emu_per_mol_to_reduced, chi_reduced_to_emu_per_mol
+from .units import (
+    check_positive,
+    chi_emu_per_mol_to_reduced,
+    chi_reduced_to_emu_per_mol,
+)
 from .witness import corrected_bound, negativity_lower_bound, witness_value
 
 __all__ = [
@@ -177,10 +181,8 @@ def model_chi(
     diagonalization of n_sites sites, rescaled by 2/n_sites to the same
     per-cell convention.
     """
-    if temperature_kelvin <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
-    if coupling_kelvin <= 0.0:
-        raise ValueError(f"coupling must be > 0, got {coupling_kelvin}")
+    check_positive("temperature", temperature_kelvin)
+    check_positive("coupling", coupling_kelvin)
     if model == "pair":
         g1 = pair_correlator(spin, coupling_kelvin, temperature_kelvin)
         s = spin.value
@@ -249,7 +251,8 @@ def nelder_mead(
     (0.00025 absolute for zero coordinates). Converged when the simplex
     diameter falls below rel_tol relative to the best vertex. Returns
     (x_best, f_best, iterations, converged, best_history); best_history
-    is non-increasing by construction, which is asserted.
+    is non-increasing by construction; a step that breaks this (a NaN
+    objective value) raises RuntimeError.
     """
     x0 = np.asarray(x0, dtype=float)
     ndim = x0.size
@@ -266,8 +269,10 @@ def nelder_mead(
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if history:
-            assert values[0] <= history[-1] + 0.0, "simplex best must not worsen"
+        if history and not values[0] <= history[-1]:
+            raise RuntimeError(
+                f"simplex best worsened from {history[-1]} to {values[0]}"
+            )
         history.append(values[0])
         scale = max(1.0, float(np.max(np.abs(simplex[0]))))
         diameter = max(
@@ -355,8 +360,8 @@ def fit(
             "fit needs an emu/mol series; reduced susceptibility has the "
             "g-factor divided out, so g would be unidentifiable"
         )
-    if init_coupling_kelvin <= 0.0:
-        raise ValueError(f"initial coupling must be > 0, got {init_coupling_kelvin}")
+    check_positive("initial coupling", init_coupling_kelvin)
+    check_positive("initial g-factor", init_g_factor)
     temps = series.temperatures_kelvin
     chi = series.chi
     if window is not None:
@@ -374,6 +379,9 @@ def fit(
     def objective(params: np.ndarray) -> float:
         j = math.exp(params[0])
         g = params[1]
+        if not g > 0.0:
+            # chi depends on g^2 only; keep the simplex on the g > 0 branch
+            return math.inf
         residual = 0.0
         for t, x in zip(temps, chi):
             residual += (

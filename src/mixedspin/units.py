@@ -12,6 +12,8 @@ Two susceptibility conventions appear throughout:
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "KELVIN_PER_WAVENUMBER",
     "CURIE_FACTOR_EMU_K_PER_MOL",
@@ -47,6 +49,29 @@ def kelvin_to_wavenumber(value_kelvin: float) -> float:
     return value_kelvin / KELVIN_PER_WAVENUMBER
 
 
+def check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless `value` is finite and > 0.
+
+    Written so that NaN fails it: every comparison with NaN is false.
+    """
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_converted(value: float, temperature_kelvin: float, g_factor: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(
+            f"susceptibility conversion at T = {temperature_kelvin} K, "
+            f"g = {g_factor} is not finite ({value})"
+        )
+    return value
+
+
 def chi_reduced_to_emu_per_mol(
     chi_reduced: float, temperature_kelvin: float, g_factor: float
 ) -> float:
@@ -55,22 +80,28 @@ def chi_reduced_to_emu_per_mol(
     chi_mol = (N_A mu_B^2 / k_B) * g^2 / T * chi_reduced, per mole of
     formula units.
     """
-    if temperature_kelvin <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
-    return CURIE_FACTOR_EMU_K_PER_MOL * g_factor**2 / temperature_kelvin * chi_reduced
+    check_finite("susceptibility", chi_reduced)
+    check_positive("temperature", temperature_kelvin)
+    check_positive("g_factor", g_factor)
+    return _check_converted(
+        CURIE_FACTOR_EMU_K_PER_MOL * g_factor**2 / temperature_kelvin * chi_reduced,
+        temperature_kelvin,
+        g_factor,
+    )
 
 
 def chi_emu_per_mol_to_reduced(
     chi_emu_per_mol: float, temperature_kelvin: float, g_factor: float
 ) -> float:
-    if temperature_kelvin <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
-    if g_factor == 0.0:
-        raise ValueError("g_factor must be nonzero")
-    return (
+    check_finite("susceptibility", chi_emu_per_mol)
+    check_positive("temperature", temperature_kelvin)
+    check_positive("g_factor", g_factor)
+    return _check_converted(
         chi_emu_per_mol
         * temperature_kelvin
-        / (CURIE_FACTOR_EMU_K_PER_MOL * g_factor**2)
+        / (CURIE_FACTOR_EMU_K_PER_MOL * g_factor**2),
+        temperature_kelvin,
+        g_factor,
     )
 
 

@@ -23,6 +23,8 @@ from .pair import (
     pair_correlator_literature,
 )
 from .units import (
+    check_finite,
+    check_positive,
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
     wavenumber_to_kelvin,
@@ -119,9 +121,10 @@ def corrected_bound(
     Calibrated for the (1, 1/2) chain; the correction vanishes at high
     temperature and at J/T = 11/7.
     """
-    if temperature_kelvin <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
-    return bound + correction_polynomial(coupling_kelvin / temperature_kelvin) * g1
+    check_positive("temperature", temperature_kelvin)
+    corrected = bound + correction_polynomial(coupling_kelvin / temperature_kelvin) * g1
+    check_finite(f"corrected bound at T = {temperature_kelvin} K", corrected)
+    return corrected
 
 
 def solve_tc(
@@ -414,8 +417,9 @@ def witness_report(
     given, the finite-correlation correction is applied to the bound
     using the pair correlator at that coupling.
     """
-    if temperature_kelvin <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
+    check_finite("susceptibility", chi_value)
+    check_positive("temperature", temperature_kelvin)
+    check_positive("g_factor", g_factor)
     if chi_unit == "reduced":
         chi_reduced = chi_value
     elif chi_unit == "emu/mol":

@@ -7,6 +7,8 @@ import pytest
 
 from mixedspin.chain import (
     ChainSpec,
+    _hops,
+    _strides,
     build_hamiltonian,
     correlator_matrix,
     dense_hamiltonian,
@@ -17,7 +19,13 @@ from mixedspin.chain import (
     susceptibility_nn_approx,
     thermal_weights,
 )
-from mixedspin.operators import SpinQuantum, embed, spin_matrices
+from mixedspin.operators import (
+    SpinQuantum,
+    embed,
+    lower_coefficient,
+    raise_coefficient,
+    spin_matrices,
+)
 from mixedspin.pair import pair_correlator
 
 
@@ -98,6 +106,48 @@ class TestSectorStructure:
         blocked = diagonalize(spec).all_eigenvalues()
         dense = np.linalg.eigvalsh(dense_hamiltonian(spec))
         np.testing.assert_allclose(blocked, dense, atol=1e-10)
+
+    @pytest.mark.parametrize("n,ts", [(2, 5), (4, 5), (2, 7), (4, 7)])
+    def test_open_large_spin_blocks_match_dense(self, n, ts):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary="open")
+        dense = dense_hamiltonian(spec)
+        covered = np.zeros_like(dense, dtype=bool)
+        for block in build_hamiltonian(spec):
+            h = block.hamiltonian
+            assert np.array_equal(h, h.T)
+            rows = np.ix_(block.codes, block.codes)
+            np.testing.assert_allclose(h, dense[rows], rtol=0, atol=1e-12)
+            covered[rows] = True
+        # total Sz is conserved: nothing couples two sectors
+        assert not np.any(dense[~covered])
+
+    @pytest.mark.parametrize("n,ts", [(2, 5), (4, 2), (4, 7), (6, 1)])
+    def test_hop_table_matches_scalar_coefficients(self, n, ts):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0)
+        tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
+        strides = _strides(spec.site_dimensions)
+        for block in build_hamiltonian(spec):
+            lab = block.labels
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    src, tgt, coeff = _hops(lab, block.codes, tspins, strides, a, b)
+                    ref_src = [
+                        s
+                        for s in range(lab.shape[0])
+                        if lab[s, a] < tspins[a] and lab[s, b] > -tspins[b]
+                    ]
+                    ref = [
+                        raise_coefficient(int(tspins[a]), int(lab[s, a]))
+                        * lower_coefficient(int(tspins[b]), int(lab[s, b]))
+                        for s in ref_src
+                    ]
+                    assert src.tolist() == ref_src
+                    assert coeff.tolist() == ref  # bitwise, not approximately
+                    moved = lab[tgt].astype(int) - lab[src].astype(int)
+                    assert np.all(moved[:, a] == 2) and np.all(moved[:, b] == -2)
+                    assert np.count_nonzero(moved) == 2 * src.size
 
     def test_known_spectra(self):
         # open (S, 1/2) dimer: two multiplets at -J(S+1)/2 and J S/2
@@ -181,6 +231,34 @@ class TestCorrelatorMatrix:
             for i, tsi in enumerate(data.spec.site_twice_spins):
                 cas = tsi * (tsi + 2) / 4.0
                 assert cm.g_dot[i, i] == pytest.approx(cas, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 2, "periodic"), (4, 5, "open"), (6, 1, "periodic"), (8, 2, "open")],
+    )
+    def test_requested_pairs_match_full_matrix(self, n, ts, boundary):
+        data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary))
+        full = correlator_matrix(data, 0.7)
+        for i in range(n):
+            for k in range(n):
+                if i == k:
+                    continue
+                part = correlator_matrix(data, 0.7, pairs=[(i, k)])
+                assert part.g_dot[i, k].tobytes() == full.g_dot[i, k].tobytes()
+                assert np.array_equal(part.g_zz, full.g_zz)
+                assert np.array_equal(np.diag(part.g_dot), np.diag(full.g_dot))
+                unrequested = ~np.eye(n, dtype=bool)
+                unrequested[i, k] = unrequested[k, i] = False
+                assert np.all(np.isnan(part.g_dot[unrequested]))
+        # a pair named in both orders is still computed once
+        both = correlator_matrix(data, 0.7, pairs=[(1, 0), (0, 1)])
+        assert both.g_dot[0, 1].tobytes() == full.g_dot[0, 1].tobytes()
+
+    def test_requested_pairs_must_be_distinct_sites(self):
+        data = diagonalize(ChainSpec(4, SpinQuantum(1), 1.0))
+        for bad in [(1, 1), (0, 4), (-1, 2), (0.5, 1)]:
+            with pytest.raises(ValueError, match="distinct sites"):
+                correlator_matrix(data, 1.0, pairs=[bad])
 
     def test_transverse_part_against_dense_operators(self):
         spec = ChainSpec(4, SpinQuantum(2), 1.0)

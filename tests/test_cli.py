@@ -356,6 +356,81 @@ class TestBoundCommand:
         assert corrected != plain
 
 
+class TestOutOfDomainMeasurement:
+    """Non-finite or non-positive inputs exit 2 instead of printing a row."""
+
+    @pytest.mark.parametrize("command", ["witness", "bound"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--chi", "nan"),
+            ("--chi", "inf"),
+            ("--temp", "nan"),
+            ("--temp", "inf"),
+            ("--temp", "0"),
+            ("--temp", "1e-320"),
+            ("--g", "nan"),
+            ("--g", "0"),
+            ("--g", "-2"),
+        ],
+    )
+    def test_witness_inputs_exit_2(self, capsys, command, flag, value):
+        args = {"--chi": "0.1", "--temp": "5.0", "--g": "2.0"}
+        args[flag] = value
+        argv = [command, "--spin", "1"]
+        for name, text in args.items():
+            argv += [name, text]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_correction_overflow_exits_2(self, capsys):
+        # reduced units never convert, but J/T overflows in the correction
+        code, out, err = run(
+            capsys,
+            [
+                "bound",
+                "--spin",
+                "1",
+                "--chi",
+                "0.1",
+                "--unit",
+                "reduced",
+                "--temp",
+                "1e-320",
+                "--correct-j",
+                "1K",
+            ],
+        )
+        assert code == 2
+        assert "corrected bound" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fit_start_values_exit_2(self, capsys, tmp_path, value):
+        path = tmp_path / "series.csv"
+        synth = ["synth", "--spin", "1/2", "--j", "14.7K", "--g", "2.0"]
+        run(capsys, [*synth, "--temps", "2:300:10", "--output", str(path)])
+        code, out, err = run(
+            capsys,
+            [
+                "fit",
+                "--input",
+                str(path),
+                "--spin",
+                "1/2",
+                "--init-j",
+                "10K",
+                "--init-g",
+                value,
+            ],
+        )
+        assert code == 2
+        assert "initial g-factor" in err
+        assert out == ""
+
+
 class TestChainCommand:
     def test_open_dimer_matches_pair_closed_forms(self, capsys):
         coupling = 2.0
