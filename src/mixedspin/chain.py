@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .operators import SpinQuantum, eig_sym, embed, spin_matrices
+from .units import check_positive
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -272,26 +273,34 @@ class ThermalWeights:
 
     `partition_function` is the shifted sum Z' = sum exp(-(E - E0)/T);
     the true Z is Z' * exp(-E0/T), kept factored so low temperatures
-    never overflow. E0 is `ground_energy_kelvin`.
+    never overflow. E0 is `ground_energy_kelvin`. For an array of
+    temperatures, each sector's weights have shape T.shape + (d,) and
+    Z' has shape T.shape.
     """
 
-    temperature_kelvin: float
+    temperature_kelvin: float | np.ndarray
     sector_weights: tuple[np.ndarray, ...]
-    partition_function: float
+    partition_function: float | np.ndarray
     ground_energy_kelvin: float
 
 
-def thermal_weights(data: SectorSpectralData, temperature_kelvin: float) -> ThermalWeights:
-    if not math.isfinite(temperature_kelvin) or temperature_kelvin <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
+def thermal_weights(
+    data: SectorSpectralData, temperature_kelvin: float | np.ndarray
+) -> ThermalWeights:
+    """Boltzmann weights at one temperature or at every element of an array.
+
+    Each element goes through the same operations in the same order as a
+    scalar call (per-sector exp and sum, sectors summed in order), so
+    the two agree bitwise.
+    """
+    check_positive("temperature", temperature_kelvin)
+    t = np.asarray(temperature_kelvin, dtype=float)[..., None]
     e0 = data.ground_energy_kelvin
-    raw = [
-        np.exp(-(sec.eigenvalues - e0) / temperature_kelvin) for sec in data.sectors
-    ]
-    z = float(sum(r.sum() for r in raw))
+    raw = [np.exp(-(sec.eigenvalues - e0) / t) for sec in data.sectors]
+    z = sum(r.sum(-1) for r in raw)
     return ThermalWeights(
         temperature_kelvin=temperature_kelvin,
-        sector_weights=tuple(r / z for r in raw),
+        sector_weights=tuple(r / z[..., None] for r in raw),
         partition_function=z,
         ground_energy_kelvin=e0,
     )
@@ -398,17 +407,21 @@ def correlator_matrix(
     )
 
 
-def susceptibility_exact(data: SectorSpectralData, temperature_kelvin: float) -> float:
+def susceptibility_exact(
+    data: SectorSpectralData, temperature_kelvin: float | np.ndarray
+) -> float | np.ndarray:
     """Reduced susceptibility chi k_B T / (g^2 mu_B^2) = sum_ij <Sz_i Sz_j>.
 
     Eigenstates carry definite total Sz, so the double sum collapses to
     <(Sz_total)^2> = sum over sectors of (weight in sector) * Sz_total^2.
+    A float for a scalar temperature; for an array, an array of the same
+    shape whose elements equal the scalar calls bitwise.
     """
     weights = thermal_weights(data, temperature_kelvin)
     total = 0.0
     for sector, w in zip(data.sectors, weights.sector_weights):
-        total += (sector.twice_total_sz / 2.0) ** 2 * float(w.sum())
-    return total
+        total = total + (sector.twice_total_sz / 2.0) ** 2 * w.sum(-1)
+    return total if np.ndim(temperature_kelvin) else float(total)
 
 
 def susceptibility_nn_approx(n_sites: int, spin: SpinQuantum, g1: float) -> float:

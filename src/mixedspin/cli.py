@@ -362,14 +362,15 @@ def _cmd_chain(args) -> None:
         "g1",
         "negativity",
     ]
+    chis = susceptibility_exact(data, np.asarray(temps)).tolist()
     rows = []
-    for t in temps:
+    for t, chi in zip(temps, chis):
         g1 = _chain_g1(data, t)
         rho = reduced_pair_state(data, t, (0, 1))
         rows.append(
             {
                 "temperature_kelvin": t,
-                "chi_exact_reduced": susceptibility_exact(data, t),
+                "chi_exact_reduced": chi,
                 "chi_nn_reduced": susceptibility_nn_approx(args.sites, spin, g1),
                 "g1": g1,
                 "negativity": negativity_bruteforce(rho, dims[0], dims[1]),
@@ -398,6 +399,7 @@ def _cmd_fit(args) -> None:
         model=args.model,
         n_sites=args.sites if args.model == "chain" else None,
         boundary=args.boundary,
+        dim_cap=_dim_cap() if args.model == "chain" else None,
         window=window,
     )
     row = {
@@ -426,22 +428,19 @@ def _cmd_synth(args) -> None:
         model=args.model,
         n_sites=args.sites if args.model == "chain" else None,
         boundary=args.boundary,
+        dim_cap=_dim_cap() if args.model == "chain" else None,
     )
-    lines = [
-        f"# model: {args.model}",
-        f"# spin: {spin}",
-        f"# coupling_kelvin: {_fmt(coupling)}",
-        f"# g_factor: {_fmt(float(args.g))}",
-        "temperature_kelvin,chi_emu_per_mol",
+    comments = (
+        f"model: {args.model}",
+        f"spin: {spin}",
+        f"coupling_kelvin: {_fmt(coupling)}",
+        f"g_factor: {_fmt(float(args.g))}",
+    )
+    rows = [
+        {"temperature_kelvin": t, "chi_emu_per_mol": x}
+        for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist())
     ]
-    for t, x in zip(series.temperatures_kelvin, series.chi):
-        lines.append(f"{_fmt(float(t))},{_fmt(float(x))}")
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(args, ["temperature_kelvin", "chi_emu_per_mol"], rows, comments=comments)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sites", type=int, default=4)
     p_synth.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p_synth.add_argument("--output", default="-", help="output path, '-' for stdout")
+    p_synth.set_defaults(format="csv")
     return parser
 
 

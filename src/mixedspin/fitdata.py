@@ -167,24 +167,32 @@ def model_chi(
     spin: SpinQuantum,
     coupling_kelvin: float,
     g_factor: float,
-    temperature_kelvin: float,
+    temperature_kelvin: float | np.ndarray,
     *,
     model: str = "pair",
     n_sites: int | None = None,
     boundary: str = "periodic",
     dim_cap: int | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Model susceptibility in emu per mole of 2-spin formula units.
 
     model 'pair': nearest-neighbor form with the exact pair correlator,
     chi_tilde = 2 (1/8 + S^2/2 + G1/3) per cell. model 'chain': exact
     diagonalization of n_sites sites, rescaled by 2/n_sites to the same
     per-cell convention.
+
+    A float for a scalar temperature; for an array of temperatures, an
+    array of the same shape whose elements equal the scalar calls
+    bitwise. The pair correlator stays a per-point `math.exp` closed
+    form, since `np.exp` may round differently.
     """
     check_positive("temperature", temperature_kelvin)
     check_positive("coupling", coupling_kelvin)
+    temps = np.asarray(temperature_kelvin, dtype=float)
     if model == "pair":
-        g1 = pair_correlator(spin, coupling_kelvin, temperature_kelvin)
+        g1 = np.array(
+            [pair_correlator(spin, coupling_kelvin, t) for t in temps.ravel().tolist()]
+        ).reshape(temps.shape)
         s = spin.value
         chi_cell = SPINS_PER_FORMULA_UNIT * (0.125 + s * s / 2.0 + g1 / 3.0)
     elif model == "chain":
@@ -195,11 +203,12 @@ def model_chi(
         data = _unit_coupling_spectrum(
             spin.twice_spin, n_sites, boundary, dim_cap or DEFAULT_DIM_CAP
         )
-        chi_total = susceptibility_exact(data, temperature_kelvin / coupling_kelvin)
+        chi_total = susceptibility_exact(data, temps / coupling_kelvin)
         chi_cell = chi_total * SPINS_PER_FORMULA_UNIT / n_sites
     else:
         raise ValueError(f"model must be 'pair' or 'chain', got {model!r}")
-    return chi_reduced_to_emu_per_mol(chi_cell, temperature_kelvin, g_factor)
+    chi = chi_reduced_to_emu_per_mol(chi_cell, temps, g_factor)
+    return chi if temps.ndim else float(chi)
 
 
 def synth_series(
@@ -211,23 +220,20 @@ def synth_series(
     model: str = "pair",
     n_sites: int | None = None,
     boundary: str = "periodic",
+    dim_cap: int | None = None,
     metadata: dict[str, str] | None = None,
 ) -> MeasurementSeries:
     """Noiseless model series in emu/mol, for round-trip tests and demos."""
     temps = np.asarray(sorted(float(t) for t in temperatures_kelvin))
-    chi = np.array(
-        [
-            model_chi(
-                spin,
-                coupling_kelvin,
-                g_factor,
-                float(t),
-                model=model,
-                n_sites=n_sites,
-                boundary=boundary,
-            )
-            for t in temps
-        ]
+    chi = model_chi(
+        spin,
+        coupling_kelvin,
+        g_factor,
+        temps,
+        model=model,
+        n_sites=n_sites,
+        boundary=boundary,
+        dim_cap=dim_cap,
     )
     return MeasurementSeries(
         temperatures_kelvin=temps,
@@ -346,6 +352,7 @@ def fit(
     model: str = "pair",
     n_sites: int | None = None,
     boundary: str = "periodic",
+    dim_cap: int | None = None,
     window: tuple[float, float] | None = None,
     max_iterations: int = 2000,
     rel_tol: float = 1e-9,
@@ -376,21 +383,27 @@ def fit(
             f"need at least 4 points for a 2-parameter fit, got {temps.size}"
         )
 
+    measured = chi.tolist()
+
     def objective(params: np.ndarray) -> float:
         j = math.exp(params[0])
         g = params[1]
         if not g > 0.0:
             # chi depends on g^2 only; keep the simplex on the g > 0 branch
             return math.inf
-        residual = 0.0
-        for t, x in zip(temps, chi):
-            residual += (
-                model_chi(
-                    spin, j, g, float(t), model=model, n_sites=n_sites, boundary=boundary
-                )
-                - x
-            ) ** 2
-        return residual
+        model_values = model_chi(
+            spin,
+            j,
+            g,
+            temps,
+            model=model,
+            n_sites=n_sites,
+            boundary=boundary,
+            dim_cap=dim_cap,
+        )
+        # left to right, and ** (libm pow) rather than an array square, so
+        # every value is bitwise that of a point-by-point loop
+        return sum((m - x) ** 2 for m, x in zip(model_values.tolist(), measured))
 
     x_best, f_best, iterations, converged, _ = nelder_mead(
         objective,

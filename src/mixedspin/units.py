@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "KELVIN_PER_WAVENUMBER",
     "CURIE_FACTOR_EMU_K_PER_MOL",
@@ -49,60 +51,91 @@ def kelvin_to_wavenumber(value_kelvin: float) -> float:
     return value_kelvin / KELVIN_PER_WAVENUMBER
 
 
-def check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+def _first(value, bad) -> float:
+    return float(np.asarray(value, dtype=float)[bad].flat[0])
 
 
-def check_positive(name: str, value: float) -> None:
-    """Raise ValueError unless `value` is finite and > 0.
+def check_finite(name: str, value) -> None:
+    """Raise ValueError unless `value`, a number or an array, is finite.
+
+    The message names the first offending element.
+    """
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {_first(value, bad)}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless every element of `value` is finite and > 0.
 
     Written so that NaN fails it: every comparison with NaN is false.
+    The message names the first offending element.
     """
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    bad = ~((np.asarray(value) > 0.0) & np.isfinite(value))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and > 0, got {_first(value, bad)}")
 
 
-def _check_converted(value: float, temperature_kelvin: float, g_factor: float) -> float:
-    if not math.isfinite(value):
+def _squared(g_factor: float) -> float:
+    """g_factor**2, or inf where the square overflows.
+
+    Python's ** on floats is libm pow, which is not correctly rounded for
+    an exponent of 2: with glibc, g = 1.0204 gives pow(g, 2) != g * g. Keeping
+    ** keeps every finite result's bits; only the OverflowError it raises
+    becomes inf, which `_check_converted` then rejects.
+    """
+    try:
+        return g_factor**2
+    except OverflowError:
+        return math.inf
+
+
+def _check_converted(value, temperature_kelvin, g_factor: float):
+    """Reject a non-finite conversion result, naming its temperature."""
+    bad = ~np.isfinite(value)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        t = np.broadcast_to(temperature_kelvin, np.shape(value)).flat[k]
         raise ValueError(
-            f"susceptibility conversion at T = {temperature_kelvin} K, "
-            f"g = {g_factor} is not finite ({value})"
+            f"susceptibility conversion at T = {float(t)} K, "
+            f"g = {g_factor} is not finite ({float(np.ravel(value)[k])})"
         )
     return value
 
 
-def chi_reduced_to_emu_per_mol(
-    chi_reduced: float, temperature_kelvin: float, g_factor: float
-) -> float:
+def chi_reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor: float):
     """Dimensionless chi*k_B*T/(g^2 mu_B^2) -> molar cgs susceptibility.
 
     chi_mol = (N_A mu_B^2 / k_B) * g^2 / T * chi_reduced, per mole of
-    formula units.
+    formula units. chi_reduced and temperature_kelvin may be numbers or
+    arrays that broadcast together; an array result is elementwise
+    bitwise equal to scalar calls, since both do the same float operations.
     """
     check_finite("susceptibility", chi_reduced)
     check_positive("temperature", temperature_kelvin)
     check_positive("g_factor", g_factor)
-    return _check_converted(
-        CURIE_FACTOR_EMU_K_PER_MOL * g_factor**2 / temperature_kelvin * chi_reduced,
-        temperature_kelvin,
-        g_factor,
-    )
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        value = (
+            CURIE_FACTOR_EMU_K_PER_MOL
+            * _squared(g_factor)
+            / temperature_kelvin
+            * chi_reduced
+        )
+    return _check_converted(value, temperature_kelvin, g_factor)
 
 
-def chi_emu_per_mol_to_reduced(
-    chi_emu_per_mol: float, temperature_kelvin: float, g_factor: float
-) -> float:
+def chi_emu_per_mol_to_reduced(chi_emu_per_mol, temperature_kelvin, g_factor: float):
+    """Inverse of `chi_reduced_to_emu_per_mol`, numbers or arrays alike."""
     check_finite("susceptibility", chi_emu_per_mol)
     check_positive("temperature", temperature_kelvin)
     check_positive("g_factor", g_factor)
-    return _check_converted(
-        chi_emu_per_mol
-        * temperature_kelvin
-        / (CURIE_FACTOR_EMU_K_PER_MOL * g_factor**2),
-        temperature_kelvin,
-        g_factor,
-    )
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        value = (
+            chi_emu_per_mol
+            * temperature_kelvin
+            / (CURIE_FACTOR_EMU_K_PER_MOL * _squared(g_factor))
+        )
+    return _check_converted(value, temperature_kelvin, g_factor)
 
 
 _ENERGY_UNITS = {"cm-1", "K"}

@@ -218,6 +218,47 @@ class TestThermalWeights:
             thermal_weights(data, 0.0)
 
 
+ARRAY_TEMPS = np.concatenate([[1e-300], np.geomspace(1e-3, 1e4, 29), [1e300]])
+
+
+class TestTemperatureArrays:
+    """An array of temperatures gives, element by element, the scalar bits."""
+
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 2, "open"), (4, 1, "periodic"), (6, 5, "periodic"), (8, 2, "open")],
+    )
+    def test_array_equals_scalar_calls_bitwise(self, n, ts, boundary):
+        data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary))
+        chi = susceptibility_exact(data, ARRAY_TEMPS)
+        tw = thermal_weights(data, ARRAY_TEMPS)
+        assert chi.shape == ARRAY_TEMPS.shape
+        assert tw.partition_function.shape == ARRAY_TEMPS.shape
+        for k, t in enumerate(ARRAY_TEMPS.tolist()):
+            scalar = susceptibility_exact(data, t)
+            assert type(scalar) is float
+            assert chi[k].tobytes() == np.float64(scalar).tobytes()
+            one = thermal_weights(data, t)
+            assert tw.partition_function[k].tobytes() == np.float64(
+                one.partition_function
+            ).tobytes()
+            for w_all, w in zip(tw.sector_weights, one.sector_weights):
+                assert w_all[k].tobytes() == w.tobytes()
+        # any array shape broadcasts the same way
+        grid = ARRAY_TEMPS[:30].reshape(5, 6)
+        assert susceptibility_exact(data, grid).tobytes() == chi[:30].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_any_invalid_element_raises(self, bad, position):
+        data = diagonalize(ChainSpec(4, SpinQuantum(1), 1.0))
+        temps = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        temps[position] = bad
+        for kernel in (thermal_weights, susceptibility_exact):
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                kernel(data, temps)
+
+
 class TestCorrelatorMatrix:
     @pytest.mark.parametrize("n,ts", [(2, 2), (4, 1), (4, 2), (6, 1)])
     def test_isotropy_and_moments(self, n, ts):

@@ -8,6 +8,7 @@ assertions here mostly compare CLI output against direct library calls.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,8 @@ from mixedspin.witness import (
 
 S_HALF = SpinQuantum(1)
 S_ONE = SpinQuantum(2)
+# 16 points of a noisy n=4, S=1 ring series (J = 8.5 K, g = 2.03)
+CHAIN_SERIES = str(Path(__file__).with_name("data") / "chain_fit_n4.csv")
 
 
 def run(capsys, argv):
@@ -431,6 +434,68 @@ class TestOutOfDomainMeasurement:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--spin", "1", "--chi", "1e300", "--temp", "1e-300"]
+            + ["--g", "1e200"],
+            ["synth", "--spin", "1", "--j", "10K", "--g", "1e200", "--temps", "1"]
+            + ["--model", "chain", "--sites", "4"],
+        ],
+    )
+    def test_g_squared_overflow_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("temps", ["1e-320", "1,2,1e-320"])
+    def test_chain_synth_subnormal_temperature_exits_2(self, capsys, temps):
+        code, out, err = run(
+            capsys,
+            ["synth", "--spin", "1", "--j", "10K", "--g", "2", "--temps", temps]
+            + ["--model", "chain", "--sites", "4"],
+        )
+        assert code == 2
+        assert "T = 1e-320 K" in err
+        assert out == ""
+
+
+class TestDimCapEnvironment:
+    """MIXEDSPIN_DIM_CAP bounds the chain model of synth and fit too."""
+
+    ARGV = {
+        "synth": ["synth", "--spin", "1", "--j", "10K", "--g", "2", "--temps", "1,2"],
+        "fit": ["fit", "--input", CHAIN_SERIES, "--spin", "1", "--init-j", "5K"],
+    }
+    CHAIN = ["--model", "chain", "--sites", "4"]  # dimension 3^2 * 2^2 = 36
+
+    @pytest.mark.parametrize("command", ["synth", "fit"])
+    def test_cap_below_dimension_exits_3(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "35")
+        code, out, err = run(capsys, self.ARGV[command] + self.CHAIN)
+        assert code == 3
+        assert "exceeds cap 35" in err
+        assert out == ""
+        monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "36")
+        code, out, _ = run(capsys, self.ARGV[command] + self.CHAIN)
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("command", ["synth", "fit"])
+    def test_cap_above_default_is_honoured(self, capsys, monkeypatch, command):
+        monkeypatch.setattr("mixedspin.cli.DEFAULT_DIM_CAP", 10)
+        monkeypatch.delenv("MIXEDSPIN_DIM_CAP", raising=False)
+        code, _, err = run(capsys, self.ARGV[command] + self.CHAIN)
+        assert code == 3
+        assert "exceeds cap 10" in err
+        monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "36")
+        code, out, _ = run(capsys, self.ARGV[command] + self.CHAIN)
+        assert code == 0
+        assert out
+
+
 class TestChainCommand:
     def test_open_dimer_matches_pair_closed_forms(self, capsys):
         coupling = 2.0
@@ -737,6 +802,34 @@ class TestFitAndSynth:
         )
         assert code == 2
         assert "TMIN:TMAX" in err
+
+
+    # recorded from the point-by-point objective this command used before
+    # the temperature-array kernel; the array path must not move a bit
+    @pytest.mark.parametrize(
+        "extra,expected",
+        [
+            (
+                ["--init-j", "5K"],
+                "coupling_kelvin,coupling_wavenumber,g_factor,residual_rms,"
+                "iterations,converged,window_min_kelvin,window_max_kelvin,n_points\n"
+                "8.50373872,5.91039435,2.03016955,0.000440954126,68,true,2,80,16\n",
+            ),
+            (
+                ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
+                + ["--window", "3:60", "--format", "json"],
+                '{"coupling_kelvin": 11.4205112, "coupling_wavenumber": 7.93765275, '
+                '"g_factor": 2.02125744, "residual_rms": 0.00097679332, '
+                '"iterations": 62, "converged": true, "window_min_kelvin": 3.27068, '
+                '"window_max_kelvin": 48.9195, "n_points": 12}\n',
+            ),
+        ],
+    )
+    def test_chain_fit_golden_output(self, capsys, extra, expected):
+        argv = ["fit", "--input", CHAIN_SERIES, "--spin", "1"]
+        code, out, _ = run(capsys, argv + ["--model", "chain", "--sites", "4"] + extra)
+        assert code == 0
+        assert out == expected
 
 
 class TestOutputContract:

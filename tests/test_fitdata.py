@@ -2,10 +2,12 @@
 
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixedspin import fitdata
 from mixedspin.fitdata import (
     MeasurementSeries,
     bound_series,
@@ -27,6 +29,7 @@ from mixedspin.witness import correction_polynomial
 
 S_HALF = SpinQuantum(1)
 S_ONE = SpinQuantum(2)
+CHAIN_SERIES = Path(__file__).with_name("data") / "chain_fit_n4.csv"
 
 VALID_CSV = """# compound: demo
 # note: synthetic
@@ -134,6 +137,31 @@ class TestModelChi:
         chi6 = model_chi(S_HALF, 1.0, 2.0, 1e5, model="chain", n_sites=6)
         assert chi4 == pytest.approx(chi6, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "model,n_sites,boundary",
+        [("pair", None, "periodic"), ("chain", 4, "periodic"), ("chain", 6, "open")],
+    )
+    def test_array_temperatures_equal_scalar_calls_bitwise(
+        self, model, n_sites, boundary
+    ):
+        temps = np.geomspace(0.05, 500.0, 40)
+        kw = dict(model=model, n_sites=n_sites, boundary=boundary)
+        chi = model_chi(S_ONE, 7.3, 2.07, temps, **kw)
+        assert chi.shape == temps.shape
+        for x, t in zip(chi.tolist(), temps.tolist()):
+            scalar = model_chi(S_ONE, 7.3, 2.07, t, **kw)
+            assert type(scalar) is float
+            assert x.hex() == scalar.hex()
+
+    @pytest.mark.parametrize("model,n_sites", [("pair", None), ("chain", 4)])
+    def test_array_checks_name_the_offending_temperature(self, model, n_sites):
+        kw = dict(model=model, n_sites=n_sites)
+        with pytest.raises(ValueError, match="got nan"):
+            model_chi(S_ONE, 10.0, 2.0, np.array([1.0, math.nan, 3.0]), **kw)
+        # chi is finite but its conversion to emu/mol overflows
+        with pytest.raises(ValueError, match="T = 1e-320 K"):
+            model_chi(S_ONE, 10.0, 2.0, np.array([1.0, 1e-320]), **kw)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             model_chi(S_HALF, 1.0, 2.0, 0.0)
@@ -234,6 +262,30 @@ class TestFit:
         assert result.converged
         assert result.coupling_kelvin == pytest.approx(10.0, rel=1e-6)
         assert result.g_factor == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("model,n_sites", [("pair", None), ("chain", 4)])
+    def test_objective_equals_point_loop_bitwise(self, monkeypatch, model, n_sites):
+        # the reference is the point-by-point sum the array objective
+        # replaced; its ** is libm pow, which rounds some squares unlike x*x
+        series = load_measurements(CHAIN_SERIES)
+        objectives = []
+
+        def capture(objective, x0, **_):
+            objectives.append(objective)
+            return np.asarray(x0, dtype=float), 0.0, 0, True, []
+
+        monkeypatch.setattr(fitdata, "nelder_mead", capture)
+        fit(series, S_ONE, 8.0, 2.0, model=model, n_sites=n_sites)
+        (objective,) = objectives
+        for log_j in np.linspace(1.5, 2.7, 12):
+            for g in np.linspace(1.8, 2.3, 12):
+                expected = 0.0
+                for t, x in zip(series.temperatures_kelvin, series.chi):
+                    j = math.exp(log_j)
+                    chi = model_chi(S_ONE, j, g, float(t), model=model, n_sites=n_sites)
+                    expected += (chi - x) ** 2
+                got = objective(np.array([log_j, g]))
+                assert float(got).hex() == float(expected).hex()
 
     def test_too_few_points_rejected(self):
         series = load_measurements(io.StringIO(VALID_CSV))

@@ -194,6 +194,19 @@ class TestUnits:
             base / 2.0, rel=1e-12
         )
 
+    def test_g_squared_keeps_its_bits_and_overflow_is_rejected(self):
+        # g = 1.0204 is a g whose libm pow(g, 2) differs from g * g in
+        # the last bit; the conversions round g^2 as ** does
+        g = 1.0204
+        assert chi_reduced_to_emu_per_mol(0.3, 7.0, g) == (
+            CURIE_FACTOR_EMU_K_PER_MOL * g**2 / 7.0 * 0.3
+        )
+        assert chi_emu_per_mol_to_reduced(0.3, 7.0, g) == (
+            0.3 * 7.0 / (CURIE_FACTOR_EMU_K_PER_MOL * g**2)
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            chi_reduced_to_emu_per_mol(0.3, 7.0, 1e200)
+
     def test_convert_units_dispatch(self):
         assert convert_units(10.0, "K", "K") == 10.0
         assert convert_units(1.0, "cm-1", "K") == KELVIN_PER_WAVENUMBER
