@@ -8,7 +8,9 @@ doubles the exchange, which is why the open boundary exists for
 comparing against single-pair results.
 
 H commutes with total Sz, so the Hilbert space splits into magnetization
-sectors that are enumerated, assembled, and diagonalized independently.
+sectors that are enumerated and assembled independently. A global spin
+flip maps sector -M onto +M, so only the 2Sz >= 0 sectors are
+diagonalized (see `diagonalize`).
 All matrices are real symmetric by construction (see `operators`), and
 thermal averages are taken with Boltzmann weights shifted by the global
 ground energy so that no temperature underflows.
@@ -125,11 +127,14 @@ class SectorBlock:
 
 @dataclass(frozen=True, eq=False)
 class SectorSpectrum:
+    """One sector's levels; `eigenvectors` is None for an eigenvalue-only
+    spectrum (`diagonalize(spec, vectors=False)`)."""
+
     twice_total_sz: int
     labels: np.ndarray
     codes: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,13 +256,35 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def diagonalize(spec: ChainSpec) -> SectorSpectralData:
+def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
+    """Per-sector spectra, with eigenvectors unless vectors=False.
+
+    Only the 2Sz >= 0 blocks are solved. The global spin flip maps the
+    basis of sector -M onto that of +M in reverse order (labels
+    -labels[::-1]), and the -M block is bitwise the +M block reversed in
+    rows and columns. So sector -M shares its partner's eigenvalue array
+    and takes the row-reversed view V[::-1] of its eigenvectors; the
+    ±Sz levels are then exactly degenerate. The solved arrays are made
+    read-only because they are shared. Sectors keep their order (2Sz
+    descending), so every sum over sectors keeps its order.
+    """
+    solved: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     sectors = []
     for block in build_hamiltonian(spec):
-        evals, evecs = eig_sym(block.hamiltonian)
+        tsz = block.twice_total_sz
+        if tsz >= 0:
+            evals, evecs = eig_sym(block.hamiltonian, vectors=vectors)
+            for arr in (evals, evecs):
+                if arr is not None:
+                    arr.flags.writeable = False
+            solved[tsz] = evals, evecs
+        else:
+            evals, evecs = solved[-tsz]
+            if evecs is not None:
+                evecs = evecs[::-1]
         sectors.append(
             SectorSpectrum(
-                twice_total_sz=block.twice_total_sz,
+                twice_total_sz=tsz,
                 labels=block.labels,
                 codes=block.codes,
                 eigenvalues=evals,
@@ -265,6 +292,14 @@ def diagonalize(spec: ChainSpec) -> SectorSpectralData:
             )
         )
     return SectorSpectralData(spec=spec, sectors=tuple(sectors))
+
+
+def _check_vectors(data: SectorSpectralData, what: str) -> None:
+    if any(sec.eigenvectors is None for sec in data.sectors):
+        raise ValueError(
+            f"{what} needs eigenvectors; this spectrum holds eigenvalues only, "
+            "diagonalize with vectors=True"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,6 +399,7 @@ def correlator_matrix(
     equal to the full matrix's; the other off-diagonal entries of g_dot
     are NaN, while g_zz and the diagonal of g_dot are always complete.
     """
+    _check_vectors(data, "correlator_matrix")
     spec = data.spec
     n = spec.n_sites
     if pairs is None:
@@ -445,6 +481,7 @@ def reduced_pair_state(
     rest-configuration: within each group the reduced contribution is a
     plain Gram matrix of amp rows. Output is exactly symmetric.
     """
+    _check_vectors(data, "reduced_pair_state")
     spec = data.spec
     a, b = bond
     n = spec.n_sites

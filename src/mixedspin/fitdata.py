@@ -31,6 +31,7 @@ from .chain import ChainSpec, SectorSpectralData, diagonalize, susceptibility_ex
 from .operators import SpinQuantum
 from .pair import pair_correlator
 from .units import (
+    check_finite,
     check_positive,
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
@@ -72,8 +73,8 @@ class MeasurementSeries:
         t = self.temperatures_kelvin
         if t.size != self.chi.size:
             raise ValueError("temperature and chi arrays differ in length")
-        if t.size and t[0] <= 0.0:
-            raise ValueError(f"temperatures must be > 0, got {t[0]}")
+        check_positive("temperature", t)
+        check_finite("susceptibility", self.chi)
         if np.any(np.diff(t) <= 0.0):
             k = int(np.flatnonzero(np.diff(t) <= 0.0)[0])
             raise ValueError(
@@ -152,7 +153,8 @@ def _unit_coupling_spectrum(
     twice_spin: int, n_sites: int, boundary: str, dim_cap: int
 ) -> SectorSpectralData:
     # H is linear in J, so the J=1 spectrum serves every coupling:
-    # observables at (J, T) equal observables at (1, T/J)
+    # observables at (J, T) equal observables at (1, T/J). chi needs only
+    # the levels and their Sz, so no eigenvectors are computed.
     spec = ChainSpec(
         n_sites=n_sites,
         spin=SpinQuantum(twice_spin),
@@ -160,7 +162,7 @@ def _unit_coupling_spectrum(
         boundary=boundary,
         dim_cap=dim_cap,
     )
-    return diagonalize(spec)
+    return diagonalize(spec, vectors=False)
 
 
 def model_chi(
@@ -203,7 +205,16 @@ def model_chi(
         data = _unit_coupling_spectrum(
             spin.twice_spin, n_sites, boundary, dim_cap or DEFAULT_DIM_CAP
         )
-        chi_total = susceptibility_exact(data, temps / coupling_kelvin)
+        with np.errstate(over="ignore", under="ignore"):  # rejected just below
+            reduced_temps = temps / coupling_kelvin
+        bad = ~((reduced_temps > 0.0) & np.isfinite(reduced_temps))
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"T/J at T = {float(temps.flat[k])} K, J = {coupling_kelvin} K "
+                f"is {float(reduced_temps.flat[k])}; it must be finite and > 0"
+            )
+        chi_total = susceptibility_exact(data, reduced_temps)
         chi_cell = chi_total * SPINS_PER_FORMULA_UNIT / n_sites
     else:
         raise ValueError(f"model must be 'pair' or 'chain', got {model!r}")

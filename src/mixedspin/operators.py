@@ -142,12 +142,16 @@ def embed(op: np.ndarray, site: int, dims: tuple[int, ...] | list[int]) -> np.nd
     return out
 
 
-def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eig_sym(
+    matrix: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a real symmetric matrix, ascending eigenvalues.
 
     Rejects non-finite entries and anything not exactly symmetric; every
     matrix this package produces is assembled symmetrically, so exact
-    equality is the correct check, not a tolerance.
+    equality is the correct check, not a tolerance. With vectors=False
+    only the eigenvalues are computed (`eigvalsh`, which may differ from
+    `eigh`'s in the last bits) and the eigenvectors come back as None.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -156,5 +160,7 @@ def eig_sym(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix has non-finite entries")
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not symmetric")
+    if not vectors:
+        return np.linalg.eigvalsh(m), None
     evals, evecs = np.linalg.eigh(m)
     return evals, evecs

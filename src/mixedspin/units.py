@@ -114,7 +114,8 @@ def chi_reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor: float)
     check_finite("susceptibility", chi_reduced)
     check_positive("temperature", temperature_kelvin)
     check_positive("g_factor", g_factor)
-    with np.errstate(over="ignore"):  # an overflow is rejected just below
+    # a non-finite result (inf, or inf * 0 = nan) is rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):
         value = (
             CURIE_FACTOR_EMU_K_PER_MOL
             * _squared(g_factor)
@@ -129,7 +130,8 @@ def chi_emu_per_mol_to_reduced(chi_emu_per_mol, temperature_kelvin, g_factor: fl
     check_finite("susceptibility", chi_emu_per_mol)
     check_positive("temperature", temperature_kelvin)
     check_positive("g_factor", g_factor)
-    with np.errstate(over="ignore"):  # an overflow is rejected just below
+    # a non-finite result (inf, or inf * 0 = nan) is rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):
         value = (
             chi_emu_per_mol
             * temperature_kelvin

@@ -140,8 +140,7 @@ def solve_tc(
     correlator; it must be continuous and increasing. The bracket starts
     at [1e-3, 1e3] * J and expands geometrically before giving up.
     """
-    if coupling_kelvin <= 0.0:
-        raise ValueError(f"coupling must be > 0, got {coupling_kelvin}")
+    check_positive("coupling", coupling_kelvin)
     half_s = spin.value / 2.0
 
     def f(t: float) -> float:
@@ -286,8 +285,7 @@ class CompoundRecord:
     reported_tc_kelvin: float | None
 
     def __post_init__(self) -> None:
-        if self.coupling_value <= 0.0:
-            raise ValueError(f"coupling must be > 0, got {self.coupling_value}")
+        check_positive("coupling", self.coupling_value)
         if self.coupling_unit not in ("K", "cm-1"):
             raise ValueError(f"coupling unit must be 'K' or 'cm-1', got {self.coupling_unit!r}")
         if not 1.5 <= self.g_factor <= 2.5:

@@ -7,6 +7,8 @@ import pytest
 
 from mixedspin.chain import (
     ChainSpec,
+    SectorSpectralData,
+    SectorSpectrum,
     _hops,
     _strides,
     build_hamiltonian,
@@ -478,3 +480,117 @@ class TestNegativityBruteforce:
         bad[0, 1] = 0.1
         with pytest.raises(ValueError):
             negativity_bruteforce(bad, 2, 2)
+
+
+def independently_solved(spec):
+    """Every sector solved on its own with eigh: the unmirrored reference."""
+    sectors = []
+    for block in build_hamiltonian(spec):
+        evals, evecs = np.linalg.eigh(block.hamiltonian)
+        sectors.append(
+            SectorSpectrum(
+                block.twice_total_sz, block.labels, block.codes, evals, evecs
+            )
+        )
+    return SectorSpectralData(spec, tuple(sectors))
+
+
+# (2, 2) and (10, 2) rings have no 2Sz = 0 sector, so every sector is mirrored
+MIRROR_SPECS = [
+    (2, 2, "periodic"),
+    (4, 1, "periodic"),
+    (4, 2, "periodic"),
+    (6, 5, "periodic"),
+    (6, 3, "open"),
+    (8, 2, "open"),
+    (10, 2, "periodic"),
+]
+
+
+class TestSpinFlipMirror:
+    """`diagonalize` solves the 2Sz >= 0 sectors and mirrors the others."""
+
+    @pytest.mark.parametrize("n,ts,boundary", MIRROR_SPECS)
+    def test_blocks_are_bitwise_mirrored(self, n, ts, boundary):
+        # the precondition of the mirror: H(-M) is H(+M) reversed in rows and
+        # columns, with the flipped labels in reverse order
+        spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary)
+        blocks = {b.twice_total_sz: b for b in build_hamiltonian(spec)}
+        top = spec.total_dimension - 1
+        for tsz, block in blocks.items():
+            partner = blocks[-tsz]
+            assert np.array_equal(block.hamiltonian, partner.hamiltonian[::-1, ::-1])
+            assert np.array_equal(block.labels, -partner.labels[::-1])
+            assert np.array_equal(block.codes, top - partner.codes[::-1])
+
+    @pytest.mark.parametrize("n,ts,boundary", MIRROR_SPECS[:-1])
+    def test_mirrored_sectors_share_read_only_arrays(self, n, ts, boundary):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary)
+        blocks = build_hamiltonian(spec)
+        data = diagonalize(spec)
+        assert [s.twice_total_sz for s in data.sectors] == [
+            b.twice_total_sz for b in blocks
+        ]
+        by_sz = {s.twice_total_sz: s for s in data.sectors}
+        for block, sec in zip(blocks, data.sectors):
+            assert not sec.eigenvalues.flags.writeable
+            assert not sec.eigenvectors.flags.writeable
+            assert np.array_equal(sec.labels, block.labels)
+            if sec.twice_total_sz < 0:
+                partner = by_sz[-sec.twice_total_sz]
+                assert sec.eigenvalues is partner.eigenvalues
+                assert np.shares_memory(sec.eigenvectors, partner.eigenvectors)
+                assert np.array_equal(sec.eigenvectors, partner.eigenvectors[::-1])
+            # every V, mirrored or not, diagonalizes its own block
+            h, v = block.hamiltonian, sec.eigenvectors
+            np.testing.assert_allclose(h @ v, v * sec.eigenvalues, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 2, "periodic"), (4, 1, "periodic"), (6, 5, "periodic"),
+         (8, 2, "open"), (10, 2, "periodic")],
+    )
+    def test_mirror_agrees_with_independent_solves(self, n, ts, boundary):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary)
+        mirrored = diagonalize(spec)
+        reference = independently_solved(spec)
+        for t in (0.25, 0.6) if n < 10 else (0.6,):
+            got = correlator_matrix(mirrored, t)
+            want = correlator_matrix(reference, t)
+            np.testing.assert_allclose(got.g_zz, want.g_zz, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.g_dot, want.g_dot, rtol=0, atol=1e-12)
+            for bond in spec.bonds()[:2]:
+                np.testing.assert_allclose(
+                    reduced_pair_state(mirrored, t, bond),
+                    reduced_pair_state(reference, t, bond),
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("n,ts,boundary", MIRROR_SPECS[:-1])
+    def test_eigenvalue_only_spectrum(self, n, ts, boundary):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary)
+        full = diagonalize(spec)
+        levels = diagonalize(spec, vectors=False)
+        by_sz = {s.twice_total_sz: s for s in levels.sectors}
+        for with_v, sec in zip(full.sectors, levels.sectors):
+            assert sec.twice_total_sz == with_v.twice_total_sz
+            assert sec.eigenvectors is None
+            assert not sec.eigenvalues.flags.writeable
+            assert sec.eigenvalues is by_sz[abs(sec.twice_total_sz)].eigenvalues
+            np.testing.assert_allclose(
+                sec.eigenvalues, with_v.eigenvalues, rtol=0, atol=1e-12
+            )
+        temps = np.array([0.05, 0.7, 9.0])
+        np.testing.assert_allclose(
+            susceptibility_exact(levels, temps),
+            susceptibility_exact(full, temps),
+            rtol=1e-12,
+        )
+
+    def test_eigenvalue_only_spectrum_refuses_vector_observables(self):
+        levels = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
+        with pytest.raises(ValueError, match="vectors=True"):
+            correlator_matrix(levels, 1.0, pairs=[(0, 1)])
+        with pytest.raises(ValueError, match="vectors=True"):
+            reduced_pair_state(levels, 1.0, (0, 1))

@@ -461,6 +461,27 @@ class TestOutOfDomainMeasurement:
         assert "T = 1e-320 K" in err
         assert out == ""
 
+    # T and J are each finite and positive, but T/J overflows to inf or
+    # underflows to 0; the division must neither warn nor reach the kernel
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "coupling,temps,quotient",
+        [("1e-300K", "1e300", "inf"), ("1e300K", "1e-300", "0.0")],
+    )
+    def test_chain_synth_t_over_j_out_of_range_exits_2(
+        self, capsys, coupling, temps, quotient
+    ):
+        code, out, err = run(
+            capsys,
+            ["synth", "--spin", "1", "--j", coupling, "--g", "2", "--temps", temps]
+            + ["--model", "chain", "--sites", "4"],
+        )
+        assert code == 2
+        assert f"T = {float(temps)} K" in err
+        assert f"J = {float(coupling[:-1])} K" in err
+        assert f"is {quotient};" in err
+        assert out == ""
+
 
 class TestDimCapEnvironment:
     """MIXEDSPIN_DIM_CAP bounds the chain model of synth and fit too."""
@@ -804,8 +825,13 @@ class TestFitAndSynth:
         assert "TMIN:TMAX" in err
 
 
-    # recorded from the point-by-point objective this command used before
-    # the temperature-array kernel; the array path must not move a bit
+    # Re-recorded when `diagonalize` began to mirror the 2Sz < 0 sectors
+    # and the fit's spectrum became eigenvalue-only. The ±Sz levels are
+    # now exactly equal instead of equal to roundoff, which moves where
+    # the simplex stops inside its rel_tol of 1e-9: the 9th printed digit
+    # of J, and 62 -> 64 iterations in the JSON case. g and residual_rms
+    # did not move. Still compared byte for byte; the values recorded
+    # before the change are pinned to a relative 5e-8 just below.
     @pytest.mark.parametrize(
         "extra,expected",
         [
@@ -813,23 +839,51 @@ class TestFitAndSynth:
                 ["--init-j", "5K"],
                 "coupling_kelvin,coupling_wavenumber,g_factor,residual_rms,"
                 "iterations,converged,window_min_kelvin,window_max_kelvin,n_points\n"
-                "8.50373872,5.91039435,2.03016955,0.000440954126,68,true,2,80,16\n",
+                "8.50373875,5.91039437,2.03016955,0.000440954126,68,true,2,80,16\n",
             ),
             (
                 ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
                 + ["--window", "3:60", "--format", "json"],
-                '{"coupling_kelvin": 11.4205112, "coupling_wavenumber": 7.93765275, '
+                '{"coupling_kelvin": 11.4205113, "coupling_wavenumber": 7.93765277, '
                 '"g_factor": 2.02125744, "residual_rms": 0.00097679332, '
-                '"iterations": 62, "converged": true, "window_min_kelvin": 3.27068, '
+                '"iterations": 64, "converged": true, "window_min_kelvin": 3.27068, '
                 '"window_max_kelvin": 48.9195, "n_points": 12}\n',
             ),
         ],
+        ids=["csv", "json"],
     )
     def test_chain_fit_golden_output(self, capsys, extra, expected):
         argv = ["fit", "--input", CHAIN_SERIES, "--spin", "1"]
         code, out, _ = run(capsys, argv + ["--model", "chain", "--sites", "4"] + extra)
         assert code == 0
         assert out == expected
+
+    # J, g and residual_rms as printed before the ±Sz mirroring, when each
+    # sector was solved on its own with eigenvectors
+    @pytest.mark.parametrize(
+        "extra,j,g,rms",
+        [
+            (["--init-j", "5K"], 8.50373872, 2.03016955, 0.000440954126),
+            (
+                ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
+                + ["--window", "3:60"],
+                11.4205112,
+                2.02125744,
+                0.00097679332,
+            ),
+        ],
+        ids=["periodic", "open-window"],
+    )
+    def test_chain_fit_keeps_values_recorded_before_mirroring(
+        self, capsys, extra, j, g, rms
+    ):
+        argv = ["fit", "--input", CHAIN_SERIES, "--spin", "1"]
+        code, out, _ = run(capsys, argv + ["--model", "chain", "--sites", "4"] + extra)
+        assert code == 0
+        _, (row,), _ = parse_csv(out)
+        assert float(row["coupling_kelvin"]) == pytest.approx(j, rel=5e-8, abs=0.0)
+        assert float(row["g_factor"]) == pytest.approx(g, rel=5e-8, abs=0.0)
+        assert float(row["residual_rms"]) == pytest.approx(rms, rel=5e-8, abs=0.0)
 
 
 class TestOutputContract:

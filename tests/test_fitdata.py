@@ -95,6 +95,22 @@ class TestLoadMeasurements:
             load_measurements(io.StringIO(""))
 
 
+class TestMeasurementSeries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_a_bad_temperature_anywhere(self, bad, position):
+        # only the first temperature was checked, and NaN passed that check
+        temps = np.array([1.0, 2.0, 3.0])
+        temps[position] = bad
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            MeasurementSeries(temps, np.ones(3), "emu/mol", {})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_susceptibility(self, bad):
+        with pytest.raises(ValueError, match="susceptibility must be finite"):
+            MeasurementSeries(np.array([1.0, 2.0]), np.array([0.1, bad]), "reduced", {})
+
+
 class TestModelChi:
     def test_curie_limit(self):
         # S=1/2, g=2: chi*T -> 2 * curie * g^2 * (1/8 + 1/8)

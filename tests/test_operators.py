@@ -159,6 +159,23 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.zeros((2, 3)))
 
+    def test_eigenvalues_only(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(40, 40))
+        m = a + a.T
+        evals, evecs = eig_sym(m, vectors=False)
+        assert evecs is None
+        np.testing.assert_allclose(evals, eig_sym(m)[0], rtol=0, atol=1e-12)
+
+    def test_eigenvalues_only_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=False)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                eig_sym(np.array([[bad, 0.0], [0.0, 1.0]]), vectors=False)
+        with pytest.raises(ValueError, match="square"):
+            eig_sym(np.zeros((2, 3)), vectors=False)
+
 
 class TestUnits:
     def test_wavenumber_constant(self):

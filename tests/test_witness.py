@@ -13,6 +13,7 @@ from mixedspin.pair import (
 )
 from mixedspin.units import chi_reduced_to_emu_per_mol, wavenumber_to_kelvin
 from mixedspin.witness import (
+    CompoundRecord,
     builtin_compounds,
     compound_report,
     corrected_bound,
@@ -212,6 +213,14 @@ class TestSolveTc:
         with pytest.raises(ValueError):
             solve_tc(lambda t: 0.0, SpinQuantum(1), -1.0)
 
+    @pytest.mark.parametrize("coupling", [math.nan, math.inf, 0.0, -1.0])
+    def test_coupling_must_be_finite_and_positive(self, coupling):
+        # a NaN coupling once reached the bracket and failed as a
+        # computation ("does not change sign"), not as a usage error
+        spin = SpinQuantum(2)
+        with pytest.raises(ValueError, match="coupling must be finite and > 0"):
+            solve_tc(lambda t: pair_correlator(spin, 1.0, t), spin, coupling)
+
 
 class TestSweep:
     def test_grid_matches_closed_forms(self):
@@ -280,6 +289,11 @@ class TestCompounds:
         for rec in recs:
             assert 1.5 <= rec.g_factor <= 2.5
             assert rec.coupling_kelvin > 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])
+    def test_record_rejects_bad_coupling(self, value):
+        with pytest.raises(ValueError, match="coupling must be finite and > 0"):
+            CompoundRecord("X", SpinQuantum(2), value, "K", 2.0, None)
 
     def test_record_values(self):
         cn = lookup_compound("CN")
