@@ -24,6 +24,7 @@ from .chain import (
     correlator_matrix,
     dense_hamiltonian,
     diagonalize,
+    mean_energy,
     negativity_bruteforce,
     reduced_pair_state,
     susceptibility_exact,
@@ -53,6 +54,7 @@ from .pair import (
     PairSpectrum,
     PairThermalResult,
     characteristic_temperature,
+    negativity_from_g1,
     pair_correlator,
     pair_correlator_literature,
     pair_correlator_zero_temperature,

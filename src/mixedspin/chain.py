@@ -42,6 +42,7 @@ __all__ = [
     "CorrelatorMatrix",
     "correlator_matrix",
     "susceptibility_exact",
+    "mean_energy",
     "susceptibility_nn_approx",
     "reduced_pair_state",
     "negativity_bruteforce",
@@ -256,6 +257,14 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
+# Eigensolver roundoff splits the ground multiplet by up to 6.1e-14 |J|
+# (eigvalsh, n=6, 2S=5, open chain), while the smallest excitation gap
+# above it is 0.15 |J| (n=10, 2S=2, open); both measured with eigh and
+# eigvalsh over every chain of dimension <= 8,000. A tolerance of
+# 1e-12 |J| n sits about 100x above the first and 1e10x below the second.
+_GROUND_SNAP = 1e-12
+
+
 def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     """Per-sector spectra, with eigenvectors unless vectors=False.
 
@@ -267,21 +276,32 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     ±Sz levels are then exactly degenerate. The solved arrays are made
     read-only because they are shared. Sectors keep their order (2Sz
     descending), so every sum over sectors keeps its order.
+
+    Every level within 1e-12 |J| n of the global ground energy is set to
+    exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
+    otherwise resolve the roundoff split of the ground multiplet; snapped,
+    the multiplet keeps equal weights down to any T, so every thermal
+    average reaches its T -> 0 limit.
     """
-    solved: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+    blocks = build_hamiltonian(spec)
+    solved = {
+        b.twice_total_sz: eig_sym(b.hamiltonian, vectors=vectors)
+        for b in blocks
+        if b.twice_total_sz >= 0
+    }
+    e0 = min(float(evals[0]) for evals, _ in solved.values())
+    tol = _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites
+    for evals, evecs in solved.values():
+        evals[evals - e0 <= tol] = e0
+        for arr in (evals, evecs):
+            if arr is not None:
+                arr.flags.writeable = False
     sectors = []
-    for block in build_hamiltonian(spec):
+    for block in blocks:
         tsz = block.twice_total_sz
-        if tsz >= 0:
-            evals, evecs = eig_sym(block.hamiltonian, vectors=vectors)
-            for arr in (evals, evecs):
-                if arr is not None:
-                    arr.flags.writeable = False
-            solved[tsz] = evals, evecs
-        else:
-            evals, evecs = solved[-tsz]
-            if evecs is not None:
-                evecs = evecs[::-1]
+        evals, evecs = solved[abs(tsz)]
+        if tsz < 0 and evecs is not None:
+            evecs = evecs[::-1]
         sectors.append(
             SectorSpectrum(
                 twice_total_sz=tsz,
@@ -331,7 +351,9 @@ def thermal_weights(
     check_positive("temperature", temperature_kelvin)
     t = np.asarray(temperature_kelvin, dtype=float)[..., None]
     e0 = data.ground_energy_kelvin
-    raw = [np.exp(-(sec.eigenvalues - e0) / t) for sec in data.sectors]
+    # (E - E0)/T overflows to inf at subnormal T; exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        raw = [np.exp(-(sec.eigenvalues - e0) / t) for sec in data.sectors]
     z = sum(r.sum(-1) for r in raw)
     return ThermalWeights(
         temperature_kelvin=temperature_kelvin,
@@ -457,6 +479,23 @@ def susceptibility_exact(
     total = 0.0
     for sector, w in zip(data.sectors, weights.sector_weights):
         total = total + (sector.twice_total_sz / 2.0) ** 2 * w.sum(-1)
+    return total if np.ndim(temperature_kelvin) else float(total)
+
+
+def mean_energy(
+    data: SectorSpectralData, temperature_kelvin: float | np.ndarray
+) -> float | np.ndarray:
+    """Thermal <H> in kelvin, from the levels alone.
+
+    On a ring every bond is equivalent under translation and reflection,
+    so the bond correlator <S_i . S_i+1> is <H> / (n J). A float for a
+    scalar temperature; for an array, an array of the same shape whose
+    elements equal the scalar calls bitwise.
+    """
+    weights = thermal_weights(data, temperature_kelvin)
+    total = 0.0
+    for sector, w in zip(data.sectors, weights.sector_weights):
+        total = total + (w * sector.eigenvalues).sum(-1)
     return total if np.ndim(temperature_kelvin) else float(total)
 
 

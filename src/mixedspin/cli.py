@@ -24,15 +24,18 @@ from .chain import (
     ChainSpec,
     correlator_matrix,
     diagonalize,
-    negativity_bruteforce,
-    reduced_pair_state,
+    mean_energy,
     susceptibility_exact,
     susceptibility_nn_approx,
 )
+
+# unused here; the bench layer tracer wraps them by these names
+from .chain import negativity_bruteforce, reduced_pair_state  # noqa: F401
 from .fitdata import fit, load_measurements, synth_series
 from .operators import SpinQuantum
 from .pair import (
     characteristic_temperature,
+    negativity_from_g1,
     pair_correlator,
     pair_correlator_literature,
 )
@@ -185,8 +188,22 @@ def _jsonify(obj):
     return _json_value(obj)
 
 
-def _chain_g1(data, temperature: float) -> float:
-    return float(correlator_matrix(data, temperature, pairs=((0, 1),)).g_dot[0, 1])
+def _chain_spectrum(spec: ChainSpec):
+    return diagonalize(spec, vectors=spec.boundary == "open")
+
+
+def _chain_g1(data, temperature_kelvin):
+    """<S_0 . S_1>: from the levels alone on a ring, where every bond is
+    equivalent and G1 = <H>/(nJ), also for an array of temperatures;
+    from the correlator on an open chain's edge bond, one T at a time.
+    """
+    spec = data.spec
+    if spec.boundary == "periodic":
+        return mean_energy(data, temperature_kelvin) / (
+            spec.n_sites * spec.coupling_kelvin
+        )
+    pair = correlator_matrix(data, temperature_kelvin, pairs=((0, 1),))
+    return float(pair.g_dot[0, 1])
 
 
 def _cmd_tc(args) -> None:
@@ -246,7 +263,7 @@ def _cmd_tc(args) -> None:
             boundary=args.boundary,
             dim_cap=_dim_cap(),
         )
-        data = diagonalize(spec)
+        data = _chain_spectrum(spec)
         tc = solve_tc(lambda t: _chain_g1(data, t), spin, coupling)
     row = {
         "spin": str(spin),
@@ -352,8 +369,7 @@ def _cmd_chain(args) -> None:
         boundary=args.boundary,
         dim_cap=_dim_cap(),
     )
-    data = diagonalize(spec)
-    dims = spec.site_dimensions
+    data = _chain_spectrum(spec)
     temps = _parse_temps(args.temps)
     fieldnames = [
         "temperature_kelvin",
@@ -363,19 +379,20 @@ def _cmd_chain(args) -> None:
         "negativity",
     ]
     chis = susceptibility_exact(data, np.asarray(temps)).tolist()
-    rows = []
-    for t, chi in zip(temps, chis):
-        g1 = _chain_g1(data, t)
-        rho = reduced_pair_state(data, t, (0, 1))
-        rows.append(
-            {
-                "temperature_kelvin": t,
-                "chi_exact_reduced": chi,
-                "chi_nn_reduced": susceptibility_nn_approx(args.sites, spin, g1),
-                "g1": g1,
-                "negativity": negativity_bruteforce(rho, dims[0], dims[1]),
-            }
-        )
+    if spec.boundary == "periodic":
+        g1s = _chain_g1(data, np.asarray(temps)).tolist()
+    else:
+        g1s = [_chain_g1(data, t) for t in temps]
+    rows = [
+        {
+            "temperature_kelvin": t,
+            "chi_exact_reduced": chi,
+            "chi_nn_reduced": susceptibility_nn_approx(args.sites, spin, g1),
+            "g1": g1,
+            "negativity": negativity_from_g1(spin, g1),
+        }
+        for t, chi, g1 in zip(temps, chis, g1s)
+    ]
     _emit(args, fieldnames, rows)
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "pair_correlator_zero_temperature",
     "pair_correlator_literature",
     "pair_negativity",
+    "negativity_from_g1",
     "pair_negativity_zero_temperature",
     "characteristic_temperature",
     "PairThermalResult",
@@ -135,13 +136,23 @@ def pair_correlator_literature(
 def pair_negativity(
     spin: SpinQuantum, coupling_kelvin: float, temperature_kelvin: float
 ) -> float:
-    """Negativity of the thermal pair state.
+    """Negativity of the thermal pair state (see `negativity_from_g1`)."""
+    return negativity_from_g1(
+        spin, pair_correlator(spin, coupling_kelvin, temperature_kelvin)
+    )
 
-    The partial transpose has 2S eigenvalues equal to
-    tau = (S + 2 G1) / (D (D - 1)) with D = 2S + 1; negativity is
-    2S * max(0, -tau), which simplifies to max(0, -(S + 2 G1)) / D.
+
+def negativity_from_g1(spin: SpinQuantum, g1: float) -> float:
+    """Negativity of any SU(2)-invariant (S, 1/2) two-site state.
+
+    Such a state is a mixture of the two total-spin projectors, fixed by
+    G1 = <S.s> alone, so this holds for the thermal pair and for every
+    bond of an isotropic chain, open or periodic (J. Schliemann, Phys.
+    Rev. A 68, 012309 (2003)). The partial transpose has 2S eigenvalues
+    equal to tau = (S + 2 G1) / (D (D - 1)) with D = 2S + 1; negativity
+    is 2S * max(0, -tau), which simplifies to max(0, -(S + 2 G1)) / D.
     """
-    g1 = pair_correlator(spin, coupling_kelvin, temperature_kelvin)
+    _check_spin(spin)
     d = spin.twice_spin + 1
     tau = (spin.value + 2.0 * g1) / (d * (d - 1.0))
     return spin.twice_spin * max(0.0, -tau)

@@ -15,6 +15,7 @@ from mixedspin.chain import (
     correlator_matrix,
     dense_hamiltonian,
     diagonalize,
+    mean_energy,
     negativity_bruteforce,
     reduced_pair_state,
     susceptibility_exact,
@@ -259,6 +260,73 @@ class TestTemperatureArrays:
         for kernel in (thermal_weights, susceptibility_exact):
             with pytest.raises(ValueError, match=f"got {bad}"):
                 kernel(data, temps)
+
+
+class TestMeanEnergy:
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 2, "open"), (4, 1, "periodic"), (6, 5, "periodic"), (8, 2, "open")],
+    )
+    def test_array_equals_scalar_calls_bitwise(self, n, ts, boundary):
+        data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary))
+        energies = mean_energy(data, ARRAY_TEMPS)
+        assert energies.shape == ARRAY_TEMPS.shape
+        for k, t in enumerate(ARRAY_TEMPS.tolist()):
+            scalar = mean_energy(data, t)
+            assert type(scalar) is float
+            assert energies[k].tobytes() == np.float64(scalar).tobytes()
+        grid = ARRAY_TEMPS[:30].reshape(5, 6)
+        assert mean_energy(data, grid).tobytes() == energies[:30].tobytes()
+
+    def test_limits(self):
+        data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
+        assert mean_energy(data, 1e-300) == data.ground_energy_kelvin
+        # H is traceless, so <H> falls off as -Tr(H^2) / (d T)
+        levels = data.all_eigenvalues()
+        hot = -float(levels @ levels) / levels.size / 1e6
+        assert mean_energy(data, 1e6) == pytest.approx(hot, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "n,ts", [(2, 2), (4, 1), (4, 2), (6, 3), (6, 5), (8, 2)]
+    )
+    def test_ring_bond_correlator_is_energy_per_bond(self, n, ts):
+        # every ring bond is equivalent, so <S_0 . S_1> = <H> / (n J); on
+        # the 2-site ring the two bonds make H = 2J S_0 . S_1
+        spec = ChainSpec(n, SpinQuantum(ts), 1.3)
+        full = diagonalize(spec)
+        levels = diagonalize(spec, vectors=False)
+        for t in (0.01, 0.1, 0.4, 1.0, 3.0, 30.0):
+            g1 = float(correlator_matrix(full, t, pairs=((0, 1),)).g_dot[0, 1])
+            assert abs(mean_energy(levels, t) / (n * 1.3) - g1) <= 1e-14
+
+
+class TestLowTemperatureLimit:
+    """Lieb-Mattis: the ground multiplet has spin S_g = (n/2)(S - 1/2), so
+    chi_tilde -> S_g (S_g + 1) / 3 as T -> 0, on rings and open chains."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize(
+        "n,ts",
+        [(n, ts) for ts in (1, 2, 3) for n in (2, 4, 6, 8)]
+        + [(n, ts) for ts in (4, 5) for n in (2, 4, 6)],
+    )
+    def test_chi_reaches_the_ground_multiplet_value(self, n, ts, boundary, vectors):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.7, boundary=boundary)
+        data = diagonalize(spec, vectors=vectors)
+        s_g = n / 2 * (ts / 2 - 0.5)
+        temps = np.array([1e-14, 1e-300, 1e-320]) * 1.7  # the last is subnormal
+        np.testing.assert_allclose(
+            susceptibility_exact(data, temps), s_g * (s_g + 1) / 3, rtol=1e-12
+        )
+
+    def test_ground_multiplet_is_one_exact_level(self):
+        spec = ChainSpec(6, SpinQuantum(5), 1.0, boundary="open")
+        levels = diagonalize(spec, vectors=False).all_eigenvalues()
+        e0 = levels[0]
+        assert np.count_nonzero(levels == e0) == 13  # 2 S_g + 1, S_g = 6
+        assert levels[13] - e0 > 0.1
 
 
 class TestCorrelatorMatrix:

@@ -16,6 +16,7 @@ from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
     PairSpectrum,
     characteristic_temperature,
+    negativity_from_g1,
     pair_correlator,
     pair_correlator_literature,
     pair_correlator_zero_temperature,
@@ -191,3 +192,46 @@ class TestPairThermal:
         assert r.temperature_kelvin == 1.1
         assert r.correlator_g1 == pair_correlator(spin, 2.0, 1.1)
         assert r.negativity == pair_negativity(spin, 2.0, 1.1)
+
+
+class TestNegativityFromG1:
+    """Every SU(2)-invariant (S, 1/2) two-site state has its negativity fixed
+    by G1, so the closed form holds on any bond of an isotropic chain."""
+
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [
+            (2, 2, "open"),
+            (2, 2, "periodic"),
+            (4, 2, "periodic"),
+            (4, 1, "open"),
+            (6, 3, "periodic"),
+            (6, 5, "open"),
+            (8, 2, "periodic"),
+            (8, 2, "open"),
+        ],
+    )
+    def test_matches_partial_transpose_on_chains(self, n, ts, boundary):
+        spin = SpinQuantum(ts)
+        data = diagonalize(ChainSpec(n, spin, 1.0, boundary=boundary))
+        for t in (0.02, 0.2, 0.5, 0.9, 1.5, 4.0, 50.0):
+            g1 = float(correlator_matrix(data, t, pairs=((0, 1),)).g_dot[0, 1])
+            rho = reduced_pair_state(data, t, (0, 1))
+            brute = negativity_bruteforce(rho, spin.dimension, 2)
+            assert abs(negativity_from_g1(spin, g1) - brute) <= 1e-14
+
+    @pytest.mark.parametrize("spin", ALL_SPINS)
+    def test_pair_negativity_keeps_its_bits(self, spin):
+        # the expression `pair_negativity` evaluated before it delegated
+        d = spin.twice_spin + 1
+        for t in np.concatenate([TGRID, [1e-300, 1e300]]).tolist():
+            g1 = pair_correlator(spin, 1.7, t)
+            tau = (spin.value + 2.0 * g1) / (d * (d - 1.0))
+            recorded = spin.twice_spin * max(0.0, -tau)
+            got = pair_negativity(spin, 1.7, t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(recorded).tobytes()
+
+    def test_rejects_a_nonmagnetic_spin(self):
+        with pytest.raises(ValueError):
+            negativity_from_g1(SpinQuantum(0), 0.0)
