@@ -6,10 +6,12 @@ Library layout:
 * `units`: CODATA-derived constants and unit conversions.
 * `pair`: closed forms for one (S, 1/2) exchange pair: correlator,
   negativity, characteristic temperature.
-* `chain`: sector-blocked exact diagonalization, correlators, reduced
-  pair states, brute-force negativity.
-* `witness`: susceptibility entanglement witness, negativity lower
-  bound, T_c solving and sweeps, built-in compound table.
+* `chain`: sector-blocked exact diagonalization, Boltzmann weights,
+  exact susceptibility and mean energy, correlators, reduced pair
+  states, brute-force negativity.
+* `witness`: nearest-neighbor susceptibility, the separability
+  threshold and witness, negativity lower bound, T_c solving and
+  sweeps, built-in compound table.
 * `fitdata`: measurement CSV ingestion, model curves, (J, g) fitting,
   per-point negativity bounds.
 * `cli`: the `mixedspin` command.
@@ -28,7 +30,6 @@ from .chain import (
     negativity_bruteforce,
     reduced_pair_state,
     susceptibility_exact,
-    susceptibility_nn_approx,
     thermal_weights,
 )
 from .fitdata import (
@@ -52,7 +53,6 @@ from .operators import (
 )
 from .pair import (
     PairSpectrum,
-    PairThermalResult,
     characteristic_temperature,
     negativity_from_g1,
     pair_correlator,
@@ -60,14 +60,12 @@ from .pair import (
     pair_correlator_zero_temperature,
     pair_negativity,
     pair_negativity_zero_temperature,
-    pair_thermal,
 )
 from .units import (
     CURIE_FACTOR_EMU_K_PER_MOL,
     KELVIN_PER_WAVENUMBER,
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
-    convert_units,
     kelvin_to_wavenumber,
     wavenumber_to_kelvin,
 )
@@ -85,12 +83,11 @@ from .witness import (
     lookup_compound,
     negativity_lower_bound,
     separability_threshold,
-    separability_threshold_exact_diagonal,
     solve_tc,
+    susceptibility_nn_approx,
     sweep_tc,
     witness_report,
     witness_value,
-    witness_value_exact_diagonal,
 )
 
 __version__ = "0.1.0"

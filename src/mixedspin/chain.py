@@ -37,13 +37,11 @@ __all__ = [
     "build_hamiltonian",
     "dense_hamiltonian",
     "diagonalize",
-    "ThermalWeights",
     "thermal_weights",
     "CorrelatorMatrix",
     "correlator_matrix",
     "susceptibility_exact",
     "mean_energy",
-    "susceptibility_nn_approx",
     "reduced_pair_state",
     "negativity_bruteforce",
 ]
@@ -322,31 +320,16 @@ def _check_vectors(data: SectorSpectralData, what: str) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ThermalWeights:
-    """Normalized Boltzmann weights per sector.
-
-    `partition_function` is the shifted sum Z' = sum exp(-(E - E0)/T);
-    the true Z is Z' * exp(-E0/T), kept factored so low temperatures
-    never overflow. E0 is `ground_energy_kelvin`. For an array of
-    temperatures, each sector's weights have shape T.shape + (d,) and
-    Z' has shape T.shape.
-    """
-
-    temperature_kelvin: float | np.ndarray
-    sector_weights: tuple[np.ndarray, ...]
-    partition_function: float | np.ndarray
-    ground_energy_kelvin: float
-
-
 def thermal_weights(
     data: SectorSpectralData, temperature_kelvin: float | np.ndarray
-) -> ThermalWeights:
-    """Boltzmann weights at one temperature or at every element of an array.
+) -> tuple[np.ndarray, ...]:
+    """Normalized Boltzmann weights per sector, in sector order.
 
-    Each element goes through the same operations in the same order as a
-    scalar call (per-sector exp and sum, sectors summed in order), so
-    the two agree bitwise.
+    For a temperature array each sector's weights have shape T.shape +
+    (d,). Exponents are shifted by the ground energy so that low
+    temperatures never overflow. Each element goes through the same
+    operations in the same order as a scalar call (per-sector exp and
+    sum, sectors summed in order), so the two agree bitwise.
     """
     check_positive("temperature", temperature_kelvin)
     t = np.asarray(temperature_kelvin, dtype=float)[..., None]
@@ -355,12 +338,7 @@ def thermal_weights(
     with np.errstate(over="ignore"):
         raw = [np.exp(-(sec.eigenvalues - e0) / t) for sec in data.sectors]
     z = sum(r.sum(-1) for r in raw)
-    return ThermalWeights(
-        temperature_kelvin=temperature_kelvin,
-        sector_weights=tuple(r / z[..., None] for r in raw),
-        partition_function=z,
-        ground_energy_kelvin=e0,
-    )
+    return tuple(r / z[..., None] for r in raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,13 +412,12 @@ def correlator_matrix(
             )
         todo.add((min(i, k), max(i, k)))
     todo = sorted(todo)
-    weights = thermal_weights(data, temperature_kelvin)
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
     strides = _strides(spec.site_dimensions)
     casimirs = tspins * (tspins + 2) / 4.0
     g_zz = np.zeros((n, n))
     flip = np.zeros((n, n))
-    for sector, w in zip(data.sectors, weights.sector_weights):
+    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
         prob = (sector.eigenvectors**2) @ w
         m = sector.labels / 2.0
         g_zz += (m * prob[:, None]).T @ m
@@ -475,9 +452,8 @@ def susceptibility_exact(
     A float for a scalar temperature; for an array, an array of the same
     shape whose elements equal the scalar calls bitwise.
     """
-    weights = thermal_weights(data, temperature_kelvin)
     total = 0.0
-    for sector, w in zip(data.sectors, weights.sector_weights):
+    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
         total = total + (sector.twice_total_sz / 2.0) ** 2 * w.sum(-1)
     return total if np.ndim(temperature_kelvin) else float(total)
 
@@ -492,23 +468,10 @@ def mean_energy(
     scalar temperature; for an array, an array of the same shape whose
     elements equal the scalar calls bitwise.
     """
-    weights = thermal_weights(data, temperature_kelvin)
     total = 0.0
-    for sector, w in zip(data.sectors, weights.sector_weights):
+    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
         total = total + (w * sector.eigenvalues).sum(-1)
     return total if np.ndim(temperature_kelvin) else float(total)
-
-
-def susceptibility_nn_approx(n_sites: int, spin: SpinQuantum, g1: float) -> float:
-    """Nearest-neighbor approximation to the reduced susceptibility.
-
-    chi_tilde = n (1/8 + S^2/2 + g1/3): on-site moments plus one bond
-    correlator per site, with the S z-moment entering through S^2/2.
-    """
-    if n_sites < 2 or n_sites % 2:
-        raise ValueError(f"n_sites must be even and >= 2, got {n_sites}")
-    s = spin.value
-    return n_sites * (0.125 + s * s / 2.0 + g1 / 3.0)
 
 
 def reduced_pair_state(
@@ -531,13 +494,12 @@ def reduced_pair_state(
     )
     if not adjacent:
         raise ValueError(f"bond {bond} is not adjacent under {spec.boundary} boundary")
-    weights = thermal_weights(data, temperature_kelvin)
     dims = spec.site_dimensions
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
     strides = _strides(dims)
     da, db = dims[a], dims[b]
     rho = np.zeros((da * db, da * db))
-    for sector, w in zip(data.sectors, weights.sector_weights):
+    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
         amp = sector.eigenvectors * np.sqrt(w)[None, :]
         lab = sector.labels.astype(np.int64)
         dig_a = (tspins[a] - lab[:, a]) // 2

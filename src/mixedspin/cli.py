@@ -26,7 +26,6 @@ from .chain import (
     diagonalize,
     mean_energy,
     susceptibility_exact,
-    susceptibility_nn_approx,
 )
 
 # unused here; the bench layer tracer wraps them by these names
@@ -36,19 +35,14 @@ from .operators import SpinQuantum
 from .pair import (
     characteristic_temperature,
     negativity_from_g1,
-    pair_correlator,
     pair_correlator_literature,
 )
-from .units import (
-    chi_reduced_to_emu_per_mol,
-    kelvin_to_wavenumber,
-    wavenumber_to_kelvin,
-)
+from .units import kelvin_to_wavenumber, wavenumber_to_kelvin
 from .witness import (
     compound_report,
     lookup_compound,
-    separability_threshold,
     solve_tc,
+    susceptibility_nn_approx,
     sweep_tc,
     witness_report,
 )
@@ -333,11 +327,6 @@ def _cmd_witness(args, with_bound: bool) -> None:
         spin=spin,
         correction_coupling_kelvin=correction,
     )
-    threshold_reduced = separability_threshold(args.n, spin)
-    if args.unit == "emu/mol":
-        threshold = chi_reduced_to_emu_per_mol(threshold_reduced, args.temp, args.g)
-    else:
-        threshold = threshold_reduced
     if report.witness_value < 0.0:
         verdict = "entangled"
     elif report.witness_value == 0.0:
@@ -348,7 +337,7 @@ def _cmd_witness(args, with_bound: bool) -> None:
         "temperature_kelvin": report.temperature_kelvin,
         "chi": report.chi_input,
         "unit": report.chi_unit,
-        "threshold": threshold,
+        "threshold": report.threshold,
         "witness_value": report.witness_value,
         "entangled": report.entangled,
         "verdict": verdict,

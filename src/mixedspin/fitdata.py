@@ -27,7 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, SectorSpectralData, diagonalize, susceptibility_exact
+from .chain import (
+    DEFAULT_DIM_CAP,
+    ChainSpec,
+    SectorSpectralData,
+    diagonalize,
+    susceptibility_exact,
+)
 from .operators import SpinQuantum
 from .pair import pair_correlator
 from .units import (
@@ -36,7 +42,12 @@ from .units import (
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
 )
-from .witness import corrected_bound, negativity_lower_bound, witness_value
+from .witness import (
+    corrected_bound,
+    negativity_lower_bound,
+    susceptibility_nn_approx,
+    witness_value,
+)
 
 __all__ = [
     "MeasurementSeries",
@@ -195,13 +206,10 @@ def model_chi(
         g1 = np.array(
             [pair_correlator(spin, coupling_kelvin, t) for t in temps.ravel().tolist()]
         ).reshape(temps.shape)
-        s = spin.value
-        chi_cell = SPINS_PER_FORMULA_UNIT * (0.125 + s * s / 2.0 + g1 / 3.0)
+        chi_cell = susceptibility_nn_approx(SPINS_PER_FORMULA_UNIT, spin, g1)
     elif model == "chain":
         if n_sites is None:
             raise ValueError("chain model needs n_sites")
-        from .chain import DEFAULT_DIM_CAP
-
         data = _unit_coupling_spectrum(
             spin.twice_spin, n_sites, boundary, dim_cap or DEFAULT_DIM_CAP
         )

@@ -90,13 +90,12 @@ def lower_coefficient(twice_spin: int, twice_m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpinOperators:
-    """Dense real matrices for one spin: Sz, S+, S-, Sx = (S+ + S-)/2."""
+    """Dense real matrices for one spin: Sz, S+, S-."""
 
     spin: SpinQuantum
     sz: np.ndarray
     sp: np.ndarray
     sm: np.ndarray
-    sx: np.ndarray
 
 
 def spin_matrices(spin: SpinQuantum) -> SpinOperators:
@@ -116,9 +115,7 @@ def spin_matrices(spin: SpinQuantum) -> SpinOperators:
     for k in range(d - 1):
         # column k+1 holds m = S-(k+1); S+ maps it up to row k
         sp[k, k + 1] = raise_coefficient(ts, ts - 2 * (k + 1))
-    sm = sp.T.copy()
-    sx = 0.5 * (sp + sm)
-    return SpinOperators(spin=spin, sz=sz, sp=sp, sm=sm, sx=sx)
+    return SpinOperators(spin=spin, sz=sz, sp=sp, sm=sp.T.copy())
 
 
 def embed(op: np.ndarray, site: int, dims: tuple[int, ...] | list[int]) -> np.ndarray:

@@ -24,8 +24,6 @@ __all__ = [
     "negativity_from_g1",
     "pair_negativity_zero_temperature",
     "characteristic_temperature",
-    "PairThermalResult",
-    "pair_thermal",
 ]
 
 
@@ -182,21 +180,3 @@ def characteristic_temperature(spin: SpinQuantum, coupling_kelvin: float) -> flo
         )
     return tc
 
-
-@dataclass(frozen=True)
-class PairThermalResult:
-    """Correlator and negativity of the pair at one temperature."""
-
-    temperature_kelvin: float
-    correlator_g1: float
-    negativity: float
-
-
-def pair_thermal(
-    spin: SpinQuantum, coupling_kelvin: float, temperature_kelvin: float
-) -> PairThermalResult:
-    return PairThermalResult(
-        temperature_kelvin=temperature_kelvin,
-        correlator_g1=pair_correlator(spin, coupling_kelvin, temperature_kelvin),
-        negativity=pair_negativity(spin, coupling_kelvin, temperature_kelvin),
-    )

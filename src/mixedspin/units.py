@@ -23,7 +23,6 @@ __all__ = [
     "kelvin_to_wavenumber",
     "chi_reduced_to_emu_per_mol",
     "chi_emu_per_mol_to_reduced",
-    "convert_units",
 ]
 
 H_PLANCK_J_S = 6.62607015e-34
@@ -139,38 +138,3 @@ def chi_emu_per_mol_to_reduced(chi_emu_per_mol, temperature_kelvin, g_factor: fl
         )
     return _check_converted(value, temperature_kelvin, g_factor)
 
-
-_ENERGY_UNITS = {"cm-1", "K"}
-_CHI_UNITS = {"emu/mol", "reduced"}
-
-
-def convert_units(
-    value: float,
-    from_unit: str,
-    to_unit: str,
-    *,
-    temperature_kelvin: float | None = None,
-    g_factor: float | None = None,
-) -> float:
-    """Convert between supported unit pairs.
-
-    Energies: 'cm-1' <-> 'K'. Susceptibilities: 'emu/mol' <-> 'reduced',
-    which additionally need temperature_kelvin and g_factor.
-    """
-    if from_unit == to_unit:
-        if from_unit in _ENERGY_UNITS | _CHI_UNITS:
-            return float(value)
-        raise ValueError(f"unknown unit {from_unit!r}")
-    if from_unit in _ENERGY_UNITS and to_unit in _ENERGY_UNITS:
-        if from_unit == "cm-1":
-            return wavenumber_to_kelvin(value)
-        return kelvin_to_wavenumber(value)
-    if from_unit in _CHI_UNITS and to_unit in _CHI_UNITS:
-        if temperature_kelvin is None or g_factor is None:
-            raise ValueError(
-                "susceptibility conversion needs temperature_kelvin and g_factor"
-            )
-        if from_unit == "reduced":
-            return chi_reduced_to_emu_per_mol(value, temperature_kelvin, g_factor)
-        return chi_emu_per_mol_to_reduced(value, temperature_kelvin, g_factor)
-    raise ValueError(f"cannot convert {from_unit!r} to {to_unit!r}")

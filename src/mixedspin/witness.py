@@ -7,14 +7,15 @@ witness is chi_tilde minus that threshold; a negative witness rescales
 into a lower bound on the nearest-neighbor negativity.
 
 All core functions work in reduced (dimensionless) susceptibility and
-kelvin energies; unit conversion happens at the edges (`witness_report`,
-`units.convert_units`).
+kelvin energies; `witness_report` converts emu/mol input at the edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .operators import SpinQuantum
 from .pair import (
@@ -31,10 +32,9 @@ from .units import (
 )
 
 __all__ = [
+    "susceptibility_nn_approx",
     "separability_threshold",
-    "separability_threshold_exact_diagonal",
     "witness_value",
-    "witness_value_exact_diagonal",
     "negativity_lower_bound",
     "correction_polynomial",
     "corrected_bound",
@@ -62,37 +62,39 @@ def _check_sites(n_sites: int) -> None:
         raise ValueError(f"n_sites must be even and >= 2, got {n_sites}")
 
 
+def susceptibility_nn_approx(
+    n_sites: int, spin: SpinQuantum, g1: float | np.ndarray
+) -> float | np.ndarray:
+    """Nearest-neighbor approximation to the reduced susceptibility.
+
+    chi_tilde = n (1/8 + S^2/2 + g1/3): on-site moments plus one bond
+    correlator per site, with the S z-moment entering through S^2/2
+    (M. Wiesniak, V. Vedral, C. Brukner, New J. Phys. 7, 258 (2005)).
+    g1 may be a number (float result) or an array (array result).
+    """
+    _check_sites(n_sites)
+    s = spin.value
+    # g1 >= -(S+1)/2 in every state, so the exact value is >= 0; below 0 is roundoff
+    chi = np.maximum(n_sites * (0.125 + s * s / 2.0 + g1 / 3.0), 0.0)
+    return chi if np.ndim(g1) else float(chi)
+
+
 def separability_threshold(n_sites: int, spin: SpinQuantum) -> float:
     """Reduced susceptibility at the separability boundary: n(12S^2 - 4S + 3)/24.
 
     Any reduced chi below this certifies nearest-neighbor entanglement.
-    Uses the S^2/2 convention for the large-spin z-moment (see the
-    exact-diagonal variant for the S(S+1)/3 alternative).
+    It is `susceptibility_nn_approx` at the separable bond value
+    g1 = -S/2, written in its own operation order so that an exactly
+    representable threshold (3 at n = 18, S = 1/2) stays exact.
     """
     _check_sites(n_sites)
     s = spin.value
     return n_sites * (12.0 * s * s - 4.0 * s + 3.0) / 24.0
 
 
-def separability_threshold_exact_diagonal(n_sites: int, spin: SpinQuantum) -> float:
-    """Variant threshold with the exact on-site moment S(S+1)/3.
-
-    Replaces the S^2/2 z-moment convention by the isotropic thermal
-    moment S(S+1)/6 per cell. Not the default; exposed for comparison.
-    """
-    _check_sites(n_sites)
-    return n_sites * (0.125 + spin.casimir / 6.0 - spin.value / 6.0)
-
-
 def witness_value(chi_reduced: float, n_sites: int, spin: SpinQuantum) -> float:
     """Witness in reduced units: negative iff the chain is certified entangled."""
     return chi_reduced - separability_threshold(n_sites, spin)
-
-
-def witness_value_exact_diagonal(
-    chi_reduced: float, n_sites: int, spin: SpinQuantum
-) -> float:
-    return chi_reduced - separability_threshold_exact_diagonal(n_sites, spin)
 
 
 def negativity_lower_bound(
@@ -384,13 +386,15 @@ def compound_report() -> tuple[CompoundTcRow, ...]:
 class WitnessReport:
     """Witness evaluation for one susceptibility measurement.
 
-    `witness_value` is in the same unit system as the input chi;
-    `negativity_lower_bound` is always dimensionless (a negativity).
+    `threshold` and `witness_value` are in the same unit system as the
+    input chi; `negativity_lower_bound` is always dimensionless (a
+    negativity).
     """
 
     temperature_kelvin: float
     chi_input: float
     chi_unit: str
+    threshold: float
     witness_value: float
     entangled: bool
     negativity_lower_bound: float
@@ -426,12 +430,11 @@ def witness_report(
         )
     else:
         raise ValueError(f"chi_unit must be 'emu/mol' or 'reduced', got {chi_unit!r}")
-    w_reduced = witness_value(chi_reduced, n_sites, spin)
+    threshold = separability_threshold(n_sites, spin)
+    w_reduced = chi_reduced - threshold
     if chi_unit == "emu/mol":
-        threshold_mol = chi_reduced_to_emu_per_mol(
-            separability_threshold(n_sites, spin), temperature_kelvin, g_factor
-        )
-        w_input = chi_value - threshold_mol
+        threshold = chi_reduced_to_emu_per_mol(threshold, temperature_kelvin, g_factor)
+        w_input = chi_value - threshold
     else:
         w_input = w_reduced
     bound = negativity_lower_bound(w_reduced, n_sites, spin)
@@ -446,6 +449,7 @@ def witness_report(
         temperature_kelvin=temperature_kelvin,
         chi_input=chi_value,
         chi_unit=chi_unit,
+        threshold=threshold,
         witness_value=w_input,
         entangled=w_reduced < 0.0,
         negativity_lower_bound=bound,

@@ -228,27 +228,36 @@ class TestSweepCommand:
 
 class TestWitnessCommand:
     def test_threshold_is_separable_boundary(self, capsys):
-        threshold = separability_threshold(2, S_HALF)
-        code, out, _ = run(
-            capsys,
-            [
-                "witness",
-                "--chi",
-                repr(threshold),
-                "--unit",
-                "reduced",
-                "--temp",
-                "5.0",
-                "--spin",
-                "1/2",
-            ],
-        )
-        assert code == 0
-        _, rows, _ = parse_csv(out)
-        (row,) = rows
-        assert float(row["witness_value"]) == 0.0
-        assert row["entangled"] == "false"
-        assert row["verdict"] == "separable boundary"
+        # besides the library's own value, the literal thresholds
+        # n(12S^2 - 4S + 3)/24 at S = 1/2, 1/3 at n = 2 and exactly 3 at
+        # n = 18, pin the threshold's own expression
+        for chi, n in (
+            (repr(separability_threshold(2, S_HALF)), "2"),
+            ("0.3333333333333333", "2"),
+            ("3", "18"),
+        ):
+            code, out, _ = run(
+                capsys,
+                [
+                    "witness",
+                    "--chi",
+                    chi,
+                    "--n",
+                    n,
+                    "--unit",
+                    "reduced",
+                    "--temp",
+                    "5.0",
+                    "--spin",
+                    "1/2",
+                ],
+            )
+            assert code == 0
+            _, rows, _ = parse_csv(out)
+            (row,) = rows
+            assert float(row["witness_value"]) == 0.0
+            assert row["entangled"] == "false"
+            assert row["verdict"] == "separable boundary"
 
     def test_entangled_measurement_reduced_units(self, capsys):
         chi = 0.05
@@ -573,6 +582,16 @@ class TestChainCommand:
             }
         if boundary == "periodic":
             assert (rows[0]["g1"], rows[0]["negativity"]) == ("-0.75", "0.166666667")
+
+    def test_nn_susceptibility_is_never_negative(self, capsys):
+        # on the S = 1/2 dimer ring g1 -> -3/4 at low T, where
+        # n(1/8 + S^2/2 + g1/3) cancels to roundoff; it must not go below 0
+        argv = ["chain", "--spin", "1/2", "--sites", "2", "--coupling", "3.7K"]
+        code, out, _ = run(capsys, argv + ["--temps", "0.05"])
+        assert code == 0
+        _, (row,), _ = parse_csv(out)
+        assert float(row["chi_nn_reduced"]) >= 0.0
+        assert float(row["chi_nn_reduced"]) < 1e-15
 
     def test_temperature_range_grammar(self, capsys):
         code, out, _ = run(

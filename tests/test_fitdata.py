@@ -131,12 +131,16 @@ class TestModelChi:
         )
 
     def test_pair_model_is_nn_form(self):
-        spin = S_ONE
-        j, g, t = 7.0, 2.1, 3.0
-        g1 = pair_correlator(spin, j, t)
-        chi_red = 2.0 * (0.125 + 0.5 + g1 / 3.0)
-        expected = chi_reduced_to_emu_per_mol(chi_red, t, g)
-        assert model_chi(spin, j, g, t) == pytest.approx(expected, rel=1e-14)
+        j, g = 7.0, 2.1
+        for ts in range(1, 6):
+            spin = SpinQuantum(ts)
+            s = spin.value
+            for t in (0.7, 3.0, 12.0, 150.0):
+                g1 = pair_correlator(spin, j, t)
+                expected = chi_reduced_to_emu_per_mol(
+                    2 * (0.125 + s * s / 2 + g1 / 3), t, g
+                )
+                assert model_chi(spin, j, g, t) == expected
 
     def test_chain_model_matches_pair_for_spin_half_dimer(self):
         # for S=1/2 the NN form is the exact dimer susceptibility

@@ -19,7 +19,6 @@ from mixedspin.units import (
     KELVIN_PER_WAVENUMBER,
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
-    convert_units,
     kelvin_to_wavenumber,
     wavenumber_to_kelvin,
 )
@@ -60,7 +59,6 @@ class TestSpinMatrices:
         ops = spin_matrices(SPIN_HALF)
         np.testing.assert_array_equal(ops.sz, np.diag([0.5, -0.5]))
         np.testing.assert_array_equal(ops.sp, [[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(ops.sx, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_spin_one_raising_entries(self):
         ops = spin_matrices(SpinQuantum(2))
@@ -94,7 +92,6 @@ class TestSpinMatrices:
     def test_exact_transpose_pairing(self):
         ops = spin_matrices(SpinQuantum(5))
         assert np.array_equal(ops.sm, ops.sp.T)
-        assert np.array_equal(ops.sx, ops.sx.T)
 
     def test_ladder_coefficients(self):
         # S=1: <0| S+ |-1> = sqrt(2)
@@ -224,18 +221,6 @@ class TestUnits:
         with pytest.raises(ValueError, match="not finite"):
             chi_reduced_to_emu_per_mol(0.3, 7.0, 1e200)
 
-    def test_convert_units_dispatch(self):
-        assert convert_units(10.0, "K", "K") == 10.0
-        assert convert_units(1.0, "cm-1", "K") == KELVIN_PER_WAVENUMBER
-        got = convert_units(0.25, "reduced", "emu/mol", temperature_kelvin=4.0, g_factor=2.0)
-        assert got == pytest.approx(chi_reduced_to_emu_per_mol(0.25, 4.0, 2.0), rel=0)
-
     def test_convert_units_errors(self):
-        with pytest.raises(ValueError):
-            convert_units(1.0, "K", "emu/mol")
-        with pytest.raises(ValueError):
-            convert_units(1.0, "reduced", "emu/mol")  # missing T and g
-        with pytest.raises(ValueError):
-            convert_units(1.0, "furlong", "K")
         with pytest.raises(ValueError):
             chi_reduced_to_emu_per_mol(1.0, -2.0, 2.0)

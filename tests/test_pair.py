@@ -22,7 +22,6 @@ from mixedspin.pair import (
     pair_correlator_zero_temperature,
     pair_negativity,
     pair_negativity_zero_temperature,
-    pair_thermal,
 )
 
 ALL_SPINS = [SpinQuantum(ts) for ts in range(1, 6)]
@@ -183,15 +182,6 @@ class TestCharacteristicTemperature:
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
             characteristic_temperature(SpinQuantum(1), 0.0)
-
-
-class TestPairThermal:
-    def test_bundles_consistent_values(self):
-        spin = SpinQuantum(3)
-        r = pair_thermal(spin, 2.0, 1.1)
-        assert r.temperature_kelvin == 1.1
-        assert r.correlator_g1 == pair_correlator(spin, 2.0, 1.1)
-        assert r.negativity == pair_negativity(spin, 2.0, 1.1)
 
 
 class TestNegativityFromG1:

@@ -21,12 +21,11 @@ from mixedspin.witness import (
     lookup_compound,
     negativity_lower_bound,
     separability_threshold,
-    separability_threshold_exact_diagonal,
     solve_tc,
+    susceptibility_nn_approx,
     sweep_tc,
     witness_report,
     witness_value,
-    witness_value_exact_diagonal,
 )
 
 ALL_SPINS = [SpinQuantum(ts) for ts in range(1, 6)]
@@ -90,25 +89,32 @@ class TestWitnessValue:
         flips = sum(a != b for a, b in zip(signs, signs[1:]))
         assert flips == 1
 
-    def test_exact_diagonal_variant(self):
-        spin = SpinQuantum(2)
-        expected = 2.0 * (0.125 + spin.casimir / 6.0 - spin.value / 6.0)
-        assert separability_threshold_exact_diagonal(2, spin) == pytest.approx(
-            expected, rel=1e-14
-        )
-        # spin-1/2 has S^2 = S(S+1)/3, so the two conventions coincide
-        assert separability_threshold_exact_diagonal(2, SpinQuantum(1)) == pytest.approx(
-            separability_threshold(2, SpinQuantum(1)), rel=1e-14
-        )
-        assert witness_value_exact_diagonal(0.5, 2, spin) == pytest.approx(
-            0.5 - expected, rel=1e-12
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             witness_value(0.1, 3, SpinQuantum(1))
         with pytest.raises(ValueError):
             separability_threshold(0, SpinQuantum(1))
+
+
+class TestNnSusceptibility:
+    def test_cancellation_never_goes_negative(self):
+        # on the S = 1/2 dimer g1 = -3/4 makes n(1/8 + S^2/2 + g1/3) exactly 0;
+        # one ulp lower is roundoff, not a negative susceptibility
+        g1 = np.nextafter(-0.75, -1.0)
+        assert 2 * (0.125 + 0.125 + g1 / 3) < 0.0
+        assert susceptibility_nn_approx(2, SpinQuantum(1), g1) == 0.0
+        got = susceptibility_nn_approx(2, SpinQuantum(1), np.array([g1, -0.5]))
+        assert got.tolist() == [0.0, 2 * (0.125 + 0.125 + -0.5 / 3)]
+
+    @pytest.mark.parametrize("spin", ALL_SPINS)
+    def test_array_equals_scalar_calls_bitwise(self, spin):
+        g1s = np.linspace(-(spin.value + 1.0) / 2.0, spin.value / 2.0, 13)
+        chi = susceptibility_nn_approx(4, spin, g1s)
+        assert chi.shape == g1s.shape
+        for k, g1 in enumerate(g1s.tolist()):
+            one = susceptibility_nn_approx(4, spin, g1)
+            assert type(one) is float
+            assert chi[k] == one
 
 
 class TestNegativityBound:
@@ -361,6 +367,7 @@ class TestWitnessReport:
     def test_reduced_input(self):
         spin = SpinQuantum(1)
         rep = witness_report(0.25, "reduced", 2.0, 2.0, 2, spin)
+        assert rep.threshold == separability_threshold(2, spin)
         assert rep.witness_value == pytest.approx(0.25 - 1.0 / 3.0, rel=1e-12)
         assert rep.entangled
         assert rep.negativity_lower_bound == pytest.approx(
@@ -379,7 +386,11 @@ class TestWitnessReport:
         assert rep_mol.negativity_lower_bound == pytest.approx(
             rep_red.negativity_lower_bound, rel=1e-10
         )
-        # witness reported in the input unit system
+        # threshold and witness reported in the input unit system
+        assert rep_mol.threshold == chi_reduced_to_emu_per_mol(
+            separability_threshold(2, spin), t, g
+        )
+        assert rep_mol.witness_value == chi_mol - rep_mol.threshold
         w_mol_expected = chi_reduced_to_emu_per_mol(rep_red.witness_value, t, g)
         assert rep_mol.witness_value == pytest.approx(w_mol_expected, rel=1e-10)
 
