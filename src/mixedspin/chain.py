@@ -10,10 +10,13 @@ comparing against single-pair results.
 H commutes with total Sz, so the Hilbert space splits into magnetization
 sectors that are enumerated and assembled independently. A global spin
 flip maps sector -M onto +M, so only the 2Sz >= 0 sectors are
-diagonalized (see `diagonalize`).
-All matrices are real symmetric by construction (see `operators`), and
-thermal averages are taken with Boltzmann weights shifted by the global
-ground energy so that no temperature underflows.
+diagonalized (see `diagonalize`). On a ring, translation by one
+(S, 1/2) cell also commutes with H, and a spectrum without eigenvectors
+solves each sector as n/2 momentum blocks instead (`_momentum_levels`).
+The Sz blocks are real symmetric by construction (see `operators`), the
+momentum blocks exactly Hermitian, and thermal averages are taken with
+Boltzmann weights shifted by the global ground energy so that no
+temperature underflows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .operators import SpinQuantum, eig_sym, embed, spin_matrices
-from .units import check_positive
+from .units import check_normal, check_positive
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -72,6 +75,7 @@ class ChainSpec:
             raise ValueError(
                 f"coupling must be finite and nonzero, got {self.coupling_kelvin}"
             )
+        check_normal("coupling", self.coupling_kelvin)
         if self.boundary not in ("periodic", "open"):
             raise ValueError(
                 f"boundary must be 'periodic' or 'open', got {self.boundary!r}"
@@ -163,18 +167,36 @@ def _strides(dims: tuple[int, ...]) -> np.ndarray:
     return strides
 
 
-def _enumerate_sectors(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
-    """Group the product basis by total Sz, preserving lexicographic order."""
+def _enumerate_sectors(spec: ChainSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Group the product basis by total Sz, preserving lexicographic order.
+
+    Returns (2Sz, labels, codes) per sector, 2Sz descending; see
+    `SectorBlock` for labels and codes.
+    """
     site_m_lists = [
         range(ts, -ts - 1, -2) for ts in spec.site_twice_spins
     ]  # m descending, matching the matrix convention
     sectors: dict[int, list[tuple[int, ...]]] = {}
     for label in itertools.product(*site_m_lists):
         sectors.setdefault(sum(label), []).append(label)
+    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
+    strides = _strides(spec.site_dimensions)
     out = []
     for tsz in sorted(sectors, reverse=True):
-        out.append((tsz, np.asarray(sectors[tsz], dtype=np.int16)))
+        labels = np.asarray(sectors[tsz], dtype=np.int16)
+        digits = (tspins[None, :] - labels.astype(np.int64)) // 2
+        # ascending because enumeration is lexicographic
+        out.append((tsz, labels, digits @ strides))
     return out
+
+
+def _zz_energy(lab: np.ndarray, bonds, j: float) -> np.ndarray:
+    """Diagonal of H: sum over bonds of J m_i m_j, per basis state."""
+    m = lab / 2.0
+    diag = np.zeros(lab.shape[0])
+    for i, k in bonds:
+        diag += j * m[:, i] * m[:, k]
+    return diag
 
 
 def _hops(
@@ -184,11 +206,13 @@ def _hops(
     strides: np.ndarray,
     a: int,
     b: int,
+    into: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero elements of S_a^+ S_b^- within one sector.
+    """Nonzero elements of S_a^+ S_b^- from the states `labels` / `codes`.
 
-    Returns (src, tgt, coeff) with <tgt| S_a^+ S_b^- |src> = coeff, as
-    row indices into the sector basis. The roots are taken of exact
+    Returns (src, tgt, coeff) with <tgt| S_a^+ S_b^- |src> = coeff: src
+    indexes the rows of `labels`, tgt the sorted sector codes `into`
+    (default `codes`, the whole sector). The roots are taken of exact
     integers and multiplied in the order of
     `raise_coefficient(...) * lower_coefficient(...)`, so every coeff is
     bitwise equal to the scalar form.
@@ -198,7 +222,9 @@ def _hops(
     mb = labels[:, b].astype(np.int64)
     src = np.flatnonzero((ma < ta) & (mb > -tb))
     # raising m_a lowers its mixed-radix digit, lowering m_b raises its digit
-    tgt = np.searchsorted(codes, codes[src] - strides[a] + strides[b])
+    tgt = np.searchsorted(
+        codes if into is None else into, codes[src] - strides[a] + strides[b]
+    )
     ma, mb = ma[src], mb[src]
     coeff = (0.5 * np.sqrt(ta * (ta + 2) - ma * (ma + 2))) * (
         0.5 * np.sqrt(tb * (tb + 2) - mb * (mb - 2))
@@ -220,17 +246,11 @@ def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
     j = spec.coupling_kelvin
     bonds = spec.bonds()
     blocks: list[SectorBlock] = []
-    for tsz, labels in _enumerate_sectors(spec):
+    for tsz, labels, codes in _enumerate_sectors(spec):
         d = labels.shape[0]
         lab = labels.astype(np.int64)
-        digits = (tspins[None, :] - lab) // 2
-        codes = digits @ strides  # ascending because enumeration is lexicographic
         h = np.zeros((d, d))
-        m = lab / 2.0
-        diag = np.zeros(d)
-        for i, k in bonds:
-            diag += j * m[:, i] * m[:, k]
-        h[np.diag_indices(d)] = diag
+        h[np.diag_indices(d)] = _zz_energy(lab, bonds, j)
         for i, k in bonds:
             for a, b in ((i, k), (k, i)):
                 src, tgt, coeff = _hops(lab, codes, tspins, strides, a, b)
@@ -255,6 +275,83 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
+def _momentum_levels(
+    spec: ChainSpec, labels: np.ndarray, codes: np.ndarray
+) -> np.ndarray:
+    """Ascending levels of one ring sector, solved block by block in momentum.
+
+    T, which moves every site one (S, 1/2) cell (two sites) on, commutes
+    with H and Sz, so the sector splits into n/2 momentum blocks
+    k = 2 pi q / (n/2). Each translation orbit is held by its lowest-code
+    representative a with orbit length L_a, and it carries momentum k
+    only if k L_a is a multiple of 2 pi. Every flip-flop from a lands on
+    some T^s b, giving <b,k|H|a,k> = sqrt(L_a/L_b) sum h e^{iks}
+    (A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The -k block is
+    the complex conjugate of the k block, so only 0 <= k <= pi is solved
+    and every other block counts twice; k = 0 and k = pi are real.
+
+    A flip-flop changes one S site and one spin-1/2 site. A translation
+    permutes the S sites among themselves and the 1/2 sites among
+    themselves, so a state and another state of its orbit differ on no
+    site or on at least two sites of each kind. No hop therefore stays
+    within an orbit, and the diagonal is the Sz Sz energy alone. Each block is filled below its diagonal and mirrored,
+    so it is exactly Hermitian for `eig_sym`.
+    """
+    cells = spec.n_sites // 2
+    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
+    strides = _strides(spec.site_dimensions)
+    j = spec.coupling_kelvin
+    lab = labels.astype(np.int64)
+    # images[r] holds the codes of T^r x for every state x
+    images = np.stack(
+        [((tspins - np.roll(lab, 2 * r, axis=1)) // 2) @ strides for r in range(cells)]
+    )
+    lowest = images.argmin(axis=0)  # T^lowest x is the representative of x
+    reps = np.flatnonzero(lowest == 0)
+    rep_of = np.searchsorted(codes[reps], images[lowest, np.arange(codes.size)])
+    shift = -lowest % cells  # x = T^shift rep_of(x)
+    period = cells // np.count_nonzero(images[:, reps] == codes[reps], axis=0)
+    hops = [
+        _hops(lab[reps], codes[reps], tspins, strides, a, b, into=codes)
+        for i, k in spec.bonds()
+        for a, b in ((i, k), (k, i))
+    ]
+    src = np.concatenate([h[0] for h in hops])
+    tgt_state = np.concatenate([h[1] for h in hops])
+    tgt, turns = rep_of[tgt_state], shift[tgt_state]
+    amp = 0.5 * j * np.concatenate([h[2] for h in hops])
+    amp *= np.sqrt(period[src] / period[tgt])
+    zz = _zz_energy(lab[reps], spec.bonds(), j)
+    levels = []
+    for q in range(cells // 2 + 1):
+        keep = q * period % cells == 0
+        dim = int(np.count_nonzero(keep))
+        if dim == 0:
+            continue
+        pos = np.cumsum(keep) - 1
+        row, col = pos[tgt], pos[src]
+        lower = keep[src] & keep[tgt] & (row > col)
+        flat = row[lower] * dim + col[lower]
+        # e^{iks} = e^{2 pi i phase_turns / cells}
+        phase_turns = q * turns[lower] % cells
+        real = 2 * q % cells == 0
+        block = np.empty(dim * dim, dtype=float if real else complex)
+        if real:  # k = 0 or pi: every phase is exactly +1 or -1
+            block[:] = np.bincount(
+                flat, np.where(phase_turns == 0, amp[lower], -amp[lower]), dim * dim
+            )
+        else:
+            z = amp[lower] * np.exp(2j * np.pi * phase_turns / cells)
+            block.real = np.bincount(flat, z.real, dim * dim)
+            block.imag = np.bincount(flat, z.imag, dim * dim)
+        block = block.reshape(dim, dim)
+        block = block + block.conj().T
+        block[np.diag_indices(dim)] = zz[keep]
+        evals, _ = eig_sym(block, vectors=False)
+        levels += [evals] if real else [evals, evals]
+    return np.sort(np.concatenate(levels))
+
+
 # Eigensolver roundoff splits the ground multiplet by up to 6.1e-14 |J|
 # (eigvalsh, n=6, 2S=5, open chain), while the smallest excitation gap
 # above it is 0.15 |J| (n=10, 2S=2, open); both measured with eigh and
@@ -275,18 +372,35 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     read-only because they are shared. Sectors keep their order (2Sz
     descending), so every sum over sectors keeps its order.
 
+    An eigenvalue-only spectrum of a ring (vectors=False, periodic)
+    solves each sector as its translation-momentum blocks (see
+    `_momentum_levels`) instead of one dense block; its levels agree
+    with the dense sector's to rounding. Open chains and spectra with
+    eigenvectors solve the Sz blocks of `build_hamiltonian`. Either way
+    `dim_cap` bounds the total dimension.
+
     Every level within 1e-12 |J| n of the global ground energy is set to
     exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
     otherwise resolve the roundoff split of the ground multiplet; snapped,
     the multiplet keeps equal weights down to any T, so every thermal
     average reaches its T -> 0 limit.
     """
-    blocks = build_hamiltonian(spec)
-    solved = {
-        b.twice_total_sz: eig_sym(b.hamiltonian, vectors=vectors)
-        for b in blocks
-        if b.twice_total_sz >= 0
-    }
+    if vectors or spec.boundary == "open":
+        blocks = build_hamiltonian(spec)
+        bases = [(b.twice_total_sz, b.labels, b.codes) for b in blocks]
+        solved = {
+            b.twice_total_sz: eig_sym(b.hamiltonian, vectors=vectors)
+            for b in blocks
+            if b.twice_total_sz >= 0
+        }
+    else:
+        _check_cap(spec)
+        bases = _enumerate_sectors(spec)
+        solved = {
+            tsz: (_momentum_levels(spec, labels, codes), None)
+            for tsz, labels, codes in bases
+            if tsz >= 0
+        }
     e0 = min(float(evals[0]) for evals, _ in solved.values())
     tol = _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites
     for evals, evecs in solved.values():
@@ -295,16 +409,15 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
             if arr is not None:
                 arr.flags.writeable = False
     sectors = []
-    for block in blocks:
-        tsz = block.twice_total_sz
+    for tsz, labels, codes in bases:
         evals, evecs = solved[abs(tsz)]
         if tsz < 0 and evecs is not None:
             evecs = evecs[::-1]
         sectors.append(
             SectorSpectrum(
                 twice_total_sz=tsz,
-                labels=block.labels,
-                codes=block.codes,
+                labels=labels,
+                codes=codes,
                 eigenvalues=evals,
                 eigenvectors=evecs,
             )

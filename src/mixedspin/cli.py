@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -103,8 +104,8 @@ def _parse_temps(text: str) -> list[float]:
             raise ValueError(f"cannot parse temperature range {text!r}") from None
         if count < 1:
             raise ValueError(f"temperature count must be >= 1, got {count}")
-        if start <= 0.0 or stop <= 0.0:
-            raise ValueError("temperatures must be > 0")
+        if not (0.0 < start < math.inf and 0.0 < stop < math.inf):
+            raise ValueError("temperatures must be finite and > 0")
         if log_spaced:
             return [float(t) for t in np.geomspace(start, stop, count)]
         return [float(t) for t in np.linspace(start, stop, count)]

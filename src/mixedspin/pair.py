@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .operators import SpinQuantum
+from .units import check_normal
 
 __all__ = [
     "PairSpectrum",
@@ -170,6 +171,7 @@ def characteristic_temperature(spin: SpinQuantum, coupling_kelvin: float) -> flo
     """
     _check_spin(spin)
     _check_coupling(coupling_kelvin)
+    check_normal("coupling", coupling_kelvin)
     ts = spin.twice_spin
     tc = coupling_kelvin * (ts + 1) / (2.0 * math.log(ts + 2))
     # self-check: at T_c the correlator must sit on the boundary

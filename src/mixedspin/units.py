@@ -13,6 +13,7 @@ Two susceptibility conventions appear throughout:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -73,6 +74,20 @@ def check_positive(name: str, value) -> None:
     bad = ~((np.asarray(value) > 0.0) & np.isfinite(value))
     if bad.any():
         raise ValueError(f"{name} must be finite and > 0, got {_first(value, bad)}")
+
+
+def check_normal(name: str, value: float) -> None:
+    """Raise ValueError if the number `value` is subnormal.
+
+    Below 2.2e-308 in magnitude a float keeps fewer than 16 significant
+    digits (1e-320 holds 9.99988867e-321), and every energy or
+    temperature scaled by it keeps fewer still.
+    """
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise ValueError(
+            f"{name} must not be subnormal (|value| < {sys.float_info.min:.4g}), "
+            f"got {value!r}"
+        )
 
 
 def _squared(g_factor: float) -> float:

@@ -25,6 +25,7 @@ from .pair import (
 )
 from .units import (
     check_finite,
+    check_normal,
     check_positive,
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
@@ -143,6 +144,7 @@ def solve_tc(
     at [1e-3, 1e3] * J and expands geometrically before giving up.
     """
     check_positive("coupling", coupling_kelvin)
+    check_normal("coupling", coupling_kelvin)
     half_s = spin.value / 2.0
 
     def f(t: float) -> float:
@@ -173,6 +175,8 @@ def solve_tc(
     tol = rel_tol * coupling_kelvin
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float between them: tol underflowed to 0
+            break
         if f(mid) < 0.0:
             lo = mid
         else:
@@ -420,6 +424,8 @@ def witness_report(
     using the pair correlator at that coupling.
     """
     check_finite("susceptibility", chi_value)
+    if chi_value < 0.0:  # chi k_B T / (g mu_B)^2 = <Sz_total^2> >= 0
+        raise ValueError(f"susceptibility must be >= 0, got {chi_value!r}")
     check_positive("temperature", temperature_kelvin)
     check_positive("g_factor", g_factor)
     if chi_unit == "reduced":

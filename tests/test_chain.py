@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from mixedspin import chain
 from mixedspin.chain import (
     ChainSpec,
     SectorSpectralData,
     SectorSpectrum,
     _hops,
+    _momentum_levels,
     _strides,
     build_hamiltonian,
     correlator_matrix,
@@ -29,7 +31,7 @@ from mixedspin.operators import (
     spin_matrices,
 )
 from mixedspin.pair import pair_correlator
-from mixedspin.witness import susceptibility_nn_approx
+from mixedspin.witness import solve_tc, susceptibility_nn_approx
 
 
 def dense_thermal_rho(spec, t):
@@ -652,3 +654,101 @@ class TestSpinFlipMirror:
             correlator_matrix(levels, 1.0, pairs=[(0, 1)])
         with pytest.raises(ValueError, match="vectors=True"):
             reduced_pair_state(levels, 1.0, (0, 1))
+
+
+MOMENTUM_RINGS = [(2, 1), (2, 2), (4, 1), (4, 2), (6, 3), (6, 5), (8, 2), (10, 2)]
+
+
+class TestMomentumBlocks:
+    """An eigenvalue-only ring spectrum is solved as translation-momentum
+    blocks; every sector's levels must be those of its dense Sz block."""
+
+    @pytest.mark.parametrize(
+        "n,ts,coupling",
+        [(n, ts, 1.3) for n, ts in MOMENTUM_RINGS]
+        + [(n, ts, -0.7) for n, ts in MOMENTUM_RINGS if n <= 6],
+    )
+    def test_sector_levels_match_the_dense_block(self, n, ts, coupling):
+        spec = ChainSpec(n, SpinQuantum(ts), coupling)
+        for block in build_hamiltonian(spec):
+            if block.twice_total_sz < 0:
+                continue
+            np.testing.assert_allclose(
+                _momentum_levels(spec, block.labels, block.codes),
+                np.linalg.eigvalsh(block.hamiltonian),
+                rtol=0,
+                atol=1e-12 * abs(coupling) * n,
+            )
+
+    @pytest.mark.parametrize("n,ts", MOMENTUM_RINGS)
+    def test_thermal_averages_match_the_sz_path(self, n, ts):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.3)
+        levels = diagonalize(spec, vectors=False)
+        full = diagonalize(spec)
+        temps = np.array([0.01, 0.05, 0.7, 9.0, 300.0]) * 1.3
+        np.testing.assert_allclose(
+            susceptibility_exact(levels, temps),
+            susceptibility_exact(full, temps),
+            rtol=1e-10,
+        )
+        np.testing.assert_allclose(
+            mean_energy(levels, temps),
+            mean_energy(full, temps),
+            rtol=1e-10,
+            atol=1e-10 * 1.3 * n,
+        )
+
+    @pytest.mark.parametrize(
+        "boundary,vectors,momentum",
+        [("periodic", False, True), ("periodic", True, False), ("open", False, False)],
+    )
+    def test_only_eigenvalue_only_rings_take_the_momentum_path(
+        self, monkeypatch, boundary, vectors, momentum
+    ):
+        solved = []
+
+        def recording(matrix, vectors=True):
+            solved.append(matrix)
+            return eig_sym(matrix, vectors=vectors)
+
+        eig_sym = chain.eig_sym
+        monkeypatch.setattr(chain, "eig_sym", recording)
+        spec = ChainSpec(8, SpinQuantum(2), 1.0, boundary=boundary)
+        data = diagonalize(spec, vectors=vectors)
+        sizes = [b.hamiltonian.shape[0] for b in build_hamiltonian(spec)]
+        nonnegative = [s.eigenvalues.size for s in data.sectors if s.twice_total_sz >= 0]
+        if momentum:
+            # k and -k blocks are solved once; k = 0 and k = pi are real
+            assert max(m.shape[0] for m in solved) < max(sizes) / 3
+            assert {m.dtype for m in solved} == {np.dtype(float), np.dtype(complex)}
+            counted = sum(
+                m.shape[0] * (2 if np.iscomplexobj(m) else 1) for m in solved
+            )
+            assert counted == sum(nonnegative)
+        else:
+            assert [m.shape[0] for m in solved] == nonnegative
+            assert all(m.dtype == np.dtype(float) for m in solved)
+
+    def test_cap_bounds_the_total_dimension(self):
+        spec = ChainSpec(12, SpinQuantum(2), 1.0, dim_cap=46655)
+        with pytest.raises(RuntimeError, match="46656"):
+            diagonalize(spec, vectors=False)
+
+
+class TestThermodynamicLimit:
+    """Ring T_c/J approaches its n -> infinity value: each step in n moves
+    it by less than the step before."""
+
+    @pytest.mark.parametrize(
+        "ts,expected",
+        [(1, [0.86336, 0.80234, 0.79584, 0.79519]), (2, [1.03266, 0.92798, 0.90884, 0.90552])],
+    )
+    def test_ring_tc_steps_shrink(self, ts, expected):
+        spin = SpinQuantum(ts)
+        tcs = []
+        for n in (4, 6, 8, 10):
+            data = diagonalize(ChainSpec(n, spin, 1.0), vectors=False)
+            tcs.append(solve_tc(lambda t: mean_energy(data, t) / n, spin, 1.0))
+        np.testing.assert_allclose(tcs, expected, rtol=0, atol=5e-6)
+        steps = np.abs(np.diff(tcs))
+        assert np.all(steps[1:] < steps[:-1])

@@ -377,6 +377,7 @@ class TestOutOfDomainMeasurement:
         [
             ("--chi", "nan"),
             ("--chi", "inf"),
+            ("--chi", "-1"),
             ("--temp", "nan"),
             ("--temp", "inf"),
             ("--temp", "0"),
@@ -457,6 +458,25 @@ class TestOutOfDomainMeasurement:
         assert code == 2
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert out == ""
+
+    # a subnormal J keeps 3 to 4 digits; T_c bisection on it never ended
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tc", "--spin", "1", "--coupling", "1e-320K", "--model", "chain"],
+            ["tc", "--spin", "1", "--coupling", "1e-320K", "--correlator", "literature"],
+            ["tc", "--spin", "1", "--coupling", "1e-320K"],
+            ["chain", "--spin", "1", "--coupling", "1e-320K", "--temps", "1,2"],
+            ["chain", "--spin", "1", "--coupling", "1K", "--temps", "1:inf:3"],
+            ["chain", "--spin", "1", "--coupling", "1K", "--temps", "log:1:inf:3"],
+        ],
+    )
+    def test_subnormal_coupling_and_infinite_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert "subnormal" in err or "temperatures must be finite" in err
         assert out == ""
 
     @pytest.mark.parametrize("temps", ["1e-320", "1,2,1e-320"])
@@ -872,7 +892,10 @@ class TestFitAndSynth:
     # did not move. Re-recorded again when `diagonalize` began to snap
     # the ground multiplet to one exact energy: the CSV J moved
     # 8.50373875 -> 8.50373871 and 68 -> 67 iterations, the JSON
-    # wavenumber 7.93765277 -> 7.93765279 and 64 -> 60 iterations. Still
+    # wavenumber 7.93765277 -> 7.93765279 and 64 -> 60 iterations.
+    # Re-recorded again when ring spectra without eigenvectors began to be
+    # solved as momentum blocks: the CSV J moved 8.50373871 -> 8.50373873
+    # and its wavenumber 5.91039434 -> 5.91039435, at 67 iterations. Still
     # compared byte for byte; the values recorded before the mirroring
     # are pinned to a relative 5e-8 just below.
     @pytest.mark.parametrize(
@@ -882,7 +905,7 @@ class TestFitAndSynth:
                 ["--init-j", "5K"],
                 "coupling_kelvin,coupling_wavenumber,g_factor,residual_rms,"
                 "iterations,converged,window_min_kelvin,window_max_kelvin,n_points\n"
-                "8.50373871,5.91039434,2.03016955,0.000440954126,67,true,2,80,16\n",
+                "8.50373873,5.91039435,2.03016955,0.000440954126,67,true,2,80,16\n",
             ),
             (
                 ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]

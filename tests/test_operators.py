@@ -156,6 +156,43 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_hermitian_input(self, vectors):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        m = a + a.conj().T
+        evals, evecs = eig_sym(m, vectors=vectors)
+        assert evals.dtype == np.float64
+        assert np.all(np.diff(evals) >= 0.0)
+        np.testing.assert_allclose(
+            evals, np.linalg.eigvalsh(m), rtol=0, atol=1e-12 * np.abs(m).max()
+        )
+        two, _ = eig_sym(np.array([[2.0, 1j], [-1j, 2.0]]), vectors=vectors)
+        np.testing.assert_allclose(two, [1.0, 3.0], rtol=0, atol=1e-15)
+        if vectors:
+            np.testing.assert_allclose(
+                (evecs * evals) @ evecs.conj().T, m, rtol=0, atol=1e-12 * np.abs(m).max()
+            )
+        else:
+            assert evecs is None
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_rejects_non_hermitian_complex_input(self, vectors):
+        for bad in (
+            np.array([[0.0, 1j], [1j, 0.0]]),  # symmetric, not Hermitian
+            np.array([[1.0 + 1e-300j, 0.0], [0.0, 1.0]]),  # complex diagonal
+            np.array([[0.0, 1.0 + 1j], [np.nextafter(1.0, 2.0) - 1j, 0.0]]),  # last bit
+        ):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                eig_sym(bad, vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_imaginary_part(self, vectors, bad):
+        m = np.array([[1.0, complex(0.0, bad)], [complex(0.0, -bad), 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_sym(m, vectors=vectors)
+
     def test_eigenvalues_only(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(40, 40))
