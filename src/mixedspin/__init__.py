@@ -6,9 +6,10 @@ Library layout:
 * `units`: CODATA-derived constants and unit conversions.
 * `pair`: closed forms for one (S, 1/2) exchange pair: correlator,
   negativity, characteristic temperature.
-* `chain`: sector-blocked exact diagonalization, Boltzmann weights,
-  exact susceptibility and mean energy, correlators, reduced pair
-  states, brute-force negativity.
+* `chain`: sector-blocked exact diagonalization, Boltzmann weights and
+  thermal means of per-level values (energy, bond values), exact
+  susceptibility, correlators, reduced pair states, brute-force
+  negativity.
 * `witness`: nearest-neighbor susceptibility, the separability
   threshold and witness, negativity lower bound, T_c solving and
   sweeps, built-in compound table.
@@ -22,6 +23,7 @@ from .chain import (
     ChainSpec,
     CorrelatorMatrix,
     SectorSpectralData,
+    bond_levels,
     build_hamiltonian,
     correlator_matrix,
     dense_hamiltonian,
@@ -30,6 +32,7 @@ from .chain import (
     negativity_bruteforce,
     reduced_pair_state,
     susceptibility_exact,
+    thermal_mean,
     thermal_weights,
 )
 from .fitdata import (

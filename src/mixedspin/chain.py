@@ -44,7 +44,9 @@ __all__ = [
     "CorrelatorMatrix",
     "correlator_matrix",
     "susceptibility_exact",
+    "thermal_mean",
     "mean_energy",
+    "bond_levels",
     "reduced_pair_state",
     "negativity_bruteforce",
 ]
@@ -79,6 +81,16 @@ class ChainSpec:
         if self.boundary not in ("periodic", "open"):
             raise ValueError(
                 f"boundary must be 'periodic' or 'open', got {self.boundary!r}"
+            )
+        # each (S, 1/2) bond spans S/2 down to -(S+1)/2, so no level, no
+        # difference of two levels and no partial sum of one exceeds this
+        spread = abs(self.coupling_kelvin) * (
+            len(self.bonds()) * (self.spin.twice_spin + 1) / 2
+        )
+        if not math.isfinite(spread):
+            raise ValueError(
+                f"coupling {self.coupling_kelvin} K is too large: the level "
+                "spread |J| n_bonds (2S+1)/2 of this chain overflows"
             )
         if self.dim_cap < 2:
             raise ValueError(f"dim_cap must be >= 2, got {self.dim_cap}")
@@ -294,8 +306,9 @@ def _momentum_levels(
     permutes the S sites among themselves and the 1/2 sites among
     themselves, so a state and another state of its orbit differ on no
     site or on at least two sites of each kind. No hop therefore stays
-    within an orbit, and the diagonal is the Sz Sz energy alone. Each block is filled below its diagonal and mirrored,
-    so it is exactly Hermitian for `eig_sym`.
+    within an orbit, and the diagonal is the Sz Sz energy alone. Each
+    block is filled below its diagonal and mirrored, so it is exactly
+    Hermitian for `eig_sym`.
     """
     cells = spec.n_sites // 2
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
@@ -571,20 +584,81 @@ def susceptibility_exact(
     return total if np.ndim(temperature_kelvin) else float(total)
 
 
+def thermal_mean(
+    data: SectorSpectralData,
+    values: Iterable[np.ndarray],
+    temperature_kelvin: float | np.ndarray,
+) -> float | np.ndarray:
+    """Boltzmann average of a per-level quantity.
+
+    `values` holds one array per sector, in sector order, of the
+    quantity's value in each eigenstate: the eigenvalues for <H>,
+    `bond_levels` for a bond correlator. Sums sector by sector, in
+    order, (w * values).sum(-1). A float for a scalar temperature; for
+    an array, an array of the same shape whose elements equal the scalar
+    calls bitwise.
+    """
+    total = 0.0
+    for w, v in zip(thermal_weights(data, temperature_kelvin), values, strict=True):
+        total = total + (w * v).sum(-1)
+    return total if np.ndim(temperature_kelvin) else float(total)
+
+
 def mean_energy(
     data: SectorSpectralData, temperature_kelvin: float | np.ndarray
 ) -> float | np.ndarray:
     """Thermal <H> in kelvin, from the levels alone.
 
     On a ring every bond is equivalent under translation and reflection,
-    so the bond correlator <S_i . S_i+1> is <H> / (n J). A float for a
-    scalar temperature; for an array, an array of the same shape whose
-    elements equal the scalar calls bitwise.
+    so the bond correlator <S_i . S_i+1> is <H> / (n J). Takes one
+    temperature or an array, as `thermal_mean` does.
     """
-    total = 0.0
-    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
-        total = total + (w * sector.eigenvalues).sum(-1)
-    return total if np.ndim(temperature_kelvin) else float(total)
+    return thermal_mean(
+        data, [sec.eigenvalues for sec in data.sectors], temperature_kelvin
+    )
+
+
+def bond_levels(
+    data: SectorSpectralData, bond: tuple[int, int]
+) -> tuple[np.ndarray, ...]:
+    """Per-level values <k| S_i . S_j |k> of one site pair, one array per sector.
+
+    The Sz Sz part is sum_b V[b,k]^2 m_i m_j. The flip-flop part
+    (S_i^+ S_j^- + S_i^- S_j^+)/2 is sum coeff V[tgt,k] V[src,k] over the
+    hops of S_i^+ S_j^-: for real eigenvectors its two halves are equal,
+    as in `correlator_matrix`. The hops are gathered in chunks, like
+    `_flip_flop`, so the temporaries stay bounded. S_i . S_j is invariant
+    under the global spin flip, so only the 2Sz >= 0 sectors are computed
+    and sector -M shares its partner's read-only array, as it does the
+    eigenvalues. `thermal_mean(data, bond_levels(data, bond), T)` is then
+    the thermal bond correlator at any temperature.
+    """
+    _check_vectors(data, "bond_levels")
+    spec = data.spec
+    n = spec.n_sites
+    i, k = bond
+    if i == k or i not in range(n) or k not in range(n):
+        raise ValueError(
+            f"bond {bond} is not two distinct sites of a {n}-site chain"
+        )
+    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
+    strides = _strides(spec.site_dimensions)
+    solved = {}
+    for sector in data.sectors:
+        if sector.twice_total_sz < 0:
+            continue
+        vecs = sector.eigenvectors
+        m = sector.labels / 2.0
+        values = (m[:, i] * m[:, k]) @ vecs**2
+        src, tgt, coeff = _hops(sector.labels, sector.codes, tspins, strides, i, k)
+        for lo in range(0, src.size, _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            rows = vecs[tgt[sl]]
+            rows *= vecs[src[sl]]
+            values += coeff[sl] @ rows
+        values.flags.writeable = False
+        solved[sector.twice_total_sz] = values
+    return tuple(solved[abs(sec.twice_total_sz)] for sec in data.sectors)
 
 
 def reduced_pair_state(

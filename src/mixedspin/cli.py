@@ -23,14 +23,19 @@ import numpy as np
 from .chain import (
     DEFAULT_DIM_CAP,
     ChainSpec,
-    correlator_matrix,
+    bond_levels,
     diagonalize,
     mean_energy,
     susceptibility_exact,
+    thermal_mean,
 )
 
 # unused here; the bench layer tracer wraps them by these names
-from .chain import negativity_bruteforce, reduced_pair_state  # noqa: F401
+from .chain import (  # noqa: F401
+    correlator_matrix,
+    negativity_bruteforce,
+    reduced_pair_state,
+)
 from .fitdata import fit, load_measurements, synth_series
 from .operators import SpinQuantum
 from .pair import (
@@ -187,18 +192,20 @@ def _chain_spectrum(spec: ChainSpec):
     return diagonalize(spec, vectors=spec.boundary == "open")
 
 
-def _chain_g1(data, temperature_kelvin):
-    """<S_0 . S_1>: from the levels alone on a ring, where every bond is
-    equivalent and G1 = <H>/(nJ), also for an array of temperatures;
-    from the correlator on an open chain's edge bond, one T at a time.
+def _chain_g1(data):
+    """G1(T) = <S_0 . S_1> as a function of one temperature or an array.
+
+    On a ring every bond is equivalent, so G1 = <H>/(nJ) from the levels
+    alone. On an open chain the edge bond's per-level values are computed
+    here, once per spectrum; every G1(T) is then a Boltzmann average
+    over the levels.
     """
     spec = data.spec
     if spec.boundary == "periodic":
-        return mean_energy(data, temperature_kelvin) / (
-            spec.n_sites * spec.coupling_kelvin
-        )
-    pair = correlator_matrix(data, temperature_kelvin, pairs=((0, 1),))
-    return float(pair.g_dot[0, 1])
+        scale = spec.n_sites * spec.coupling_kelvin
+        return lambda t: mean_energy(data, t) / scale
+    edge = bond_levels(data, (0, 1))
+    return lambda t: thermal_mean(data, edge, t)
 
 
 def _cmd_tc(args) -> None:
@@ -259,7 +266,7 @@ def _cmd_tc(args) -> None:
             dim_cap=_dim_cap(),
         )
         data = _chain_spectrum(spec)
-        tc = solve_tc(lambda t: _chain_g1(data, t), spin, coupling)
+        tc = solve_tc(_chain_g1(data), spin, coupling)
     row = {
         "spin": str(spin),
         "coupling_kelvin": coupling,
@@ -369,10 +376,7 @@ def _cmd_chain(args) -> None:
         "negativity",
     ]
     chis = susceptibility_exact(data, np.asarray(temps)).tolist()
-    if spec.boundary == "periodic":
-        g1s = _chain_g1(data, np.asarray(temps)).tolist()
-    else:
-        g1s = [_chain_g1(data, t) for t in temps]
+    g1s = _chain_g1(data)(np.asarray(temps)).tolist()
     rows = [
         {
             "temperature_kelvin": t,

@@ -13,6 +13,7 @@ from mixedspin.chain import (
     _hops,
     _momentum_levels,
     _strides,
+    bond_levels,
     build_hamiltonian,
     correlator_matrix,
     dense_hamiltonian,
@@ -21,6 +22,7 @@ from mixedspin.chain import (
     negativity_bruteforce,
     reduced_pair_state,
     susceptibility_exact,
+    thermal_mean,
     thermal_weights,
 )
 from mixedspin.operators import (
@@ -75,6 +77,19 @@ class TestChainSpec:
             ChainSpec(2, SpinQuantum(1), 0.0)
         with pytest.raises(ValueError):
             ChainSpec(2, SpinQuantum(1), 1.0, boundary="twisted")
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_coupling_whose_level_spread_overflows_is_rejected(self, boundary):
+        # n=4, S=1: the spread bound is |J| n_bonds 3/2, with 4 ring bonds
+        # and 3 open ones
+        bonds = 4 if boundary == "periodic" else 3
+        largest = 1.7976931348623157e308
+        for j in (largest, -largest, 1e308, largest / (1.5 * bonds) * 1.000001):
+            with pytest.raises(ValueError, match="level spread"):
+                ChainSpec(4, SpinQuantum(2), j, boundary=boundary)
+        below = largest / (1.5 * bonds) * 0.999999
+        ChainSpec(4, SpinQuantum(2), below, boundary=boundary)
+        ChainSpec(4, SpinQuantum(2), 1e307, boundary=boundary)
 
     def test_dimension_cap_is_a_runtime_failure(self):
         spec = ChainSpec(8, SpinQuantum(5), 1.0, dim_cap=1000)
@@ -290,6 +305,90 @@ class TestMeanEnergy:
         for t in (0.01, 0.1, 0.4, 1.0, 3.0, 30.0):
             g1 = float(correlator_matrix(full, t, pairs=((0, 1),)).g_dot[0, 1])
             assert abs(mean_energy(levels, t) / (n * 1.3) - g1) <= 1e-14
+
+
+class TestThermalMean:
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 2, "open"), (4, 1, "periodic"), (6, 5, "periodic"), (8, 2, "open")],
+    )
+    def test_array_equals_scalar_calls_bitwise(self, n, ts, boundary):
+        data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary))
+        values = bond_levels(data, (0, 1))
+        means = thermal_mean(data, values, ARRAY_TEMPS)
+        assert means.shape == ARRAY_TEMPS.shape
+        for k, t in enumerate(ARRAY_TEMPS.tolist()):
+            scalar = thermal_mean(data, values, t)
+            assert type(scalar) is float
+            assert means[k].tobytes() == np.float64(scalar).tobytes()
+        grid = ARRAY_TEMPS[:30].reshape(5, 6)
+        assert thermal_mean(data, values, grid).tobytes() == means[:30].tobytes()
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 1, "periodic"), (4, 3, "open"), (6, 5, "periodic"), (8, 2, "open")],
+    )
+    def test_mean_energy_keeps_its_bits(self, n, ts, boundary, vectors):
+        data = diagonalize(
+            ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary), vectors=vectors
+        )
+        for t in [1e-300, *ARRAY_TEMPS.tolist()]:
+            # the expression mean_energy evaluated before thermal_mean existed
+            total = 0.0
+            for sector, w in zip(data.sectors, thermal_weights(data, t)):
+                total = total + (w * sector.eigenvalues).sum(-1)
+            assert np.float64(mean_energy(data, t)).tobytes() == np.float64(
+                total
+            ).tobytes()
+
+    def test_one_value_array_per_sector(self):
+        data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
+        levels = [sec.eigenvalues for sec in data.sectors]
+        with pytest.raises(ValueError):
+            thermal_mean(data, levels[:-1], 1.0)
+
+
+class TestBondLevels:
+    TEMPS = (1e-300, 1e-3, 0.05, 0.3, 1.0, 4.0, 100.0)
+
+    @pytest.mark.parametrize(
+        "n,ts", [(2, 1), (2, 2), (4, 3), (6, 5), (8, 2), (8, 1)]
+    )
+    def test_thermal_mean_matches_correlator(self, n, ts):
+        data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.0, boundary="open"))
+        bonds = [(0, 1), (2, 3)] if n >= 4 else [(0, 1)]
+        for bond in bonds:
+            values = bond_levels(data, bond)
+            for t in self.TEMPS:
+                want = correlator_matrix(data, t, pairs=(bond,)).g_dot[bond]
+                assert abs(thermal_mean(data, values, t) - want) <= 1e-14
+
+    def test_ring_bond_is_energy_per_bond(self):
+        spec = ChainSpec(6, SpinQuantum(3), 1.0)
+        data = diagonalize(spec)
+        values = bond_levels(data, (3, 4))
+        for t in self.TEMPS:
+            want = mean_energy(data, t) / spec.n_sites
+            assert abs(thermal_mean(data, values, t) - want) <= 1e-14
+
+    def test_spin_flip_partners_share_one_array(self):
+        data = diagonalize(ChainSpec(6, SpinQuantum(3), 1.0, boundary="open"))
+        values = bond_levels(data, (0, 1))
+        by_sz = {sec.twice_total_sz: v for sec, v in zip(data.sectors, values)}
+        for sec, v in zip(data.sectors, values):
+            assert v is by_sz[abs(sec.twice_total_sz)]
+            assert v.shape == sec.eigenvalues.shape
+            assert not v.flags.writeable
+
+    def test_needs_eigenvectors_and_distinct_sites(self):
+        data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0, boundary="open"))
+        for bond in ((1, 1), (0, 4), (-1, 0)):
+            with pytest.raises(ValueError, match="distinct sites"):
+                bond_levels(data, bond)
+        levels = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
+        with pytest.raises(ValueError, match="vectors=True"):
+            bond_levels(levels, (0, 1))
 
 
 class TestLowTemperatureLimit:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from mixedspin import cli
+from mixedspin.chain import ChainSpec, correlator_matrix, diagonalize
 from mixedspin.cli import main
 from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
@@ -26,6 +28,7 @@ from mixedspin.units import (
 from mixedspin.witness import (
     negativity_lower_bound,
     separability_threshold,
+    solve_tc,
     witness_value,
 )
 
@@ -117,6 +120,20 @@ class TestTcCommand:
         assert float(rows[0]["tc_kelvin"]) == pytest.approx(
             1.0 / math.log(3.0), rel=1e-7
         )
+
+    # the open chain bisects on per-level bond values; the correlator
+    # matrix at every step is the independent route
+    @pytest.mark.parametrize("n,ts", [(2, 1), (4, 3), (6, 2), (8, 1)])
+    def test_open_chain_tc_matches_correlator_bisection(self, n, ts):
+        spin = SpinQuantum(ts)
+        data = diagonalize(ChainSpec(n, spin, 3.7, boundary="open"))
+        tc = solve_tc(cli._chain_g1(data), spin, 3.7)
+        want = solve_tc(
+            lambda t: float(correlator_matrix(data, t, pairs=((0, 1),)).g_dot[0, 1]),
+            spin,
+            3.7,
+        )
+        assert tc == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_report_lists_every_compound(self, capsys):
         code, out, _ = run(capsys, ["tc", "--report"])
@@ -512,6 +529,31 @@ class TestOutOfDomainMeasurement:
         assert out == ""
 
 
+    # a finite J whose level spread |J| n_bonds (2S+1)/2 overflows is
+    # rejected before any matrix is built, so no overflow warning escapes
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tc", "--spin", "1", "--model", "chain", "--sites", "4"],
+            ["chain", "--spin", "1", "--sites", "4", "--temps", "1,1e308"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "coupling", ["1e308K", "-1e308K", "1.7976931348623157e308K", "1e308cm-1"]
+    )
+    def test_coupling_with_overflowing_level_spread_exits_2(
+        self, capsys, argv, boundary, coupling
+    ):
+        code, out, err = run(
+            capsys, [*argv, f"--coupling={coupling}", "--boundary", boundary]
+        )
+        assert code == 2
+        assert "level spread" in err
+        assert out == ""
+
+
 class TestDimCapEnvironment:
     """MIXEDSPIN_DIM_CAP bounds the chain model of synth and fit too."""
 
@@ -602,6 +644,17 @@ class TestChainCommand:
             }
         if boundary == "periodic":
             assert (rows[0]["g1"], rows[0]["negativity"]) == ("-0.75", "0.166666667")
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_coupling_prints_its_rows(self, capsys):
+        argv = ["chain", "--spin", "1", "--coupling", "1e307K", "--sites", "4"]
+        argv += ["--temps", "1e307,1e308", "--boundary", "open"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "1e+307,1.05175013,1.85429595,-0.48427804,0",
+            "1e+308,1.73411104,2.43183345,-0.051124911,0",
+        ]
 
     def test_nn_susceptibility_is_never_negative(self, capsys):
         # on the S = 1/2 dimer ring g1 -> -3/4 at low T, where

@@ -1,5 +1,8 @@
 """Property tests: out-of-domain CLI input exits 2 and never prints nan.
 
+A huge but finite coupling either gives finite rows or exits 2. No input
+may warn: every run treats warnings as errors.
+
 Hypothesis is not a declared dependency; without it this module skips.
 Values go in as `--flag=VALUE`, so that a negative number is not read
 as an option.
@@ -7,6 +10,8 @@ as an option.
 
 import contextlib
 import io
+import math
+import warnings
 
 import pytest
 
@@ -29,6 +34,12 @@ SUBNORMAL_KELVIN = st.floats(
     min_value=5e-324, max_value=2.2250738585072014e-308, exclude_max=True
 ).map(lambda x: f"{x!r}K")
 NOT_POSITIVE = NON_FINITE | NON_POSITIVE
+# from 1e300 up to the largest float, either sign, in either unit
+HUGE_COUPLING = st.tuples(
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from(["K", "cm-1"]),
+).map(lambda p: f"{p[0] * p[1]!r}{p[2]}")
 GOOD_TEMPS = st.lists(st.sampled_from(["0.5", "1", "2.5", "40"]), max_size=3)
 UNIT = st.sampled_from(["K", "cm-1"])
 
@@ -47,7 +58,9 @@ def bad_temps(bad_value):
 def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
     return code, out.getvalue()
 
 
@@ -55,6 +68,21 @@ def assert_rejected(argv):
     code, out = run(argv)
     assert code == 2, (argv, out)
     assert "nan" not in out.lower(), (argv, out)
+
+
+def assert_finite_rows_or_rejected(argv):
+    code, out = run(argv)
+    assert code in (0, 2), (argv, out)
+    assert "nan" not in out.lower(), (argv, out)
+    if code == 2:
+        assert out == "", (argv, out)
+        return
+    header, *rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert rows, (argv, out)
+    for row in rows:
+        for name, cell in zip(header.split(","), row.split(","), strict=True):
+            if name not in ("spin", "model", "correlator"):
+                assert math.isfinite(float(cell)), (argv, out)
 
 
 WITNESS_BASE = ["--spin=1", "--chi=1.2", "--temp=3", "--g=2.0"]
@@ -101,8 +129,21 @@ class TestChain:
         argv = with_flag(self.BASE, "--coupling", coupling)
         assert_rejected([*argv, f"--boundary={boundary}"])
 
+    @PROPERTY
+    @given(coupling=HUGE_COUPLING, boundary=st.sampled_from(["periodic", "open"]))
+    def test_huge_coupling(self, coupling, boundary):
+        argv = with_flag(self.BASE, "--coupling", coupling)
+        argv = with_flag(argv, "--temps", "1e-300,1,1e300,1.7976931348623157e308")
+        assert_finite_rows_or_rejected([*argv, f"--boundary={boundary}"])
+
 
 class TestTc:
+    @PROPERTY
+    @given(coupling=HUGE_COUPLING, boundary=st.sampled_from(["periodic", "open"]))
+    def test_huge_coupling(self, coupling, boundary):
+        argv = ["tc", "--spin=1", f"--coupling={coupling}", "--model=chain"]
+        assert_finite_rows_or_rejected([*argv, "--sites=4", f"--boundary={boundary}"])
+
     @PROPERTY
     @given(
         coupling=st.tuples(NOT_POSITIVE, UNIT).map("".join) | SUBNORMAL_KELVIN,
