@@ -473,8 +473,7 @@ class CorrelatorMatrix:
 
     g_zz[i, j] = <Sz_i Sz_j>, g_dot[i, j] = <S_i . S_j>; diagonal entries
     are on-site moments, so g_dot[i, i] = S_i(S_i + 1). Isotropy of the
-    Hamiltonian makes g_dot = 3 g_zz. Off-diagonal g_dot entries of pairs
-    that `correlator_matrix` was not asked for are NaN.
+    Hamiltonian makes g_dot = 3 g_zz.
     """
 
     temperature_kelvin: float
@@ -508,36 +507,18 @@ def _flip_flop(
 
 
 def correlator_matrix(
-    data: SectorSpectralData,
-    temperature_kelvin: float,
-    pairs: Iterable[tuple[int, int]] | None = None,
+    data: SectorSpectralData, temperature_kelvin: float
 ) -> CorrelatorMatrix:
-    """Two-site thermal correlators at one temperature.
+    """Two-site thermal correlators at one temperature, for every site pair.
 
     Diagonal operators (Sz_i Sz_j and the on-site part) only need the
     basis-state occupation probabilities P_b = sum_k w_k V[b,k]^2; the
     transverse part is assembled from flip-flop expectations. Sectors do
     not mix because every operator involved conserves total Sz.
-
-    `pairs` limits the flip-flop part, the costly one, to the given site
-    pairs; (i, k) and (k, i) both fill g_dot[i, k] and g_dot[k, i]. The
-    default None computes every pair. The requested entries are bitwise
-    equal to the full matrix's; the other off-diagonal entries of g_dot
-    are NaN, while g_zz and the diagonal of g_dot are always complete.
     """
     _check_vectors(data, "correlator_matrix")
     spec = data.spec
     n = spec.n_sites
-    if pairs is None:
-        pairs = itertools.combinations(range(n), 2)
-    todo = set()
-    for i, k in pairs:
-        if i == k or i not in range(n) or k not in range(n):
-            raise ValueError(
-                f"pair {(i, k)} is not two distinct sites of a {n}-site chain"
-            )
-        todo.add((min(i, k), max(i, k)))
-    todo = sorted(todo)
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
     strides = _strides(spec.site_dimensions)
     casimirs = tspins * (tspins + 2) / 4.0
@@ -552,19 +533,14 @@ def correlator_matrix(
             axis=0
         )
         amp = sector.eigenvectors * np.sqrt(w)[None, :]
-        for i, k in todo:
+        for i, k in itertools.combinations(range(n), 2):
             # <S_i^+ S_k^-> = <S_i^- S_k^+> for a real symmetric rho
             val = _flip_flop(sector, amp, tspins, strides, i, k)
             flip[i, k] += val
             flip[k, i] += val
     g_zz = 0.5 * (g_zz + g_zz.T)  # BLAS output is not bitwise symmetric
-    g_dot = g_zz + flip
-    computed = np.eye(n, dtype=bool)
-    for i, k in todo:
-        computed[i, k] = computed[k, i] = True
-    g_dot[~computed] = np.nan
     return CorrelatorMatrix(
-        temperature_kelvin=temperature_kelvin, g_zz=g_zz, g_dot=g_dot
+        temperature_kelvin=temperature_kelvin, g_zz=g_zz, g_dot=g_zz + flip
     )
 
 

@@ -13,6 +13,7 @@ exact-diagonalization Hilbert-space dimension.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -69,8 +70,6 @@ def _fmt(value) -> str:
 def _json_value(value):
     if isinstance(value, float):
         return float(f"{value:.9g}")
-    if isinstance(value, SpinQuantum):
-        return str(value)
     return value
 
 
@@ -154,6 +153,18 @@ def _dim_cap() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"MIXEDSPIN_DIM_CAP must be an integer, got {raw!r}") from None
+
+
+def _chain_model(args) -> dict:
+    """`ChainSpec` fields, and `fitdata` keywords, of the chain model; {} for the pair.
+
+    `chain` has no --model flag and always runs the chain model. The
+    dimension cap is read only here, so a bad MIXEDSPIN_DIM_CAP leaves a
+    pair-model command alone.
+    """
+    if getattr(args, "model", "chain") == "pair":
+        return {}
+    return {"n_sites": args.sites, "boundary": args.boundary, "dim_cap": _dim_cap()}
 
 
 def _emit(args, fieldnames, rows, summary=None, comments=()) -> None:
@@ -258,13 +269,7 @@ def _cmd_tc(args) -> None:
     else:
         if args.correlator == "literature":
             raise ValueError("--correlator literature applies to the pair model only")
-        spec = ChainSpec(
-            n_sites=args.sites,
-            spin=spin,
-            coupling_kelvin=coupling,
-            boundary=args.boundary,
-            dim_cap=_dim_cap(),
-        )
+        spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
         data = _chain_spectrum(spec)
         tc = solve_tc(_chain_g1(data), spin, coupling)
     row = {
@@ -359,13 +364,7 @@ def _cmd_witness(args, with_bound: bool) -> None:
 def _cmd_chain(args) -> None:
     spin = _spin_from_args(args)
     coupling = _parse_coupling(args.coupling)
-    spec = ChainSpec(
-        n_sites=args.sites,
-        spin=spin,
-        coupling_kelvin=coupling,
-        boundary=args.boundary,
-        dim_cap=_dim_cap(),
-    )
+    spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
     data = _chain_spectrum(spec)
     temps = _parse_temps(args.temps)
     fieldnames = [
@@ -407,11 +406,8 @@ def _cmd_fit(args) -> None:
         spin,
         init_coupling_kelvin=_parse_coupling(args.init_j),
         init_g_factor=args.init_g,
-        model=args.model,
-        n_sites=args.sites if args.model == "chain" else None,
-        boundary=args.boundary,
-        dim_cap=_dim_cap() if args.model == "chain" else None,
         window=window,
+        **_chain_model(args),
     )
     row = {
         "coupling_kelvin": result.coupling_kelvin,
@@ -431,16 +427,7 @@ def _cmd_synth(args) -> None:
     spin = _spin_from_args(args)
     coupling = _parse_coupling(args.j)
     temps = _parse_temps(args.temps)
-    series = synth_series(
-        spin,
-        coupling,
-        args.g,
-        temps,
-        model=args.model,
-        n_sites=args.sites if args.model == "chain" else None,
-        boundary=args.boundary,
-        dim_cap=_dim_cap() if args.model == "chain" else None,
-    )
+    series = synth_series(spin, coupling, args.g, temps, **_chain_model(args))
     comments = (
         f"model: {args.model}",
         f"spin: {spin}",
@@ -481,11 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print computed vs reported T_c for every built-in compound",
     )
     _add_output_flags(p_tc)
+    p_tc.set_defaults(run=_cmd_tc)
 
     p_sweep = sub.add_parser("sweep", help="T_c over a (spin, coupling) grid")
     p_sweep.add_argument("--spins", default="1/2,1,3/2,2,5/2", help="comma list")
     p_sweep.add_argument("--couplings", default="1K", help="comma list with units")
     _add_output_flags(p_sweep)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     for name, with_bound in (("witness", False), ("bound", True)):
         p_w = sub.add_parser(
@@ -508,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="apply the finite-correlation correction at this coupling",
             )
         _add_output_flags(p_w)
+        p_w.set_defaults(run=functools.partial(_cmd_witness, with_bound=with_bound))
 
     p_chain = sub.add_parser("chain", help="exact diagonalization columns")
     _add_spin_flags(p_chain)
@@ -520,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'START:STOP:COUNT', 'log:START:STOP:COUNT', or comma list (K)",
     )
     _add_output_flags(p_chain)
+    p_chain.set_defaults(run=_cmd_chain)
 
     p_fit = sub.add_parser("fit", help="fit J and g to a measurement CSV")
     p_fit.add_argument("--input", required=True, help="measurement CSV path")
@@ -531,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--init-g", type=float, default=2.0)
     p_fit.add_argument("--window", help="'TMIN:TMAX' in K")
     _add_output_flags(p_fit)
+    p_fit.set_defaults(run=_cmd_fit)
 
     p_synth = sub.add_parser("synth", help="write a noiseless model series CSV")
     _add_spin_flags(p_synth)
@@ -541,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sites", type=int, default=4)
     p_synth.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p_synth.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p_synth.set_defaults(format="csv")
+    p_synth.set_defaults(format="csv", run=_cmd_synth)
     return parser
 
 
@@ -552,22 +544,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.command == "tc":
-            _cmd_tc(args)
-        elif args.command == "sweep":
-            _cmd_sweep(args)
-        elif args.command == "witness":
-            _cmd_witness(args, with_bound=False)
-        elif args.command == "bound":
-            _cmd_witness(args, with_bound=True)
-        elif args.command == "chain":
-            _cmd_chain(args)
-        elif args.command == "fit":
-            _cmd_fit(args)
-        elif args.command == "synth":
-            _cmd_synth(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

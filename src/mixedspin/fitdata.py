@@ -42,12 +42,7 @@ from .units import (
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
 )
-from .witness import (
-    corrected_bound,
-    negativity_lower_bound,
-    susceptibility_nn_approx,
-    witness_value,
-)
+from .witness import susceptibility_nn_approx, witness_report
 
 __all__ = [
     "MeasurementSeries",
@@ -182,16 +177,17 @@ def model_chi(
     g_factor: float,
     temperature_kelvin: float | np.ndarray,
     *,
-    model: str = "pair",
     n_sites: int | None = None,
     boundary: str = "periodic",
     dim_cap: int | None = None,
 ) -> float | np.ndarray:
     """Model susceptibility in emu per mole of 2-spin formula units.
 
-    model 'pair': nearest-neighbor form with the exact pair correlator,
-    chi_tilde = 2 (1/8 + S^2/2 + G1/3) per cell. model 'chain': exact
-    diagonalization of n_sites sites, rescaled by 2/n_sites to the same
+    n_sites picks the model. None: the pair model, the nearest-neighbor
+    form with the exact pair correlator, chi_tilde = 2 (1/8 + S^2/2 +
+    G1/3) per cell; `boundary` and `dim_cap` are unused. An integer: the
+    chain model, exact diagonalization of n_sites sites with the given
+    boundary and dimension cap, rescaled by 2/n_sites to the same
     per-cell convention.
 
     A float for a scalar temperature; for an array of temperatures, an
@@ -202,14 +198,12 @@ def model_chi(
     check_positive("temperature", temperature_kelvin)
     check_positive("coupling", coupling_kelvin)
     temps = np.asarray(temperature_kelvin, dtype=float)
-    if model == "pair":
+    if n_sites is None:
         g1 = np.array(
             [pair_correlator(spin, coupling_kelvin, t) for t in temps.ravel().tolist()]
         ).reshape(temps.shape)
         chi_cell = susceptibility_nn_approx(SPINS_PER_FORMULA_UNIT, spin, g1)
-    elif model == "chain":
-        if n_sites is None:
-            raise ValueError("chain model needs n_sites")
+    else:
         data = _unit_coupling_spectrum(
             spin.twice_spin, n_sites, boundary, dim_cap or DEFAULT_DIM_CAP
         )
@@ -224,8 +218,6 @@ def model_chi(
             )
         chi_total = susceptibility_exact(data, reduced_temps)
         chi_cell = chi_total * SPINS_PER_FORMULA_UNIT / n_sites
-    else:
-        raise ValueError(f"model must be 'pair' or 'chain', got {model!r}")
     chi = chi_reduced_to_emu_per_mol(chi_cell, temps, g_factor)
     return chi if temps.ndim else float(chi)
 
@@ -236,29 +228,23 @@ def synth_series(
     g_factor: float,
     temperatures_kelvin: Sequence[float],
     *,
-    model: str = "pair",
     n_sites: int | None = None,
     boundary: str = "periodic",
     dim_cap: int | None = None,
-    metadata: dict[str, str] | None = None,
 ) -> MeasurementSeries:
-    """Noiseless model series in emu/mol, for round-trip tests and demos."""
+    """Noiseless `model_chi` series in emu/mol, for round-trip tests and demos."""
     temps = np.asarray(sorted(float(t) for t in temperatures_kelvin))
     chi = model_chi(
         spin,
         coupling_kelvin,
         g_factor,
         temps,
-        model=model,
         n_sites=n_sites,
         boundary=boundary,
         dim_cap=dim_cap,
     )
     return MeasurementSeries(
-        temperatures_kelvin=temps,
-        chi=chi,
-        unit="emu/mol",
-        metadata=dict(metadata or {}),
+        temperatures_kelvin=temps, chi=chi, unit="emu/mol", metadata={}
     )
 
 
@@ -368,18 +354,16 @@ def fit(
     init_coupling_kelvin: float,
     init_g_factor: float,
     *,
-    model: str = "pair",
     n_sites: int | None = None,
     boundary: str = "periodic",
     dim_cap: int | None = None,
     window: tuple[float, float] | None = None,
-    max_iterations: int = 2000,
-    rel_tol: float = 1e-9,
 ) -> FitResult:
     """Least-squares fit of (J, g) to a molar susceptibility series.
 
-    Non-convergence is not an exception: the best-so-far parameters come
-    back with converged=False.
+    The model is `model_chi`'s: the pair for n_sites None, else the
+    n_sites chain. Non-convergence is not an exception: the best-so-far
+    parameters come back with converged=False.
     """
     if series.unit != "emu/mol":
         raise ValueError(
@@ -415,7 +399,6 @@ def fit(
             j,
             g,
             temps,
-            model=model,
             n_sites=n_sites,
             boundary=boundary,
             dim_cap=dim_cap,
@@ -425,10 +408,7 @@ def fit(
         return sum((m - x) ** 2 for m, x in zip(model_values.tolist(), measured))
 
     x_best, f_best, iterations, converged, _ = nelder_mead(
-        objective,
-        [math.log(init_coupling_kelvin), init_g_factor],
-        max_iterations=max_iterations,
-        rel_tol=rel_tol,
+        objective, [math.log(init_coupling_kelvin), init_g_factor]
     )
     return FitResult(
         coupling_kelvin=math.exp(x_best[0]),
@@ -456,34 +436,36 @@ def bound_series(
     spin: SpinQuantum,
     g_factor: float,
     *,
-    n_per_mole: int = SPINS_PER_FORMULA_UNIT,
     correction_coupling_kelvin: float | None = None,
 ) -> tuple[BoundPoint, ...]:
-    """Per-point witness and negativity lower bound for a measured series.
+    """Per-point `witness_report` of a measured series, in reduced units.
 
-    Points with a nonpositive bound certify nothing ("no entanglement
-    detected"), they are still reported. The optional correction applies
-    the finite-correlation polynomial with the pair correlator at the
-    given coupling.
+    Each formula unit carries SPINS_PER_FORMULA_UNIT spins. Points with a
+    nonpositive bound certify nothing ("no entanglement detected"), they
+    are still reported. The optional correction applies the
+    finite-correlation polynomial with the pair correlator at the given
+    coupling. A negative susceptibility raises ValueError, as in
+    `witness_report`.
     """
     out = []
-    for t, x in zip(series.temperatures_kelvin, series.chi):
-        t = float(t)
+    for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist()):
         if series.unit == "emu/mol":
-            chi_reduced = chi_emu_per_mol_to_reduced(float(x), t, g_factor)
-        else:
-            chi_reduced = float(x)
-        w = witness_value(chi_reduced, n_per_mole, spin)
-        bound = negativity_lower_bound(w, n_per_mole, spin)
-        if correction_coupling_kelvin is not None:
-            g1 = pair_correlator(spin, correction_coupling_kelvin, t)
-            bound = corrected_bound(bound, correction_coupling_kelvin, t, g1)
+            x = chi_emu_per_mol_to_reduced(x, t, g_factor)
+        report = witness_report(
+            x,
+            "reduced",
+            t,
+            g_factor,
+            SPINS_PER_FORMULA_UNIT,
+            spin,
+            correction_coupling_kelvin=correction_coupling_kelvin,
+        )
         out.append(
             BoundPoint(
                 temperature_kelvin=t,
-                witness_reduced=w,
-                negativity_bound=bound,
-                entangled=w < 0.0,
+                witness_reduced=report.witness_value,
+                negativity_bound=report.negativity_lower_bound,
+                entangled=report.entangled,
             )
         )
     return tuple(out)

@@ -134,10 +134,8 @@ def solve_tc(
     correlator: Callable[[float], float],
     spin: SpinQuantum,
     coupling_kelvin: float,
-    *,
-    rel_tol: float = 1e-8,
 ) -> float:
-    """Bisect for the temperature where G1(T) crosses -S/2.
+    """Bisect for the temperature where G1(T) crosses -S/2, to 1e-8 J.
 
     `correlator` maps temperature (K) to the nearest-neighbor dot
     correlator; it must be continuous and increasing. The bracket starts
@@ -172,7 +170,7 @@ def solve_tc(
             f"witness does not change sign on [{lo:.3e}, {hi:.3e}] K; "
             "no characteristic temperature found"
         )
-    tol = rel_tol * coupling_kelvin
+    tol = 1e-8 * coupling_kelvin
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # no float between them: tol underflowed to 0

@@ -303,7 +303,7 @@ class TestMeanEnergy:
         full = diagonalize(spec)
         levels = diagonalize(spec, vectors=False)
         for t in (0.01, 0.1, 0.4, 1.0, 3.0, 30.0):
-            g1 = float(correlator_matrix(full, t, pairs=((0, 1),)).g_dot[0, 1])
+            g1 = float(correlator_matrix(full, t).g_dot[0, 1])
             assert abs(mean_energy(levels, t) / (n * 1.3) - g1) <= 1e-14
 
 
@@ -361,7 +361,7 @@ class TestBondLevels:
         for bond in bonds:
             values = bond_levels(data, bond)
             for t in self.TEMPS:
-                want = correlator_matrix(data, t, pairs=(bond,)).g_dot[bond]
+                want = correlator_matrix(data, t).g_dot[bond]
                 assert abs(thermal_mean(data, values, t) - want) <= 1e-14
 
     def test_ring_bond_is_energy_per_bond(self):
@@ -433,34 +433,6 @@ class TestCorrelatorMatrix:
             for i, tsi in enumerate(data.spec.site_twice_spins):
                 cas = tsi * (tsi + 2) / 4.0
                 assert cm.g_dot[i, i] == pytest.approx(cas, abs=1e-10)
-
-    @pytest.mark.parametrize(
-        "n,ts,boundary",
-        [(2, 2, "periodic"), (4, 5, "open"), (6, 1, "periodic"), (8, 2, "open")],
-    )
-    def test_requested_pairs_match_full_matrix(self, n, ts, boundary):
-        data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary))
-        full = correlator_matrix(data, 0.7)
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
-                part = correlator_matrix(data, 0.7, pairs=[(i, k)])
-                assert part.g_dot[i, k].tobytes() == full.g_dot[i, k].tobytes()
-                assert np.array_equal(part.g_zz, full.g_zz)
-                assert np.array_equal(np.diag(part.g_dot), np.diag(full.g_dot))
-                unrequested = ~np.eye(n, dtype=bool)
-                unrequested[i, k] = unrequested[k, i] = False
-                assert np.all(np.isnan(part.g_dot[unrequested]))
-        # a pair named in both orders is still computed once
-        both = correlator_matrix(data, 0.7, pairs=[(1, 0), (0, 1)])
-        assert both.g_dot[0, 1].tobytes() == full.g_dot[0, 1].tobytes()
-
-    def test_requested_pairs_must_be_distinct_sites(self):
-        data = diagonalize(ChainSpec(4, SpinQuantum(1), 1.0))
-        for bad in [(1, 1), (0, 4), (-1, 2), (0.5, 1)]:
-            with pytest.raises(ValueError, match="distinct sites"):
-                correlator_matrix(data, 1.0, pairs=[bad])
 
     def test_transverse_part_against_dense_operators(self):
         spec = ChainSpec(4, SpinQuantum(2), 1.0)
@@ -750,7 +722,7 @@ class TestSpinFlipMirror:
     def test_eigenvalue_only_spectrum_refuses_vector_observables(self):
         levels = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
         with pytest.raises(ValueError, match="vectors=True"):
-            correlator_matrix(levels, 1.0, pairs=[(0, 1)])
+            correlator_matrix(levels, 1.0)
         with pytest.raises(ValueError, match="vectors=True"):
             reduced_pair_state(levels, 1.0, (0, 1))
 

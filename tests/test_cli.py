@@ -8,6 +8,7 @@ assertions here mostly compare CLI output against direct library calls.
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -129,9 +130,7 @@ class TestTcCommand:
         data = diagonalize(ChainSpec(n, spin, 3.7, boundary="open"))
         tc = solve_tc(cli._chain_g1(data), spin, 3.7)
         want = solve_tc(
-            lambda t: float(correlator_matrix(data, t, pairs=((0, 1),)).g_dot[0, 1]),
-            spin,
-            3.7,
+            lambda t: float(correlator_matrix(data, t).g_dot[0, 1]), spin, 3.7
         )
         assert tc == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -587,6 +586,17 @@ class TestDimCapEnvironment:
         assert code == 0
         assert out
 
+    @pytest.mark.parametrize("command", ["synth", "fit"])
+    def test_bad_cap_is_read_only_by_the_chain_model(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "lots")
+        code, out, _ = run(capsys, self.ARGV[command] + ["--model", "pair", "--sites", "3"])
+        assert code == 0
+        assert out
+        code, out, err = run(capsys, self.ARGV[command] + self.CHAIN)
+        assert code == 2
+        assert "MIXEDSPIN_DIM_CAP" in err
+        assert out == ""
+
 
 class TestChainCommand:
     def test_open_dimer_matches_pair_closed_forms(self, capsys):
@@ -1039,3 +1049,60 @@ class TestOutputContract:
         text = rows[0]["tc_kelvin"]
         digits = text.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) <= 9
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(command, expected stdout) for each `$ ` line of the README's code blocks.
+
+    The expected output is every following line up to the next `$ `
+    line, blank line or end of block.
+    """
+    examples = []
+    in_block = False
+    current = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            current = None
+        elif in_block and line.startswith("$ "):
+            current = [line[2:], ""]
+            examples.append(current)
+        elif in_block and line and current is not None:
+            current[1] += line + "\n"
+        else:
+            current = None
+    return examples
+
+
+class TestReadmeExamples:
+    # the n=12 ring takes several seconds; the CI smoke step checks its row
+    SLOW = (
+        "MIXEDSPIN_DIM_CAP=46656 mixedspin tc --model chain --spin 1 --sites 12"
+        " --coupling 10K"
+    )
+
+    def test_every_example_prints_what_the_readme_shows(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)  # `synth --output series.csv` writes here
+        examples = readme_examples()
+        assert [c for c, _ in examples].count(self.SLOW) == 1
+        ran = 0
+        for command, expected in examples:
+            if command == self.SLOW:
+                continue
+            argv = shlex.split(command)
+            if argv[0] == "head":
+                count, path = int(argv[1].lstrip("-")), argv[2]
+                lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+                assert "".join(lines[:count]) == expected, command
+                continue
+            assert argv[0] == "mixedspin", command
+            code, out, err = run(capsys, argv[1:])
+            assert (code, err) == (0, ""), command
+            assert out == expected, command
+            ran += 1
+        assert ran == 8

@@ -9,6 +9,7 @@ import pytest
 
 from mixedspin import fitdata
 from mixedspin.fitdata import (
+    BoundPoint,
     MeasurementSeries,
     bound_series,
     fit,
@@ -25,7 +26,12 @@ from mixedspin.units import (
     chi_reduced_to_emu_per_mol,
     wavenumber_to_kelvin,
 )
-from mixedspin.witness import correction_polynomial
+from mixedspin.witness import (
+    corrected_bound,
+    correction_polynomial,
+    negativity_lower_bound,
+    witness_value,
+)
 
 S_HALF = SpinQuantum(1)
 S_ONE = SpinQuantum(2)
@@ -146,26 +152,21 @@ class TestModelChi:
         # for S=1/2 the NN form is the exact dimer susceptibility
         for t in (0.5, 2.0, 20.0):
             pair = model_chi(S_HALF, 3.0, 2.0, t)
-            chain = model_chi(
-                S_HALF, 3.0, 2.0, t, model="chain", n_sites=2, boundary="open"
-            )
+            chain = model_chi(S_HALF, 3.0, 2.0, t, n_sites=2, boundary="open")
             assert chain == pytest.approx(pair, rel=1e-10)
 
     def test_chain_model_per_cell_normalization(self):
         # doubling the ring size must not change the per-cell susceptibility scale
-        chi4 = model_chi(S_HALF, 1.0, 2.0, 1e5, model="chain", n_sites=4)
-        chi6 = model_chi(S_HALF, 1.0, 2.0, 1e5, model="chain", n_sites=6)
+        chi4 = model_chi(S_HALF, 1.0, 2.0, 1e5, n_sites=4)
+        chi6 = model_chi(S_HALF, 1.0, 2.0, 1e5, n_sites=6)
         assert chi4 == pytest.approx(chi6, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "model,n_sites,boundary",
-        [("pair", None, "periodic"), ("chain", 4, "periodic"), ("chain", 6, "open")],
+        "n_sites,boundary", [(None, "periodic"), (4, "periodic"), (6, "open")]
     )
-    def test_array_temperatures_equal_scalar_calls_bitwise(
-        self, model, n_sites, boundary
-    ):
+    def test_array_temperatures_equal_scalar_calls_bitwise(self, n_sites, boundary):
         temps = np.geomspace(0.05, 500.0, 40)
-        kw = dict(model=model, n_sites=n_sites, boundary=boundary)
+        kw = dict(n_sites=n_sites, boundary=boundary)
         chi = model_chi(S_ONE, 7.3, 2.07, temps, **kw)
         assert chi.shape == temps.shape
         for x, t in zip(chi.tolist(), temps.tolist()):
@@ -173,24 +174,19 @@ class TestModelChi:
             assert type(scalar) is float
             assert x.hex() == scalar.hex()
 
-    @pytest.mark.parametrize("model,n_sites", [("pair", None), ("chain", 4)])
-    def test_array_checks_name_the_offending_temperature(self, model, n_sites):
-        kw = dict(model=model, n_sites=n_sites)
+    @pytest.mark.parametrize("n_sites", [None, 4])
+    def test_array_checks_name_the_offending_temperature(self, n_sites):
         with pytest.raises(ValueError, match="got nan"):
-            model_chi(S_ONE, 10.0, 2.0, np.array([1.0, math.nan, 3.0]), **kw)
+            model_chi(S_ONE, 10.0, 2.0, np.array([1.0, math.nan, 3.0]), n_sites=n_sites)
         # chi is finite but its conversion to emu/mol overflows
         with pytest.raises(ValueError, match="T = 1e-320 K"):
-            model_chi(S_ONE, 10.0, 2.0, np.array([1.0, 1e-320]), **kw)
+            model_chi(S_ONE, 10.0, 2.0, np.array([1.0, 1e-320]), n_sites=n_sites)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             model_chi(S_HALF, 1.0, 2.0, 0.0)
         with pytest.raises(ValueError):
             model_chi(S_HALF, -1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            model_chi(S_HALF, 1.0, 2.0, 1.0, model="chain")
-        with pytest.raises(ValueError):
-            model_chi(S_HALF, 1.0, 2.0, 1.0, model="dimer")
 
 
 class TestNelderMead:
@@ -273,18 +269,14 @@ class TestFit:
         assert result.g_factor == pytest.approx(2.0 * math.sqrt(1.1), rel=5e-3)
 
     def test_chain_model_round_trip(self):
-        series = synth_series(
-            S_HALF, 10.0, 2.0, np.linspace(2.0, 60.0, 12), model="chain", n_sites=4
-        )
-        result = fit(
-            series, S_HALF, 8.0, 2.1, model="chain", n_sites=4
-        )
+        series = synth_series(S_HALF, 10.0, 2.0, np.linspace(2.0, 60.0, 12), n_sites=4)
+        result = fit(series, S_HALF, 8.0, 2.1, n_sites=4)
         assert result.converged
         assert result.coupling_kelvin == pytest.approx(10.0, rel=1e-6)
         assert result.g_factor == pytest.approx(2.0, rel=1e-6)
 
-    @pytest.mark.parametrize("model,n_sites", [("pair", None), ("chain", 4)])
-    def test_objective_equals_point_loop_bitwise(self, monkeypatch, model, n_sites):
+    @pytest.mark.parametrize("n_sites", [None, 4])
+    def test_objective_equals_point_loop_bitwise(self, monkeypatch, n_sites):
         # the reference is the point-by-point sum the array objective
         # replaced; its ** is libm pow, which rounds some squares unlike x*x
         series = load_measurements(CHAIN_SERIES)
@@ -295,14 +287,14 @@ class TestFit:
             return np.asarray(x0, dtype=float), 0.0, 0, True, []
 
         monkeypatch.setattr(fitdata, "nelder_mead", capture)
-        fit(series, S_ONE, 8.0, 2.0, model=model, n_sites=n_sites)
+        fit(series, S_ONE, 8.0, 2.0, n_sites=n_sites)
         (objective,) = objectives
         for log_j in np.linspace(1.5, 2.7, 12):
             for g in np.linspace(1.8, 2.3, 12):
                 expected = 0.0
                 for t, x in zip(series.temperatures_kelvin, series.chi):
                     j = math.exp(log_j)
-                    chi = model_chi(S_ONE, j, g, float(t), model=model, n_sites=n_sites)
+                    chi = model_chi(S_ONE, j, g, float(t), n_sites=n_sites)
                     expected += (chi - x) ** 2
                 got = objective(np.array([log_j, g]))
                 assert float(got).hex() == float(expected).hex()
@@ -381,6 +373,36 @@ class TestBoundSeries:
         reduced = MeasurementSeries(temps, chi_red, "reduced", {})
         for a, b in zip(bound_series(molar, spin, g), bound_series(reduced, spin, g)):
             assert a.negativity_bound == pytest.approx(b.negativity_bound, rel=1e-10)
+
+    @pytest.mark.parametrize("unit,chi", [("reduced", -0.5), ("emu/mol", -0.01)])
+    def test_negative_susceptibility_is_rejected(self, unit, chi):
+        # chi k_B T / (g mu_B)^2 = <Sz_total^2> >= 0: a negative value is a
+        # bad measurement, and its "bound" would exceed the largest negativity
+        series = MeasurementSeries(np.array([1.0, 2.0]), np.array([chi, 0.1]), unit, {})
+        with pytest.raises(ValueError, match="must be >= 0"):
+            bound_series(series, S_ONE, 2.0)
+
+    @pytest.mark.parametrize("unit", ["reduced", "emu/mol"])
+    @pytest.mark.parametrize("correction", [None, 117.0])
+    def test_points_keep_the_per_point_formulas_bitwise(self, unit, correction):
+        spin, g = S_ONE, 2.15
+        series = synth_series(spin, 117.0, g, np.geomspace(5.0, 400.0, 25))
+        if unit == "reduced":
+            chi = [
+                chi_emu_per_mol_to_reduced(x, t, g)
+                for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist())
+            ]
+            series = MeasurementSeries(series.temperatures_kelvin, np.array(chi), unit, {})
+        points = bound_series(series, spin, g, correction_coupling_kelvin=correction)
+        for p, t, x in zip(points, series.temperatures_kelvin.tolist(), series.chi.tolist()):
+            if unit == "emu/mol":
+                x = chi_emu_per_mol_to_reduced(x, t, g)
+            w = witness_value(x, 2, spin)
+            bound = negativity_lower_bound(w, 2, spin)
+            if correction is not None:
+                g1 = pair_correlator(spin, correction, t)
+                bound = corrected_bound(bound, correction, t, g1)
+            assert p == BoundPoint(t, w, bound, w < 0.0)
 
     def test_correction_shifts_by_polynomial_term(self):
         spin = S_ONE

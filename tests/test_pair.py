@@ -205,7 +205,7 @@ class TestNegativityFromG1:
         spin = SpinQuantum(ts)
         data = diagonalize(ChainSpec(n, spin, 1.0, boundary=boundary))
         for t in (0.02, 0.2, 0.5, 0.9, 1.5, 4.0, 50.0):
-            g1 = float(correlator_matrix(data, t, pairs=((0, 1),)).g_dot[0, 1])
+            g1 = float(correlator_matrix(data, t).g_dot[0, 1])
             rho = reduced_pair_state(data, t, (0, 1))
             brute = negativity_bruteforce(rho, spin.dimension, 2)
             assert abs(negativity_from_g1(spin, g1) - brute) <= 1e-14
