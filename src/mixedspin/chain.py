@@ -10,13 +10,14 @@ comparing against single-pair results.
 H commutes with total Sz, so the Hilbert space splits into magnetization
 sectors that are enumerated and assembled independently. A global spin
 flip maps sector -M onto +M, so only the 2Sz >= 0 sectors are
-diagonalized (see `diagonalize`). On a ring, translation by one
-(S, 1/2) cell also commutes with H, and a spectrum without eigenvectors
-solves each sector as n/2 momentum blocks instead (`_momentum_levels`).
-The Sz blocks are real symmetric by construction (see `operators`), the
-momentum blocks exactly Hermitian, and thermal averages are taken with
-Boltzmann weights shifted by the global ground energy so that no
-temperature underflows.
+diagonalized (see `diagonalize`). Translation by one (S, 1/2) cell also
+commutes with H, and one builder, `_sector_blocks`, yields a sector's
+blocks for a translation group of `cells` cells: n/2 momentum blocks
+for the eigenvalue-only spectrum of a ring, and for cells = 1 the single
+real Sz block, used everywhere else. The Sz blocks are real symmetric by
+construction (see `operators`), the momentum blocks exactly Hermitian,
+and thermal averages are taken with Boltzmann weights shifted by the
+global ground energy so that no temperature underflows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,8 +73,6 @@ class ChainSpec:
             raise ValueError(
                 f"n_sites must be even and >= 2 to alternate (S, 1/2), got {self.n_sites}"
             )
-        if self.spin.twice_spin < 1:
-            raise ValueError("chain spin must have twice_spin >= 1")
         if not math.isfinite(self.coupling_kelvin) or self.coupling_kelvin == 0.0:
             raise ValueError(
                 f"coupling must be finite and nonzero, got {self.coupling_kelvin}"
@@ -82,12 +82,7 @@ class ChainSpec:
             raise ValueError(
                 f"boundary must be 'periodic' or 'open', got {self.boundary!r}"
             )
-        # each (S, 1/2) bond spans S/2 down to -(S+1)/2, so no level, no
-        # difference of two levels and no partial sum of one exceeds this
-        spread = abs(self.coupling_kelvin) * (
-            len(self.bonds()) * (self.spin.twice_spin + 1) / 2
-        )
-        if not math.isfinite(spread):
+        if not math.isfinite(self.level_spread_kelvin):
             raise ValueError(
                 f"coupling {self.coupling_kelvin} K is too large: the level "
                 "spread |J| n_bonds (2S+1)/2 of this chain overflows"
@@ -95,13 +90,22 @@ class ChainSpec:
         if self.dim_cap < 2:
             raise ValueError(f"dim_cap must be >= 2, got {self.dim_cap}")
 
-    @property
+    @cached_property
+    def level_spread_kelvin(self) -> float:
+        """|J| n_bonds (2S+1)/2. Each (S, 1/2) bond spans S/2 down to
+        -(S+1)/2, so no level, no difference of two levels and no partial
+        sum of one exceeds this."""
+        return abs(self.coupling_kelvin) * (
+            len(self.bonds()) * (self.spin.twice_spin + 1) / 2
+        )
+
+    @cached_property
     def site_twice_spins(self) -> tuple[int, ...]:
         return tuple(
             self.spin.twice_spin if k % 2 == 0 else 1 for k in range(self.n_sites)
         )
 
-    @property
+    @cached_property
     def site_dimensions(self) -> tuple[int, ...]:
         return tuple(ts + 1 for ts in self.site_twice_spins)
 
@@ -171,35 +175,30 @@ class SectorSpectralData:
         return np.sort(np.concatenate([sec.eigenvalues for sec in self.sectors]))
 
 
-def _strides(dims: tuple[int, ...]) -> np.ndarray:
-    """Mixed-radix strides, first site most significant."""
-    strides = np.ones(len(dims), dtype=np.int64)
-    for k in range(len(dims) - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
-    return strides
-
-
 def _enumerate_sectors(spec: ChainSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Group the product basis by total Sz, preserving lexicographic order.
 
     Returns (2Sz, labels, codes) per sector, 2Sz descending; see
-    `SectorBlock` for labels and codes.
+    `SectorBlock` for labels and codes. Every code of the dense basis is
+    split into its mixed-radix digits and those into labels; a stable
+    sort on 2Sz keeps the codes ascending within each sector. `dim_cap`
+    is checked before anything is allocated.
     """
-    site_m_lists = [
-        range(ts, -ts - 1, -2) for ts in spec.site_twice_spins
-    ]  # m descending, matching the matrix convention
-    sectors: dict[int, list[tuple[int, ...]]] = {}
-    for label in itertools.product(*site_m_lists):
-        sectors.setdefault(sum(label), []).append(label)
+    _check_cap(spec)
+    dims = spec.site_dimensions
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-    strides = _strides(spec.site_dimensions)
-    out = []
-    for tsz in sorted(sectors, reverse=True):
-        labels = np.asarray(sectors[tsz], dtype=np.int16)
-        digits = (tspins[None, :] - labels.astype(np.int64)) // 2
-        # ascending because enumeration is lexicographic
-        out.append((tsz, labels, digits @ strides))
-    return out
+    codes = np.arange(spec.total_dimension, dtype=np.int64)
+    # mixed-radix strides, first site most significant
+    strides = np.array([math.prod(dims[k + 1 :]) for k in range(len(dims))])
+    digits = codes[:, None] // strides % (tspins + 1)
+    labels = (tspins - 2 * digits).astype(np.int16)  # m descending per site
+    twice_sz = labels.sum(axis=1, dtype=np.int64)
+    order = np.argsort(-twice_sz, kind="stable")
+    cuts = np.flatnonzero(np.diff(twice_sz[order])) + 1
+    return [
+        (int(twice_sz[part[0]]), labels[part], codes[part])
+        for part in np.split(order, cuts)
+    ]
 
 
 def _zz_energy(lab: np.ndarray, bonds, j: float) -> np.ndarray:
@@ -212,10 +211,9 @@ def _zz_energy(lab: np.ndarray, bonds, j: float) -> np.ndarray:
 
 
 def _hops(
+    spec: ChainSpec,
     labels: np.ndarray,
     codes: np.ndarray,
-    tspins: np.ndarray,
-    strides: np.ndarray,
     a: int,
     b: int,
     into: np.ndarray | None = None,
@@ -229,13 +227,15 @@ def _hops(
     `raise_coefficient(...) * lower_coefficient(...)`, so every coeff is
     bitwise equal to the scalar form.
     """
-    ta, tb = tspins[a], tspins[b]
+    ta, tb = spec.site_twice_spins[a], spec.site_twice_spins[b]
+    dims = spec.site_dimensions
     ma = labels[:, a].astype(np.int64)
     mb = labels[:, b].astype(np.int64)
     src = np.flatnonzero((ma < ta) & (mb > -tb))
     # raising m_a lowers its mixed-radix digit, lowering m_b raises its digit
     tgt = np.searchsorted(
-        codes if into is None else into, codes[src] - strides[a] + strides[b]
+        codes if into is None else into,
+        codes[src] - math.prod(dims[a + 1 :]) + math.prod(dims[b + 1 :]),
     )
     ma, mb = ma[src], mb[src]
     coeff = (0.5 * np.sqrt(ta * (ta + 2) - ma * (ma + 2))) * (
@@ -244,32 +244,105 @@ def _hops(
     return src, tgt, coeff
 
 
-def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
-    """Assemble the Hamiltonian blocked by total Sz.
+def _flip_flop_table(
+    spec: ChainSpec,
+    labels: np.ndarray,
+    codes: np.ndarray,
+    into: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero element of the flip-flop part J/2 (S_i^+ S_k^- + h.c.) of H.
 
-    Diagonal part: sum over bonds of J m_i m_j. Off-diagonal part: the
-    flip-flop J/2 (S+ S- + S- S+), whose matrix elements come in exactly
-    equal transpose pairs (the same square root both ways), so each block
-    is bitwise symmetric.
+    Returns (src, tgt, amp) as `_hops` does, concatenated over the bonds
+    and both hop directions. The 2-site ring's two bonds reach each
+    element twice, so a fill must sum the entries, not assign them.
     """
-    _check_cap(spec)
-    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-    strides = _strides(spec.site_dimensions)
-    j = spec.coupling_kelvin
-    bonds = spec.bonds()
-    blocks: list[SectorBlock] = []
+    hops = [
+        _hops(spec, labels, codes, a, b, into)
+        for i, k in spec.bonds()
+        for a, b in ((i, k), (k, i))
+    ]
+    src, tgt, coeff = (np.concatenate(part) for part in zip(*hops))
+    return src, tgt, 0.5 * spec.coupling_kelvin * coeff
+
+
+def _sector_blocks(
+    spec: ChainSpec, labels: np.ndarray, codes: np.ndarray, cells: int
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield one sector's Hamiltonian as (block, copies), one block at a time.
+
+    T, which moves every site one (S, 1/2) cell (two sites) on, commutes
+    with H and Sz; `cells` is the order of the translation group used.
+    With cells = n/2 (rings) the sector splits into momentum blocks
+    k = 2 pi q / cells. Each translation orbit is held by its lowest-code
+    representative a with orbit length L_a, and it carries momentum k
+    only if k L_a is a multiple of 2 pi. Every flip-flop from a lands on
+    some T^s b, giving <b,k|H|a,k> = sqrt(L_a/L_b) sum h e^{iks}
+    (A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The -k block is
+    the complex conjugate of the k block, so only 0 <= k <= pi is yielded,
+    with copies = 2 for every other block; k = 0 and k = pi are real.
+    With cells = 1 every state is its own orbit, and the one block is
+    the real Sz block (copies = 1) of `build_hamiltonian`.
+
+    A flip-flop changes one S site and one spin-1/2 site. A translation
+    permutes the S sites among themselves and the 1/2 sites among
+    themselves, so a state and another state of its orbit differ on no
+    site or on at least two sites of each kind. No hop therefore stays
+    within an orbit, and the diagonal is the Sz Sz energy alone. Each
+    block takes the hops below its diagonal and their mirror images
+    above it, so it is exactly symmetric (Hermitian) for `eig_sym`; the
+    hop amplitudes come in exactly equal transpose pairs (the same
+    square roots both ways), so this is also the full fill, bit for bit.
+    """
+    # translating by r cells rotates the base-p cell digits of a code by r
+    p = 2 * (spec.spin.twice_spin + 1)
+    images = np.stack(
+        [codes // p**r + codes % p**r * p ** (cells - r) for r in range(cells)]
+    )
+    lowest = images.argmin(axis=0)  # T^lowest x is the representative of x
+    reps = np.flatnonzero(lowest == 0)
+    rep_of = np.searchsorted(codes[reps], images[lowest, np.arange(codes.size)])
+    shift = -lowest % cells  # x = T^shift rep_of(x)
+    period = cells // np.count_nonzero(images[:, reps] == codes[reps], axis=0)
+    src, tgt_state, amp = _flip_flop_table(spec, labels[reps], codes[reps], into=codes)
+    tgt, turns = rep_of[tgt_state], shift[tgt_state]
+    amp *= np.sqrt(period[src] / period[tgt])
+    zz = _zz_energy(labels[reps], spec.bonds(), spec.coupling_kelvin)
+    for q in range(cells // 2 + 1):
+        keep = q * period % cells == 0
+        dim = int(np.count_nonzero(keep))
+        if dim == 0:
+            continue
+        pos = np.cumsum(keep) - 1
+        row, col = pos[tgt], pos[src]
+        lower = keep[src] & keep[tgt] & (row > col)
+        row, col = row[lower], col[lower]
+        # e^{iks} = e^{2 pi i phase_turns / cells}
+        phase_turns = q * turns[lower] % cells
+        real = 2 * q % cells == 0
+        if real:  # k = 0 or pi: every phase is exactly +1 or -1
+            z = np.where(phase_turns == 0, amp[lower], -amp[lower])
+        else:
+            z = amp[lower] * np.exp(2j * np.pi * phase_turns / cells)
+        # each element below the diagonal, then its mirror image above it
+        flat = np.concatenate([row * dim + col, col * dim + row])
+        z = np.concatenate([z, z.conj()])
+        # (a bincount of no hops is an integer array)
+        block = np.bincount(flat, z.real, dim * dim).astype(z.dtype, copy=False)
+        if not real:
+            block.imag = np.bincount(flat, z.imag, dim * dim)
+        block = block.reshape(dim, dim)
+        block[np.diag_indices(dim)] = zz[keep]
+        yield block, 1 if real else 2
+        del block  # free it before the next one is filled
+
+
+def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
+    """The Hamiltonian blocked by total Sz: the one-cell block of
+    `_sector_blocks` for every sector, bitwise symmetric."""
+    blocks = []
     for tsz, labels, codes in _enumerate_sectors(spec):
-        d = labels.shape[0]
-        lab = labels.astype(np.int64)
-        h = np.zeros((d, d))
-        h[np.diag_indices(d)] = _zz_energy(lab, bonds, j)
-        for i, k in bonds:
-            for a, b in ((i, k), (k, i)):
-                src, tgt, coeff = _hops(lab, codes, tspins, strides, a, b)
-                h[tgt, src] += 0.5 * j * coeff
-        blocks.append(
-            SectorBlock(twice_total_sz=tsz, labels=labels, codes=codes, hamiltonian=h)
-        )
+        [(h, _)] = _sector_blocks(spec, labels, codes, cells=1)
+        blocks.append(SectorBlock(tsz, labels, codes, h))
     return blocks
 
 
@@ -287,84 +360,6 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return h
 
 
-def _momentum_levels(
-    spec: ChainSpec, labels: np.ndarray, codes: np.ndarray
-) -> np.ndarray:
-    """Ascending levels of one ring sector, solved block by block in momentum.
-
-    T, which moves every site one (S, 1/2) cell (two sites) on, commutes
-    with H and Sz, so the sector splits into n/2 momentum blocks
-    k = 2 pi q / (n/2). Each translation orbit is held by its lowest-code
-    representative a with orbit length L_a, and it carries momentum k
-    only if k L_a is a multiple of 2 pi. Every flip-flop from a lands on
-    some T^s b, giving <b,k|H|a,k> = sqrt(L_a/L_b) sum h e^{iks}
-    (A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The -k block is
-    the complex conjugate of the k block, so only 0 <= k <= pi is solved
-    and every other block counts twice; k = 0 and k = pi are real.
-
-    A flip-flop changes one S site and one spin-1/2 site. A translation
-    permutes the S sites among themselves and the 1/2 sites among
-    themselves, so a state and another state of its orbit differ on no
-    site or on at least two sites of each kind. No hop therefore stays
-    within an orbit, and the diagonal is the Sz Sz energy alone. Each
-    block is filled below its diagonal and mirrored, so it is exactly
-    Hermitian for `eig_sym`.
-    """
-    cells = spec.n_sites // 2
-    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-    strides = _strides(spec.site_dimensions)
-    j = spec.coupling_kelvin
-    lab = labels.astype(np.int64)
-    # images[r] holds the codes of T^r x for every state x
-    images = np.stack(
-        [((tspins - np.roll(lab, 2 * r, axis=1)) // 2) @ strides for r in range(cells)]
-    )
-    lowest = images.argmin(axis=0)  # T^lowest x is the representative of x
-    reps = np.flatnonzero(lowest == 0)
-    rep_of = np.searchsorted(codes[reps], images[lowest, np.arange(codes.size)])
-    shift = -lowest % cells  # x = T^shift rep_of(x)
-    period = cells // np.count_nonzero(images[:, reps] == codes[reps], axis=0)
-    hops = [
-        _hops(lab[reps], codes[reps], tspins, strides, a, b, into=codes)
-        for i, k in spec.bonds()
-        for a, b in ((i, k), (k, i))
-    ]
-    src = np.concatenate([h[0] for h in hops])
-    tgt_state = np.concatenate([h[1] for h in hops])
-    tgt, turns = rep_of[tgt_state], shift[tgt_state]
-    amp = 0.5 * j * np.concatenate([h[2] for h in hops])
-    amp *= np.sqrt(period[src] / period[tgt])
-    zz = _zz_energy(lab[reps], spec.bonds(), j)
-    levels = []
-    for q in range(cells // 2 + 1):
-        keep = q * period % cells == 0
-        dim = int(np.count_nonzero(keep))
-        if dim == 0:
-            continue
-        pos = np.cumsum(keep) - 1
-        row, col = pos[tgt], pos[src]
-        lower = keep[src] & keep[tgt] & (row > col)
-        flat = row[lower] * dim + col[lower]
-        # e^{iks} = e^{2 pi i phase_turns / cells}
-        phase_turns = q * turns[lower] % cells
-        real = 2 * q % cells == 0
-        block = np.empty(dim * dim, dtype=float if real else complex)
-        if real:  # k = 0 or pi: every phase is exactly +1 or -1
-            block[:] = np.bincount(
-                flat, np.where(phase_turns == 0, amp[lower], -amp[lower]), dim * dim
-            )
-        else:
-            z = amp[lower] * np.exp(2j * np.pi * phase_turns / cells)
-            block.real = np.bincount(flat, z.real, dim * dim)
-            block.imag = np.bincount(flat, z.imag, dim * dim)
-        block = block.reshape(dim, dim)
-        block = block + block.conj().T
-        block[np.diag_indices(dim)] = zz[keep]
-        evals, _ = eig_sym(block, vectors=False)
-        levels += [evals] if real else [evals, evals]
-    return np.sort(np.concatenate(levels))
-
-
 # Eigensolver roundoff splits the ground multiplet by up to 6.1e-14 |J|
 # (eigvalsh, n=6, 2S=5, open chain), while the smallest excitation gap
 # above it is 0.15 |J| (n=10, 2S=2, open); both measured with eigh and
@@ -376,21 +371,22 @@ _GROUND_SNAP = 1e-12
 def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     """Per-sector spectra, with eigenvectors unless vectors=False.
 
-    Only the 2Sz >= 0 blocks are solved. The global spin flip maps the
-    basis of sector -M onto that of +M in reverse order (labels
-    -labels[::-1]), and the -M block is bitwise the +M block reversed in
-    rows and columns. So sector -M shares its partner's eigenvalue array
-    and takes the row-reversed view V[::-1] of its eigenvectors; the
-    ±Sz levels are then exactly degenerate. The solved arrays are made
-    read-only because they are shared. Sectors keep their order (2Sz
-    descending), so every sum over sectors keeps its order.
+    Only the 2Sz >= 0 sectors are assembled and solved, one block at a
+    time (`_sector_blocks`). An eigenvalue-only spectrum of a ring
+    (vectors=False, periodic) solves each sector as its n/2
+    translation-momentum blocks; its levels agree with the dense
+    sector's to rounding. Open chains and spectra with eigenvectors
+    solve the one real Sz block per sector. Either way `dim_cap` bounds
+    the total dimension.
 
-    An eigenvalue-only spectrum of a ring (vectors=False, periodic)
-    solves each sector as its translation-momentum blocks (see
-    `_momentum_levels`) instead of one dense block; its levels agree
-    with the dense sector's to rounding. Open chains and spectra with
-    eigenvectors solve the Sz blocks of `build_hamiltonian`. Either way
-    `dim_cap` bounds the total dimension.
+    The global spin flip maps the basis of sector -M onto that of +M in
+    reverse order (labels -labels[::-1]), and the -M block is bitwise the
+    +M block reversed in rows and columns. So sector -M shares its
+    partner's eigenvalue array and takes the row-reversed view V[::-1]
+    of its eigenvectors; the ±Sz levels are then exactly degenerate. The
+    solved arrays are made read-only because they are shared. Sectors
+    keep their order (2Sz descending), so every sum over sectors keeps
+    its order.
 
     Every level within 1e-12 |J| n of the global ground energy is set to
     exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
@@ -398,22 +394,19 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     the multiplet keeps equal weights down to any T, so every thermal
     average reaches its T -> 0 limit.
     """
-    if vectors or spec.boundary == "open":
-        blocks = build_hamiltonian(spec)
-        bases = [(b.twice_total_sz, b.labels, b.codes) for b in blocks]
-        solved = {
-            b.twice_total_sz: eig_sym(b.hamiltonian, vectors=vectors)
-            for b in blocks
-            if b.twice_total_sz >= 0
-        }
-    else:
-        _check_cap(spec)
-        bases = _enumerate_sectors(spec)
-        solved = {
-            tsz: (_momentum_levels(spec, labels, codes), None)
-            for tsz, labels, codes in bases
-            if tsz >= 0
-        }
+    bases = _enumerate_sectors(spec)
+    cells = 1 if vectors or spec.boundary == "open" else spec.n_sites // 2
+    solved = {}
+    for tsz, labels, codes in bases:
+        if tsz < 0:
+            continue
+        levels = []
+        for block, copies in _sector_blocks(spec, labels, codes, cells):
+            evals, evecs = eig_sym(block, vectors=vectors)
+            del block  # free it before the next one is filled
+            levels += [evals] * copies
+        # eigenvectors are only asked for with cells = 1, one block per sector
+        solved[tsz] = (np.sort(np.concatenate(levels)), evecs)
     e0 = min(float(evals[0]) for evals, _ in solved.values())
     tol = _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites
     for evals, evecs in solved.values():
@@ -485,19 +478,14 @@ _CHUNK = 2048
 
 
 def _flip_flop(
-    sector: SectorSpectrum,
-    amp: np.ndarray,
-    tspins: np.ndarray,
-    strides: np.ndarray,
-    i: int,
-    k: int,
+    spec: ChainSpec, sector: SectorSpectrum, amp: np.ndarray, i: int, k: int
 ) -> float:
     """Thermal <S_i^+ S_k^-> within one sector.
 
     amp = V * sqrt(w) column-scaled eigenvectors, so rho = amp @ amp.T;
     the expectation gathers rho[target, source] rows without forming rho.
     """
-    src, tgt, coeff = _hops(sector.labels, sector.codes, tspins, strides, i, k)
+    src, tgt, coeff = _hops(spec, sector.labels, sector.codes, i, k)
     total = 0.0
     for lo in range(0, src.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
@@ -520,7 +508,6 @@ def correlator_matrix(
     spec = data.spec
     n = spec.n_sites
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-    strides = _strides(spec.site_dimensions)
     casimirs = tspins * (tspins + 2) / 4.0
     g_zz = np.zeros((n, n))
     flip = np.zeros((n, n))
@@ -535,7 +522,7 @@ def correlator_matrix(
         amp = sector.eigenvectors * np.sqrt(w)[None, :]
         for i, k in itertools.combinations(range(n), 2):
             # <S_i^+ S_k^-> = <S_i^- S_k^+> for a real symmetric rho
-            val = _flip_flop(sector, amp, tspins, strides, i, k)
+            val = _flip_flop(spec, sector, amp, i, k)
             flip[i, k] += val
             flip[k, i] += val
     g_zz = 0.5 * (g_zz + g_zz.T)  # BLAS output is not bitwise symmetric
@@ -565,18 +552,38 @@ def thermal_mean(
     values: Iterable[np.ndarray],
     temperature_kelvin: float | np.ndarray,
 ) -> float | np.ndarray:
-    """Boltzmann average of a per-level quantity.
+    """Boltzmann average of a traceless per-level quantity.
 
     `values` holds one array per sector, in sector order, of the
     quantity's value in each eigenstate: the eigenvalues for <H>,
-    `bond_levels` for a bond correlator. Sums sector by sector, in
-    order, (w * values).sum(-1). A float for a scalar temperature; for
-    an array, an array of the same shape whose elements equal the scalar
-    calls bitwise.
+    `bond_levels` for a bond correlator. Both sum to zero over all
+    levels, because H and every S_i . S_j are traceless. Sums sector by
+    sector, in order, (w * values).sum(-1). Above the level spread
+    (`ChainSpec.level_spread_kelvin`) the weights are nearly uniform and
+    the mean falls like 1/T, while that sum keeps an absolute error near
+    1e-16; there it is taken as sum expm1(-E/T) values / sum exp(-E/T),
+    the same mean for a traceless quantity, to full relative accuracy.
+    A float for a scalar temperature; for an array, an array of the same
+    shape whose elements equal the scalar calls bitwise.
     """
+    values = tuple(values)
     total = 0.0
     for w, v in zip(thermal_weights(data, temperature_kelvin), values, strict=True):
         total = total + (w * v).sum(-1)
+    t = np.asarray(temperature_kelvin, dtype=float)
+    hot = t > data.spec.level_spread_kelvin
+    if hot.any():
+        total = np.array(total)
+        t_hot = t[hot][:, None]
+        # values scaled by a power of two below 1, which keeps the partial
+        # sums of a huge coupling finite and changes no bit otherwise
+        _, scale = np.frexp(max(np.abs(v).max() for v in values))
+        num = den = 0.0
+        for sec, v in zip(data.sectors, values):
+            x = -sec.eigenvalues / t_hot
+            num = num + (np.expm1(x) * np.ldexp(v, -scale)).sum(-1)
+            den = den + np.exp(x).sum(-1)
+        total[hot] = np.ldexp(num / den, scale)
     return total if np.ndim(temperature_kelvin) else float(total)
 
 
@@ -617,8 +624,6 @@ def bond_levels(
         raise ValueError(
             f"bond {bond} is not two distinct sites of a {n}-site chain"
         )
-    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-    strides = _strides(spec.site_dimensions)
     solved = {}
     for sector in data.sectors:
         if sector.twice_total_sz < 0:
@@ -626,7 +631,7 @@ def bond_levels(
         vecs = sector.eigenvectors
         m = sector.labels / 2.0
         values = (m[:, i] * m[:, k]) @ vecs**2
-        src, tgt, coeff = _hops(sector.labels, sector.codes, tspins, strides, i, k)
+        src, tgt, coeff = _hops(spec, sector.labels, sector.codes, i, k)
         for lo in range(0, src.size, _CHUNK):
             sl = slice(lo, lo + _CHUNK)
             rows = vecs[tgt[sl]]
@@ -659,8 +664,8 @@ def reduced_pair_state(
         raise ValueError(f"bond {bond} is not adjacent under {spec.boundary} boundary")
     dims = spec.site_dimensions
     tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-    strides = _strides(dims)
     da, db = dims[a], dims[b]
+    stride_a, stride_b = math.prod(dims[a + 1 :]), math.prod(dims[b + 1 :])
     rho = np.zeros((da * db, da * db))
     for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
         amp = sector.eigenvectors * np.sqrt(w)[None, :]
@@ -668,7 +673,7 @@ def reduced_pair_state(
         dig_a = (tspins[a] - lab[:, a]) // 2
         dig_b = (tspins[b] - lab[:, b]) // 2
         pair_idx = dig_a * db + dig_b
-        rest = sector.codes - dig_a * strides[a] - dig_b * strides[b]
+        rest = sector.codes - dig_a * stride_a - dig_b * stride_b
         order = np.argsort(rest, kind="stable")
         rest_sorted = rest[order]
         cuts = np.flatnonzero(np.diff(rest_sorted)) + 1

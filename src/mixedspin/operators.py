@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class SpinQuantum:
-    """A spin magnitude S, stored exactly as the integer 2S."""
+    """A spin magnitude S >= 1/2, stored exactly as the integer 2S."""
 
     twice_spin: int
 
@@ -42,8 +42,9 @@ class SpinQuantum:
             raise ValueError(
                 f"twice_spin must be an integer, got {self.twice_spin!r}"
             )
-        if self.twice_spin < 0:
-            raise ValueError(f"twice_spin must be >= 0, got {self.twice_spin}")
+        if self.twice_spin < 1:
+            # spin 0 carries no magnetic moment, and no site of this package has it
+            raise ValueError(f"twice_spin must be >= 1, got {self.twice_spin}")
         object.__setattr__(self, "twice_spin", int(self.twice_spin))
 
     @classmethod
@@ -107,8 +108,6 @@ def spin_matrices(spin: SpinQuantum) -> SpinOperators:
     of derived Hamiltonians holds bitwise rather than to rounding.
     """
     ts = spin.twice_spin
-    if ts == 0:
-        raise ValueError("spin 0 carries no magnetic moment; need twice_spin >= 1")
     d = spin.dimension
     twice_m = ts - 2 * np.arange(d)
     sz = np.diag(twice_m / 2.0)

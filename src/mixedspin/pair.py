@@ -40,11 +40,6 @@ def _check_temperature(temperature_kelvin: float) -> None:
         raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
 
 
-def _check_spin(spin: SpinQuantum) -> None:
-    if spin.twice_spin < 1:
-        raise ValueError("pair needs a magnetic spin, twice_spin >= 1")
-
-
 @dataclass(frozen=True)
 class PairSpectrum:
     """The two exchange multiplets of an (S, 1/2) pair."""
@@ -53,7 +48,6 @@ class PairSpectrum:
     coupling_kelvin: float
 
     def __post_init__(self) -> None:
-        _check_spin(self.spin)
         _check_coupling(self.coupling_kelvin)
 
     @property
@@ -93,7 +87,6 @@ def pair_correlator(
     G1(T) = S(S+1)(x - 1) / (2((S+1)x + S)) with x = exp(-J(2S+1)/(2T)).
     Monotone increasing in T, from -(S+1)/2 at T=0 toward 0.
     """
-    _check_spin(spin)
     _check_coupling(coupling_kelvin)
     _check_temperature(temperature_kelvin)
     s = spin.value
@@ -103,7 +96,6 @@ def pair_correlator(
 
 def pair_correlator_zero_temperature(spin: SpinQuantum) -> float:
     """T -> 0 limit of the pair correlator: -(S+1)/2."""
-    _check_spin(spin)
     return -(spin.value + 1.0) / 2.0
 
 
@@ -151,7 +143,6 @@ def negativity_from_g1(spin: SpinQuantum, g1: float) -> float:
     equal to tau = (S + 2 G1) / (D (D - 1)) with D = 2S + 1; negativity
     is 2S * max(0, -tau), which simplifies to max(0, -(S + 2 G1)) / D.
     """
-    _check_spin(spin)
     d = spin.twice_spin + 1
     tau = (spin.value + 2.0 * g1) / (d * (d - 1.0))
     return spin.twice_spin * max(0.0, -tau)
@@ -159,7 +150,6 @@ def negativity_from_g1(spin: SpinQuantum, g1: float) -> float:
 
 def pair_negativity_zero_temperature(spin: SpinQuantum) -> float:
     """T -> 0 limit of the pair negativity: 1/(2S+1)."""
-    _check_spin(spin)
     return 1.0 / (spin.twice_spin + 1)
 
 
@@ -169,7 +159,6 @@ def characteristic_temperature(spin: SpinQuantum, coupling_kelvin: float) -> flo
     The boundary sits where G1 crosses -S/2, which the two-level form
     solves in closed form: T_c = J (2S + 1) / (2 ln(2S + 2)).
     """
-    _check_spin(spin)
     _check_coupling(coupling_kelvin)
     check_normal("coupling", coupling_kelvin)
     ts = spin.twice_spin

@@ -1,5 +1,6 @@
 """Sector-blocked exact diagonalization against dense constructions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from mixedspin.chain import (
     ChainSpec,
     SectorSpectralData,
     SectorSpectrum,
+    _enumerate_sectors,
     _hops,
-    _momentum_levels,
-    _strides,
+    _sector_blocks,
     bond_levels,
     build_hamiltonian,
     correlator_matrix,
@@ -27,6 +28,7 @@ from mixedspin.chain import (
 )
 from mixedspin.operators import (
     SpinQuantum,
+    eig_sym,
     embed,
     lower_coefficient,
     raise_coefficient,
@@ -42,6 +44,24 @@ def dense_thermal_rho(spec, t):
     w = np.exp(-(evals - evals[0]) / t)
     w /= w.sum()
     return (evecs * w) @ evecs.T
+
+
+def product_sectors(spec):
+    """Reference enumeration: one Python loop over every basis state."""
+    sectors = {}
+    for label in itertools.product(
+        *(range(ts, -ts - 1, -2) for ts in spec.site_twice_spins)
+    ):
+        sectors.setdefault(sum(label), []).append(label)
+    dims = spec.site_dimensions
+    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
+    strides = np.array([math.prod(dims[k + 1 :]) for k in range(len(dims))])
+    out = []
+    for tsz in sorted(sectors, reverse=True):
+        labels = np.asarray(sectors[tsz], dtype=np.int16)
+        digits = (tspins[None, :] - labels.astype(np.int64)) // 2
+        out.append((tsz, labels, digits @ strides))
+    return out
 
 
 class TestChainSpec:
@@ -111,6 +131,27 @@ class TestSectorStructure:
             # enumeration is lexicographic, so dense-basis ranks ascend
             assert np.all(np.diff(block.codes) > 0)
 
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 1, "periodic"), (2, 5, "periodic"), (2, 2, "open"), (4, 3, "open"),
+         (6, 2, "periodic"), (8, 1, "open"), (8, 3, "periodic"), (10, 2, "open")],
+    )
+    def test_enumeration_matches_the_product_loop_bitwise(self, n, ts, boundary):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary)
+        got = _enumerate_sectors(spec)
+        want = product_sectors(spec)
+        assert [tsz for tsz, _, _ in got] == [tsz for tsz, _, _ in want]
+        for (tsz, labels, codes), (_, ref_labels, ref_codes) in zip(got, want):
+            assert type(tsz) is int
+            for arr, ref in ((labels, ref_labels), (codes, ref_codes)):
+                assert arr.dtype == ref.dtype and arr.shape == ref.shape
+                assert arr.tobytes() == ref.tobytes()
+
+    def test_enumeration_checks_the_cap_before_allocating(self):
+        # dimension 12^20: anything allocated first would not fit in memory
+        with pytest.raises(RuntimeError, match="exceeds cap"):
+            _enumerate_sectors(ChainSpec(40, SpinQuantum(5), 1.0))
+
     @pytest.mark.parametrize("n,ts", [(2, 3), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2)])
     def test_blocks_are_exactly_symmetric(self, n, ts):
         for block in build_hamiltonian(ChainSpec(n, SpinQuantum(ts), 1.0)):
@@ -144,15 +185,14 @@ class TestSectorStructure:
     @pytest.mark.parametrize("n,ts", [(2, 5), (4, 2), (4, 7), (6, 1)])
     def test_hop_table_matches_scalar_coefficients(self, n, ts):
         spec = ChainSpec(n, SpinQuantum(ts), 1.0)
-        tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-        strides = _strides(spec.site_dimensions)
+        tspins = spec.site_twice_spins
         for block in build_hamiltonian(spec):
             lab = block.labels
             for a in range(n):
                 for b in range(n):
                     if a == b:
                         continue
-                    src, tgt, coeff = _hops(lab, block.codes, tspins, strides, a, b)
+                    src, tgt, coeff = _hops(spec, lab, block.codes, a, b)
                     ref_src = [
                         s
                         for s in range(lab.shape[0])
@@ -333,14 +373,63 @@ class TestThermalMean:
         data = diagonalize(
             ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary), vectors=vectors
         )
-        for t in [1e-300, *ARRAY_TEMPS.tolist()]:
-            # the expression mean_energy evaluated before thermal_mean existed
-            total = 0.0
-            for sector, w in zip(data.sectors, thermal_weights(data, t)):
-                total = total + (w * sector.eigenvalues).sum(-1)
+        spread = data.spec.level_spread_kelvin
+        temps = [1e-300, *ARRAY_TEMPS.tolist(), spread, np.nextafter(spread, 2 * spread)]
+        assert any(t > spread for t in temps) and any(t <= spread for t in temps)
+        for t in temps:
+            total = num = den = 0.0
+            if t <= spread:
+                # the expression mean_energy evaluated before thermal_mean existed
+                for sector, w in zip(data.sectors, thermal_weights(data, t)):
+                    total = total + (w * sector.eigenvalues).sum(-1)
+            else:
+                # H is traceless, so sum expm1(-E/T) E / sum exp(-E/T) is <H>
+                for sector in data.sectors:
+                    x = -sector.eigenvalues / t
+                    num = num + (np.expm1(x) * sector.eigenvalues).sum(-1)
+                    den = den + np.exp(x).sum(-1)
+                total = num / den
             assert np.float64(mean_energy(data, t)).tobytes() == np.float64(
                 total
             ).tobytes()
+
+    @pytest.mark.parametrize("coupling", [1.3, -0.7])
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(4, 1, "periodic"), (4, 5, "periodic"), (6, 2, "periodic"), (6, 3, "periodic"),
+         (2, 1, "open"), (2, 5, "open"), (4, 2, "open"), (6, 3, "open")],
+    )
+    def test_bond_correlator_reaches_its_high_temperature_series(
+        self, n, ts, boundary, coupling
+    ):
+        # G1 = -(J/T) S(S+1)/4 + O((J/T)^2) on every bond of an open chain
+        # and of a ring with n >= 4 (the 2-site ring's two bonds double it)
+        spin = SpinQuantum(ts)
+        spec = ChainSpec(n, spin, coupling, boundary=boundary)
+        if boundary == "periodic":
+            data = diagonalize(spec, vectors=False)
+            values = [sec.eigenvalues / (n * coupling) for sec in data.sectors]
+        else:
+            data = diagonalize(spec)
+            values = bond_levels(data, (0, 1))
+        ratios = abs(coupling) * np.geomspace(1e10, 1e300, 30)
+        leading = -spin.casimir / 4
+        for t, g1 in zip(ratios, thermal_mean(data, values, ratios)):
+            assert t * g1 / coupling == pytest.approx(leading, rel=1e-8)
+            assert thermal_mean(data, values, float(t)) == g1
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_high_temperature_form_stays_finite_at_huge_coupling(self, boundary):
+        # the largest T lies above the level spread (1.25e308 on the ring),
+        # and the unscaled partial sums of the levels would overflow there
+        spec = ChainSpec(4, SpinQuantum(2), 2.0761934805741516e307, boundary=boundary)
+        data = diagonalize(spec)
+        t = 1.7976931348623157e308
+        assert t > spec.level_spread_kelvin
+        for values in ([s.eigenvalues for s in data.sectors], bond_levels(data, (0, 1))):
+            weights = thermal_weights(data, t)
+            plain = sum(float((w * v).sum()) for w, v in zip(weights, values))
+            assert thermal_mean(data, values, t) == pytest.approx(plain, rel=1e-12)
 
     def test_one_value_array_per_sector(self):
         data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
@@ -744,8 +833,13 @@ class TestMomentumBlocks:
         for block in build_hamiltonian(spec):
             if block.twice_total_sz < 0:
                 continue
+            levels = []
+            for matrix, copies in _sector_blocks(
+                spec, block.labels, block.codes, n // 2
+            ):
+                levels += [eig_sym(matrix, vectors=False)[0]] * copies
             np.testing.assert_allclose(
-                _momentum_levels(spec, block.labels, block.codes),
+                np.sort(np.concatenate(levels)),
                 np.linalg.eigvalsh(block.hamiltonian),
                 rtol=0,
                 atol=1e-12 * abs(coupling) * n,
@@ -786,8 +880,10 @@ class TestMomentumBlocks:
         monkeypatch.setattr(chain, "eig_sym", recording)
         spec = ChainSpec(8, SpinQuantum(2), 1.0, boundary=boundary)
         data = diagonalize(spec, vectors=vectors)
-        sizes = [b.hamiltonian.shape[0] for b in build_hamiltonian(spec)]
-        nonnegative = [s.eigenvalues.size for s in data.sectors if s.twice_total_sz >= 0]
+        blocks = build_hamiltonian(spec)
+        sizes = [b.hamiltonian.shape[0] for b in blocks]
+        nonnegative = [b.hamiltonian.shape[0] for b in blocks if b.twice_total_sz >= 0]
+        assert [s.eigenvalues.size for s in data.sectors] == sizes
         if momentum:
             # k and -k blocks are solved once; k = 0 and k = pi are real
             assert max(m.shape[0] for m in solved) < max(sizes) / 3
@@ -797,6 +893,7 @@ class TestMomentumBlocks:
             )
             assert counted == sum(nonnegative)
         else:
+            # one Sz block per 2Sz >= 0 sector; the -M sectors are mirrored
             assert [m.shape[0] for m in solved] == nonnegative
             assert all(m.dtype == np.dtype(float) for m in solved)
 

@@ -414,6 +414,16 @@ class TestOutOfDomainMeasurement:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["witness", "bound"])
+    @pytest.mark.parametrize("spin_flag", ["--spin=0", "--twice-spin=0"])
+    def test_spin_zero_exits_2(self, capsys, command, spin_flag):
+        # spin 0 has no moment: no verdict and no negativity bound exists
+        argv = [command, "--chi", "0.1", "--unit", "reduced", "--temp", "1", spin_flag]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_correction_overflow_exits_2(self, capsys):
         # reduced units never convert, but J/T overflows in the correction
         code, out, err = run(
@@ -665,6 +675,16 @@ class TestChainCommand:
             "1e+307,1.05175013,1.85429595,-0.48427804,0",
             "1e+308,1.73411104,2.43183345,-0.051124911,0",
         ]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_high_temperature_g1_digits_are_true(self, capsys, boundary):
+        # G1 = -(J/T) S(S+1)/4 to O((J/T)^2): nine true digits and the sign
+        argv = ["chain", "--spin", "1", "--sites", "6", "--coupling", "1K"]
+        argv += ["--boundary", boundary, "--temps", "1e12,1e100"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        _, rows, _ = parse_csv(out)
+        assert [r["g1"] for r in rows] == ["-5e-13", "-5e-101"]
 
     def test_nn_susceptibility_is_never_negative(self, capsys):
         # on the S = 1/2 dimer ring g1 -> -3/4 at low T, where
