@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -86,6 +87,33 @@ def _parse_coupling(text: str) -> float:
         return to_kelvin(float(value))
     except ValueError:
         raise ValueError(f"cannot parse coupling value in {text!r}") from None
+
+
+# every option whose value is a coupling; each `build_parser` adds the same ones
+_COUPLING_FLAGS: set[str] = set()
+
+
+def _add_coupling_flag(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add an option whose value is a coupling such as '5.12K' or '-3K'."""
+    parser.add_argument(flag, **kwargs)
+    _COUPLING_FLAGS.add(flag)
+
+
+def _join_negative_couplings(argv: list[str]) -> list[str]:
+    """Write '--coupling -3K' as '--coupling=-3K'.
+
+    argparse reads a token that starts with '-' and is not a plain number
+    as an option, so it would refuse a ferromagnetic coupling given as
+    the next token. A token after a coupling flag joins it if it starts
+    with '-' and a digit or '.', as no option name does.
+    """
+    joined: list[str] = []
+    for tok in argv:
+        if joined and joined[-1] in _COUPLING_FLAGS and re.match(r"-[\d.]", tok):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    return joined
 
 
 def _parse_temps(text: str) -> list[float]:
@@ -451,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tc = sub.add_parser("tc", help="characteristic temperature")
     _add_spin_flags(p_tc, required=False)
-    p_tc.add_argument("--coupling", help="e.g. '81.4cm-1' or '5.12K'")
+    _add_coupling_flag(p_tc, "--coupling", help="e.g. '81.4cm-1' or '5.12K'")
     p_tc.add_argument("--compound", help="built-in compound name")
     p_tc.add_argument("--model", choices=("pair", "chain"), default="pair")
     p_tc.add_argument("--sites", type=int, default=6, help="chain model size")
@@ -472,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="T_c over a (spin, coupling) grid")
     p_sweep.add_argument("--spins", default="1/2,1,3/2,2,5/2", help="comma list")
-    p_sweep.add_argument("--couplings", default="1K", help="comma list with units")
+    _add_coupling_flag(
+        p_sweep, "--couplings", default="1K", help="comma list with units"
+    )
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(run=_cmd_sweep)
 
@@ -492,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_w.add_argument("--n", type=int, default=2, help="spins per formula unit")
         _add_spin_flags(p_w)
         if with_bound:
-            p_w.add_argument(
+            _add_coupling_flag(
+                p_w,
                 "--correct-j",
                 help="apply the finite-correlation correction at this coupling",
             )
@@ -502,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain = sub.add_parser("chain", help="exact diagonalization columns")
     _add_spin_flags(p_chain)
     p_chain.add_argument("--sites", type=int, default=4)
-    p_chain.add_argument("--coupling", required=True)
+    _add_coupling_flag(p_chain, "--coupling", required=True)
     p_chain.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p_chain.add_argument(
         "--temps",
@@ -518,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model", choices=("pair", "chain"), default="pair")
     p_fit.add_argument("--sites", type=int, default=4, help="chain model size")
     p_fit.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p_fit.add_argument("--init-j", required=True, help="initial coupling, e.g. '10K'")
+    _add_coupling_flag(
+        p_fit, "--init-j", required=True, help="initial coupling, e.g. '10K'"
+    )
     p_fit.add_argument("--init-g", type=float, default=2.0)
     p_fit.add_argument("--window", help="'TMIN:TMAX' in K")
     _add_output_flags(p_fit)
@@ -526,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a noiseless model series CSV")
     _add_spin_flags(p_synth)
-    p_synth.add_argument("--j", required=True, help="coupling, e.g. '10.2cm-1'")
+    _add_coupling_flag(p_synth, "--j", required=True, help="coupling, e.g. '10.2cm-1'")
     p_synth.add_argument("--g", type=float, required=True)
     p_synth.add_argument("--temps", required=True)
     p_synth.add_argument("--model", choices=("pair", "chain"), default="pair")
@@ -540,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_negative_couplings(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

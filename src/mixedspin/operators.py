@@ -4,7 +4,6 @@ Spin magnitudes are stored as the integer 2S so that half-integer spins
 never touch floating point. All operator matrices are real: the isotropic
 exchange S.S' is assembled as Sz Sz' + (S+ S-' + S- S+')/2, so Sy never
 has to be materialized and every Hamiltonian stays real symmetric.
-(`eig_sym` also takes the exactly Hermitian momentum blocks of `chain`.)
 
 Basis convention: index 0 is m = S, index k is m = S - k, down to m = -S.
 """
@@ -142,26 +141,26 @@ def embed(op: np.ndarray, site: int, dims: tuple[int, ...] | list[int]) -> np.nd
 def eig_sym(
     matrix: np.ndarray, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigendecomposition of a real symmetric or complex Hermitian matrix,
-    ascending real eigenvalues.
+    """Eigendecomposition of a real symmetric matrix, ascending eigenvalues.
 
-    Rejects non-finite entries (either part of a complex entry) and
-    anything not exactly symmetric, or exactly Hermitian for complex
-    input; every matrix this package produces is assembled that way, so
+    Rejects complex input (casting it to float would drop the imaginary
+    part), non-finite entries and anything not exactly symmetric; every
+    matrix this package produces is assembled exactly symmetric, so
     exact equality is the correct check, not a tolerance. With
     vectors=False only the eigenvalues are computed (`eigvalsh`, which
     may differ from `eigh`'s in the last bits) and the eigenvectors come
     back as None.
     """
     m = np.asarray(matrix)
-    hermitian = np.iscomplexobj(m)
-    m = m.astype(complex if hermitian else float, copy=False)
+    if np.iscomplexobj(m):
+        raise ValueError("matrix is complex; eig_sym takes real symmetric input")
+    m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if not np.array_equal(m, m.conj().T if hermitian else m.T):
-        raise ValueError(f"matrix is not {'Hermitian' if hermitian else 'symmetric'}")
+    if not np.array_equal(m, m.T):
+        raise ValueError("matrix is not symmetric")
     if not vectors:
         return np.linalg.eigvalsh(m), None
     evals, evecs = np.linalg.eigh(m)

@@ -837,6 +837,8 @@ class TestMomentumBlocks:
             for matrix, copies in _sector_blocks(
                 spec, block.labels, block.codes, n // 2
             ):
+                assert matrix.dtype == np.float64
+                assert np.array_equal(matrix, matrix.T)
                 levels += [eig_sym(matrix, vectors=False)[0]] * copies
             np.testing.assert_allclose(
                 np.sort(np.concatenate(levels)),
@@ -876,26 +878,49 @@ class TestMomentumBlocks:
             solved.append(matrix)
             return eig_sym(matrix, vectors=vectors)
 
-        eig_sym = chain.eig_sym
+        def yielding(*args, **kwargs):
+            for block, copies in sector_blocks(*args, **kwargs):
+                yielded.append((block, copies))
+                yield block, copies
+
+        eig_sym, sector_blocks, yielded = chain.eig_sym, chain._sector_blocks, []
         monkeypatch.setattr(chain, "eig_sym", recording)
+        monkeypatch.setattr(chain, "_sector_blocks", yielding)
         spec = ChainSpec(8, SpinQuantum(2), 1.0, boundary=boundary)
         data = diagonalize(spec, vectors=vectors)
+        counted = sum(m.shape[0] * copies for m, copies in yielded)
         blocks = build_hamiltonian(spec)
         sizes = [b.hamiltonian.shape[0] for b in blocks]
         nonnegative = [b.hamiltonian.shape[0] for b in blocks if b.twice_total_sz >= 0]
         assert [s.eigenvalues.size for s in data.sectors] == sizes
         if momentum:
-            # k and -k blocks are solved once; k = 0 and k = pi are real
+            # k and -k blocks are solved once, k = 0 and k = pi as two
+            # parity blocks each; every block is real
             assert max(m.shape[0] for m in solved) < max(sizes) / 3
-            assert {m.dtype for m in solved} == {np.dtype(float), np.dtype(complex)}
-            counted = sum(
-                m.shape[0] * (2 if np.iscomplexobj(m) else 1) for m in solved
-            )
+            assert {m.dtype for m in solved} == {np.dtype(float)}
             assert counted == sum(nonnegative)
         else:
             # one Sz block per 2Sz >= 0 sector; the -M sectors are mirrored
             assert [m.shape[0] for m in solved] == nonnegative
             assert all(m.dtype == np.dtype(float) for m in solved)
+
+    def test_reflection_splits_the_k0_block(self):
+        spec = ChainSpec(8, SpinQuantum(2), 1.0)
+        [block] = [b for b in build_hamiltonian(spec) if b.twice_total_sz == 0]
+
+        def orbit(lab):
+            return min(tuple(np.roll(lab, 2 * r)) for r in range(4))
+
+        # k = 0 has one state per translation orbit; reflection i -> -i
+        # pairs up orbits, and each orbit it maps to itself has P = +1
+        orbits = {orbit(lab) for lab in block.labels}
+        lone = sum(orbit(np.roll(o[::-1], 1)) == o for o in orbits)
+        even, odd = itertools.islice(
+            _sector_blocks(spec, block.labels, block.codes, 4), 2
+        )
+        assert even[1] == odd[1] == 1
+        assert even[0].shape[0] == (len(orbits) + lone) // 2
+        assert odd[0].shape[0] == (len(orbits) - lone) // 2
 
     def test_cap_bounds_the_total_dimension(self):
         spec = ChainSpec(12, SpinQuantum(2), 1.0, dim_cap=46655)

@@ -8,6 +8,7 @@ assertions here mostly compare CLI output against direct library calls.
 
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -156,6 +157,13 @@ class TestTcCommand:
         code, _, err = run(capsys, ["tc", "--spin", "1/2", "--coupling=-3K"])
         assert code == 2
         assert "error:" in err
+
+    def test_negative_coupling_as_its_own_token_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, ["tc", "--model", "chain", "--spin", "1", "--coupling", "-3K"]
+        )
+        assert (code, out) == (2, "")
+        assert "error: coupling must be finite and > 0, got -3.0" in err
 
     def test_missing_unit_suffix_exits_2(self, capsys):
         code, _, err = run(capsys, ["tc", "--spin", "1/2", "--coupling", "5.12"])
@@ -686,6 +694,24 @@ class TestChainCommand:
         _, rows, _ = parse_csv(out)
         assert [r["g1"] for r in rows] == ["-5e-13", "-5e-101"]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "chain --spin 1 --coupling -3K --temps 1",
+            "chain --spin 1 --coupling -2.5cm-1 --temps 1,2",
+            "sweep --couplings -3K,1K",
+            "synth --spin 1 --j -3K --g 2 --temps 1",
+            "bound --chi 0.1 --unit reduced --temp 1 --spin 1 --correct-j -3K",
+            f"fit --input {CHAIN_SERIES} --spin 1 --init-j -3K",
+        ],
+        ids=["chain-K", "chain-cm-1", "sweep", "synth", "bound", "fit"],
+    )
+    def test_negative_coupling_token_reads_as_the_flag_value(self, capsys, line):
+        spaced = run(capsys, shlex.split(line))
+        joined = re.sub(r" (-[0-9])", r"=\1", line)  # '--coupling=-3K'
+        assert spaced == run(capsys, shlex.split(joined))
+        assert "expected one argument" not in spaced[2]
+
     def test_nn_susceptibility_is_never_negative(self, capsys):
         # on the S = 1/2 dimer ring g1 -> -3/4 at low T, where
         # n(1/8 + S^2/2 + g1/3) cancels to roundoff; it must not go below 0
@@ -978,9 +1004,11 @@ class TestFitAndSynth:
     # wavenumber 7.93765277 -> 7.93765279 and 64 -> 60 iterations.
     # Re-recorded again when ring spectra without eigenvectors began to be
     # solved as momentum blocks: the CSV J moved 8.50373871 -> 8.50373873
-    # and its wavenumber 5.91039434 -> 5.91039435, at 67 iterations. Still
-    # compared byte for byte; the values recorded before the mirroring
-    # are pinned to a relative 5e-8 just below.
+    # and its wavenumber 5.91039434 -> 5.91039435, at 67 iterations.
+    # Re-recorded again when the momentum blocks became real reflection
+    # blocks: the CSV J moved 8.50373873 -> 8.50373872, at 68 iterations
+    # instead of 67. Still compared byte for byte; the values recorded
+    # before the mirroring are pinned to a relative 5e-8 just below.
     @pytest.mark.parametrize(
         "extra,expected",
         [
@@ -988,7 +1016,7 @@ class TestFitAndSynth:
                 ["--init-j", "5K"],
                 "coupling_kelvin,coupling_wavenumber,g_factor,residual_rms,"
                 "iterations,converged,window_min_kelvin,window_max_kelvin,n_points\n"
-                "8.50373873,5.91039435,2.03016955,0.000440954126,67,true,2,80,16\n",
+                "8.50373872,5.91039435,2.03016955,0.000440954126,68,true,2,80,16\n",
             ),
             (
                 ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
@@ -1125,4 +1153,4 @@ class TestReadmeExamples:
             assert (code, err) == (0, ""), command
             assert out == expected, command
             ran += 1
-        assert ran == 8
+        assert ran == 9
