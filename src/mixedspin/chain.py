@@ -16,9 +16,14 @@ blocks for a translation group of `cells` cells: for the eigenvalue-only
 spectrum of a ring, n/2 momentum blocks made real by the site
 reflection, with k = 0 and k = pi split by parity; for cells = 1 the
 single Sz block, used everywhere else. Every block is real symmetric by
-construction (see `operators`), and thermal averages are taken with
-Boltzmann weights shifted by the global ground energy so that no
-temperature underflows.
+construction (see `operators`).
+
+`diagonalize` records every eigenvalue array the eigensolver returns,
+once, in a flat level table (`SectorSpectralData.levels`), with the
+number of exactly degenerate copies it stands for and its 2Sz. Every
+thermal sum is one Boltzmann kernel on that table (`thermal_weights`):
+one exp per table entry and temperature, shifted by the ground energy
+so that no temperature underflows, then one weighted sum.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -166,18 +171,25 @@ class SectorSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class SectorSpectralData:
-    """Full blocked spectrum of a chain."""
+    """Full blocked spectrum of a chain: per-sector spectra and a level table.
+
+    `sectors` holds every sector's sorted levels. The level table holds
+    each eigenvalue array the eigensolver returned, once: `levels[i]`
+    stands for `multiplicity[i]` exactly equal levels with total
+    2Sz = +-`twice_sz[i]`, so np.repeat(levels, multiplicity) is the
+    whole spectrum. The table is what every thermal sum runs over.
+    """
 
     spec: ChainSpec
     sectors: tuple[SectorSpectrum, ...]
+    levels: np.ndarray
+    multiplicity: np.ndarray
+    twice_sz: np.ndarray
+    ground_energy_kelvin: float
 
     @property
     def total_dimension(self) -> int:
         return sum(sec.eigenvalues.size for sec in self.sectors)
-
-    @property
-    def ground_energy_kelvin(self) -> float:
-        return min(float(sec.eigenvalues[0]) for sec in self.sectors)
 
     def all_eigenvalues(self) -> np.ndarray:
         return np.sort(np.concatenate([sec.eigenvalues for sec in self.sectors]))
@@ -448,7 +460,8 @@ _GROUND_SNAP = 1e-12
 
 
 def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
-    """Per-sector spectra, with eigenvectors unless vectors=False.
+    """Per-sector spectra and the level table, with eigenvectors unless
+    vectors=False.
 
     Only the 2Sz >= 0 sectors are assembled and solved, one block at a
     time (`_sector_blocks`), every block real symmetric. An
@@ -465,8 +478,15 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     partner's eigenvalue array and takes the row-reversed view V[::-1]
     of its eigenvectors; the ±Sz levels are then exactly degenerate. The
     solved arrays are made read-only because they are shared. Sectors
-    keep their order (2Sz descending), so every sum over sectors keeps
-    its order.
+    keep their order (2Sz descending).
+
+    Each eigenvalue array the eigensolver returns is recorded once in the
+    level table (`SectorSpectralData`), in solve order, with its 2Sz and
+    its multiplicity: the block's copies (2 for a ring's 0 < k < pi
+    block, whose -k partner has its levels), doubled for 2Sz > 0, whose
+    -M sector has its levels. A sector's eigenvalue array is its table
+    runs repeated by their copies and sorted; with cells = 1 that is its
+    one run as solved.
 
     Every level within 1e-12 |J| n of the global ground energy is set to
     exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
@@ -476,39 +496,51 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     """
     bases = _enumerate_sectors(spec)
     cells = 1 if vectors or spec.boundary == "open" else spec.n_sites // 2
-    solved = {}
+    runs, evecs = [], {}
     for tsz, labels, codes in bases:
         if tsz < 0:
             continue
-        levels = []
         for block, copies in _sector_blocks(spec, labels, codes, cells):
-            evals, evecs = eig_sym(block, vectors=vectors)
+            # eigenvectors are only asked for with cells = 1, one block per sector
+            evals, evecs[tsz] = eig_sym(block, vectors=vectors)
             del block  # free it before the next one is filled
-            levels += [evals] * copies
-        # eigenvectors are only asked for with cells = 1, one block per sector
-        solved[tsz] = (np.sort(np.concatenate(levels)), evecs)
-    e0 = min(float(evals[0]) for evals, _ in solved.values())
-    tol = _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites
-    for evals, evecs in solved.values():
-        evals[evals - e0 <= tol] = e0
-        for arr in (evals, evecs):
-            if arr is not None:
-                arr.flags.writeable = False
+            runs.append((tsz, copies, evals))
+    sizes = [evals.size for _, _, evals in runs]
+    twice_sz = np.repeat([tsz for tsz, _, _ in runs], sizes)
+    copies = np.repeat([c for _, c, _ in runs], sizes)
+    multiplicity = np.where(twice_sz > 0, 2 * copies, copies)
+    levels = np.concatenate([evals for _, _, evals in runs])
+    e0 = float(levels.min())
+    levels[levels - e0 <= _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites] = e0
+    solved = {}
+    for tsz in evecs:
+        run = twice_sz == tsz
+        solved[tsz] = np.sort(np.repeat(levels[run], copies[run]))
+    for arr in (levels, multiplicity, twice_sz, *solved.values(), *evecs.values()):
+        if arr is not None:
+            arr.flags.writeable = False
     sectors = []
     for tsz, labels, codes in bases:
-        evals, evecs = solved[abs(tsz)]
-        if tsz < 0 and evecs is not None:
-            evecs = evecs[::-1]
+        vecs = evecs[abs(tsz)]
+        if tsz < 0 and vecs is not None:
+            vecs = vecs[::-1]
         sectors.append(
             SectorSpectrum(
                 twice_total_sz=tsz,
                 labels=labels,
                 codes=codes,
-                eigenvalues=evals,
-                eigenvectors=evecs,
+                eigenvalues=solved[abs(tsz)],
+                eigenvectors=vecs,
             )
         )
-    return SectorSpectralData(spec=spec, sectors=tuple(sectors))
+    return SectorSpectralData(
+        spec=spec,
+        sectors=tuple(sectors),
+        levels=levels,
+        multiplicity=multiplicity,
+        twice_sz=twice_sz,
+        ground_energy_kelvin=e0,
+    )
 
 
 def _check_vectors(data: SectorSpectralData, what: str) -> None:
@@ -521,23 +553,45 @@ def _check_vectors(data: SectorSpectralData, what: str) -> None:
 
 def thermal_weights(
     data: SectorSpectralData, temperature_kelvin: float | np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Normalized Boltzmann weights per sector, in sector order.
+) -> np.ndarray:
+    """Normalized Boltzmann weights of the level table, shape T.shape + (m,).
 
-    For a temperature array each sector's weights have shape T.shape +
-    (d,). Exponents are shifted by the ground energy so that low
-    temperatures never overflow. Each element goes through the same
-    operations in the same order as a scalar call (per-sector exp and
-    sum, sectors summed in order), so the two agree bitwise.
+    Entry i is multiplicity[i] exp(-(E_i - E0)/T) / Z, the total weight
+    of the equal levels it stands for, so the weights sum to 1: one exp
+    per table entry and temperature. Exponents are shifted by the ground
+    energy so that low temperatures never overflow. A row of a
+    temperature array goes through the same operations as a scalar call
+    (elementwise, then one sum over the last axis), so the two agree
+    bitwise. The steps after the first work in place: a fresh array per
+    step costs more than the exp itself at T.shape + (m,) = 60 x 590.
     """
     check_positive("temperature", temperature_kelvin)
     t = np.asarray(temperature_kelvin, dtype=float)[..., None]
-    e0 = data.ground_energy_kelvin
-    # (E - E0)/T overflows to inf at subnormal T; exp(-inf) = 0 is the limit
+    # (E0 - E)/T overflows to -inf at subnormal T; exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
-        raw = [np.exp(-(sec.eigenvalues - e0) / t) for sec in data.sectors]
-    z = sum(r.sum(-1) for r in raw)
-    return tuple(r / z[..., None] for r in raw)
+        w = (data.ground_energy_kelvin - data.levels) / t
+    np.exp(w, out=w)
+    w *= data.multiplicity
+    w /= w.sum(-1)[..., None]
+    return w
+
+
+def _sector_weights(
+    data: SectorSpectralData, temperature_kelvin: float
+) -> list[np.ndarray]:
+    """Per-level weights of each sector, in sector order, sliced from
+    `thermal_weights`.
+
+    A spectrum with eigenvectors holds one table run per solved sector,
+    in the order of its eigenvalues; a sector -M mirrored from +M has no
+    run of its own and takes its partner's.
+    """
+    w = thermal_weights(data, temperature_kelvin) / data.multiplicity
+    runs = {tsz: w[data.twice_sz == tsz] for tsz in set(data.twice_sz.tolist())}
+    return [
+        runs[tsz if tsz in runs else -tsz]
+        for tsz in (sec.twice_total_sz for sec in data.sectors)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,7 +645,7 @@ def correlator_matrix(
     casimirs = tspins * (tspins + 2) / 4.0
     g_zz = np.zeros((n, n))
     flip = np.zeros((n, n))
-    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
+    for sector, w in zip(data.sectors, _sector_weights(data, temperature_kelvin)):
         prob = (sector.eigenvectors**2) @ w
         m = sector.labels / 2.0
         g_zz += (m * prob[:, None]).T @ m
@@ -617,54 +671,57 @@ def susceptibility_exact(
     """Reduced susceptibility chi k_B T / (g^2 mu_B^2) = sum_ij <Sz_i Sz_j>.
 
     Eigenstates carry definite total Sz, so the double sum collapses to
-    <(Sz_total)^2> = sum over sectors of (weight in sector) * Sz_total^2.
-    A float for a scalar temperature; for an array, an array of the same
+    <(Sz_total)^2>: the table's weights times Sz_total^2, summed. A
+    float for a scalar temperature; for an array, an array of the same
     shape whose elements equal the scalar calls bitwise.
     """
-    total = 0.0
-    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
-        total = total + (sector.twice_total_sz / 2.0) ** 2 * w.sum(-1)
-    return total if np.ndim(temperature_kelvin) else float(total)
+    w = thermal_weights(data, temperature_kelvin)
+    w *= (data.twice_sz / 2.0) ** 2
+    chi = w.sum(-1)
+    return chi if np.ndim(temperature_kelvin) else float(chi)
 
 
 def thermal_mean(
     data: SectorSpectralData,
-    values: Iterable[np.ndarray],
+    values: np.ndarray,
     temperature_kelvin: float | np.ndarray,
 ) -> float | np.ndarray:
     """Boltzmann average of a traceless per-level quantity.
 
-    `values` holds one array per sector, in sector order, of the
-    quantity's value in each eigenstate: the eigenvalues for <H>,
-    `bond_levels` for a bond correlator. Both sum to zero over all
-    levels, because H and every S_i . S_j are traceless. Sums sector by
-    sector, in order, (w * values).sum(-1). Above the level spread
-    (`ChainSpec.level_spread_kelvin`) the weights are nearly uniform and
-    the mean falls like 1/T, while that sum keeps an absolute error near
-    1e-16; there it is taken as sum expm1(-E/T) values / sum exp(-E/T),
-    the same mean for a traceless quantity, to full relative accuracy.
-    A float for a scalar temperature; for an array, an array of the same
-    shape whose elements equal the scalar calls bitwise.
+    `values` holds the quantity's value at each entry of the level table
+    (`SectorSpectralData.levels`): the levels themselves for <H>,
+    `bond_levels` for a bond correlator. Both sum to zero over the whole
+    spectrum (multiplicity m times value), because H and every
+    S_i . S_j are traceless. The mean is (weights * values).sum(-1).
+    Above the level spread (`ChainSpec.level_spread_kelvin`) the weights
+    are nearly uniform and the mean falls like 1/T, while that sum keeps
+    an absolute error near 1e-16; there it is taken as
+    sum m expm1(-E/T) values / (sum m expm1(-E/T) + d), d = sum m the
+    dimension, which is sum m exp(-E/T) values / sum m exp(-E/T) for a
+    traceless quantity, to full relative accuracy. A float for a scalar
+    temperature; for an array, an array of the same shape whose elements
+    equal the scalar calls bitwise.
     """
-    values = tuple(values)
-    total = 0.0
-    for w, v in zip(thermal_weights(data, temperature_kelvin), values, strict=True):
-        total = total + (w * v).sum(-1)
+    values = np.asarray(values, dtype=float)
+    if values.shape != data.levels.shape:
+        raise ValueError(
+            f"values must hold one number per level-table entry, shape "
+            f"{data.levels.shape}; got shape {values.shape}"
+        )
+    w = thermal_weights(data, temperature_kelvin)
+    w *= values
+    mean = w.sum(-1)
     t = np.asarray(temperature_kelvin, dtype=float)
     hot = t > data.spec.level_spread_kelvin
     if hot.any():
-        total = np.array(total)
-        t_hot = t[hot][:, None]
+        mean = np.array(mean)
         # values scaled by a power of two below 1, which keeps the partial
         # sums of a huge coupling finite and changes no bit otherwise
-        _, scale = np.frexp(max(np.abs(v).max() for v in values))
-        num = den = 0.0
-        for sec, v in zip(data.sectors, values):
-            x = -sec.eigenvalues / t_hot
-            num = num + (np.expm1(x) * np.ldexp(v, -scale)).sum(-1)
-            den = den + np.exp(x).sum(-1)
-        total[hot] = np.ldexp(num / den, scale)
-    return total if np.ndim(temperature_kelvin) else float(total)
+        _, scale = np.frexp(np.abs(values).max())
+        w_m1 = data.multiplicity * np.expm1(-data.levels / t[hot][:, None])
+        num = (w_m1 * np.ldexp(values, -scale)).sum(-1)
+        mean[hot] = np.ldexp(num / (w_m1.sum(-1) + data.spec.total_dimension), scale)
+    return mean if np.ndim(temperature_kelvin) else float(mean)
 
 
 def mean_energy(
@@ -676,25 +733,23 @@ def mean_energy(
     so the bond correlator <S_i . S_i+1> is <H> / (n J). Takes one
     temperature or an array, as `thermal_mean` does.
     """
-    return thermal_mean(
-        data, [sec.eigenvalues for sec in data.sectors], temperature_kelvin
-    )
+    return thermal_mean(data, data.levels, temperature_kelvin)
 
 
-def bond_levels(
-    data: SectorSpectralData, bond: tuple[int, int]
-) -> tuple[np.ndarray, ...]:
-    """Per-level values <k| S_i . S_j |k> of one site pair, one array per sector.
+def bond_levels(data: SectorSpectralData, bond: tuple[int, int]) -> np.ndarray:
+    """Per-level values <k| S_i . S_j |k> of one site pair, aligned to the
+    level table.
 
     The Sz Sz part is sum_b V[b,k]^2 m_i m_j. The flip-flop part
     (S_i^+ S_j^- + S_i^- S_j^+)/2 is sum coeff V[tgt,k] V[src,k] over the
     hops of S_i^+ S_j^-: for real eigenvectors its two halves are equal,
     as in `correlator_matrix`. The hops are gathered in chunks, like
-    `_flip_flop`, so the temporaries stay bounded. S_i . S_j is invariant
-    under the global spin flip, so only the 2Sz >= 0 sectors are computed
-    and sector -M shares its partner's read-only array, as it does the
-    eigenvalues. `thermal_mean(data, bond_levels(data, bond), T)` is then
-    the thermal bond correlator at any temperature.
+    `_flip_flop`, so the temporaries stay bounded. Each sector with a
+    table run (2Sz >= 0 from `diagonalize`) fills that run; S_i . S_j is
+    invariant under the global spin flip, so a mirrored sector -M shares
+    its partner's values as it does its levels. The array is read-only.
+    `thermal_mean(data, bond_levels(data, bond), T)` is then the thermal
+    bond correlator at any temperature.
     """
     _check_vectors(data, "bond_levels")
     spec = data.spec
@@ -704,9 +759,10 @@ def bond_levels(
         raise ValueError(
             f"bond {bond} is not two distinct sites of a {n}-site chain"
         )
-    solved = {}
+    out = np.empty_like(data.levels)
     for sector in data.sectors:
-        if sector.twice_total_sz < 0:
+        run = data.twice_sz == sector.twice_total_sz
+        if not run.any():
             continue
         vecs = sector.eigenvectors
         m = sector.labels / 2.0
@@ -717,9 +773,9 @@ def bond_levels(
             rows = vecs[tgt[sl]]
             rows *= vecs[src[sl]]
             values += coeff[sl] @ rows
-        values.flags.writeable = False
-        solved[sector.twice_total_sz] = values
-    return tuple(solved[abs(sec.twice_total_sz)] for sec in data.sectors)
+        out[run] = values
+    out.flags.writeable = False
+    return out
 
 
 def reduced_pair_state(
@@ -747,7 +803,7 @@ def reduced_pair_state(
     da, db = dims[a], dims[b]
     stride_a, stride_b = spec.site_strides[a], spec.site_strides[b]
     rho = np.zeros((da * db, da * db))
-    for sector, w in zip(data.sectors, thermal_weights(data, temperature_kelvin)):
+    for sector, w in zip(data.sectors, _sector_weights(data, temperature_kelvin)):
         amp = sector.eigenvectors * np.sqrt(w)[None, :]
         lab = sector.labels.astype(np.int64)
         dig_a = (tspins[a] - lab[:, a]) // 2

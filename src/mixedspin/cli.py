@@ -235,9 +235,9 @@ def _chain_g1(data):
     """G1(T) = <S_0 . S_1> as a function of one temperature or an array.
 
     On a ring every bond is equivalent, so G1 = <H>/(nJ) from the levels
-    alone. On an open chain the edge bond's per-level values are computed
-    here, once per spectrum; every G1(T) is then a Boltzmann average
-    over the levels.
+    alone. On an open chain the edge bond's values, one per entry of the
+    level table, are computed here, once per spectrum. Either way every
+    G1(T) is one Boltzmann average over the table (`thermal_mean`).
     """
     spec = data.spec
     if spec.boundary == "periodic":

@@ -240,29 +240,29 @@ class TestThermalWeights:
         data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0))
         for t in (0.05, 1.0, 300.0):
             tw = thermal_weights(data, t)
-            total = sum(float(w.sum()) for w in tw)
-            assert total == pytest.approx(1.0, abs=1e-12)
-            assert all(np.all(w >= 0.0) for w in tw)
+            assert tw.shape == data.levels.shape
+            assert float(tw.sum()) == pytest.approx(1.0, abs=1e-12)
+            assert np.all(tw >= 0.0)
 
     def test_infinite_temperature_is_uniform(self):
         data = diagonalize(ChainSpec(4, SpinQuantum(1), 1.0))
-        flat = np.concatenate(thermal_weights(data, 1e9))
-        np.testing.assert_allclose(flat, np.full(16, 1.0 / 16.0), rtol=1e-8)
+        # each table entry carries the weight of its level copies
+        tw = thermal_weights(data, 1e9)
+        np.testing.assert_allclose(tw, data.multiplicity / 16.0, rtol=1e-8)
 
     def test_zero_temperature_concentrates_on_ground_multiplet(self):
         data = diagonalize(ChainSpec(2, SpinQuantum(2), 1.0, boundary="open"))
-        flat = np.concatenate(thermal_weights(data, 1e-4))
-        evals = np.concatenate([s.eigenvalues for s in data.sectors])
-        ground = np.abs(evals - evals.min()) < 1e-12
-        np.testing.assert_allclose(flat[ground], 0.5, atol=1e-12)
-        np.testing.assert_allclose(flat[~ground], 0.0, atol=1e-12)
+        per_level = thermal_weights(data, 1e-4) / data.multiplicity
+        ground = np.abs(data.levels - data.levels.min()) < 1e-12
+        np.testing.assert_allclose(per_level[ground], 0.5, atol=1e-12)
+        np.testing.assert_allclose(per_level[~ground], 0.0, atol=1e-12)
 
     def test_singlet_occupation_of_the_half_half_dimer(self):
         # weight e^{3/4} / (e^{3/4} + 3 e^{-1/4}) of the singlet at T = J
         data = diagonalize(ChainSpec(2, SpinQuantum(1), 1.0, boundary="open"))
-        flat = np.concatenate(thermal_weights(data, 1.0))
-        evals = np.concatenate([s.eigenvalues for s in data.sectors])
-        singlet = float(flat[np.argmin(evals)])
+        tw = thermal_weights(data, 1.0)
+        singlet = float(tw[np.argmin(data.levels)])
+        assert data.multiplicity[np.argmin(data.levels)] == 1
         expected = math.exp(0.75) / (math.exp(0.75) + 3.0 * math.exp(-0.25))
         assert singlet == pytest.approx(expected, abs=1e-12)
         assert singlet == pytest.approx(0.4753669, abs=1e-7)
@@ -292,8 +292,7 @@ class TestTemperatureArrays:
             scalar = susceptibility_exact(data, t)
             assert type(scalar) is float
             assert chi[k].tobytes() == np.float64(scalar).tobytes()
-            for w_all, w in zip(tw, thermal_weights(data, t)):
-                assert w_all[k].tobytes() == w.tobytes()
+            assert tw[k].tobytes() == thermal_weights(data, t).tobytes()
         # any array shape broadcasts the same way
         grid = ARRAY_TEMPS[:30].reshape(5, 6)
         assert susceptibility_exact(data, grid).tobytes() == chi[:30].tobytes()
@@ -376,19 +375,17 @@ class TestThermalMean:
         spread = data.spec.level_spread_kelvin
         temps = [1e-300, *ARRAY_TEMPS.tolist(), spread, np.nextafter(spread, 2 * spread)]
         assert any(t > spread for t in temps) and any(t <= spread for t in temps)
+        levels, mult = data.levels, data.multiplicity
         for t in temps:
-            total = num = den = 0.0
             if t <= spread:
-                # the expression mean_energy evaluated before thermal_mean existed
-                for sector, w in zip(data.sectors, thermal_weights(data, t)):
-                    total = total + (w * sector.eigenvalues).sum(-1)
+                # one exp per table entry, one multiply and one sum
+                raw = mult * np.exp(-(levels - data.ground_energy_kelvin) / t)
+                total = (raw / raw.sum() * levels).sum()
             else:
-                # H is traceless, so sum expm1(-E/T) E / sum exp(-E/T) is <H>
-                for sector in data.sectors:
-                    x = -sector.eigenvalues / t
-                    num = num + (np.expm1(x) * sector.eigenvalues).sum(-1)
-                    den = den + np.exp(x).sum(-1)
-                total = num / den
+                # H is traceless and sum(mult) is the dimension, so this is
+                # sum m exp(-E/T) E / sum m exp(-E/T) = <H>
+                x = mult * np.expm1(-levels / t)
+                total = (x * levels).sum() / (x.sum() + data.spec.total_dimension)
             assert np.float64(mean_energy(data, t)).tobytes() == np.float64(
                 total
             ).tobytes()
@@ -408,7 +405,7 @@ class TestThermalMean:
         spec = ChainSpec(n, spin, coupling, boundary=boundary)
         if boundary == "periodic":
             data = diagonalize(spec, vectors=False)
-            values = [sec.eigenvalues / (n * coupling) for sec in data.sectors]
+            values = data.levels / (n * coupling)
         else:
             data = diagonalize(spec)
             values = bond_levels(data, (0, 1))
@@ -426,16 +423,15 @@ class TestThermalMean:
         data = diagonalize(spec)
         t = 1.7976931348623157e308
         assert t > spec.level_spread_kelvin
-        for values in ([s.eigenvalues for s in data.sectors], bond_levels(data, (0, 1))):
-            weights = thermal_weights(data, t)
-            plain = sum(float((w * v).sum()) for w, v in zip(weights, values))
+        for values in (data.levels, bond_levels(data, (0, 1))):
+            plain = float((thermal_weights(data, t) * values).sum())
             assert thermal_mean(data, values, t) == pytest.approx(plain, rel=1e-12)
 
-    def test_one_value_array_per_sector(self):
+    def test_one_value_per_table_entry(self):
         data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
-        levels = [sec.eigenvalues for sec in data.sectors]
-        with pytest.raises(ValueError):
-            thermal_mean(data, levels[:-1], 1.0)
+        for values in (data.levels[:-1], data.all_eigenvalues()):
+            with pytest.raises(ValueError, match="level-table entry"):
+                thermal_mean(data, values, 1.0)
 
 
 class TestBondLevels:
@@ -461,14 +457,15 @@ class TestBondLevels:
             want = mean_energy(data, t) / spec.n_sites
             assert abs(thermal_mean(data, values, t) - want) <= 1e-14
 
-    def test_spin_flip_partners_share_one_array(self):
+    def test_spin_flip_partners_share_one_table_run(self):
+        # one value per table entry, which holds the 2Sz >= 0 sectors only
         data = diagonalize(ChainSpec(6, SpinQuantum(3), 1.0, boundary="open"))
         values = bond_levels(data, (0, 1))
-        by_sz = {sec.twice_total_sz: v for sec, v in zip(data.sectors, values)}
-        for sec, v in zip(data.sectors, values):
-            assert v is by_sz[abs(sec.twice_total_sz)]
-            assert v.shape == sec.eigenvalues.shape
-            assert not v.flags.writeable
+        assert values.shape == data.levels.shape
+        assert not values.flags.writeable
+        assert set(data.twice_sz.tolist()) == {
+            abs(sec.twice_total_sz) for sec in data.sectors
+        }
 
     def test_needs_eigenvectors_and_distinct_sites(self):
         data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0, boundary="open"))
@@ -478,6 +475,98 @@ class TestBondLevels:
         levels = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
         with pytest.raises(ValueError, match="vectors=True"):
             bond_levels(levels, (0, 1))
+
+
+TABLE_CHAINS = [
+    (n, ts, boundary)
+    for boundary in ("periodic", "open")
+    for n, ts in ((2, 1), (2, 5), (4, 2), (6, 3), (6, 5), (8, 2), (10, 1), (10, 2))
+]
+
+
+def per_sector_means(data, values, t):
+    """chi_tilde and the mean of each per-sector quantity in `values`, from
+    the per-sector layout: every level of every sector on its own, in
+    sector order, with the sums taken exactly (math.fsum) so that the
+    reference carries no summation-order error of its own. Above the
+    level spread, sum expm1(-E/T) v / sum exp(-E/T), as `thermal_mean`."""
+    e0 = data.ground_energy_kelvin
+    raw = [np.exp(-(sec.eigenvalues - e0) / t) for sec in data.sectors]
+    z = math.fsum(math.fsum(r) for r in raw)
+    chi = math.fsum(
+        math.fsum((sec.twice_total_sz / 2.0) ** 2 * r)
+        for sec, r in zip(data.sectors, raw)
+    ) / z
+    means = []
+    for per_sector in values:
+        if t <= data.spec.level_spread_kelvin:
+            means.append(math.fsum(math.fsum(r * v) for r, v in zip(raw, per_sector)) / z)
+            continue
+        x = [-sec.eigenvalues / t for sec in data.sectors]
+        num = math.fsum(math.fsum(np.expm1(xs) * v) for xs, v in zip(x, per_sector))
+        den = math.fsum(math.fsum(np.exp(xs)) for xs in x)
+        means.append(num / den)
+    return chi, means
+
+
+class TestLevelTable:
+    """`diagonalize` records each solved eigenvalue array once, with its
+    multiplicity and 2Sz, and every thermal sum runs over that table."""
+
+    @pytest.mark.parametrize("n,ts,boundary", TABLE_CHAINS)
+    def test_table_repeats_into_the_spectrum_bitwise(self, n, ts, boundary):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary)
+        for vectors in (False, True) if spec.total_dimension <= 1728 else (False,):
+            data = diagonalize(spec, vectors=vectors)
+            assert data.levels.shape == data.multiplicity.shape == data.twice_sz.shape
+            assert int(data.multiplicity.sum()) == spec.total_dimension
+            assert data.total_dimension == spec.total_dimension
+            assert set(data.multiplicity.tolist()) <= {1, 2, 4}
+            assert np.all(data.twice_sz >= 0)
+            full = np.sort(np.repeat(data.levels, data.multiplicity))
+            assert full.tobytes() == data.all_eigenvalues().tobytes()
+            assert data.ground_energy_kelvin == data.levels.min()
+            for arr in (data.levels, data.multiplicity, data.twice_sz):
+                assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n,ts,boundary,entries",
+        [(8, 2, "periodic", 590), (6, 5, "periodic", 649), (8, 2, "open", 779),
+         (10, 2, "periodic", 2334)],
+    )
+    def test_entry_count(self, n, ts, boundary, entries):
+        # a ring's 0 < k < pi blocks and every 2Sz > 0 sector are stored once
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary)
+        data = diagonalize(spec, vectors=boundary == "open")
+        assert data.levels.size == entries
+
+    @pytest.mark.parametrize("coupling", [1.3, -0.7])
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(4, 1, "periodic"), (6, 5, "periodic"), (8, 1, "periodic"), (10, 2, "periodic"),
+         (4, 2, "open"), (6, 3, "open"), (8, 2, "open"), (10, 1, "open")],
+    )
+    def test_sums_agree_with_the_per_sector_layout(self, n, ts, boundary, coupling):
+        # chi_tilde, <H> and the edge bond's G1 to 1e-15 relative, from the
+        # Lieb-Mattis T -> 0 limit through the expm1 form above the spread
+        spec = ChainSpec(n, SpinQuantum(ts), coupling, boundary=boundary)
+        data = diagonalize(spec, vectors=boundary == "open")
+        table = [data.levels]
+        per_sector = [[sec.eigenvalues for sec in data.sectors]]
+        if boundary == "open":
+            bond = bond_levels(data, (0, 1))
+            runs = {tsz: bond[data.twice_sz == tsz] for tsz in set(data.twice_sz.tolist())}
+            table.append(bond)
+            per_sector.append([runs[abs(sec.twice_total_sz)] for sec in data.sectors])
+        ratios = np.concatenate([np.geomspace(1e-300, 1e300, 61), np.geomspace(1e-2, 1e3, 40)])
+        spread = spec.level_spread_kelvin
+        temps = [*(abs(coupling) * ratios).tolist(), spread, np.nextafter(spread, 2 * spread)]
+        chis = susceptibility_exact(data, np.array(temps))
+        for t, chi in zip(temps, chis.tolist()):
+            want_chi, want_means = per_sector_means(data, per_sector, t)
+            assert chi == pytest.approx(want_chi, rel=1e-15, abs=0.0)
+            for values, want in zip(table, want_means):
+                assert thermal_mean(data, values, t) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestLowTemperatureLimit:
@@ -547,10 +636,7 @@ class TestCorrelatorMatrix:
         data = diagonalize(spec)
         for t in (0.2, 1.0, 5.0):
             cm = correlator_matrix(data, t)
-            e_mean = sum(
-                float(w @ s.eigenvalues)
-                for w, s in zip(thermal_weights(data, t), data.sectors)
-            )
+            e_mean = float(thermal_weights(data, t) @ data.levels)
             e_bonds = sum(1.3 * cm.g_dot[i, k] for i, k in spec.bonds())
             assert e_bonds == pytest.approx(e_mean, abs=1e-9)
 
@@ -703,7 +789,8 @@ class TestNegativityBruteforce:
 
 
 def independently_solved(spec):
-    """Every sector solved on its own with eigh: the unmirrored reference."""
+    """Every sector solved on its own with eigh: the unmirrored reference,
+    whose level table holds every sector, each level once."""
     sectors = []
     for block in build_hamiltonian(spec):
         evals, evecs = np.linalg.eigh(block.hamiltonian)
@@ -712,7 +799,13 @@ def independently_solved(spec):
                 block.twice_total_sz, block.labels, block.codes, evals, evecs
             )
         )
-    return SectorSpectralData(spec, tuple(sectors))
+    levels = np.concatenate([sec.eigenvalues for sec in sectors])
+    twice_sz = np.concatenate(
+        [np.full(sec.eigenvalues.size, sec.twice_total_sz) for sec in sectors]
+    )
+    return SectorSpectralData(
+        spec, tuple(sectors), levels, np.ones_like(twice_sz), twice_sz, levels.min()
+    )
 
 
 # (2, 2) and (10, 2) rings have no 2Sz = 0 sector, so every sector is mirrored
