@@ -266,7 +266,6 @@ def _hops(
     codes: np.ndarray,
     a: int | np.ndarray,
     b: int | np.ndarray,
-    into: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, tgt, coeff) of `_hop_radicands`, <tgt| S_a^+ S_b^- |src> = coeff.
 
@@ -274,7 +273,7 @@ def _hops(
     lower_coefficient(...)`, so every coeff is bitwise equal to the
     scalar form.
     """
-    src, tgt, x, y = _hop_radicands(spec, labels, codes, a, b, into)
+    src, tgt, x, y = _hop_radicands(spec, labels, codes, a, b)
     return src, tgt, (0.5 * np.sqrt(x)) * (0.5 * np.sqrt(y))
 
 

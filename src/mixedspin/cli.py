@@ -1,8 +1,10 @@
 """Command-line front end: every computation as a subcommand.
 
-Subcommands emit CSV (default) or line-delimited JSON with stable column
-order and 9-significant-digit numeric formatting, so output is
-byte-identical across runs with identical flags.
+Subcommands emit CSV (default) or line-delimited JSON with
+9-significant-digit numeric formatting, so output is byte-identical
+across runs with identical flags. Each table is a list of row dicts
+whose keys are its columns, named once: the CSV header is the first
+row's keys, and every JSON line has the same keys in the same order.
 
 Exit codes: 0 success, 2 usage or validation errors, 3 computational
 failures (solver found no crossing, Hilbert-dimension cap exceeded).
@@ -13,6 +15,7 @@ exact-diagonalization Hilbert-space dimension.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -66,12 +69,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, float):
-        return float(f"{value:.9g}")
-    return value
 
 
 def _parse_coupling(text: str) -> float:
@@ -157,9 +154,9 @@ def _add_spin_flags(parser: argparse.ArgumentParser, required: bool = True) -> N
 
 
 def _spin_from_args(args) -> SpinQuantum | None:
-    if getattr(args, "twice_spin", None) is not None:
+    if args.twice_spin is not None:
         return SpinQuantum(args.twice_spin)
-    if getattr(args, "spin", None) is not None:
+    if args.spin is not None:
         return SpinQuantum.parse(args.spin)
     return None
 
@@ -183,48 +180,67 @@ def _dim_cap() -> int:
         raise ValueError(f"MIXEDSPIN_DIM_CAP must be an integer, got {raw!r}") from None
 
 
+def _add_chain_flags(
+    parser: argparse.ArgumentParser, sites: int, help: str | None
+) -> None:
+    """--model, --sites (default `sites`) and --boundary, read by `_chain_model`."""
+    parser.add_argument("--model", choices=("pair", "chain"), default="pair")
+    parser.add_argument("--sites", type=int, default=sites, help=help)
+    parser.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+
+
 def _chain_model(args) -> dict:
     """`ChainSpec` fields, and `fitdata` keywords, of the chain model; {} for the pair.
 
-    `chain` has no --model flag and always runs the chain model. The
+    `chain` has no --model flag; its parser sets model to "chain". The
     dimension cap is read only here, so a bad MIXEDSPIN_DIM_CAP leaves a
     pair-model command alone.
     """
-    if getattr(args, "model", "chain") == "pair":
+    if args.model == "pair":
         return {}
     return {"n_sites": args.sites, "boundary": args.boundary, "dim_cap": _dim_cap()}
 
 
-def _emit(args, fieldnames, rows, summary=None, comments=()) -> None:
+def _fields(record) -> dict:
+    """A dataclass's fields as a row, in declaration order; unlike `asdict`,
+    a field that is itself a dataclass (a `SpinQuantum`) stays whole."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def _jsonify(obj):
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, SpinQuantum):
+        return str(obj)
+    return obj
+
+
+def _json(obj) -> str:
+    return json.dumps(_jsonify(obj), separators=(", ", ": "))
+
+
+def _emit(args, rows, summary=None, comments=()) -> None:
+    """Write `rows` (dicts whose keys are the columns), one row or JSON line each."""
     lines = []
     if args.format == "csv":
+        header = list(rows[0])
         lines.extend(f"# {c}" for c in comments)
-        lines.append(",".join(fieldnames))
-        for row in rows:
-            lines.append(",".join(_fmt(row[name]) for name in fieldnames))
+        lines.append(",".join(header))
+        lines.extend(",".join(_fmt(row[name]) for name in header) for row in rows)
         if summary is not None:
-            lines.append(
-                "# summary " + json.dumps(_jsonify(summary), separators=(", ", ": "))
-            )
+            lines.append("# summary " + _json(summary))
     else:
-        for row in rows:
-            lines.append(json.dumps(_jsonify(row), separators=(", ", ": ")))
+        lines.extend(_json(row) for row in rows)
         if summary is not None:
-            lines.append(
-                json.dumps({"summary": _jsonify(summary)}, separators=(", ", ": "))
-            )
+            lines.append(_json({"summary": summary}))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    return _json_value(obj)
 
 
 def _chain_spectrum(spec: ChainSpec):
@@ -249,30 +265,8 @@ def _chain_g1(data):
 
 def _cmd_tc(args) -> None:
     if args.report:
-        fieldnames = [
-            "compound",
-            "spin",
-            "coupling_kelvin",
-            "computed_tc_kelvin",
-            "literature_variant_tc_kelvin",
-            "reported_tc_kelvin",
-            "relative_deviation",
-            "matches_reported",
-        ]
-        rows = [
-            {
-                "compound": r.name,
-                "spin": str(r.spin),
-                "coupling_kelvin": r.coupling_kelvin,
-                "computed_tc_kelvin": r.computed_tc_kelvin,
-                "literature_variant_tc_kelvin": r.literature_variant_tc_kelvin,
-                "reported_tc_kelvin": r.reported_tc_kelvin,
-                "relative_deviation": r.relative_deviation,
-                "matches_reported": r.matches_reported,
-            }
-            for r in compound_report()
-        ]
-        _emit(args, fieldnames, rows)
+        rows = [_fields(r) for r in compound_report()]
+        _emit(args, [{"compound": row.pop("name"), **row} for row in rows])
         return
     spin = _spin_from_args(args)
     coupling = _parse_coupling(args.coupling) if args.coupling else None
@@ -301,21 +295,22 @@ def _cmd_tc(args) -> None:
         data = _chain_spectrum(spec)
         tc = solve_tc(_chain_g1(data), spin, coupling)
     row = {
-        "spin": str(spin),
+        "spin": spin,
         "coupling_kelvin": coupling,
         "model": args.model,
         "correlator": args.correlator,
         "tc_kelvin": tc,
     }
-    fieldnames = list(row)
     if compound is not None:
-        row["compound"] = compound.name
-        row["reported_tc_kelvin"] = reported
-        row["relative_deviation"] = (
-            (tc - reported) / reported if reported is not None else None
-        )
-        fieldnames = ["compound", *fieldnames, "reported_tc_kelvin", "relative_deviation"]
-    _emit(args, fieldnames, [row])
+        row = {
+            "compound": compound.name,
+            **row,
+            "reported_tc_kelvin": reported,
+            "relative_deviation": (
+                (tc - reported) / reported if reported is not None else None
+            ),
+        }
+    _emit(args, [row])
 
 
 def _cmd_sweep(args) -> None:
@@ -326,30 +321,16 @@ def _cmd_sweep(args) -> None:
     if not spins or not couplings:
         raise ValueError("sweep needs at least one spin and one coupling")
     result = sweep_tc(spins, couplings)
-    fieldnames = ["spin", "coupling_kelvin", "tc_kelvin", "tc_over_j"]
     rows = [
-        {
-            "spin": str(r.spin),
-            "coupling_kelvin": r.coupling_kelvin,
-            "tc_kelvin": r.tc_kelvin,
-            "tc_over_j": r.tc_kelvin / r.coupling_kelvin,
-        }
+        {**_fields(r), "tc_over_j": r.tc_kelvin / r.coupling_kelvin}
         for r in result.rows
     ]
     summary = {
-        "least_squares": {
-            "slope": result.least_squares_fit.slope,
-            "intercept": result.least_squares_fit.intercept,
-            "r_squared": result.least_squares_fit.r_squared,
-        },
-        "endpoints": {
-            "slope": result.endpoint_fit.slope,
-            "intercept": result.endpoint_fit.intercept,
-            "r_squared": result.endpoint_fit.r_squared,
-        },
+        "least_squares": _fields(result.least_squares_fit),
+        "endpoints": _fields(result.endpoint_fit),
         "degenerate": result.degenerate,
     }
-    _emit(args, fieldnames, rows, summary=summary)
+    _emit(args, rows, summary=summary)
 
 
 def _cmd_witness(args, with_bound: bool) -> None:
@@ -368,12 +349,6 @@ def _cmd_witness(args, with_bound: bool) -> None:
         spin=spin,
         correction_coupling_kelvin=correction,
     )
-    if report.witness_value < 0.0:
-        verdict = "entangled"
-    elif report.witness_value == 0.0:
-        verdict = "separable boundary"
-    else:
-        verdict = "not detected"
     row = {
         "temperature_kelvin": report.temperature_kelvin,
         "chi": report.chi_input,
@@ -381,12 +356,12 @@ def _cmd_witness(args, with_bound: bool) -> None:
         "threshold": report.threshold,
         "witness_value": report.witness_value,
         "entangled": report.entangled,
-        "verdict": verdict,
+        "verdict": report.verdict,
     }
     if with_bound:
         row["negativity_lower_bound"] = report.negativity_lower_bound
         row["correction_applied"] = report.correction_applied
-    _emit(args, list(row), [row])
+    _emit(args, [row])
 
 
 def _cmd_chain(args) -> None:
@@ -395,13 +370,6 @@ def _cmd_chain(args) -> None:
     spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
     data = _chain_spectrum(spec)
     temps = _parse_temps(args.temps)
-    fieldnames = [
-        "temperature_kelvin",
-        "chi_exact_reduced",
-        "chi_nn_reduced",
-        "g1",
-        "negativity",
-    ]
     chis = susceptibility_exact(data, np.asarray(temps)).tolist()
     g1s = _chain_g1(data)(np.asarray(temps)).tolist()
     rows = [
@@ -414,7 +382,7 @@ def _cmd_chain(args) -> None:
         }
         for t, chi, g1 in zip(temps, chis, g1s)
     ]
-    _emit(args, fieldnames, rows)
+    _emit(args, rows)
 
 
 def _cmd_fit(args) -> None:
@@ -448,7 +416,7 @@ def _cmd_fit(args) -> None:
         "window_max_kelvin": result.fit_window[1],
         "n_points": result.n_points,
     }
-    _emit(args, list(row), [row])
+    _emit(args, [row])
 
 
 def _cmd_synth(args) -> None:
@@ -466,7 +434,7 @@ def _cmd_synth(args) -> None:
         {"temperature_kelvin": t, "chi_emu_per_mol": x}
         for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist())
     ]
-    _emit(args, ["temperature_kelvin", "chi_emu_per_mol"], rows, comments=comments)
+    _emit(args, rows, comments=comments)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spin_flags(p_tc, required=False)
     _add_coupling_flag(p_tc, "--coupling", help="e.g. '81.4cm-1' or '5.12K'")
     p_tc.add_argument("--compound", help="built-in compound name")
-    p_tc.add_argument("--model", choices=("pair", "chain"), default="pair")
-    p_tc.add_argument("--sites", type=int, default=6, help="chain model size")
-    p_tc.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    _add_chain_flags(p_tc, 6, "chain model size")
     p_tc.add_argument(
         "--correlator",
         choices=("exact", "literature"),
@@ -541,14 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="'START:STOP:COUNT', 'log:START:STOP:COUNT', or comma list (K)",
     )
     _add_output_flags(p_chain)
-    p_chain.set_defaults(run=_cmd_chain)
+    p_chain.set_defaults(model="chain", run=_cmd_chain)
 
     p_fit = sub.add_parser("fit", help="fit J and g to a measurement CSV")
     p_fit.add_argument("--input", required=True, help="measurement CSV path")
     _add_spin_flags(p_fit)
-    p_fit.add_argument("--model", choices=("pair", "chain"), default="pair")
-    p_fit.add_argument("--sites", type=int, default=4, help="chain model size")
-    p_fit.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    _add_chain_flags(p_fit, 4, "chain model size")
     _add_coupling_flag(
         p_fit, "--init-j", required=True, help="initial coupling, e.g. '10K'"
     )
@@ -562,9 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling_flag(p_synth, "--j", required=True, help="coupling, e.g. '10.2cm-1'")
     p_synth.add_argument("--g", type=float, required=True)
     p_synth.add_argument("--temps", required=True)
-    p_synth.add_argument("--model", choices=("pair", "chain"), default="pair")
-    p_synth.add_argument("--sites", type=int, default=4)
-    p_synth.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    _add_chain_flags(p_synth, 4, None)
     p_synth.add_argument("--output", default="-", help="output path, '-' for stdout")
     p_synth.set_defaults(format="csv", run=_cmd_synth)
     return parser

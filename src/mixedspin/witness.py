@@ -189,7 +189,6 @@ class LinearLaw:
     slope: float
     intercept: float
     r_squared: float
-    method: str
 
     def tc_over_j(self, spin: SpinQuantum) -> float:
         return self.slope * spin.value + self.intercept
@@ -249,9 +248,8 @@ def sweep_tc(
     unique_spins = sorted({row.spin for row in rows})
     degenerate = len(unique_spins) == 1
     if degenerate:
-        ls = LinearLaw(0.0, ys[0], 1.0, "least-squares")
-        ep = LinearLaw(0.0, ys[0], 1.0, "endpoints")
-        return SweepResult(tuple(rows), ls, ep, True)
+        law = LinearLaw(0.0, ys[0], 1.0)
+        return SweepResult(tuple(rows), law, law, True)
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
@@ -259,16 +257,14 @@ def sweep_tc(
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     ls_slope = sxy / sxx
     ls_icpt = my - ls_slope * mx
-    ls = LinearLaw(
-        ls_slope, ls_icpt, _r_squared(xs, ys, ls_slope, ls_icpt), "least-squares"
-    )
+    ls = LinearLaw(ls_slope, ls_icpt, _r_squared(xs, ys, ls_slope, ls_icpt))
     s_lo, s_hi = unique_spins[0], unique_spins[-1]
     # tc/J is independent of J, so any row at the extreme spin will do
     y_lo = next(r.tc_kelvin / r.coupling_kelvin for r in rows if r.spin == s_lo)
     y_hi = next(r.tc_kelvin / r.coupling_kelvin for r in rows if r.spin == s_hi)
     ep_slope = (y_hi - y_lo) / (s_hi.value - s_lo.value)
     ep_icpt = y_lo - ep_slope * s_lo.value
-    ep = LinearLaw(ep_slope, ep_icpt, _r_squared(xs, ys, ep_slope, ep_icpt), "endpoints")
+    ep = LinearLaw(ep_slope, ep_icpt, _r_squared(xs, ys, ep_slope, ep_icpt))
     return SweepResult(tuple(rows), ls, ep, False)
 
 
@@ -390,7 +386,10 @@ class WitnessReport:
 
     `threshold` and `witness_value` are in the same unit system as the
     input chi; `negativity_lower_bound` is always dimensionless (a
-    negativity).
+    negativity). `verdict` ("entangled", "separable boundary" or "not
+    detected") is the sign of the reduced witness, which also sets the
+    uncorrected bound; at the boundary the input-unit `witness_value`,
+    rounded on its own, can read 0 or the opposite sign.
     """
 
     temperature_kelvin: float
@@ -398,9 +397,13 @@ class WitnessReport:
     chi_unit: str
     threshold: float
     witness_value: float
-    entangled: bool
+    verdict: str
     negativity_lower_bound: float
     correction_applied: bool
+
+    @property
+    def entangled(self) -> bool:
+        return self.verdict == "entangled"
 
 
 def witness_report(
@@ -441,6 +444,12 @@ def witness_report(
         w_input = chi_value - threshold
     else:
         w_input = w_reduced
+    if w_reduced < 0.0:
+        verdict = "entangled"
+    elif w_reduced == 0.0:
+        verdict = "separable boundary"
+    else:
+        verdict = "not detected"
     bound = negativity_lower_bound(w_reduced, n_sites, spin)
     applied = False
     if correction_coupling_kelvin is not None:
@@ -455,7 +464,7 @@ def witness_report(
         chi_unit=chi_unit,
         threshold=threshold,
         witness_value=w_input,
-        entangled=w_reduced < 0.0,
+        verdict=verdict,
         negativity_lower_bound=bound,
         correction_applied=applied,
     )

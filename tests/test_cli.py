@@ -392,6 +392,36 @@ class TestBoundCommand:
         assert corrected != plain
 
 
+class TestBoundaryVerdict:
+    """`entangled`, `verdict` and the bound come from one reduced witness."""
+
+    REPRODUCERS = (
+        ["--chi", "0.12381329658710781", "--temp", "6.353325326617269",
+         "--g", "1.5124363188293144", "--n", "2", "--spin", "1"],
+        ["--chi", "0.008230912988764391", "--temp", "202.67469035896056",
+         "--g", "1.633420554202549", "--n", "10", "--spin", "1/2"],
+    )
+
+    def row(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        (row,) = parse_csv(out)[1]
+        return row
+
+    def test_reproducers(self, capsys):
+        verdicts = []
+        for flags in self.REPRODUCERS:
+            witness_row = self.row(capsys, ["witness", *flags])
+            bound_row = self.row(capsys, ["bound", *flags])
+            for row in (witness_row, bound_row):
+                assert (row["entangled"] == "true") == (row["verdict"] == "entangled")
+            assert witness_row["verdict"] == bound_row["verdict"]
+            bound = float(bound_row["negativity_lower_bound"])
+            assert (bound > 0.0) == (bound_row["entangled"] == "true")
+            verdicts.append(witness_row["verdict"])
+        assert verdicts == ["separable boundary", "entangled"]
+
+
 class TestOutOfDomainMeasurement:
     """Non-finite or non-positive inputs exit 2 instead of printing a row."""
 
@@ -1101,6 +1131,40 @@ class TestOutputContract:
         text = rows[0]["tc_kelvin"]
         digits = text.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) <= 9
+
+
+class TestJsonFollowsCsv:
+    """A table's columns are named once: JSON keys follow the CSV header."""
+
+    COMMANDS = {
+        "tc": ["tc", "--spin", "1", "--coupling", "81.4cm-1"],
+        "tc-compound": ["tc", "--compound", "CN"],
+        "tc-report": ["tc", "--report"],
+        "sweep": ["sweep"],
+        "witness": ["witness", "--chi", "0.05", "--unit", "reduced", "--temp", "2",
+                    "--spin", "1/2"],
+        "bound": ["bound", "--chi", "0.0145659", "--temp", "100", "--g", "2.15",
+                  "--spin", "1", "--correct-j", "117K"],
+        "chain": ["chain", "--spin", "1", "--sites", "2", "--coupling", "2K",
+                  "--boundary", "open", "--temps", "1.0,2.0"],
+        "fit": ["fit", "--input", CHAIN_SERIES, "--spin", "1", "--init-j", "8K"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_json_keys_follow_csv_header(self, capsys, argv):
+        _, csv_out, _ = run(capsys, argv)
+        code, json_out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        header, rows, comments = parse_csv(csv_out)
+        lines = json_out.splitlines()
+        prefix = "# summary "
+        summaries = [c[len(prefix) :] for c in comments if c.startswith(prefix)]
+        if summaries:
+            (summary,) = summaries
+            assert lines.pop() == '{"summary": ' + summary + "}"
+        assert len(lines) == len(rows) > 0
+        for line in lines:
+            assert list(json.loads(line)) == header
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

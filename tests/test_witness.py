@@ -394,6 +394,46 @@ class TestWitnessReport:
         w_mol_expected = chi_reduced_to_emu_per_mol(rep_red.witness_value, t, g)
         assert rep_mol.witness_value == pytest.approx(w_mol_expected, rel=1e-10)
 
+    @staticmethod
+    def assert_verdict_agrees(rep):
+        # the bound is -6 W / (n(2S+1)) of the same reduced witness W
+        assert rep.entangled == (rep.verdict == "entangled")
+        assert (rep.verdict == "entangled") == (rep.negativity_lower_bound > 0.0)
+        on_boundary = rep.verdict == "separable boundary"
+        assert on_boundary == (rep.negativity_lower_bound == 0.0)
+        assert (rep.verdict == "not detected") == (rep.negativity_lower_bound < 0.0)
+
+    def test_verdict_at_the_boundary_follows_the_reduced_witness(self):
+        # two molar inputs whose input-unit witness reads -1.4e-17 and 0
+        # while the reduced witness is 0 and negative, respectively
+        for chi, t, g, n, spin, verdict in (
+            (0.12381329658710781, 6.353325326617269, 1.5124363188293144, 2,
+             SpinQuantum(2), "separable boundary"),
+            (0.008230912988764391, 202.67469035896056, 1.633420554202549, 10,
+             SpinQuantum(1), "entangled"),
+        ):
+            rep = witness_report(chi, "emu/mol", t, g, n, spin)
+            assert rep.verdict == verdict
+            self.assert_verdict_agrees(rep)
+
+    def test_verdict_agrees_with_entangled_and_bound_in_a_boundary_scan(self):
+        # molar chi at the threshold and one ulp to either side
+        rng = np.random.default_rng(14)
+        signs_apart = 0
+        for _ in range(2000):
+            spin = SpinQuantum(int(rng.integers(1, 6)))
+            n = 2 * int(rng.integers(1, 10))
+            t, g = float(rng.uniform(0.5, 300.0)), float(rng.uniform(1.5, 2.5))
+            at = chi_reduced_to_emu_per_mol(separability_threshold(n, spin), t, g)
+            for chi in (np.nextafter(at, 0.0), at, np.nextafter(at, np.inf)):
+                rep = witness_report(float(chi), "emu/mol", t, g, n, spin)
+                self.assert_verdict_agrees(rep)
+                signs_apart += np.sign(rep.witness_value) != np.sign(
+                    -rep.negativity_lower_bound
+                )
+        # the scan reaches inputs whose input-unit witness has its own sign
+        assert signs_apart > 100
+
     def test_correction_path(self):
         spin = SpinQuantum(2)
         t = 50.0
