@@ -15,8 +15,14 @@ commutes with H, and one builder, `_sector_blocks`, yields a sector's
 blocks for a translation group of `cells` cells: for the eigenvalue-only
 spectrum of a ring, n/2 momentum blocks made real by the site
 reflection, with k = 0 and k = pi split by parity; for cells = 1 the
-single Sz block, used everywhere else. Every block is real symmetric by
-construction (see `operators`).
+single Sz block, used for spectra with eigenvectors. An open chain has
+no lattice symmetry, but H commutes with total spin: its eigenvalue-only
+spectrum solves each SU(2) multiplet once, in the highest-weight space
+of the basis that couples the sites in chain order with Clebsch-Gordan
+coefficients (`_coupled_bases`; K. Baerwinkel, H.-J. Schmidt and
+J. Schnack, J. Magn. Magn. Mater. 212, 240 (2000)), where the edge bond
+S_0 . S_1 is diagonal. Every block is real symmetric by construction
+(see `operators`).
 
 `diagonalize` records every eigenvalue array the eigensolver returns,
 once, in a flat level table (`SectorSpectralData.levels`), with the
@@ -36,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .operators import SpinQuantum, eig_sym, embed, spin_matrices
+from .operators import SpinQuantum, clebsch_gordan, eig_sym, embed, spin_matrices
 from .units import check_normal, check_positive
 
 __all__ = [
@@ -178,6 +184,12 @@ class SectorSpectralData:
     stands for `multiplicity[i]` exactly equal levels with total
     2Sz = +-`twice_sz[i]`, so np.repeat(levels, multiplicity) is the
     whole spectrum. The table is what every thermal sum runs over.
+
+    `edge_bond`, for the eigenvalue-only spectrum of an open chain, holds
+    <k| S_0 . S_1 |k> on each table entry (read-only), so that
+    `thermal_mean(data, data.edge_bond, T)` is the edge bond's G1; it is
+    None for every other spectrum, where `bond_levels` gives it from the
+    eigenvectors.
     """
 
     spec: ChainSpec
@@ -186,6 +198,7 @@ class SectorSpectralData:
     multiplicity: np.ndarray
     twice_sz: np.ndarray
     ground_energy_kelvin: float
+    edge_bond: np.ndarray | None = None
 
     @property
     def total_dimension(self) -> int:
@@ -423,6 +436,140 @@ def _symmetric(
     return block
 
 
+def _coupled_bases(
+    spec: ChainSpec,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (2J, B, 2j01) for every total spin J >= 0 of the chain.
+
+    The sites are coupled in chain order: site 0 with site 1 to j01, that
+    with site 2 to j012, and so on to J. A coupling path, the sequence of
+    these intermediate spins, labels one multiplet of every product
+    space it passes through, and <j m; s mu | j' m'> (`clebsch_gordan`)
+    takes the states |path, j, m> of the first k sites to those of the
+    first k + 1. The columns of B are the highest-weight states |path,
+    J, M = J> written in the 2Sz = 2J sector's product basis, in the
+    order of its codes (`SectorBlock`); `2j01` holds twice each column's
+    first intermediate spin.
+
+    The states of the first k sites are kept per 2m, as a matrix whose
+    rows are the product states of that 2m and whose columns are the
+    paths present. Only states that can reach a highest-weight state of
+    the whole chain are built: the sites after k carry spin sum s, so
+    such a state has m >= -s and j - m <= 2s.
+    """
+    twice = spec.site_twice_spins
+    n = spec.n_sites
+    after = [sum(twice[k + 1 :]) for k in range(n)]  # 2 x spin of the later sites
+    ts = twice[0]
+    tj = np.array([ts])  # 2j of each path
+    t01 = tj
+    # per 2m: (codes of the rows, the states, column of each path or -1)
+    level = {
+        ts - 2 * d: (np.array([d]), np.ones((1, 1)), np.zeros(1, dtype=np.int64))
+        for d in range(ts + 1)
+        if ts - 2 * d >= -after[0]
+    }
+    for k in range(1, n):
+        ts = twice[k]
+        reach = tj[:, None] + np.arange(-ts, ts + 1, 2)
+        parent, step = np.nonzero(reach >= np.abs(tj[:, None] - ts))
+        new_tj = reach[parent, step]  # |2j - 2s| <= 2j' <= 2j + 2s
+        t01 = new_tj if k == 1 else t01[parent]
+        top = sum(twice[: k + 1])  # 2j <= top
+        # a coefficient depends on a path only through its last step, 2j -> 2j'
+        steps, step_of = np.unique(tj[parent] * (top + 1) + new_tj, return_inverse=True)
+        steps = [divmod(int(u), top + 1) for u in steps]
+        new = {}
+        for tm in range(top, max(-top, -after[k]) - 1, -2):
+            cols = np.flatnonzero((new_tj >= abs(tm)) & (new_tj - tm <= 2 * after[k]))
+            codes, states = [], []
+            for d in range(ts + 1):
+                tmu = ts - 2 * d
+                if tm - tmu not in level:
+                    continue
+                old_codes, old, column = level[tm - tmu]
+                coef = np.array(
+                    [
+                        clebsch_gordan(a, tm - tmu, ts, tmu, b, tm)
+                        if abs(tm - tmu) <= a and abs(tm) <= b
+                        else 0.0
+                        for a, b in steps
+                    ]
+                )[step_of[cols]]
+                # a path absent from the old states has a zero coefficient
+                at = np.maximum(column[parent[cols]], 0)
+                states.append(old[:, at] * coef if old.shape[1] else np.zeros((old.shape[0], cols.size)))
+                codes.append(old_codes * (ts + 1) + d)
+            codes, states = np.concatenate(codes), np.concatenate(states)
+            if k == n - 1:  # 2j = 2m: the highest-weight states, one sector each
+                states = states[np.argsort(codes)]
+                yield tm, states, t01[cols]
+                continue
+            column = np.full(new_tj.size, -1)
+            column[cols] = np.arange(cols.size)
+            new[tm] = codes, states, column
+        level, tj = new, new_tj
+
+
+def _multiplet_block(
+    spec: ChainSpec, labels: np.ndarray, codes: np.ndarray, basis: np.ndarray
+) -> np.ndarray:
+    """B^T H B of one sector's highest-weight basis B of an open chain,
+    exactly symmetric.
+
+    H B is the Sz Sz diagonal times B plus the flip-flop hops S_i^+ S_k^-
+    of every bond (`_hops`) and their transposes. The hops come bond
+    after bond, and each moves a code by stride[k] - stride[i], which
+    differs from bond to bond; within one bond no two hops share a
+    source or a target, so each bond is one gather and scatter of rows.
+    """
+    j = spec.coupling_kelvin
+    hb = _zz_energy(labels, spec.bonds(), j)[:, None] * basis
+    first = np.arange(spec.n_sites - 1)
+    src, tgt, coeff = _hops(spec, labels, codes, first, first + 1)
+    cuts = np.flatnonzero(np.diff(codes[tgt] - codes[src])) + 1
+    amp = (0.5 * j * coeff)[:, None]
+    for s, t, a in zip(np.split(src, cuts), np.split(tgt, cuts), np.split(amp, cuts)):
+        hb[t] += a * basis[s]
+        hb[s] += a * basis[t]
+    h = basis.T @ hb
+    return 0.5 * (h + h.T)
+
+
+def _multiplet_runs(
+    spec: ChainSpec, bases: list[tuple[int, np.ndarray, np.ndarray]]
+) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
+    """Level-table runs of an open chain from its SU(2) multiplets, and the
+    edge bond's value on each table entry.
+
+    H commutes with total spin, so each multiplet is solved once, as a
+    level of the highest-weight block B^T H B (`_coupled_bases`,
+    `_multiplet_block`). In the coupled basis S_0 . S_1 is diagonal,
+    [j01(j01 + 1) - S(S + 1) - 3/4] / 2, so a level's edge-bond value is
+    that weighted by its eigenvector squared. A level of spin J has one
+    state in each sector |2Sz| <= 2J: sector 2Sz >= 0 gets the levels of
+    every J >= Sz as one run, sorted, as an Sz block's eigenvalues are.
+    """
+    sectors = {tsz: (labels, codes) for tsz, labels, codes in bases}
+    ts = spec.spin.twice_spin
+    solved = []
+    for tj, basis, t01 in _coupled_bases(spec):
+        if basis.shape[1] == 0:
+            continue
+        evals, u = eig_sym(_multiplet_block(spec, *sectors[tj], basis))
+        edge = (t01 * (t01 + 2) - ts * (ts + 2) - 3) / 8.0
+        solved.append((tj, evals, (u * u).T @ edge))
+    runs, edges = [], []
+    for tsz, _, _ in bases:
+        if tsz < 0:
+            continue
+        levels = np.concatenate([evals for tj, evals, _ in solved if tj >= tsz])
+        order = np.argsort(levels, kind="stable")
+        runs.append((tsz, 1, levels[order]))
+        edges.append(np.concatenate([e for tj, _, e in solved if tj >= tsz])[order])
+    return runs, np.concatenate(edges)
+
+
 def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
     """The Hamiltonian blocked by total Sz: the one-cell block of
     `_sector_blocks` for every sector, bitwise symmetric."""
@@ -463,13 +610,17 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     vectors=False.
 
     Only the 2Sz >= 0 sectors are assembled and solved, one block at a
-    time (`_sector_blocks`), every block real symmetric. An
-    eigenvalue-only spectrum of a ring (vectors=False, periodic) solves
-    each sector as its real translation-momentum blocks, with k = 0 and
-    k = pi split by reflection parity; its levels agree with the dense
-    sector's to rounding. Open chains and spectra with eigenvectors
-    solve the one Sz block per sector. Either way `dim_cap` bounds the
-    total dimension.
+    time, every block real symmetric. An eigenvalue-only spectrum of a
+    ring (vectors=False, periodic) solves each sector as its real
+    translation-momentum blocks (`_sector_blocks`), with k = 0 and k = pi
+    split by reflection parity. An eigenvalue-only spectrum of an open
+    chain (vectors=False, open) solves one highest-weight block per total
+    spin J, of dimension D(J) - D(J + 1) for sector dimensions D
+    (`_multiplet_runs`: 76 levels against an Sz block of 262 at n=8,
+    S=1), and records the edge bond's value per level (`edge_bond`).
+    Either way the levels agree with the dense sector's to rounding.
+    Spectra with eigenvectors solve the one Sz block per sector. Every
+    path checks `dim_cap` against the total dimension.
 
     The global spin flip maps the basis of sector -M onto that of +M in
     reverse order (labels -labels[::-1]), and the -M block is bitwise the
@@ -485,7 +636,10 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     block, whose -k partner has its levels), doubled for 2Sz > 0, whose
     -M sector has its levels. A sector's eigenvalue array is its table
     runs repeated by their copies and sorted; with cells = 1 that is its
-    one run as solved.
+    one run as solved. The multiplet path keeps this layout: a level of
+    spin J enters every run 2Sz = 2J, 2J - 2, ... >= 0, each run sorted,
+    so the table has the Sz path's size, order and multiplicities, and
+    the 2J + 1 states of a multiplet are one exact energy.
 
     Every level within 1e-12 |J| n of the global ground energy is set to
     exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
@@ -494,16 +648,20 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     average reaches its T -> 0 limit.
     """
     bases = _enumerate_sectors(spec)
-    cells = 1 if vectors or spec.boundary == "open" else spec.n_sites // 2
-    runs, evecs = [], {}
-    for tsz, labels, codes in bases:
-        if tsz < 0:
-            continue
-        for block, copies in _sector_blocks(spec, labels, codes, cells):
-            # eigenvectors are only asked for with cells = 1, one block per sector
-            evals, evecs[tsz] = eig_sym(block, vectors=vectors)
-            del block  # free it before the next one is filled
-            runs.append((tsz, copies, evals))
+    if spec.boundary == "open" and not vectors:
+        runs, edge = _multiplet_runs(spec, bases)
+        evecs = dict.fromkeys(tsz for tsz, _, _ in runs)
+    else:
+        runs, evecs, edge = [], {}, None
+        cells = 1 if vectors else spec.n_sites // 2
+        for tsz, labels, codes in bases:
+            if tsz < 0:
+                continue
+            for block, copies in _sector_blocks(spec, labels, codes, cells):
+                # eigenvectors are only asked for with cells = 1, one block per sector
+                evals, evecs[tsz] = eig_sym(block, vectors=vectors)
+                del block  # free it before the next one is filled
+                runs.append((tsz, copies, evals))
     sizes = [evals.size for _, _, evals in runs]
     twice_sz = np.repeat([tsz for tsz, _, _ in runs], sizes)
     copies = np.repeat([c for _, c, _ in runs], sizes)
@@ -515,7 +673,7 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     for tsz in evecs:
         run = twice_sz == tsz
         solved[tsz] = np.sort(np.repeat(levels[run], copies[run]))
-    for arr in (levels, multiplicity, twice_sz, *solved.values(), *evecs.values()):
+    for arr in (levels, multiplicity, twice_sz, edge, *solved.values(), *evecs.values()):
         if arr is not None:
             arr.flags.writeable = False
     sectors = []
@@ -539,6 +697,7 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
         multiplicity=multiplicity,
         twice_sz=twice_sz,
         ground_energy_kelvin=e0,
+        edge_bond=edge,
     )
 
 

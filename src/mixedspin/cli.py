@@ -28,7 +28,6 @@ import numpy as np
 from .chain import (
     DEFAULT_DIM_CAP,
     ChainSpec,
-    bond_levels,
     diagonalize,
     mean_energy,
     susceptibility_exact,
@@ -244,23 +243,23 @@ def _emit(args, rows, summary=None, comments=()) -> None:
 
 
 def _chain_spectrum(spec: ChainSpec):
-    return diagonalize(spec, vectors=spec.boundary == "open")
+    return diagonalize(spec, vectors=False)
 
 
 def _chain_g1(data):
     """G1(T) = <S_0 . S_1> as a function of one temperature or an array.
 
     On a ring every bond is equivalent, so G1 = <H>/(nJ) from the levels
-    alone. On an open chain the edge bond's values, one per entry of the
-    level table, are computed here, once per spectrum. Either way every
-    G1(T) is one Boltzmann average over the table (`thermal_mean`).
+    alone. On an open chain the spectrum holds the edge bond's value on
+    each entry of the level table (`SectorSpectralData.edge_bond`).
+    Either way every G1(T) is one Boltzmann average over the table
+    (`thermal_mean`).
     """
     spec = data.spec
     if spec.boundary == "periodic":
         scale = spec.n_sites * spec.coupling_kelvin
         return lambda t: mean_energy(data, t) / scale
-    edge = bond_levels(data, (0, 1))
-    return lambda t: thermal_mean(data, edge, t)
+    return lambda t: thermal_mean(data, data.edge_bond, t)
 
 
 def _cmd_tc(args) -> None:
@@ -370,18 +369,16 @@ def _cmd_chain(args) -> None:
     spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
     data = _chain_spectrum(spec)
     temps = _parse_temps(args.temps)
-    chis = susceptibility_exact(data, np.asarray(temps)).tolist()
-    g1s = _chain_g1(data)(np.asarray(temps)).tolist()
-    rows = [
-        {
-            "temperature_kelvin": t,
-            "chi_exact_reduced": chi,
-            "chi_nn_reduced": susceptibility_nn_approx(args.sites, spin, g1),
-            "g1": g1,
-            "negativity": negativity_from_g1(spin, g1),
-        }
-        for t, chi, g1 in zip(temps, chis, g1s)
-    ]
+    g1 = _chain_g1(data)(np.asarray(temps))
+    # each column in one call on the array, each cell bitwise the scalar call's
+    columns = {
+        "temperature_kelvin": temps,
+        "chi_exact_reduced": susceptibility_exact(data, np.asarray(temps)).tolist(),
+        "chi_nn_reduced": susceptibility_nn_approx(args.sites, spin, g1).tolist(),
+        "g1": g1.tolist(),
+        "negativity": negativity_from_g1(spin, g1).tolist(),
+    }
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     _emit(args, rows)
 
 

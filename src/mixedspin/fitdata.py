@@ -37,10 +37,10 @@ from .chain import (
 from .operators import SpinQuantum
 from .pair import pair_correlator
 from .units import (
+    _reduced_to_emu_per_mol,
     check_finite,
     check_positive,
     chi_emu_per_mol_to_reduced,
-    chi_reduced_to_emu_per_mol,
 )
 from .witness import susceptibility_nn_approx, witness_report
 
@@ -209,16 +209,20 @@ def model_chi(
         )
         with np.errstate(over="ignore", under="ignore"):  # rejected just below
             reduced_temps = temps / coupling_kelvin
-        bad = ~((reduced_temps > 0.0) & np.isfinite(reduced_temps))
-        if bad.any():
+        try:
+            # `thermal_weights` checks T/J, as it checks every temperature;
+            # the message names T and J instead
+            chi_total = susceptibility_exact(data, reduced_temps)
+        except ValueError:
+            bad = ~((reduced_temps > 0.0) & np.isfinite(reduced_temps))
             k = int(np.flatnonzero(bad)[0])
             raise ValueError(
                 f"T/J at T = {float(temps.flat[k])} K, J = {coupling_kelvin} K "
                 f"is {float(reduced_temps.flat[k])}; it must be finite and > 0"
-            )
-        chi_total = susceptibility_exact(data, reduced_temps)
+            ) from None
         chi_cell = chi_total * SPINS_PER_FORMULA_UNIT / n_sites
-    chi = chi_reduced_to_emu_per_mol(chi_cell, temps, g_factor)
+    # the temperatures are checked above, and chi_cell is finite
+    chi = _reduced_to_emu_per_mol(chi_cell, temps, g_factor)
     return chi if temps.ndim else float(chi)
 
 

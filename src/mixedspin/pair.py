@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .operators import SpinQuantum
 from .units import check_normal
 
@@ -133,7 +135,9 @@ def pair_negativity(
     )
 
 
-def negativity_from_g1(spin: SpinQuantum, g1: float) -> float:
+def negativity_from_g1(
+    spin: SpinQuantum, g1: float | np.ndarray
+) -> float | np.ndarray:
     """Negativity of any SU(2)-invariant (S, 1/2) two-site state.
 
     Such a state is a mixture of the two total-spin projectors, fixed by
@@ -142,10 +146,14 @@ def negativity_from_g1(spin: SpinQuantum, g1: float) -> float:
     Rev. A 68, 012309 (2003)). The partial transpose has 2S eigenvalues
     equal to tau = (S + 2 G1) / (D (D - 1)) with D = 2S + 1; negativity
     is 2S * max(0, -tau), which simplifies to max(0, -(S + 2 G1)) / D.
+    G1 may be a number (float result) or an array (array result, each
+    element bitwise equal to the scalar call).
     """
     d = spin.twice_spin + 1
     tau = (spin.value + 2.0 * g1) / (d * (d - 1.0))
-    return spin.twice_spin * max(0.0, -tau)
+    # max(0.0, -tau): -tau where it exceeds 0.0, else 0.0 (never -0.0)
+    negativity = spin.twice_spin * np.where(-tau > 0.0, -tau, 0.0)
+    return negativity if np.ndim(g1) else float(negativity)
 
 
 def pair_negativity_zero_temperature(spin: SpinQuantum) -> float:

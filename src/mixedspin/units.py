@@ -127,6 +127,12 @@ def chi_reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor: float)
     """
     check_finite("susceptibility", chi_reduced)
     check_positive("temperature", temperature_kelvin)
+    return _reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor)
+
+
+def _reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor: float):
+    """`chi_reduced_to_emu_per_mol` for a finite chi at temperatures the
+    caller has checked: only g and the result are checked here."""
     check_positive("g_factor", g_factor)
     # a non-finite result (inf, or inf * 0 = nan) is rejected just below
     with np.errstate(over="ignore", invalid="ignore"):

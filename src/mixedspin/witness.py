@@ -105,10 +105,12 @@ def negativity_lower_bound(
 
     bound = -6 W / (D n) with D = 2S + 1; dimensionless, positive exactly
     when the witness is negative. The actual negativity is >= this bound.
+    At the separable boundary W = 0 the bound is +0, never -0.
     """
     _check_sites(n_sites)
     d = spin.twice_spin + 1
-    return -6.0 * witness_reduced / (d * n_sites)
+    # + 0.0 turns the -0.0 of a zero witness into 0.0 and changes nothing else
+    return -6.0 * witness_reduced / (d * n_sites) + 0.0
 
 
 def correction_polynomial(j_over_t: float) -> float:

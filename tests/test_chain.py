@@ -1,5 +1,6 @@
 """Sector-blocked exact diagonalization against dense constructions."""
 
+import dataclasses
 import itertools
 import math
 
@@ -28,6 +29,8 @@ from mixedspin.chain import (
 )
 from mixedspin.operators import (
     SpinQuantum,
+    _racah,
+    clebsch_gordan,
     eig_sym,
     embed,
     lower_coefficient,
@@ -992,6 +995,15 @@ class TestMomentumBlocks:
             assert max(m.shape[0] for m in solved) < max(sizes) / 3
             assert {m.dtype for m in solved} == {np.dtype(float)}
             assert counted == sum(nonnegative)
+        elif boundary == "open" and not vectors:
+            # one highest-weight block per total spin J, of D(J) - D(J + 1)
+            # levels, and no Sz block at all
+            dims = {b.twice_total_sz: b.hamiltonian.shape[0] for b in blocks}
+            assert [m.shape[0] for m in solved] == [
+                dims[tsz] - dims.get(tsz + 2, 0) for tsz in sorted(dims, reverse=True)
+                if tsz >= 0
+            ]
+            assert max(m.shape[0] for m in solved) == 76 and counted == 0
         else:
             # one Sz block per 2Sz >= 0 sector; the -M sectors are mirrored
             assert [m.shape[0] for m in solved] == nonnegative
@@ -1038,3 +1050,139 @@ class TestThermodynamicLimit:
         np.testing.assert_allclose(tcs, expected, rtol=0, atol=5e-6)
         steps = np.abs(np.diff(tcs))
         assert np.all(steps[1:] < steps[:-1])
+
+
+# open chains of dimension <= 8,000 with n <= 10 and 2S <= 5
+MULTIPLET_CHAINS = [
+    (n, ts)
+    for n in (2, 4, 6, 8, 10)
+    for ts in range(1, 6)
+    if ((ts + 1) * 2) ** (n // 2) <= 8000
+]
+
+
+class TestMultipletPath:
+    """Open chains without eigenvectors are solved once per SU(2) multiplet,
+    in the highest-weight space of the sequentially coupled basis."""
+
+    @pytest.mark.parametrize("coupling", [1.3, -0.7])
+    @pytest.mark.parametrize("n,ts", MULTIPLET_CHAINS)
+    def test_levels_and_edge_bond_match_the_sz_blocks(self, n, ts, coupling):
+        spec = ChainSpec(n, SpinQuantum(ts), coupling, boundary="open")
+        multiplets, sz = diagonalize(spec, vectors=False), diagonalize(spec)
+        # the same table layout: one sorted run per 2Sz >= 0 sector
+        assert np.array_equal(multiplets.twice_sz, sz.twice_sz)
+        assert np.array_equal(multiplets.multiplicity, sz.multiplicity)
+        tol = 1e-12 * abs(coupling) * n
+        np.testing.assert_allclose(multiplets.levels, sz.levels, rtol=0, atol=tol)
+        for mine, theirs in zip(multiplets.sectors, sz.sectors):
+            assert mine.twice_total_sz == theirs.twice_total_sz
+            np.testing.assert_allclose(mine.eigenvalues, theirs.eigenvalues, rtol=0, atol=tol)
+            assert mine.eigenvectors is None
+        assert multiplets.ground_energy_kelvin == pytest.approx(
+            sz.ground_energy_kelvin, rel=0, abs=tol
+        )
+        # the edge bond's per-level values give its thermal G1
+        edge = multiplets.edge_bond
+        assert edge.shape == multiplets.levels.shape and not edge.flags.writeable
+        temps = abs(coupling) * np.geomspace(1e-3, 1e3, 61)
+        got = thermal_mean(multiplets, edge, temps)
+        want = thermal_mean(sz, bond_levels(sz, (0, 1)), temps)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_only_open_spectra_without_vectors_carry_the_edge_bond(self):
+        spec = ChainSpec(4, SpinQuantum(2), 1.0, boundary="open")
+        assert diagonalize(spec).edge_bond is None
+        assert diagonalize(dataclasses.replace(spec, boundary="periodic"), False).edge_bond is None
+
+    @pytest.mark.parametrize("n,ts", [(2, 5), (4, 3), (6, 2), (8, 3), (10, 2)])
+    def test_coupled_basis_is_orthonormal_and_highest_weight(self, n, ts):
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0, boundary="open")
+        sectors = {tsz: (labels, codes) for tsz, labels, codes in _enumerate_sectors(spec)}
+        seen = 0
+        for tj, basis, t01 in chain._coupled_bases(spec):
+            labels, codes = sectors[tj]
+            d, h = basis.shape
+            assert d == codes.size and t01.shape == (h,)
+            assert np.linalg.norm(basis.T @ basis - np.eye(h)) <= 1e-13
+            # S^+ = sum_i S_i^+ annihilates every column: S^+ B = 0 in 2Sz + 2
+            if tj + 2 in sectors:
+                up_labels, up_codes = sectors[tj + 2]
+                raised = np.zeros((up_codes.size, h))
+                for site, tsite in enumerate(spec.site_twice_spins):
+                    m = labels[:, site].astype(np.int64)
+                    src = np.flatnonzero(m < tsite)
+                    tgt = np.searchsorted(up_codes, codes[src] - spec.site_strides[site])
+                    coeff = 0.5 * np.sqrt(tsite * (tsite + 2) - m[src] * (m[src] + 2))
+                    raised[tgt] += coeff[:, None] * basis[src]
+                assert np.abs(raised).max(initial=0.0) <= 1e-13
+            # j01 is S +- 1/2 for a path's first step
+            assert set(t01.tolist()) <= {ts - 1, ts + 1}
+            seen += h * (tj + 1)
+        assert seen == spec.total_dimension  # every multiplet, 2J + 1 states each
+
+    def test_edge_bond_is_the_pair_value_of_j01(self):
+        # on two sites the edge bond is the whole chain: S.s = E / J per level
+        spec = ChainSpec(2, SpinQuantum(3), 2.5, boundary="open")
+        data = diagonalize(spec, vectors=False)
+        np.testing.assert_array_equal(np.sort(data.edge_bond), [-1.25, -1.25, 0.75, 0.75, 0.75])
+        np.testing.assert_allclose(data.edge_bond, data.levels / 2.5, rtol=0, atol=1e-15)
+
+
+def closed_form_half(tj, tm, up, plus):
+    """<j, m - mu; 1/2, mu | j +- 1/2, m> in closed form, mu = +-1/2 (`up`)."""
+    j, m = tj / 2, tm / 2
+    if plus:
+        return math.sqrt((j + m + 0.5) / (2 * j + 1) if up else (j - m + 0.5) / (2 * j + 1))
+    if up:
+        return -math.sqrt((j - m + 0.5) / (2 * j + 1))
+    return math.sqrt((j + m + 0.5) / (2 * j + 1))
+
+
+class TestClebschGordan:
+    def test_j_times_one_half_matches_the_closed_form(self):
+        for tj in range(0, 41):
+            for tj_new, plus in ((tj + 1, True), (tj - 1, False)):
+                if tj_new < 0:
+                    continue
+                for tm in range(-tj_new, tj_new + 1, 2):
+                    for up in (True, False):
+                        tmu = 1 if up else -1
+                        if abs(tm - tmu) > tj:
+                            continue
+                        got = clebsch_gordan(tj, tm - tmu, 1, tmu, tj_new, tm)
+                        want = closed_form_half(tj, tm, up, plus)
+                        assert got == pytest.approx(want, rel=2e-16, abs=0.0)
+
+    @pytest.mark.parametrize("tj2", range(1, 8))
+    def test_orthogonality_sums(self, tj2):
+        for tj1 in range(0, 13):
+            tjs = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
+            states = [(tm1, tm2) for tm1 in range(-tj1, tj1 + 1, 2) for tm2 in range(-tj2, tj2 + 1, 2)]
+            coupled = [(tj, tm) for tj in tjs for tm in range(-tj, tj + 1, 2)]
+            c = np.array(
+                [[clebsch_gordan(tj1, tm1, tj2, tm2, tj, tm) for tj, tm in coupled] for tm1, tm2 in states]
+            )
+            # the coefficients form a square orthogonal matrix: both sums
+            assert c.shape[0] == c.shape[1]
+            np.testing.assert_allclose(c.T @ c, np.eye(len(coupled)), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(c @ c.T, np.eye(len(states)), rtol=0, atol=1e-14)
+
+    def test_known_values_and_selection_rules(self):
+        assert clebsch_gordan(2, 0, 2, 0, 0, 0) == pytest.approx(-1 / math.sqrt(3), rel=2e-16)
+        assert clebsch_gordan(2, 2, 2, -2, 0, 0) == pytest.approx(1 / math.sqrt(3), rel=2e-16)
+        assert clebsch_gordan(2, 0, 2, 0, 2, 0) == 0.0
+        assert clebsch_gordan(1, 1, 1, -1, 0, 0) == pytest.approx(math.sqrt(0.5), rel=2e-16)
+        assert clebsch_gordan(3, 3, 4, 4, 7, 7) == 1.0
+        for args in ((1, 1, 1, 1, 0, 2), (2, 4, 2, 0, 4, 4), (2, 0, 2, 0, 6, 0), (1, 1, 1, 1, 1, 2)):
+            assert clebsch_gordan(*args) == 0.0
+
+    def test_negative_m_is_the_mirrored_racah_value(self):
+        for tj1, tj2 in ((3, 1), (4, 5), (7, 7)):
+            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in range(-tj2, tj2 + 1, 2):
+                        if abs(tm1 + tm2) > tj:
+                            continue
+                        direct = _racah(tj1, tm1, tj2, tm2, tj, tm1 + tm2)
+                        assert clebsch_gordan(tj1, tm1, tj2, tm2, tj, tm1 + tm2) == direct

@@ -15,11 +15,17 @@ from pathlib import Path
 import pytest
 
 from mixedspin import cli
-from mixedspin.chain import ChainSpec, correlator_matrix, diagonalize
+from mixedspin.chain import (
+    ChainSpec,
+    correlator_matrix,
+    diagonalize,
+    susceptibility_exact,
+)
 from mixedspin.cli import main
 from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
     characteristic_temperature,
+    negativity_from_g1,
     pair_correlator,
     pair_negativity,
 )
@@ -31,6 +37,7 @@ from mixedspin.witness import (
     negativity_lower_bound,
     separability_threshold,
     solve_tc,
+    susceptibility_nn_approx,
     witness_value,
 )
 
@@ -123,13 +130,15 @@ class TestTcCommand:
             1.0 / math.log(3.0), rel=1e-7
         )
 
-    # the open chain bisects on per-level bond values; the correlator
-    # matrix at every step is the independent route
+    # the open chain bisects on the edge bond's per-level values of the
+    # multiplet spectrum; the correlator matrix of the Sz-block spectrum
+    # with eigenvectors, at every step, is the independent route
     @pytest.mark.parametrize("n,ts", [(2, 1), (4, 3), (6, 2), (8, 1)])
     def test_open_chain_tc_matches_correlator_bisection(self, n, ts):
         spin = SpinQuantum(ts)
-        data = diagonalize(ChainSpec(n, spin, 3.7, boundary="open"))
-        tc = solve_tc(cli._chain_g1(data), spin, 3.7)
+        spec = ChainSpec(n, spin, 3.7, boundary="open")
+        tc = solve_tc(cli._chain_g1(diagonalize(spec, vectors=False)), spin, 3.7)
+        data = diagonalize(spec)
         want = solve_tc(
             lambda t: float(correlator_matrix(data, t).g_dot[0, 1]), spin, 3.7
         )
@@ -421,6 +430,14 @@ class TestBoundaryVerdict:
             verdicts.append(witness_row["verdict"])
         assert verdicts == ["separable boundary", "entangled"]
 
+    def test_bound_at_the_boundary_prints_zero(self, capsys):
+        # the witness is exactly 0 here; -6 x 0.0 printed as -0 before
+        argv = ["bound", *self.REPRODUCERS[0]]
+        assert self.row(capsys, argv)["negativity_lower_bound"] == "0"
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert '"negativity_lower_bound": 0.0,' in out
+
 
 class TestOutOfDomainMeasurement:
     """Non-finite or non-positive inputs exit 2 instead of printing a row."""
@@ -647,6 +664,31 @@ class TestDimCapEnvironment:
 
 
 class TestChainCommand:
+    # every column is computed once on the temperature array; each cell is
+    # still the per-temperature scalar call's value, printed the same way
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_columns_equal_per_temperature_scalar_calls(self, capsys, boundary):
+        spin = SpinQuantum(3)
+        argv = ["chain", "--spin", "3/2", "--sites", "4", "--coupling", "2K",
+                "--boundary", boundary, "--temps", "log:0.01:1000:300"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        data = diagonalize(ChainSpec(4, spin, 2.0, boundary=boundary), vectors=False)
+        g1_of = cli._chain_g1(data)
+        lines = out.splitlines()[1:]
+        temps = cli._parse_temps("log:0.01:1000:300")
+        assert len(lines) == len(temps)
+        for line, t in zip(lines, temps):
+            g1 = g1_of(t)
+            cells = (
+                t,
+                susceptibility_exact(data, t),
+                susceptibility_nn_approx(4, spin, g1),
+                g1,
+                negativity_from_g1(spin, g1),
+            )
+            assert line == ",".join(cli._fmt(c) for c in cells)
+
     def test_open_dimer_matches_pair_closed_forms(self, capsys):
         coupling = 2.0
         code, out, _ = run(
@@ -1040,9 +1082,12 @@ class TestFitAndSynth:
     # instead of 67. Re-recorded again when every thermal sum became one
     # weighted sum over the level table: the CSV J moved 8.50373872 ->
     # 8.50373873 at 66 iterations instead of 68, the JSON wavenumber
-    # 7.93765279 -> 7.93765277 at 62 instead of 60. Still compared byte
-    # for byte; the values recorded before the mirroring are pinned to a
-    # relative 5e-8 just below.
+    # 7.93765279 -> 7.93765277 at 62 instead of 60. Re-recorded again when
+    # open chains without eigenvectors began to be solved per SU(2)
+    # multiplet: the JSON J moved 11.4205113 -> 11.4205112 and its
+    # wavenumber 7.93765277 -> 7.93765273, at 64 iterations instead of 62.
+    # Still compared byte for byte; the values recorded before the
+    # mirroring are pinned to a relative 5e-8 just below.
     @pytest.mark.parametrize(
         "extra,expected",
         [
@@ -1055,9 +1100,9 @@ class TestFitAndSynth:
             (
                 ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
                 + ["--window", "3:60", "--format", "json"],
-                '{"coupling_kelvin": 11.4205113, "coupling_wavenumber": 7.93765277, '
+                '{"coupling_kelvin": 11.4205112, "coupling_wavenumber": 7.93765273, '
                 '"g_factor": 2.02125744, "residual_rms": 0.00097679332, '
-                '"iterations": 62, "converged": true, "window_min_kelvin": 3.27068, '
+                '"iterations": 64, "converged": true, "window_min_kelvin": 3.27068, '
                 '"window_max_kelvin": 48.9195, "n_points": 12}\n',
             ),
         ],

@@ -188,6 +188,44 @@ class TestModelChi:
         with pytest.raises(ValueError):
             model_chi(S_HALF, -1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "temps,coupling,message",
+        [
+            ([1.0, 1e300], 1e-10, "T/J at T = 1e+300 K, J = 1e-10 K is inf"),
+            ([1e-320, 1.0], 1e10, "T/J at T = 1e-320 K, J = 10000000000.0 K is 0.0"),
+        ],
+    )
+    def test_reduced_temperature_out_of_range_names_t_and_j(self, temps, coupling, message):
+        with pytest.raises(ValueError) as err:
+            model_chi(S_ONE, coupling, 2.0, np.array(temps), n_sites=4)
+        assert str(err.value) == message + "; it must be finite and > 0"
+
+    @pytest.mark.parametrize("n_sites,checked", [
+        (4, [("fitdata", "temperature"), ("fitdata", "coupling"),
+             ("chain", "temperature"), ("units", "g_factor")]),
+        (None, [("fitdata", "temperature"), ("fitdata", "coupling"),
+                ("units", "g_factor")]),
+    ])
+    def test_each_input_is_checked_once(self, monkeypatch, n_sites, checked):
+        # temperatures and J in model_chi, T/J in thermal_weights (chain
+        # model only), g in the conversion to emu/mol
+        from mixedspin import chain, units
+
+        seen = []
+        for module in (fitdata, chain, units):
+            real = module.check_positive
+
+            def recording(name, value, module=module, real=real):
+                seen.append((module.__name__.rsplit(".", 1)[-1], name))
+                return real(name, value)
+
+            monkeypatch.setattr(module, "check_positive", recording)
+        model_chi(S_ONE, 5.0, 2.0, np.geomspace(1.0, 100.0, 20), n_sites=n_sites)
+        assert seen == checked
+        for bad in ((-5.0, 2.0), (5.0, -2.0), (5.0, math.nan)):
+            with pytest.raises(ValueError, match="must be finite and > 0"):
+                model_chi(S_ONE, *bad, 10.0, n_sites=n_sites)
+
 
 class TestNelderMead:
     def test_quadratic_bowl(self):

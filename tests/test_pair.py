@@ -222,6 +222,21 @@ class TestNegativityFromG1:
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(recorded).tobytes()
 
+    @pytest.mark.parametrize("spin", ALL_SPINS)
+    def test_array_equals_scalar_calls_bitwise(self, spin):
+        # from the full bond range through the boundary g1 = -S/2 (tau = 0)
+        g1s = np.concatenate(
+            [np.linspace(-(spin.value + 1.0) / 2.0, spin.value / 2.0, 41), [-spin.value / 2.0]]
+        )
+        got = negativity_from_g1(spin, g1s)
+        assert got.shape == g1s.shape
+        for k, g1 in enumerate(g1s.tolist()):
+            one = negativity_from_g1(spin, g1)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == got[k].tobytes()
+        # no -0.0 where the state is separable
+        assert np.all(np.signbit(got) == False)  # noqa: E712
+
     def test_rejects_a_nonmagnetic_spin(self):
         with pytest.raises(ValueError):
             negativity_from_g1(SpinQuantum(0), 0.0)

@@ -121,6 +121,12 @@ class TestNegativityBound:
     def test_zero_witness_gives_zero_bound(self):
         assert negativity_lower_bound(0.0, 2, SpinQuantum(3)) == 0.0
 
+    @pytest.mark.parametrize("witness", [0.0, -0.0])
+    def test_zero_bound_is_plus_zero(self, witness):
+        # -6 x 0.0 is -0.0, which would print as -0
+        bound = negativity_lower_bound(witness, 2, SpinQuantum(2))
+        assert math.copysign(1.0, bound) == 1.0
+
     def test_scaling(self):
         # bound = -6 W / (D n)
         spin = SpinQuantum(2)
