@@ -17,12 +17,12 @@ spectrum of a ring, n/2 momentum blocks made real by the site
 reflection, with k = 0 and k = pi split by parity; for cells = 1 the
 single Sz block, used for spectra with eigenvectors. An open chain has
 no lattice symmetry, but H commutes with total spin: its eigenvalue-only
-spectrum solves each SU(2) multiplet once, in the highest-weight space
-of the basis that couples the sites in chain order with Clebsch-Gordan
-coefficients (`_coupled_bases`; K. Baerwinkel, H.-J. Schmidt and
-J. Schnack, J. Magn. Magn. Mater. 212, 240 (2000)), where the edge bond
-S_0 . S_1 is diagonal. Every block is real symmetric by construction
-(see `operators`).
+spectrum solves each SU(2) multiplet once, on the coupling paths that
+couple the sites in chain order (`_coupling_paths`). Each block H_J is
+built from 6j symbols (`operators.six_j`) with no product basis
+(K. Baerwinkel, H.-J. Schmidt and J. Schnack, J. Magn. Magn. Mater. 212,
+240 (2000)), and the edge bond S_0 . S_1 is diagonal on the paths.
+Every block is real symmetric by construction (see `operators`).
 
 `diagonalize` records every eigenvalue array the eigensolver returns,
 once, in a flat level table (`SectorSpectralData.levels`), with the
@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .operators import SpinQuantum, clebsch_gordan, eig_sym, embed, spin_matrices
+from .operators import SpinQuantum, eig_sym, embed, six_j, spin_matrices
 from .units import check_normal, check_positive
 
 __all__ = [
@@ -186,7 +186,8 @@ class SectorSpectralData:
     whole spectrum. The table is what every thermal sum runs over.
 
     `edge_bond`, for the eigenvalue-only spectrum of an open chain, holds
-    <k| S_0 . S_1 |k> on each table entry (read-only), so that
+    <k| S_0 . S_1 |k> on each table entry (read-only), read off the first
+    intermediate spin j_1 of the coupling paths, so that
     `thermal_mean(data, data.edge_bond, T)` is the edge bond's G1; it is
     None for every other spectrum, where `bond_levels` gives it from the
     eigenvectors.
@@ -436,104 +437,22 @@ def _symmetric(
     return block
 
 
-def _coupled_bases(
-    spec: ChainSpec,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (2J, B, 2j01) for every total spin J >= 0 of the chain.
+def _coupling_paths(spec: ChainSpec) -> np.ndarray:
+    """Every coupling path of an open chain, one row each, in
+    lexicographic order.
 
-    The sites are coupled in chain order: site 0 with site 1 to j01, that
-    with site 2 to j012, and so on to J. A coupling path, the sequence of
-    these intermediate spins, labels one multiplet of every product
-    space it passes through, and <j m; s mu | j' m'> (`clebsch_gordan`)
-    takes the states |path, j, m> of the first k sites to those of the
-    first k + 1. The columns of B are the highest-weight states |path,
-    J, M = J> written in the 2Sz = 2J sector's product basis, in the
-    order of its codes (`SectorBlock`); `2j01` holds twice each column's
-    first intermediate spin.
-
-    The states of the first k sites are kept per 2m, as a matrix whose
-    rows are the product states of that 2m and whose columns are the
-    paths present. Only states that can reach a highest-weight state of
-    the whole chain are built: the sites after k carry spin sum s, so
-    such a state has m >= -s and j - m <= 2s.
+    Site 0 is coupled with site 1 to j_1, that with site 2 to j_2, and so
+    on to the total spin J = j_{n-1}; row p holds twice (j_0 = S, j_1, ...,
+    j_{n-1}) of path p. The paths of one J label its multiplets, so there
+    are D(J) - D(J + 1) of them for sector dimensions D.
     """
-    twice = spec.site_twice_spins
-    n = spec.n_sites
-    after = [sum(twice[k + 1 :]) for k in range(n)]  # 2 x spin of the later sites
-    ts = twice[0]
-    tj = np.array([ts])  # 2j of each path
-    t01 = tj
-    # per 2m: (codes of the rows, the states, column of each path or -1)
-    level = {
-        ts - 2 * d: (np.array([d]), np.ones((1, 1)), np.zeros(1, dtype=np.int64))
-        for d in range(ts + 1)
-        if ts - 2 * d >= -after[0]
-    }
-    for k in range(1, n):
-        ts = twice[k]
-        reach = tj[:, None] + np.arange(-ts, ts + 1, 2)
-        parent, step = np.nonzero(reach >= np.abs(tj[:, None] - ts))
-        new_tj = reach[parent, step]  # |2j - 2s| <= 2j' <= 2j + 2s
-        t01 = new_tj if k == 1 else t01[parent]
-        top = sum(twice[: k + 1])  # 2j <= top
-        # a coefficient depends on a path only through its last step, 2j -> 2j'
-        steps, step_of = np.unique(tj[parent] * (top + 1) + new_tj, return_inverse=True)
-        steps = [divmod(int(u), top + 1) for u in steps]
-        new = {}
-        for tm in range(top, max(-top, -after[k]) - 1, -2):
-            cols = np.flatnonzero((new_tj >= abs(tm)) & (new_tj - tm <= 2 * after[k]))
-            codes, states = [], []
-            for d in range(ts + 1):
-                tmu = ts - 2 * d
-                if tm - tmu not in level:
-                    continue
-                old_codes, old, column = level[tm - tmu]
-                coef = np.array(
-                    [
-                        clebsch_gordan(a, tm - tmu, ts, tmu, b, tm)
-                        if abs(tm - tmu) <= a and abs(tm) <= b
-                        else 0.0
-                        for a, b in steps
-                    ]
-                )[step_of[cols]]
-                # a path absent from the old states has a zero coefficient
-                at = np.maximum(column[parent[cols]], 0)
-                states.append(old[:, at] * coef if old.shape[1] else np.zeros((old.shape[0], cols.size)))
-                codes.append(old_codes * (ts + 1) + d)
-            codes, states = np.concatenate(codes), np.concatenate(states)
-            if k == n - 1:  # 2j = 2m: the highest-weight states, one sector each
-                states = states[np.argsort(codes)]
-                yield tm, states, t01[cols]
-                continue
-            column = np.full(new_tj.size, -1)
-            column[cols] = np.arange(cols.size)
-            new[tm] = codes, states, column
-        level, tj = new, new_tj
-
-
-def _multiplet_block(
-    spec: ChainSpec, labels: np.ndarray, codes: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
-    """B^T H B of one sector's highest-weight basis B of an open chain,
-    exactly symmetric.
-
-    H B is the Sz Sz diagonal times B plus the flip-flop hops S_i^+ S_k^-
-    of every bond (`_hops`) and their transposes. The hops come bond
-    after bond, and each moves a code by stride[k] - stride[i], which
-    differs from bond to bond; within one bond no two hops share a
-    source or a target, so each bond is one gather and scatter of rows.
-    """
-    j = spec.coupling_kelvin
-    hb = _zz_energy(labels, spec.bonds(), j)[:, None] * basis
-    first = np.arange(spec.n_sites - 1)
-    src, tgt, coeff = _hops(spec, labels, codes, first, first + 1)
-    cuts = np.flatnonzero(np.diff(codes[tgt] - codes[src])) + 1
-    amp = (0.5 * j * coeff)[:, None]
-    for s, t, a in zip(np.split(src, cuts), np.split(tgt, cuts), np.split(amp, cuts)):
-        hb[t] += a * basis[s]
-        hb[s] += a * basis[t]
-    h = basis.T @ hb
-    return 0.5 * (h + h.T)
+    paths = np.array([[spec.site_twice_spins[0]]])
+    for ts in spec.site_twice_spins[1:]:
+        tj = paths[:, -1:]
+        reach = tj + np.arange(-ts, ts + 1, 2)
+        parent, step = np.nonzero(reach >= np.abs(tj - ts))
+        paths = np.column_stack([paths[parent], reach[parent, step]])
+    return paths
 
 
 def _multiplet_runs(
@@ -543,22 +462,55 @@ def _multiplet_runs(
     edge bond's value on each table entry.
 
     H commutes with total spin, so each multiplet is solved once, as a
-    level of the highest-weight block B^T H B (`_coupled_bases`,
-    `_multiplet_block`). In the coupled basis S_0 . S_1 is diagonal,
-    [j01(j01 + 1) - S(S + 1) - 3/4] / 2, so a level's edge-bond value is
-    that weighted by its eigenvector squared. A level of spin J has one
-    state in each sector |2Sz| <= 2J: sector 2Sz >= 0 gets the levels of
-    every J >= Sz as one run, sorted, as an Sz block's eigenvalues are.
+    level of the block H_J on the coupling paths of total spin J
+    (`_coupling_paths`), with no product basis (K. Baerwinkel, H.-J.
+    Schmidt and J. Schnack, J. Magn. Magn. Mater. 212, 240 (2000)). Each
+    bond pairs an S site with a spin-1/2 site, so S_k . S_k+1 =
+    S/2 - (2S + 1)/2 P, with P the projector of the pair onto spin
+    sigma = S - 1/2. The edge bond S_0 . S_1 is diagonal,
+    [j1(j1 + 1) - S(S + 1) - 3/4] / 2. For k >= 1, P changes only j_k,
+    and on the paths that share every other j (at most two) it is u u^T,
+    u = sqrt((2 j_k + 1) 2S) {j_k-1 s_k j_k; s_k+1 j_k+1 sigma} (`six_j`;
+    the recoupling phase is common to the paths, so it cancels). A
+    level's edge-bond value is the diagonal weighted by its eigenvector
+    squared. A level of spin J has one state in each sector
+    |2Sz| <= 2J: sector 2Sz >= 0 gets the levels of every J >= Sz as one
+    run, sorted, as an Sz block's eigenvalues are.
     """
-    sectors = {tsz: (labels, codes) for tsz, labels, codes in bases}
     ts = spec.spin.twice_spin
+    coupling = spec.coupling_kelvin
+    twice = np.asarray(spec.site_twice_spins)
+    strides = np.asarray(spec.site_strides)
+    paths = _coupling_paths(spec)
+    inner = paths[:, 1:-1]  # j_k of the bonds (k, k + 1), 1 <= k <= n - 2
+    # each distinct symbol once, by its (2j_k-1, 2s_k, 2j_k, 2s_k+1, 2j_k+1)
+    args = np.broadcast_arrays(paths[:, :-2], twice[1:-1], inner, twice[2:], paths[:, 2:])
+    key = np.ravel_multi_index(args, (paths.max() + 1,) * 5)
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    symbols = np.stack(args, axis=-1).reshape(-1, 5)[first]
+    six = np.array([six_j(*row, ts - 1) for row in symbols.tolist()])
+    u = np.sqrt((inner + 1) * ts) * six[at.reshape(inner.shape)]
+    edge = (paths[:, 1] * (paths[:, 1] + 2) - ts * (ts + 2) - 3) / 8.0
+    diagonal = coupling * (
+        edge + (spec.n_sites - 2) * ts / 4 - (ts + 1) / 2 * (u * u).sum(1)
+    )
+    # the steps d_k = j_k - j_k-1 + s_k of a path are digits in the sites'
+    # mixed radix, so its code ranks it among the paths; raising j_k by 1
+    # (d_k + 1, d_k+1 - 1) adds stride_k - stride_k+1 to the code
+    steps = (np.diff(paths, axis=1) + twice[1:]) // 2
+    codes = steps @ strides[1:]
+    raises = (steps[:, :-1] < twice[1:-1]) & (steps[:, 1:] > 0)
     solved = []
-    for tj, basis, t01 in _coupled_bases(spec):
-        if basis.shape[1] == 0:
-            continue
-        evals, u = eig_sym(_multiplet_block(spec, *sectors[tj], basis))
-        edge = (t01 * (t01 + 2) - ts * (ts + 2) - 3) / 8.0
-        solved.append((tj, evals, (u * u).T @ edge))
+    for tj in sorted(set(paths[:, -1].tolist()), reverse=True):
+        block = np.flatnonzero(paths[:, -1] == tj)
+        own = codes[block]
+        target = own[:, None] + (strides[1:-1] - strides[2:])
+        partner = np.minimum(np.searchsorted(own, target), own.size - 1)
+        col, bond = np.nonzero(raises[block] & (own[partner] == target))
+        row = partner[col, bond]
+        z = -coupling * (ts + 1) / 2 * u[block[row], bond] * u[block[col], bond]
+        evals, vecs = eig_sym(_symmetric(row, col, z, diagonal[block]))
+        solved.append((tj, evals, (vecs * vecs).T @ edge[block]))
     runs, edges = [], []
     for tsz, _, _ in bases:
         if tsz < 0:
@@ -614,10 +566,10 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     ring (vectors=False, periodic) solves each sector as its real
     translation-momentum blocks (`_sector_blocks`), with k = 0 and k = pi
     split by reflection parity. An eigenvalue-only spectrum of an open
-    chain (vectors=False, open) solves one highest-weight block per total
-    spin J, of dimension D(J) - D(J + 1) for sector dimensions D
-    (`_multiplet_runs`: 76 levels against an Sz block of 262 at n=8,
-    S=1), and records the edge bond's value per level (`edge_bond`).
+    chain (vectors=False, open) solves one block per total spin J, on its
+    D(J) - D(J + 1) coupling paths for sector dimensions D, built from 6j
+    symbols (`_multiplet_runs`: 76 levels against an Sz block of 262 at
+    n=8, S=1), and records the edge bond's value per level (`edge_bond`).
     Either way the levels agree with the dense sector's to rounding.
     Spectra with eigenvectors solve the one Sz block per sector. Every
     path checks `dim_cap` against the total dimension.

@@ -242,10 +242,6 @@ def _emit(args, rows, summary=None, comments=()) -> None:
             fh.write(text)
 
 
-def _chain_spectrum(spec: ChainSpec):
-    return diagonalize(spec, vectors=False)
-
-
 def _chain_g1(data):
     """G1(T) = <S_0 . S_1> as a function of one temperature or an array.
 
@@ -291,7 +287,7 @@ def _cmd_tc(args) -> None:
         if args.correlator == "literature":
             raise ValueError("--correlator literature applies to the pair model only")
         spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
-        data = _chain_spectrum(spec)
+        data = diagonalize(spec, vectors=False)
         tc = solve_tc(_chain_g1(data), spin, coupling)
     row = {
         "spin": spin,
@@ -367,7 +363,7 @@ def _cmd_chain(args) -> None:
     spin = _spin_from_args(args)
     coupling = _parse_coupling(args.coupling)
     spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
-    data = _chain_spectrum(spec)
+    data = diagonalize(spec, vectors=False)
     temps = _parse_temps(args.temps)
     g1 = _chain_g1(data)(np.asarray(temps))
     # each column in one call on the array, each cell bitwise the scalar call's

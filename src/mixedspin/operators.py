@@ -10,7 +10,6 @@ Basis convention: index 0 is m = S, index k is m = S - k, down to m = -S.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ __all__ = [
     "spin_matrices",
     "raise_coefficient",
     "lower_coefficient",
-    "clebsch_gordan",
+    "six_j",
     "embed",
     "eig_sym",
 ]
@@ -91,61 +90,43 @@ def lower_coefficient(twice_spin: int, twice_m: int) -> float:
     return 0.5 * math.sqrt(twice_spin * (twice_spin + 2) - twice_m * (twice_m - 2))
 
 
-def clebsch_gordan(
-    twice_j1: int, twice_m1: int, twice_j2: int, twice_m2: int, twice_j: int, twice_m: int
-) -> float:
-    """<j1 m1; j2 m2 | j m>, every quantum number given as twice its value.
+def six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
+    """The Wigner 6j symbol {a b c; d e f}, every spin given as twice its value.
 
-    Racah's formula with Condon-Shortley phases, evaluated in exact
-    integers: the alternating sum over a common denominator, squared into
-    one ratio of integers, then one (correctly rounded) division and one
-    square root, so the result is within an ulp of the exact value. Zero
-    wherever a selection rule fails. The m < 0 half is the m > 0 half
-    times (-1)^(j1 + j2 - j), and the m >= 0 half is cached: a chain's
-    coupled basis asks for the same few hundred coefficients many times.
+    Racah's formula: the product of the four triangle coefficients
+    Delta(abc) Delta(aef) Delta(dbf) Delta(dec) and the alternating sum
+    over t of (t + 1)! / [(t - a - b - c)! (t - a - e - f)! (t - d - b - f)!
+    (t - d - e - c)! (a + b + d + e - t)! (b + c + e + f - t)!
+    (c + a + f + d - t)!]. The sum is taken over one common denominator
+    in exact integers and squared into one ratio of integers with the
+    triangle coefficients, then one (correctly rounded) division and one
+    square root give the result within an ulp of the exact value. Zero
+    wherever a triad (a b c), (a e f), (d b f), (d e c) fails the triangle
+    rule or sums to a half-integer.
     """
-    j1, m1, j2, m2, j, m = twice_j1, twice_m1, twice_j2, twice_m2, twice_j, twice_m
-    if (
-        m1 + m2 != m
-        or abs(m1) > j1
-        or abs(m2) > j2
-        or abs(m) > j
-        or not abs(j1 - j2) <= j <= j1 + j2
-        or (j1 + j2 + j) % 2
-        or (j1 + m1) % 2
-        or (j2 + m2) % 2
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    if any(
+        not abs(x - y) <= z <= x + y or (x + y + z) % 2 for x, y, z in triads
     ):
         return 0.0
-    if m > 0 or m == 0 and m1 >= 0:
-        return _racah(j1, m1, j2, m2, j, m)
-    value = _racah(j1, -m1, j2, -m2, j, -m)
-    return -value if (j1 + j2 - j) // 2 % 2 else value
-
-
-@functools.lru_cache(maxsize=None)
-def _racah(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> float:
-    """`clebsch_gordan` for arguments that pass its selection rules."""
     f = math.factorial
-    # j1 + j2 - j, j1 - m1, j2 + m2, j - j2 + m1, j - j1 - m2
-    a, b, c = (j1 + j2 - j) // 2, (j1 - m1) // 2, (j2 + m2) // 2
-    d, e = (j - j2 + m1) // 2, (j - j1 - m2) // 2
-    lo, hi = max(0, -d, -e), min(a, b, c)
-    # the k-th term of the sum, 1 / (k! (a-k)! (b-k)! (c-k)! (d+k)! (e+k)!),
-    # times the common denominator a! b! c! (d+hi)! (e+hi)!, is an integer
+    rise = [(x + y + z) // 2 for x, y, z in triads]  # t >= each
+    fall = [(ta + tb + td + te) // 2, (tb + tc + te + tf) // 2, (tc + ta + tf + td) // 2]
+    lo, hi = max(rise), min(fall)
+    # each term times the common denominator prod (hi - r)! prod (s - lo)!
+    # is an integer
     total = sum(
-        (-1) ** k
-        * math.comb(a, k) * math.perm(b, k) * math.perm(c, k)
-        * math.perm(d + hi, hi - k) * math.perm(e + hi, hi - k)
-        for k in range(lo, hi + 1)
+        (-1) ** t
+        * f(t + 1)
+        * math.prod(math.perm(hi - r, hi - t) for r in rise)
+        * math.prod(math.perm(s - lo, t - lo) for s in fall)
+        for t in range(lo, hi + 1)
     )
-    num = (
-        (j + 1)
-        * f((j + j1 - j2) // 2) * f((j - j1 + j2) // 2) * f(a)
-        * f((j + m) // 2) * f((j - m) // 2)
-        * f(b) * f((j1 + m1) // 2) * f((j2 - m2) // 2) * f(c)
-        * total**2
-    )
-    den = f((j1 + j2 + j) // 2 + 1) * (f(a) * f(b) * f(c) * f(d + hi) * f(e + hi)) ** 2
+    num = total**2
+    den = (math.prod(f(hi - r) for r in rise) * math.prod(f(s - lo) for s in fall)) ** 2
+    for x, y, z in triads:
+        num *= f((x + y - z) // 2) * f((x - y + z) // 2) * f((y + z - x) // 2)
+        den *= f((x + y + z) // 2 + 1)
     return math.copysign(math.sqrt(num / den), total)
 
 

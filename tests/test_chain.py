@@ -29,12 +29,11 @@ from mixedspin.chain import (
 )
 from mixedspin.operators import (
     SpinQuantum,
-    _racah,
-    clebsch_gordan,
     eig_sym,
     embed,
     lower_coefficient,
     raise_coefficient,
+    six_j,
     spin_matrices,
 )
 from mixedspin.pair import pair_correlator
@@ -996,8 +995,8 @@ class TestMomentumBlocks:
             assert {m.dtype for m in solved} == {np.dtype(float)}
             assert counted == sum(nonnegative)
         elif boundary == "open" and not vectors:
-            # one highest-weight block per total spin J, of D(J) - D(J + 1)
-            # levels, and no Sz block at all
+            # one block per total spin J, on its D(J) - D(J + 1) coupling
+            # paths, and no Sz block at all
             dims = {b.twice_total_sz: b.hamiltonian.shape[0] for b in blocks}
             assert [m.shape[0] for m in solved] == [
                 dims[tsz] - dims.get(tsz + 2, 0) for tsz in sorted(dims, reverse=True)
@@ -1063,7 +1062,7 @@ MULTIPLET_CHAINS = [
 
 class TestMultipletPath:
     """Open chains without eigenvectors are solved once per SU(2) multiplet,
-    in the highest-weight space of the sequentially coupled basis."""
+    on the coupling paths of the sites taken in chain order."""
 
     @pytest.mark.parametrize("coupling", [1.3, -0.7])
     @pytest.mark.parametrize("n,ts", MULTIPLET_CHAINS)
@@ -1095,31 +1094,23 @@ class TestMultipletPath:
         assert diagonalize(spec).edge_bond is None
         assert diagonalize(dataclasses.replace(spec, boundary="periodic"), False).edge_bond is None
 
-    @pytest.mark.parametrize("n,ts", [(2, 5), (4, 3), (6, 2), (8, 3), (10, 2)])
-    def test_coupled_basis_is_orthonormal_and_highest_weight(self, n, ts):
+    @pytest.mark.parametrize("n,ts", MULTIPLET_CHAINS)
+    def test_coupling_paths_count_the_multiplets(self, n, ts):
         spec = ChainSpec(n, SpinQuantum(ts), 1.0, boundary="open")
-        sectors = {tsz: (labels, codes) for tsz, labels, codes in _enumerate_sectors(spec)}
-        seen = 0
-        for tj, basis, t01 in chain._coupled_bases(spec):
-            labels, codes = sectors[tj]
-            d, h = basis.shape
-            assert d == codes.size and t01.shape == (h,)
-            assert np.linalg.norm(basis.T @ basis - np.eye(h)) <= 1e-13
-            # S^+ = sum_i S_i^+ annihilates every column: S^+ B = 0 in 2Sz + 2
-            if tj + 2 in sectors:
-                up_labels, up_codes = sectors[tj + 2]
-                raised = np.zeros((up_codes.size, h))
-                for site, tsite in enumerate(spec.site_twice_spins):
-                    m = labels[:, site].astype(np.int64)
-                    src = np.flatnonzero(m < tsite)
-                    tgt = np.searchsorted(up_codes, codes[src] - spec.site_strides[site])
-                    coeff = 0.5 * np.sqrt(tsite * (tsite + 2) - m[src] * (m[src] + 2))
-                    raised[tgt] += coeff[:, None] * basis[src]
-                assert np.abs(raised).max(initial=0.0) <= 1e-13
-            # j01 is S +- 1/2 for a path's first step
-            assert set(t01.tolist()) <= {ts - 1, ts + 1}
-            seen += h * (tj + 1)
-        assert seen == spec.total_dimension  # every multiplet, 2J + 1 states each
+        dims = {tsz: codes.size for tsz, _, codes in _enumerate_sectors(spec)}
+        paths = chain._coupling_paths(spec)
+        # distinct, in lexicographic order, and every step a triangle
+        assert paths.shape[1] == n and np.all(paths[:, 0] == ts)
+        rows = [tuple(path) for path in paths.tolist()]
+        assert rows == sorted(set(rows))
+        prev, site, tj = paths[:, :-1], np.array(spec.site_twice_spins[1:]), paths[:, 1:]
+        assert np.all((np.abs(prev - site) <= tj) & (tj <= prev + site))
+        # one path per multiplet: D(J) - D(J + 1) of spin J, 2J + 1 states each
+        counts = {tj: int(np.count_nonzero(paths[:, -1] == tj)) for tj in dims if tj >= 0}
+        assert sum(counts.values()) == paths.shape[0]
+        for tj, count in counts.items():
+            assert count == dims[tj] - dims.get(tj + 2, 0)
+        assert sum((tj + 1) * count for tj, count in counts.items()) == spec.total_dimension
 
     def test_edge_bond_is_the_pair_value_of_j01(self):
         # on two sites the edge bond is the whole chain: S.s = E / J per level
@@ -1129,60 +1120,60 @@ class TestMultipletPath:
         np.testing.assert_allclose(data.edge_bond, data.levels / 2.5, rtol=0, atol=1e-15)
 
 
-def closed_form_half(tj, tm, up, plus):
-    """<j, m - mu; 1/2, mu | j +- 1/2, m> in closed form, mu = +-1/2 (`up`)."""
-    j, m = tj / 2, tm / 2
-    if plus:
-        return math.sqrt((j + m + 0.5) / (2 * j + 1) if up else (j - m + 0.5) / (2 * j + 1))
-    if up:
-        return -math.sqrt((j - m + 0.5) / (2 * j + 1))
-    return math.sqrt((j + m + 0.5) / (2 * j + 1))
+def triangle(tx, ty):
+    """Twice every spin that x and y couple to."""
+    return range(abs(tx - ty), tx + ty + 1, 2)
 
 
-class TestClebschGordan:
-    def test_j_times_one_half_matches_the_closed_form(self):
-        for tj in range(0, 41):
-            for tj_new, plus in ((tj + 1, True), (tj - 1, False)):
-                if tj_new < 0:
-                    continue
-                for tm in range(-tj_new, tj_new + 1, 2):
-                    for up in (True, False):
-                        tmu = 1 if up else -1
-                        if abs(tm - tmu) > tj:
-                            continue
-                        got = clebsch_gordan(tj, tm - tmu, 1, tmu, tj_new, tm)
-                        want = closed_form_half(tj, tm, up, plus)
-                        assert got == pytest.approx(want, rel=2e-16, abs=0.0)
-
-    @pytest.mark.parametrize("tj2", range(1, 8))
-    def test_orthogonality_sums(self, tj2):
-        for tj1 in range(0, 13):
-            tjs = range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-            states = [(tm1, tm2) for tm1 in range(-tj1, tj1 + 1, 2) for tm2 in range(-tj2, tj2 + 1, 2)]
-            coupled = [(tj, tm) for tj in tjs for tm in range(-tj, tj + 1, 2)]
-            c = np.array(
-                [[clebsch_gordan(tj1, tm1, tj2, tm2, tj, tm) for tj, tm in coupled] for tm1, tm2 in states]
-            )
-            # the coefficients form a square orthogonal matrix: both sums
-            assert c.shape[0] == c.shape[1]
-            np.testing.assert_allclose(c.T @ c, np.eye(len(coupled)), rtol=0, atol=1e-14)
-            np.testing.assert_allclose(c @ c.T, np.eye(len(states)), rtol=0, atol=1e-14)
+class TestSixJ:
+    @pytest.mark.parametrize("ta,tb,tc,td", [(1, 2, 1, 2), (2, 2, 2, 2), (3, 4, 5, 2), (4, 7, 6, 5), (8, 3, 6, 9)])
+    def test_orthogonality_sums(self, ta, tb, tc, td):
+        # sqrt((2x + 1)(2y + 1)) {a b x; c d y} recouples (ab)x against
+        # (ad)y: a square orthogonal matrix, so both sums are deltas
+        xs = [x for x in triangle(ta, tb) if x in triangle(tc, td)]
+        ys = [y for y in triangle(ta, td) if y in triangle(tc, tb)]
+        u = np.array([[math.sqrt((x + 1) * (y + 1)) * six_j(ta, tb, x, tc, td, y) for y in ys] for x in xs])
+        assert u.shape[0] == u.shape[1] > 1
+        np.testing.assert_allclose(u.T @ u, np.eye(len(ys)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(u @ u.T, np.eye(len(xs)), rtol=0, atol=1e-14)
 
     def test_known_values_and_selection_rules(self):
-        assert clebsch_gordan(2, 0, 2, 0, 0, 0) == pytest.approx(-1 / math.sqrt(3), rel=2e-16)
-        assert clebsch_gordan(2, 2, 2, -2, 0, 0) == pytest.approx(1 / math.sqrt(3), rel=2e-16)
-        assert clebsch_gordan(2, 0, 2, 0, 2, 0) == 0.0
-        assert clebsch_gordan(1, 1, 1, -1, 0, 0) == pytest.approx(math.sqrt(0.5), rel=2e-16)
-        assert clebsch_gordan(3, 3, 4, 4, 7, 7) == 1.0
-        for args in ((1, 1, 1, 1, 0, 2), (2, 4, 2, 0, 4, 4), (2, 0, 2, 0, 6, 0), (1, 1, 1, 1, 1, 2)):
-            assert clebsch_gordan(*args) == 0.0
+        # {a b c; 0 c b} = (-1)^(a+b+c) / sqrt((2b + 1)(2c + 1))
+        for ta in range(0, 13):
+            for tb in range(0, 13):
+                for tc in triangle(ta, tb):
+                    want = (-1) ** ((ta + tb + tc) // 2) / math.sqrt((tb + 1) * (tc + 1))
+                    assert six_j(ta, tb, tc, 0, tc, tb) == pytest.approx(want, rel=2.3e-16)
+        assert six_j(1, 1, 0, 1, 1, 2) == pytest.approx(1 / 2, rel=2.3e-16)
+        assert six_j(2, 2, 2, 2, 2, 2) == pytest.approx(1 / 6, rel=2.3e-16)
+        # a triad that breaks the triangle rule, or sums to a half-integer
+        for args in ((2, 2, 6, 2, 2, 2), (2, 2, 2, 2, 2, 6), (1, 1, 1, 1, 1, 1), (2, 4, 2, 1, 1, 2)):
+            assert six_j(*args) == 0.0
 
-    def test_negative_m_is_the_mirrored_racah_value(self):
-        for tj1, tj2 in ((3, 1), (4, 5), (7, 7)):
-            for tj in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                for tm1 in range(-tj1, tj1 + 1, 2):
-                    for tm2 in range(-tj2, tj2 + 1, 2):
-                        if abs(tm1 + tm2) > tj:
-                            continue
-                        direct = _racah(tj1, tm1, tj2, tm2, tj, tm1 + tm2)
-                        assert clebsch_gordan(tj1, tm1, tj2, tm2, tj, tm1 + tm2) == direct
+    def test_one_spin_half_matches_edmonds(self):
+        # A. R. Edmonds, Angular Momentum in Quantum Mechanics, Table 5
+        for ta in range(0, 21):
+            for tb in range(0, 21):
+                for tc in triangle(ta, tb):
+                    if tc == 0:
+                        continue
+                    s = (ta + tb + tc) // 2
+                    a, b, c = ta / 2, tb / 2, tc / 2
+                    sign = (-1) ** s
+                    want = sign * math.sqrt((s - 2 * b) * (s - 2 * c + 1) / ((2 * b + 1) * (2 * b + 2) * 2 * c * (2 * c + 1)))
+                    got = six_j(ta, tb, tc, 1, tc - 1, tb + 1)
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+                    if tb:
+                        want = sign * math.sqrt((s + 1) * (s - 2 * a) / (2 * b * (2 * b + 1) * 2 * c * (2 * c + 1)))
+                        got = six_j(ta, tb, tc, 1, tc - 1, tb - 1)
+                        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_column_permutations_leave_it_unchanged(self):
+        for upper in ((3, 4, 5), (6, 6, 6), (2, 7, 7), (8, 5, 9)):
+            for lower in ((1, 2, 3), (4, 3, 5), (6, 7, 5)):
+                columns = list(zip(upper, lower))
+                value = six_j(*upper, *lower)
+                for perm in itertools.permutations(columns):
+                    top, bottom = zip(*perm)
+                    # the same exact integers, so bitwise the same value
+                    assert six_j(*top, *bottom) == value
