@@ -8,7 +8,7 @@ doubles the exchange, which is why the open boundary exists for
 comparing against single-pair results.
 
 H commutes with total Sz, so the Hilbert space splits into magnetization
-sectors that are enumerated and assembled independently. A global spin
+sectors that are assembled and solved independently. A global spin
 flip maps sector -M onto +M, so only the 2Sz >= 0 sectors are
 diagonalized (see `diagonalize`). Translation by one (S, 1/2) cell also
 commutes with H, and one builder, `_sector_blocks`, yields a sector's
@@ -29,7 +29,8 @@ once, in a flat level table (`SectorSpectralData.levels`), with the
 number of exactly degenerate copies it stands for and its 2Sz. Every
 thermal sum is one Boltzmann kernel on that table (`thermal_weights`):
 one exp per table entry and temperature, shifted by the ground energy
-so that no temperature underflows, then one weighted sum.
+so that no temperature underflows, then one weighted sum. An
+eigenvalue-only spectrum is that table alone.
 """
 
 from __future__ import annotations
@@ -165,25 +166,29 @@ class SectorBlock:
 
 @dataclass(frozen=True, eq=False)
 class SectorSpectrum:
-    """One sector's levels; `eigenvectors` is None for an eigenvalue-only
-    spectrum (`diagonalize(spec, vectors=False)`)."""
+    """One sector of a spectrum with eigenvectors: its basis (see
+    `SectorBlock`), sorted levels (a read-only view of its level-table
+    run, shared by +-M) and eigenvectors."""
 
     twice_total_sz: int
     labels: np.ndarray
     codes: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class SectorSpectralData:
-    """Full blocked spectrum of a chain: per-sector spectra and a level table.
+    """A chain's blocked spectrum: its level table, and its sectors too
+    if it holds eigenvectors.
 
-    `sectors` holds every sector's sorted levels. The level table holds
-    each eigenvalue array the eigensolver returned, once: `levels[i]`
-    stands for `multiplicity[i]` exactly equal levels with total
-    2Sz = +-`twice_sz[i]`, so np.repeat(levels, multiplicity) is the
-    whole spectrum. The table is what every thermal sum runs over.
+    The level table holds each eigenvalue array the eigensolver
+    returned, once: `levels[i]` stands for `multiplicity[i]` exactly
+    equal levels with total 2Sz = +-`twice_sz[i]`, so
+    np.repeat(levels, multiplicity) is the whole spectrum. The table is
+    what every thermal sum runs over. `sectors` holds every sector's
+    basis, levels and eigenvectors (`SectorSpectrum`) for a spectrum
+    with eigenvectors, and is None for an eigenvalue-only one.
 
     `edge_bond`, for the eigenvalue-only spectrum of an open chain, holds
     <k| S_0 . S_1 |k> on each table entry (read-only), read off the first
@@ -194,7 +199,7 @@ class SectorSpectralData:
     """
 
     spec: ChainSpec
-    sectors: tuple[SectorSpectrum, ...]
+    sectors: tuple[SectorSpectrum, ...] | None
     levels: np.ndarray
     multiplicity: np.ndarray
     twice_sz: np.ndarray
@@ -203,10 +208,10 @@ class SectorSpectralData:
 
     @property
     def total_dimension(self) -> int:
-        return sum(sec.eigenvalues.size for sec in self.sectors)
+        return int(self.multiplicity.sum())
 
     def all_eigenvalues(self) -> np.ndarray:
-        return np.sort(np.concatenate([sec.eigenvalues for sec in self.sectors]))
+        return np.sort(np.repeat(self.levels, self.multiplicity))
 
 
 def _enumerate_sectors(spec: ChainSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -455,9 +460,7 @@ def _coupling_paths(spec: ChainSpec) -> np.ndarray:
     return paths
 
 
-def _multiplet_runs(
-    spec: ChainSpec, bases: list[tuple[int, np.ndarray, np.ndarray]]
-) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
+def _multiplet_runs(spec: ChainSpec) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
     """Level-table runs of an open chain from its SU(2) multiplets, and the
     edge bond's value on each table entry.
 
@@ -474,8 +477,9 @@ def _multiplet_runs(
     the recoupling phase is common to the paths, so it cancels). A
     level's edge-bond value is the diagonal weighted by its eigenvector
     squared. A level of spin J has one state in each sector
-    |2Sz| <= 2J: sector 2Sz >= 0 gets the levels of every J >= Sz as one
-    run, sorted, as an Sz block's eigenvalues are.
+    |2Sz| <= 2J: the runs are 2Sz = 2J_max, 2J_max - 2, ... >= 0, and
+    run 2Sz gets the levels of every J >= Sz, sorted, as an Sz block's
+    eigenvalues are. No product basis is enumerated.
     """
     ts = spec.spin.twice_spin
     coupling = spec.coupling_kelvin
@@ -512,9 +516,7 @@ def _multiplet_runs(
         evals, vecs = eig_sym(_symmetric(row, col, z, diagonal[block]))
         solved.append((tj, evals, (vecs * vecs).T @ edge[block]))
     runs, edges = [], []
-    for tsz, _, _ in bases:
-        if tsz < 0:
-            continue
+    for tsz in range(solved[0][0], -1, -2):
         levels = np.concatenate([evals for tj, evals, _ in solved if tj >= tsz])
         order = np.argsort(levels, kind="stable")
         runs.append((tsz, 1, levels[order]))
@@ -558,8 +560,8 @@ _GROUND_SNAP = 1e-12
 
 
 def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
-    """Per-sector spectra and the level table, with eigenvectors unless
-    vectors=False.
+    """The level table, and with eigenvectors (unless vectors=False) the
+    per-sector spectra.
 
     Only the 2Sz >= 0 sectors are assembled and solved, one block at a
     time, every block real symmetric. An eigenvalue-only spectrum of a
@@ -569,29 +571,30 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     chain (vectors=False, open) solves one block per total spin J, on its
     D(J) - D(J + 1) coupling paths for sector dimensions D, built from 6j
     symbols (`_multiplet_runs`: 76 levels against an Sz block of 262 at
-    n=8, S=1), and records the edge bond's value per level (`edge_bond`).
-    Either way the levels agree with the dense sector's to rounding.
-    Spectra with eigenvectors solve the one Sz block per sector. Every
-    path checks `dim_cap` against the total dimension.
+    n=8, S=1) with no product basis, and records the edge bond's value
+    per level (`edge_bond`). Either way the levels agree with the dense
+    sector's to rounding, and `sectors` is None. Spectra with
+    eigenvectors solve the one Sz block per sector. `dim_cap` is checked
+    against the total dimension before anything is built.
 
     The global spin flip maps the basis of sector -M onto that of +M in
     reverse order (labels -labels[::-1]), and the -M block is bitwise the
-    +M block reversed in rows and columns. So sector -M shares its
-    partner's eigenvalue array and takes the row-reversed view V[::-1]
-    of its eigenvectors; the ±Sz levels are then exactly degenerate. The
-    solved arrays are made read-only because they are shared. Sectors
-    keep their order (2Sz descending).
+    +M block reversed in rows and columns. So the ±Sz levels are exactly
+    degenerate, and with eigenvectors sector -M shares its partner's
+    eigenvalue array and takes the row-reversed view V[::-1] of its
+    eigenvectors. The solved arrays are made read-only because they are
+    shared. Sectors keep their order (2Sz descending).
 
     Each eigenvalue array the eigensolver returns is recorded once in the
     level table (`SectorSpectralData`), in solve order, with its 2Sz and
     its multiplicity: the block's copies (2 for a ring's 0 < k < pi
     block, whose -k partner has its levels), doubled for 2Sz > 0, whose
-    -M sector has its levels. A sector's eigenvalue array is its table
-    runs repeated by their copies and sorted; with cells = 1 that is its
-    one run as solved. The multiplet path keeps this layout: a level of
-    spin J enters every run 2Sz = 2J, 2J - 2, ... >= 0, each run sorted,
-    so the table has the Sz path's size, order and multiplicities, and
-    the 2J + 1 states of a multiplet are one exact energy.
+    -M sector has its levels. With eigenvectors each sector is one run,
+    and its eigenvalue array a view of it. The multiplet path keeps this
+    layout: a level of spin J enters every run 2Sz = 2J, 2J - 2, ... >= 0,
+    each run sorted, so the table has the Sz path's size, order and
+    multiplicities, and the 2J + 1 states of a multiplet are one exact
+    energy.
 
     Every level within 1e-12 |J| n of the global ground energy is set to
     exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
@@ -599,12 +602,12 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     the multiplet keeps equal weights down to any T, so every thermal
     average reaches its T -> 0 limit.
     """
-    bases = _enumerate_sectors(spec)
+    _check_cap(spec)
+    bases, evecs, edge = None, {}, None
     if spec.boundary == "open" and not vectors:
-        runs, edge = _multiplet_runs(spec, bases)
-        evecs = dict.fromkeys(tsz for tsz, _, _ in runs)
+        runs, edge = _multiplet_runs(spec)
     else:
-        runs, evecs, edge = [], {}, None
+        runs, bases = [], _enumerate_sectors(spec)
         cells = 1 if vectors else spec.n_sites // 2
         for tsz, labels, codes in bases:
             if tsz < 0:
@@ -621,30 +624,23 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     levels = np.concatenate([evals for _, _, evals in runs])
     e0 = float(levels.min())
     levels[levels - e0 <= _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites] = e0
-    solved = {}
-    for tsz in evecs:
-        run = twice_sz == tsz
-        solved[tsz] = np.sort(np.repeat(levels[run], copies[run]))
-    for arr in (levels, multiplicity, twice_sz, edge, *solved.values(), *evecs.values()):
+    for arr in (levels, multiplicity, twice_sz, edge, *evecs.values()):
         if arr is not None:
             arr.flags.writeable = False
-    sectors = []
-    for tsz, labels, codes in bases:
-        vecs = evecs[abs(tsz)]
-        if tsz < 0 and vecs is not None:
-            vecs = vecs[::-1]
-        sectors.append(
+    sectors = None
+    if vectors:
+        # one run per solved sector, in order: its eigenvalues are a view
+        solved = dict(zip(evecs, np.split(levels, np.cumsum(sizes)[:-1])))
+        sectors = tuple(
             SectorSpectrum(
-                twice_total_sz=tsz,
-                labels=labels,
-                codes=codes,
-                eigenvalues=solved[abs(tsz)],
-                eigenvectors=vecs,
+                tsz, labels, codes, solved[abs(tsz)],
+                evecs[tsz] if tsz >= 0 else evecs[-tsz][::-1],
             )
+            for tsz, labels, codes in bases
         )
     return SectorSpectralData(
         spec=spec,
-        sectors=tuple(sectors),
+        sectors=sectors,
         levels=levels,
         multiplicity=multiplicity,
         twice_sz=twice_sz,
@@ -654,7 +650,7 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
 
 
 def _check_vectors(data: SectorSpectralData, what: str) -> None:
-    if any(sec.eigenvectors is None for sec in data.sectors):
+    if data.sectors is None:
         raise ValueError(
             f"{what} needs eigenvectors; this spectrum holds eigenvalues only, "
             "diagonalize with vectors=True"

@@ -47,7 +47,7 @@ from .pair import (
     negativity_from_g1,
     pair_correlator_literature,
 )
-from .units import kelvin_to_wavenumber, wavenumber_to_kelvin
+from .units import check_normal, kelvin_to_wavenumber, wavenumber_to_kelvin
 from .witness import (
     compound_report,
     lookup_compound,
@@ -80,9 +80,11 @@ def _parse_coupling(text: str) -> float:
     else:
         raise ValueError(f"coupling {text!r} needs a unit suffix 'K' or 'cm-1'")
     try:
-        return to_kelvin(float(value))
+        kelvin = to_kelvin(float(value))
     except ValueError:
         raise ValueError(f"cannot parse coupling value in {text!r}") from None
+    check_normal("coupling", kelvin)
+    return kelvin
 
 
 # every option whose value is a coupling; each `build_parser` adds the same ones

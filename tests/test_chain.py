@@ -66,6 +66,14 @@ def product_sectors(spec):
     return out
 
 
+def sector_levels(data, tsz):
+    """Sector 2Sz = tsz's sorted eigenvalues, rebuilt from the level table:
+    the entries of run |2Sz|, each repeated by its block's copies (the
+    multiplicity, halved for 2Sz != 0, whose -M sector holds the rest)."""
+    run = data.twice_sz == abs(tsz)
+    return np.sort(np.repeat(data.levels[run], data.multiplicity[run] // (2 if tsz else 1)))
+
+
 class TestChainSpec:
     def test_site_layout(self):
         spec = ChainSpec(4, SpinQuantum(5), 1.0)
@@ -486,25 +494,25 @@ TABLE_CHAINS = [
 ]
 
 
-def per_sector_means(data, values, t):
+def per_sector_means(data, sectors, values, t):
     """chi_tilde and the mean of each per-sector quantity in `values`, from
-    the per-sector layout: every level of every sector on its own, in
-    sector order, with the sums taken exactly (math.fsum) so that the
-    reference carries no summation-order error of its own. Above the
-    level spread, sum expm1(-E/T) v / sum exp(-E/T), as `thermal_mean`."""
+    the per-sector layout: every level of every sector (2Sz, eigenvalues)
+    in `sectors` on its own, with the sums taken exactly (math.fsum) so
+    that the reference carries no summation-order error of its own. Above
+    the level spread, sum expm1(-E/T) v / sum exp(-E/T), as
+    `thermal_mean`."""
     e0 = data.ground_energy_kelvin
-    raw = [np.exp(-(sec.eigenvalues - e0) / t) for sec in data.sectors]
+    raw = [np.exp(-(evals - e0) / t) for _, evals in sectors]
     z = math.fsum(math.fsum(r) for r in raw)
     chi = math.fsum(
-        math.fsum((sec.twice_total_sz / 2.0) ** 2 * r)
-        for sec, r in zip(data.sectors, raw)
+        math.fsum((tsz / 2.0) ** 2 * r) for (tsz, _), r in zip(sectors, raw)
     ) / z
     means = []
     for per_sector in values:
         if t <= data.spec.level_spread_kelvin:
             means.append(math.fsum(math.fsum(r * v) for r, v in zip(raw, per_sector)) / z)
             continue
-        x = [-sec.eigenvalues / t for sec in data.sectors]
+        x = [-evals / t for _, evals in sectors]
         num = math.fsum(math.fsum(np.expm1(xs) * v) for xs, v in zip(x, per_sector))
         den = math.fsum(math.fsum(np.exp(xs)) for xs in x)
         means.append(num / den)
@@ -527,6 +535,12 @@ class TestLevelTable:
             assert np.all(data.twice_sz >= 0)
             full = np.sort(np.repeat(data.levels, data.multiplicity))
             assert full.tobytes() == data.all_eigenvalues().tobytes()
+            if vectors:
+                for sec in data.sectors:
+                    rebuilt = sector_levels(data, sec.twice_total_sz)
+                    assert rebuilt.tobytes() == sec.eigenvalues.tobytes()
+            else:
+                assert data.sectors is None
             assert data.ground_energy_kelvin == data.levels.min()
             for arr in (data.levels, data.multiplicity, data.twice_sz):
                 assert not arr.flags.writeable
@@ -553,19 +567,23 @@ class TestLevelTable:
         # Lieb-Mattis T -> 0 limit through the expm1 form above the spread
         spec = ChainSpec(n, SpinQuantum(ts), coupling, boundary=boundary)
         data = diagonalize(spec, vectors=boundary == "open")
+        # every sector, 2Sz descending; each sorted run is its sector's order
+        tszs = sorted({tsz for u in data.twice_sz.tolist() for tsz in (u, -u)}, reverse=True)
+        sectors = [(tsz, sector_levels(data, tsz)) for tsz in tszs]
+        assert sum(evals.size for _, evals in sectors) == spec.total_dimension
         table = [data.levels]
-        per_sector = [[sec.eigenvalues for sec in data.sectors]]
+        per_sector = [[evals for _, evals in sectors]]
         if boundary == "open":
             bond = bond_levels(data, (0, 1))
             runs = {tsz: bond[data.twice_sz == tsz] for tsz in set(data.twice_sz.tolist())}
             table.append(bond)
-            per_sector.append([runs[abs(sec.twice_total_sz)] for sec in data.sectors])
+            per_sector.append([runs[abs(tsz)] for tsz in tszs])
         ratios = np.concatenate([np.geomspace(1e-300, 1e300, 61), np.geomspace(1e-2, 1e3, 40)])
         spread = spec.level_spread_kelvin
         temps = [*(abs(coupling) * ratios).tolist(), spread, np.nextafter(spread, 2 * spread)]
         chis = susceptibility_exact(data, np.array(temps))
         for t, chi in zip(temps, chis.tolist()):
-            want_chi, want_means = per_sector_means(data, per_sector, t)
+            want_chi, want_means = per_sector_means(data, sectors, per_sector, t)
             assert chi == pytest.approx(want_chi, rel=1e-15, abs=0.0)
             for values, want in zip(table, want_means):
                 assert thermal_mean(data, values, t) == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -887,14 +905,18 @@ class TestSpinFlipMirror:
         spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary)
         full = diagonalize(spec)
         levels = diagonalize(spec, vectors=False)
-        by_sz = {s.twice_total_sz: s for s in levels.sectors}
-        for with_v, sec in zip(full.sectors, levels.sectors):
-            assert sec.twice_total_sz == with_v.twice_total_sz
-            assert sec.eigenvectors is None
-            assert not sec.eigenvalues.flags.writeable
-            assert sec.eigenvalues is by_sz[abs(sec.twice_total_sz)].eigenvalues
+        # the table alone: one run per 2Sz >= 0, shared by -M, read-only
+        assert levels.sectors is None
+        assert set(levels.twice_sz.tolist()) == {
+            abs(sec.twice_total_sz) for sec in full.sectors
+        }
+        assert not levels.levels.flags.writeable
+        for with_v in full.sectors:
             np.testing.assert_allclose(
-                sec.eigenvalues, with_v.eigenvalues, rtol=0, atol=1e-12
+                sector_levels(levels, with_v.twice_total_sz),
+                with_v.eigenvalues,
+                rtol=0,
+                atol=1e-12,
             )
         temps = np.array([0.05, 0.7, 9.0])
         np.testing.assert_allclose(
@@ -987,7 +1009,10 @@ class TestMomentumBlocks:
         blocks = build_hamiltonian(spec)
         sizes = [b.hamiltonian.shape[0] for b in blocks]
         nonnegative = [b.hamiltonian.shape[0] for b in blocks if b.twice_total_sz >= 0]
-        assert [s.eigenvalues.size for s in data.sectors] == sizes
+        assert (data.sectors is None) == (not vectors)
+        assert [sector_levels(data, b.twice_total_sz).size for b in blocks] == sizes
+        if vectors:
+            assert [s.eigenvalues.size for s in data.sectors] == sizes
         if momentum:
             # k and -k blocks are solved once, k = 0 and k = pi as two
             # parity blocks each; every block is real
@@ -1027,9 +1052,10 @@ class TestMomentumBlocks:
         assert odd[0].shape[0] == (len(orbits) - lone) // 2
 
     def test_cap_bounds_the_total_dimension(self):
-        spec = ChainSpec(12, SpinQuantum(2), 1.0, dim_cap=46655)
-        with pytest.raises(RuntimeError, match="46656"):
-            diagonalize(spec, vectors=False)
+        for boundary in ("periodic", "open"):
+            spec = ChainSpec(12, SpinQuantum(2), 1.0, boundary=boundary, dim_cap=46655)
+            with pytest.raises(RuntimeError, match="46656"):
+                diagonalize(spec, vectors=False)
 
 
 class TestThermodynamicLimit:
@@ -1074,10 +1100,10 @@ class TestMultipletPath:
         assert np.array_equal(multiplets.multiplicity, sz.multiplicity)
         tol = 1e-12 * abs(coupling) * n
         np.testing.assert_allclose(multiplets.levels, sz.levels, rtol=0, atol=tol)
-        for mine, theirs in zip(multiplets.sectors, sz.sectors):
-            assert mine.twice_total_sz == theirs.twice_total_sz
-            np.testing.assert_allclose(mine.eigenvalues, theirs.eigenvalues, rtol=0, atol=tol)
-            assert mine.eigenvectors is None
+        assert multiplets.sectors is None
+        for theirs in sz.sectors:
+            mine = sector_levels(multiplets, theirs.twice_total_sz)
+            np.testing.assert_allclose(mine, theirs.eigenvalues, rtol=0, atol=tol)
         assert multiplets.ground_energy_kelvin == pytest.approx(
             sz.ground_energy_kelvin, rel=0, abs=tol
         )
@@ -1088,6 +1114,26 @@ class TestMultipletPath:
         got = thermal_mean(multiplets, edge, temps)
         want = thermal_mean(sz, bond_levels(sz, (0, 1)), temps)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_never_enumerates_the_product_basis(self, monkeypatch):
+        # the table's runs come from the coupling paths alone
+        spec = ChainSpec(8, SpinQuantum(2), 1.0, boundary="open")
+        want = diagonalize(spec, vectors=False)
+
+        def refuse(spec):
+            raise AssertionError("the product basis was enumerated")
+
+        monkeypatch.setattr(chain, "_enumerate_sectors", refuse)
+        data = diagonalize(spec, vectors=False)
+        assert data.sectors is None
+        assert data.total_dimension == spec.total_dimension
+        for got, ref in (
+            (data.levels, want.levels),
+            (data.multiplicity, want.multiplicity),
+            (data.twice_sz, want.twice_sz),
+            (data.edge_bond, want.edge_bond),
+        ):
+            assert got.tobytes() == ref.tobytes()
 
     def test_only_open_spectra_without_vectors_carry_the_edge_bond(self):
         spec = ChainSpec(4, SpinQuantum(2), 1.0, boundary="open")

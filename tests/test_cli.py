@@ -550,6 +550,11 @@ class TestOutOfDomainMeasurement:
             ["tc", "--spin", "1", "--coupling", "1e-320K", "--correlator", "literature"],
             ["tc", "--spin", "1", "--coupling", "1e-320K"],
             ["chain", "--spin", "1", "--coupling", "1e-320K", "--temps", "1,2"],
+            ["synth", "--spin", "1", "--j", "1e-320K", "--g", "2", "--temps", "1,2"],
+            ["synth", "--spin", "1", "--j", "1e-320K", "--g", "2", "--temps", "1,2"]
+            + ["--model", "chain", "--sites", "4"],
+            ["bound", "--chi", "0.1", "--temp", "5", "--spin", "1", "--correct-j", "1e-320K"],
+            ["fit", "--input", CHAIN_SERIES, "--spin", "1", "--init-j", "1e-320K"],
             ["chain", "--spin", "1", "--coupling", "1K", "--temps", "1:inf:3"],
             ["chain", "--spin", "1", "--coupling", "1K", "--temps", "log:1:inf:3"],
         ],
