@@ -10,12 +10,12 @@ comparing against single-pair results.
 H commutes with total Sz, so the Hilbert space splits into magnetization
 sectors that are assembled and solved independently. A global spin
 flip maps sector -M onto +M, so only the 2Sz >= 0 sectors are
-diagonalized (see `diagonalize`). Translation by one (S, 1/2) cell also
-commutes with H, and one builder, `_sector_blocks`, yields a sector's
-blocks for a translation group of `cells` cells: for the eigenvalue-only
-spectrum of a ring, n/2 momentum blocks made real by the site
-reflection, with k = 0 and k = pi split by parity; for cells = 1 the
-single Sz block, used for spectra with eigenvectors. An open chain has
+diagonalized (see `diagonalize`). A spectrum with eigenvectors solves
+each sector's Sz block (`_sector_blocks`). Translation by one (S, 1/2)
+cell also commutes with H: the eigenvalue-only spectrum of a ring
+solves n/2 momentum blocks per sector, made real by the site
+reflection, with k = 0 and k = pi split by parity, all built by
+`_ring_blocks` from one pass over the 2Sz >= 0 states. An open chain has
 no lattice symmetry, but H commutes with total spin: its eigenvalue-only
 spectrum solves each SU(2) multiplet once, on the coupling paths that
 couple the sites in chain order (`_coupling_paths`). Each block H_J is
@@ -214,21 +214,27 @@ class SectorSpectralData:
         return np.sort(np.repeat(self.levels, self.multiplicity))
 
 
+def _basis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every code of the dense basis, ascending, with its labels (see
+    `SectorBlock`) and its 2Sz. `dim_cap` is checked before anything is
+    allocated."""
+    _check_cap(spec)
+    tspins = np.asarray(spec.site_twice_spins, dtype=np.int16)
+    # row k of the index grid is site k's mixed-radix digit of each code
+    digits = np.indices(spec.site_dimensions, dtype=np.int16).reshape(spec.n_sites, -1)
+    labels = np.ascontiguousarray((tspins[:, None] - 2 * digits).T)  # m descending
+    twice_sz = labels.sum(axis=1, dtype=np.int64)
+    return np.arange(labels.shape[0], dtype=np.int64), labels, twice_sz
+
+
 def _enumerate_sectors(spec: ChainSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Group the product basis by total Sz, preserving lexicographic order.
 
     Returns (2Sz, labels, codes) per sector, 2Sz descending; see
-    `SectorBlock` for labels and codes. Every code of the dense basis is
-    split into its mixed-radix digits and those into labels; a stable
-    sort on 2Sz keeps the codes ascending within each sector. `dim_cap`
-    is checked before anything is allocated.
+    `SectorBlock` for labels and codes. A stable sort on 2Sz keeps the
+    codes ascending within each sector.
     """
-    _check_cap(spec)
-    tspins = np.asarray(spec.site_twice_spins, dtype=np.int64)
-    codes = np.arange(spec.total_dimension, dtype=np.int64)
-    digits = codes[:, None] // np.asarray(spec.site_strides) % (tspins + 1)
-    labels = (tspins - 2 * digits).astype(np.int16)  # m descending per site
-    twice_sz = labels.sum(axis=1, dtype=np.int64)
+    codes, labels, twice_sz = _basis(spec)
     order = np.argsort(-twice_sz, kind="stable")
     cuts = np.flatnonzero(np.diff(twice_sz[order])) + 1
     return [
@@ -307,21 +313,34 @@ def _flip_flop_sites(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sector_blocks(
-    spec: ChainSpec, labels: np.ndarray, codes: np.ndarray, cells: int
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield one sector's Hamiltonian as real symmetric (block, copies),
-    one block at a time.
+    spec: ChainSpec, labels: np.ndarray, codes: np.ndarray
+) -> np.ndarray:
+    """One sector's Sz block of `build_hamiltonian`, real symmetric.
+
+    The diagonal is the Sz Sz energy, and each flip-flop below the
+    diagonal is mirrored above it. The hop amplitudes come in exactly
+    equal transpose pairs (the same square roots both ways), so this is
+    also the full fill, bit for bit.
+    """
+    zz = _zz_energy(labels, spec.bonds(), spec.coupling_kelvin)
+    src, tgt, coeff = _hops(spec, labels, codes, *_flip_flop_sites(spec))
+    lower = tgt > src
+    amp = 0.5 * spec.coupling_kelvin * coeff[lower]
+    return _symmetric(tgt[lower], src[lower], amp, zz)
+
+
+def _ring_blocks(spec: ChainSpec) -> Iterator[tuple[int, int, int, np.ndarray, int]]:
+    """Yield a ring's Hamiltonian as real symmetric momentum blocks,
+    (2Sz, q, parity, block, copies), one block at a time, for every
+    2Sz >= 0; parity is +-1 at k = 0 and pi, else 0.
 
     T, which moves every site one (S, 1/2) cell (two sites) on, commutes
-    with H and Sz; `cells` is the order of the translation group used.
-    With cells = n/2 (rings) the sector splits into momentum blocks
-    k = 2 pi q / cells. Each translation orbit is held by its lowest-code
-    representative a with orbit length L_a, and it carries momentum k
-    only if k L_a is a multiple of 2 pi. Every flip-flop from a lands on
-    some T^s b, giving <b,k|H|a,k> = sqrt(L_a/L_b) sum h e^{iks}
-    (A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)). With cells = 1
-    every state is its own orbit, and the one block is the Sz block
-    (copies = 1) of `build_hamiltonian`.
+    with H and Sz, and the n/2 = c cells split each sector into momentum
+    blocks k = 2 pi q / c. Each translation orbit is held by its
+    lowest-code representative a with orbit length L_a, and it carries
+    momentum k only if k L_a is a multiple of 2 pi. Every flip-flop from
+    a lands on some T^s b, giving <b,k|H|a,k> = sqrt(L_a/L_b) sum h e^{iks}
+    (A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010)).
 
     The site reflection P: i -> -i mod n fixes S site 0, maps S sites to
     S sites, commutes with H, and P T P = T^-1. If P a = T^g a', then
@@ -345,17 +364,22 @@ def _sector_blocks(
     hop therefore stays within an orbit or reaches its mirror orbit, and
     the diagonal is the Sz Sz energy alone. Each block takes the hops
     below its diagonal and their mirror images above it, so it is
-    exactly symmetric for `eig_sym`; for cells = 1 the hop amplitudes
-    come in exactly equal transpose pairs (the same square roots both
-    ways), so this is also the full fill, bit for bit.
+    exactly symmetric for `eig_sym`.
+
+    Orbits, reflection partners and hops are found for every sector in
+    one pass over the 2Sz >= 0 states (codes ascending), and each q in
+    one pass over the hops. A stable sort on 2Sz, and at k = 0 and pi on
+    parity, hands each block its elements in the order of a
+    sector-by-sector build, so every duplicate is summed in the same
+    order and the block is the same to the bit. The largest blocks come
+    first (0 < k < pi before k = 0 and pi, 2Sz ascending within one q),
+    so that each later block fits in memory an earlier one freed. The
+    product basis is never split into sectors.
     """
-    zz = _zz_energy(labels, spec.bonds(), spec.coupling_kelvin)
-    if cells == 1:
-        src, tgt, coeff = _hops(spec, labels, codes, *_flip_flop_sites(spec))
-        lower = tgt > src
-        amp = 0.5 * spec.coupling_kelvin * coeff[lower]
-        yield _symmetric(tgt[lower], src[lower], amp, zz), 1
-        return
+    cells = spec.n_sites // 2
+    codes, labels, twice_sz = _basis(spec)
+    up = twice_sz >= 0
+    codes, labels, twice_sz = codes[up], labels[up], twice_sz[up]
     # translating by r cells rotates the base-p cell digits of a code by r
     p = 2 * (spec.spin.twice_spin + 1)
     images = np.stack(
@@ -366,6 +390,7 @@ def _sector_blocks(
     rep_of = np.searchsorted(codes[reps], images[lowest, np.arange(codes.size)])
     shift = -lowest % cells  # x = T^shift rep_of(x)
     period = cells // np.count_nonzero(images[:, reps] == codes[reps], axis=0)
+    del images, lowest
     rep_labels = labels[reps]
     reflected = rep_labels[:, -np.arange(spec.n_sites) % spec.n_sites]
     digits = (np.asarray(spec.site_twice_spins) - reflected) // 2
@@ -377,12 +402,16 @@ def _sector_blocks(
         spec, rep_labels, codes[reps], *_flip_flop_sites(spec), into=codes
     )
     tgt, turns = rep_of[tgt_state], shift[tgt_state]
+    rep_sz = twice_sz[reps]
+    sector = (rep_sz // 2).astype(np.int16)
+    zz = _zz_energy(rep_labels, spec.bonds(), spec.coupling_kelvin)
+    del codes, labels, twice_sz, rep_of, shift, reflected, digits, tgt_state
     # J/2 sqrt(x) sqrt(y) / 4 sqrt(L_a / L_b), and 1/sqrt 2 for each end of
     # the hop on an orbit P pairs with another, taken as one root of an
     # exact integer, so that each amplitude is rounded at most three times
     radicand = x * y * period[src] * period[tgt] << (lone[src] + lone[tgt].astype(int))
     amp = np.sqrt(radicand) / period[tgt] * (spec.coupling_kelvin / 16)
-    zz = zz[reps]
+    del x, y, radicand
     # A phase e^{i pi t / (2 cells)} is held as the integer t mod 4 cells.
     # Orbit a's coefficient in the state at its own position and in the
     # one at its partner's (a - state placed at a' if a < a', else a +
@@ -390,7 +419,7 @@ def _sector_blocks(
     full = 4 * cells
     cos = np.cos(np.pi / (2 * cells) * np.arange(full))
     cos[::cells] = 1.0, 0.0, -1.0, 0.0
-    at = np.stack([own, np.where(lone, -1, partner)])
+    at = np.stack([own, np.where(lone, -1, partner)]).astype(np.int32)
     base = np.stack([np.where(first | lone, 0, -cells), np.where(first, cells, 0)])
     slope = np.where(first, 0, 4 * turn)
     slope = np.stack([np.where(lone, 2 * turn, slope), slope])
@@ -399,32 +428,45 @@ def _sector_blocks(
     # within a block, so only the elements below its diagonal are taken
     row, col = np.broadcast_arrays(at[:, None, tgt], at[None, :, src])
     hit = (col >= 0) & (row > col)
-    row, col = row[hit], col[hit]
-    amp = np.broadcast_to(amp, hit.shape)[hit]
-    angle = (base[None, :, src] - base[:, None, tgt])[hit]
-    step = (slope[None, :, src] + 4 * turns - slope[:, None, tgt])[hit]
-    for q in range(cells // 2 + 1):
+    # the elements grouped by 2Sz, each group in the order of a
+    # sector-by-sector build, kept in int32 through the blocks
+    order = np.argsort(sector[row[hit]], kind="stable")
+    row, col = row[hit][order], col[hit][order]
+    amp = np.broadcast_to(amp, hit.shape)[hit][order]
+    angle = (base[None, :, src] - base[:, None, tgt])[hit][order].astype(np.int32)
+    step = slope[None, :, src] + 4 * turns - slope[:, None, tgt]
+    step = step[hit][order].astype(np.int32)
+    del at, base, slope, src, tgt, turns, hit, order
+    for q in sorted(range(cells // 2 + 1), key=lambda q: 2 * q % cells == 0):
         keep = q * period % cells == 0
-        # at k = 0 and pi the P = -1 states follow the P = +1 ones
+        inside = keep[row] & keep[col]
+        # at k = 0 and pi the P = +1 and P = -1 states form two blocks
         real = 2 * q % cells == 0
         odd = keep & real & np.where(lone, cos[4 * q * turn % full] < 0, ~first)
-        even = keep & ~odd
-        split = int(np.count_nonzero(even))
-        dim = split + int(np.count_nonzero(odd))
-        if dim == 0:
-            continue
-        pos = np.where(odd, np.cumsum(odd) + (split - 1), np.cumsum(even) - 1)
-        inside = keep[row] & keep[col]
+        group = 2 * sector + odd
+        # each kept state's position in its block: its rank there
+        kept = np.flatnonzero(keep)
+        kept = kept[np.argsort(group[kept], kind="stable")]
+        starts = np.flatnonzero(np.diff(group[kept], prepend=-1))
+        sizes = np.diff(starts, append=kept.size)
+        pos = np.empty(reps.size, dtype=np.int64)
+        pos[kept] = np.arange(kept.size) - np.repeat(starts, sizes)
+        if real:  # the elements between the two parities are dropped
+            inside &= odd[row] == odd[col]
+        inside = np.flatnonzero(inside)
+        if real:
+            inside = inside[np.argsort(group[row[inside]], kind="stable")]
+        r, c = row[inside], col[inside]
         z = amp[inside] * cos[(angle[inside] + q * step[inside]) % full]
-        diagonal = np.empty(dim)
-        diagonal[pos[keep]] = zz[keep]
-        block = _symmetric(pos[row[inside]], pos[col[inside]], z, diagonal)
-        # the elements between the two parities vanish up to rounding
-        blocks = [block[:split, :split], block[split:, split:]] if real else [block]
-        for block in blocks:
-            if block.size:
-                yield block, 1 if real else 2
-        del block, blocks  # free it before the next one is filled
+        cuts = np.searchsorted(group[r], group[kept[starts]]).tolist() + [inside.size]
+        r, c, diagonal = pos[r], pos[c], zz[kept]
+        del inside
+        for k, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+            a, b = cuts[k], cuts[k + 1]
+            block = _symmetric(r[a:b], c[a:b], z[a:b], diagonal[lo : lo + size])
+            parity = (-1 if odd[kept[lo]] else 1) if real else 0
+            yield int(rep_sz[kept[lo]]), q, parity, block, 1 if real else 2
+            del block  # free it before the next one is filled
 
 
 def _symmetric(
@@ -525,13 +567,12 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[list[tuple[int, int, np.ndarray]],
 
 
 def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
-    """The Hamiltonian blocked by total Sz: the one-cell block of
-    `_sector_blocks` for every sector, bitwise symmetric."""
-    blocks = []
-    for tsz, labels, codes in _enumerate_sectors(spec):
-        [(h, _)] = _sector_blocks(spec, labels, codes, cells=1)
-        blocks.append(SectorBlock(tsz, labels, codes, h))
-    return blocks
+    """The Hamiltonian blocked by total Sz: `_sector_blocks` for every
+    sector, bitwise symmetric."""
+    return [
+        SectorBlock(tsz, labels, codes, _sector_blocks(spec, labels, codes))
+        for tsz, labels, codes in _enumerate_sectors(spec)
+    ]
 
 
 def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -566,16 +607,18 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     Only the 2Sz >= 0 sectors are assembled and solved, one block at a
     time, every block real symmetric. An eigenvalue-only spectrum of a
     ring (vectors=False, periodic) solves each sector as its real
-    translation-momentum blocks (`_sector_blocks`), with k = 0 and k = pi
+    translation-momentum blocks (`_ring_blocks`), with k = 0 and k = pi
     split by reflection parity. An eigenvalue-only spectrum of an open
     chain (vectors=False, open) solves one block per total spin J, on its
     D(J) - D(J + 1) coupling paths for sector dimensions D, built from 6j
     symbols (`_multiplet_runs`: 76 levels against an Sz block of 262 at
     n=8, S=1) with no product basis, and records the edge bond's value
     per level (`edge_bond`). Either way the levels agree with the dense
-    sector's to rounding, and `sectors` is None. Spectra with
-    eigenvectors solve the one Sz block per sector. `dim_cap` is checked
-    against the total dimension before anything is built.
+    sector's to rounding, `sectors` is None, and the product basis is
+    never split into sectors (`_enumerate_sectors`). Spectra with
+    eigenvectors solve the one Sz block per sector (`_sector_blocks`).
+    `dim_cap` is checked against the total dimension before anything is
+    built.
 
     The global spin flip maps the basis of sector -M onto that of +M in
     reverse order (labels -labels[::-1]), and the -M block is bitwise the
@@ -586,10 +629,13 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     shared. Sectors keep their order (2Sz descending).
 
     Each eigenvalue array the eigensolver returns is recorded once in the
-    level table (`SectorSpectralData`), in solve order, with its 2Sz and
-    its multiplicity: the block's copies (2 for a ring's 0 < k < pi
-    block, whose -k partner has its levels), doubled for 2Sz > 0, whose
-    -M sector has its levels. With eigenvectors each sector is one run,
+    level table (`SectorSpectralData`), with its 2Sz and its
+    multiplicity: the block's copies (2 for a ring's 0 < k < pi block,
+    whose -k partner has its levels), doubled for 2Sz > 0, whose -M
+    sector has its levels. The runs go 2Sz descending; a ring's blocks
+    are solved largest first and their runs then sorted by 2Sz
+    descending, q ascending and P = +1 before P = -1, the order of a
+    sector-by-sector build. With eigenvectors each sector is one run,
     and its eigenvalue array a view of it. The multiplet path keeps this
     layout: a level of spin J enters every run 2Sz = 2J, 2J - 2, ... >= 0,
     each run sorted, so the table has the Sz path's size, order and
@@ -606,17 +652,20 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     bases, evecs, edge = None, {}, None
     if spec.boundary == "open" and not vectors:
         runs, edge = _multiplet_runs(spec)
+    elif not vectors:
+        solved = []
+        for tsz, q, parity, block, copies in _ring_blocks(spec):
+            evals, _ = eig_sym(block, vectors=False)
+            del block  # free it before the next one is filled
+            solved.append(((-tsz, q, -parity), (tsz, copies, evals)))
+        # the table runs 2Sz descending, then q ascending, then P = +1 first
+        runs = [run for _, run in sorted(solved, key=lambda item: item[0])]
     else:
         runs, bases = [], _enumerate_sectors(spec)
-        cells = 1 if vectors else spec.n_sites // 2
         for tsz, labels, codes in bases:
-            if tsz < 0:
-                continue
-            for block, copies in _sector_blocks(spec, labels, codes, cells):
-                # eigenvectors are only asked for with cells = 1, one block per sector
-                evals, evecs[tsz] = eig_sym(block, vectors=vectors)
-                del block  # free it before the next one is filled
-                runs.append((tsz, copies, evals))
+            if tsz >= 0:
+                evals, evecs[tsz] = eig_sym(_sector_blocks(spec, labels, codes))
+                runs.append((tsz, 1, evals))
     sizes = [evals.size for _, _, evals in runs]
     twice_sz = np.repeat([tsz for tsz, _, _ in runs], sizes)
     copies = np.repeat([c for _, c, _ in runs], sizes)

@@ -87,14 +87,8 @@ def _parse_coupling(text: str) -> float:
     return kelvin
 
 
-# every option whose value is a coupling; each `build_parser` adds the same ones
-_COUPLING_FLAGS: set[str] = set()
-
-
-def _add_coupling_flag(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
-    """Add an option whose value is a coupling such as '5.12K' or '-3K'."""
-    parser.add_argument(flag, **kwargs)
-    _COUPLING_FLAGS.add(flag)
+# every option whose value is a coupling such as '5.12K' or '-3K'
+_COUPLING_FLAGS = frozenset({"--coupling", "--couplings", "--correct-j", "--init-j", "--j"})
 
 
 def _join_negative_couplings(argv: list[str]) -> list[str]:
@@ -432,17 +426,9 @@ def _cmd_synth(args) -> None:
     _emit(args, rows, comments=comments)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mixedspin",
-        description="Thermal entanglement in mixed-spin (S, 1/2) Heisenberg chains.",
-        epilog="Environment: MIXEDSPIN_DIM_CAP overrides the Hilbert-dimension cap.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_tc = sub.add_parser("tc", help="characteristic temperature")
+def _add_tc(p_tc: argparse.ArgumentParser) -> None:
     _add_spin_flags(p_tc, required=False)
-    _add_coupling_flag(p_tc, "--coupling", help="e.g. '81.4cm-1' or '5.12K'")
+    p_tc.add_argument("--coupling", help="e.g. '81.4cm-1' or '5.12K'")
     p_tc.add_argument("--compound", help="built-in compound name")
     _add_chain_flags(p_tc, 6, "chain model size")
     p_tc.add_argument(
@@ -459,42 +445,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_tc)
     p_tc.set_defaults(run=_cmd_tc)
 
-    p_sweep = sub.add_parser("sweep", help="T_c over a (spin, coupling) grid")
+
+def _add_sweep(p_sweep: argparse.ArgumentParser) -> None:
     p_sweep.add_argument("--spins", default="1/2,1,3/2,2,5/2", help="comma list")
-    _add_coupling_flag(
-        p_sweep, "--couplings", default="1K", help="comma list with units"
-    )
+    p_sweep.add_argument("--couplings", default="1K", help="comma list with units")
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(run=_cmd_sweep)
 
-    for name, with_bound in (("witness", False), ("bound", True)):
-        p_w = sub.add_parser(
-            name,
-            help=(
-                "negativity lower bound from one measurement"
-                if with_bound
-                else "witness for one measurement"
-            ),
-        )
-        p_w.add_argument("--chi", type=float, required=True)
-        p_w.add_argument("--unit", choices=("emu/mol", "reduced"), default="emu/mol")
-        p_w.add_argument("--temp", type=float, required=True, help="temperature in K")
-        p_w.add_argument("--g", type=float, default=2.0, help="g-factor")
-        p_w.add_argument("--n", type=int, default=2, help="spins per formula unit")
-        _add_spin_flags(p_w)
-        if with_bound:
-            _add_coupling_flag(
-                p_w,
-                "--correct-j",
-                help="apply the finite-correlation correction at this coupling",
-            )
-        _add_output_flags(p_w)
-        p_w.set_defaults(run=functools.partial(_cmd_witness, with_bound=with_bound))
 
-    p_chain = sub.add_parser("chain", help="exact diagonalization columns")
+def _add_witness(p_w: argparse.ArgumentParser, with_bound: bool) -> None:
+    p_w.add_argument("--chi", type=float, required=True)
+    p_w.add_argument("--unit", choices=("emu/mol", "reduced"), default="emu/mol")
+    p_w.add_argument("--temp", type=float, required=True, help="temperature in K")
+    p_w.add_argument("--g", type=float, default=2.0, help="g-factor")
+    p_w.add_argument("--n", type=int, default=2, help="spins per formula unit")
+    _add_spin_flags(p_w)
+    if with_bound:
+        p_w.add_argument(
+            "--correct-j",
+            help="apply the finite-correlation correction at this coupling",
+        )
+    _add_output_flags(p_w)
+    p_w.set_defaults(run=functools.partial(_cmd_witness, with_bound=with_bound))
+
+
+def _add_chain(p_chain: argparse.ArgumentParser) -> None:
     _add_spin_flags(p_chain)
     p_chain.add_argument("--sites", type=int, default=4)
-    _add_coupling_flag(p_chain, "--coupling", required=True)
+    p_chain.add_argument("--coupling", required=True)
     p_chain.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p_chain.add_argument(
         "--temps",
@@ -504,35 +482,72 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_chain)
     p_chain.set_defaults(model="chain", run=_cmd_chain)
 
-    p_fit = sub.add_parser("fit", help="fit J and g to a measurement CSV")
+
+def _add_fit(p_fit: argparse.ArgumentParser) -> None:
     p_fit.add_argument("--input", required=True, help="measurement CSV path")
     _add_spin_flags(p_fit)
     _add_chain_flags(p_fit, 4, "chain model size")
-    _add_coupling_flag(
-        p_fit, "--init-j", required=True, help="initial coupling, e.g. '10K'"
-    )
+    p_fit.add_argument("--init-j", required=True, help="initial coupling, e.g. '10K'")
     p_fit.add_argument("--init-g", type=float, default=2.0)
     p_fit.add_argument("--window", help="'TMIN:TMAX' in K")
     _add_output_flags(p_fit)
     p_fit.set_defaults(run=_cmd_fit)
 
-    p_synth = sub.add_parser("synth", help="write a noiseless model series CSV")
+
+def _add_synth(p_synth: argparse.ArgumentParser) -> None:
     _add_spin_flags(p_synth)
-    _add_coupling_flag(p_synth, "--j", required=True, help="coupling, e.g. '10.2cm-1'")
+    p_synth.add_argument("--j", required=True, help="coupling, e.g. '10.2cm-1'")
     p_synth.add_argument("--g", type=float, required=True)
     p_synth.add_argument("--temps", required=True)
     _add_chain_flags(p_synth, 4, None)
     p_synth.add_argument("--output", default="-", help="output path, '-' for stdout")
     p_synth.set_defaults(format="csv", run=_cmd_synth)
+
+
+# every subcommand, in the order --help lists it: its help and its options
+_SUBCOMMANDS = {
+    "tc": ("characteristic temperature", _add_tc),
+    "sweep": ("T_c over a (spin, coupling) grid", _add_sweep),
+    "witness": (
+        "witness for one measurement",
+        functools.partial(_add_witness, with_bound=False),
+    ),
+    "bound": (
+        "negativity lower bound from one measurement",
+        functools.partial(_add_witness, with_bound=True),
+    ),
+    "chain": ("exact diagonalization columns", _add_chain),
+    "fit": ("fit J and g to a measurement CSV", _add_fit),
+    "synth": ("write a noiseless model series CSV", _add_synth),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or with `command` one holding only that subcommand.
+
+    Both print the same usage, help and errors for that subcommand: a
+    parser for one spells out every subcommand in its usage line.
+    """
+    parser = argparse.ArgumentParser(
+        prog="mixedspin",
+        description="Thermal entanglement in mixed-spin (S, 1/2) Heisenberg chains.",
+        epilog="Environment: MIXEDSPIN_DIM_CAP overrides the Hilbert-dimension cap.",
+    )
+    every = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (summary, add_options) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_options(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_negative_couplings(sys.argv[1:] if argv is None else list(argv))
+    # a job runs one subcommand, so only its options are built; no
+    # subcommand, --help or an unknown one takes the whole parser
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(
-            _join_negative_couplings(sys.argv[1:] if argv is None else list(argv))
-        )
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

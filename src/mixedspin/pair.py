@@ -165,12 +165,18 @@ def characteristic_temperature(spin: SpinQuantum, coupling_kelvin: float) -> flo
     """Temperature where the pair loses its entanglement.
 
     The boundary sits where G1 crosses -S/2, which the two-level form
-    solves in closed form: T_c = J (2S + 1) / (2 ln(2S + 2)).
+    solves in closed form: T_c = J (2S + 1) / (2 ln(2S + 2)). A coupling
+    whose J (2S + 1) overflows raises ValueError.
     """
     _check_coupling(coupling_kelvin)
     check_normal("coupling", coupling_kelvin)
     ts = spin.twice_spin
     tc = coupling_kelvin * (ts + 1) / (2.0 * math.log(ts + 2))
+    if math.isinf(tc):
+        raise ValueError(
+            f"coupling {coupling_kelvin} K is too large: J (2S + 1) in "
+            "T_c = J (2S + 1) / (2 ln(2S + 2)) overflows"
+        )
     # self-check: at T_c the correlator must sit on the boundary
     residual = pair_correlator(spin, coupling_kelvin, tc) + spin.value / 2.0
     if abs(residual) > 1e-10:

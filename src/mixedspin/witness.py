@@ -12,6 +12,7 @@ kelvin energies; `witness_report` converts emu/mol input at the edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -141,7 +142,8 @@ def solve_tc(
 
     `correlator` maps temperature (K) to the nearest-neighbor dot
     correlator; it must be continuous and increasing. The bracket starts
-    at [1e-3, 1e3] * J and expands geometrically before giving up.
+    at [1e-3, 1e3] * J and expands geometrically, never to inf, before
+    giving up; a coupling whose 1e3 J overflows raises ValueError.
     """
     check_positive("coupling", coupling_kelvin)
     check_normal("coupling", coupling_kelvin)
@@ -152,6 +154,11 @@ def solve_tc(
 
     lo = 1e-3 * coupling_kelvin
     hi = 1e3 * coupling_kelvin
+    if math.isinf(hi):
+        raise ValueError(
+            f"coupling {coupling_kelvin} K is too large: the T_c bracket "
+            "[1e-3, 1e3] J overflows"
+        )
     flo, fhi = f(lo), f(hi)
     for _ in range(8):
         if flo < 0.0:
@@ -159,7 +166,7 @@ def solve_tc(
         lo /= 10.0
         flo = f(lo)
     for _ in range(8):
-        if fhi > 0.0:
+        if fhi > 0.0 or math.isinf(hi * 10.0):
             break
         hi *= 10.0
         fhi = f(hi)
@@ -174,14 +181,21 @@ def solve_tc(
         )
     tol = 1e-8 * coupling_kelvin
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         if not lo < mid < hi:  # no float between them: tol underflowed to 0
             break
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _midpoint(lo, hi)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    """0.5 (lo + hi) of two positive floats, or 0.5 lo + 0.5 hi where their
+    sum overflows: the same value wherever the sum is finite."""
+    total = lo + hi
+    return 0.5 * total if total < math.inf else 0.5 * lo + 0.5 * hi
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from mixedspin.chain import (
     SectorSpectrum,
     _enumerate_sectors,
     _hops,
-    _sector_blocks,
+    _ring_blocks,
     bond_levels,
     build_hamiltonian,
     correlator_matrix,
@@ -936,6 +936,14 @@ class TestSpinFlipMirror:
 MOMENTUM_RINGS = [(2, 1), (2, 2), (4, 1), (4, 2), (6, 3), (6, 5), (8, 2), (10, 2)]
 
 
+def ring_blocks_by_sz(spec):
+    """The blocks of `_ring_blocks`, as (q, parity, block, copies) lists by 2Sz."""
+    blocks = {}
+    for tsz, q, parity, matrix, copies in _ring_blocks(spec):
+        blocks.setdefault(tsz, []).append((q, parity, matrix, copies))
+    return blocks
+
+
 class TestMomentumBlocks:
     """An eigenvalue-only ring spectrum is solved as translation-momentum
     blocks; every sector's levels must be those of its dense Sz block."""
@@ -947,13 +955,12 @@ class TestMomentumBlocks:
     )
     def test_sector_levels_match_the_dense_block(self, n, ts, coupling):
         spec = ChainSpec(n, SpinQuantum(ts), coupling)
+        blocks = ring_blocks_by_sz(spec)
         for block in build_hamiltonian(spec):
             if block.twice_total_sz < 0:
                 continue
             levels = []
-            for matrix, copies in _sector_blocks(
-                spec, block.labels, block.codes, n // 2
-            ):
+            for _, _, matrix, copies in blocks.pop(block.twice_total_sz):
                 assert matrix.dtype == np.float64
                 assert np.array_equal(matrix, matrix.T)
                 levels += [eig_sym(matrix, vectors=False)[0]] * copies
@@ -963,6 +970,7 @@ class TestMomentumBlocks:
                 rtol=0,
                 atol=1e-12 * abs(coupling) * n,
             )
+        assert not blocks
 
     @pytest.mark.parametrize("n,ts", MOMENTUM_RINGS)
     def test_thermal_averages_match_the_sz_path(self, n, ts):
@@ -996,13 +1004,13 @@ class TestMomentumBlocks:
             return eig_sym(matrix, vectors=vectors)
 
         def yielding(*args, **kwargs):
-            for block, copies in sector_blocks(*args, **kwargs):
+            for tsz, q, parity, block, copies in ring_blocks(*args, **kwargs):
                 yielded.append((block, copies))
-                yield block, copies
+                yield tsz, q, parity, block, copies
 
-        eig_sym, sector_blocks, yielded = chain.eig_sym, chain._sector_blocks, []
+        eig_sym, ring_blocks, yielded = chain.eig_sym, chain._ring_blocks, []
         monkeypatch.setattr(chain, "eig_sym", recording)
-        monkeypatch.setattr(chain, "_sector_blocks", yielding)
+        monkeypatch.setattr(chain, "_ring_blocks", yielding)
         spec = ChainSpec(8, SpinQuantum(2), 1.0, boundary=boundary)
         data = diagonalize(spec, vectors=vectors)
         counted = sum(m.shape[0] * copies for m, copies in yielded)
@@ -1044,12 +1052,33 @@ class TestMomentumBlocks:
         # pairs up orbits, and each orbit it maps to itself has P = +1
         orbits = {orbit(lab) for lab in block.labels}
         lone = sum(orbit(np.roll(o[::-1], 1)) == o for o in orbits)
-        even, odd = itertools.islice(
-            _sector_blocks(spec, block.labels, block.codes, 4), 2
-        )
+        even, odd = [(m, c) for q, _, m, c in ring_blocks_by_sz(spec)[0] if q == 0]
         assert even[1] == odd[1] == 1
         assert even[0].shape[0] == (len(orbits) + lone) // 2
         assert odd[0].shape[0] == (len(orbits) - lone) // 2
+
+    @pytest.mark.parametrize("n,ts", [(8, 2), (6, 5)])
+    def test_never_enumerates_the_product_basis(self, monkeypatch, n, ts):
+        # the momentum blocks of every sector come from one pass over the
+        # 2Sz >= 0 states, and the table keeps its layout bit for bit
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0)
+        want = diagonalize(spec, vectors=False)
+
+        def refuse(spec):
+            raise AssertionError("the product basis was split into sectors")
+
+        monkeypatch.setattr(chain, "_enumerate_sectors", refuse)
+        data = diagonalize(spec, vectors=False)
+        assert data.sectors is None
+        assert data.total_dimension == spec.total_dimension
+        for got, ref in (
+            (data.levels, want.levels),
+            (data.multiplicity, want.multiplicity),
+            (data.twice_sz, want.twice_sz),
+        ):
+            assert got.tobytes() == ref.tobytes()
+        # runs 2Sz descending
+        assert np.all(np.diff(data.twice_sz) <= 0)
 
     def test_cap_bounds_the_total_dimension(self):
         for boundary in ("periodic", "open"):

@@ -623,6 +623,38 @@ class TestOutOfDomainMeasurement:
         assert out == ""
 
 
+    # T_c is finite, but J (2S + 1) in its closed form, or the bisection
+    # bracket 1e3 J, overflows: the message names the coupling, not the
+    # T = inf it once reached
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tc", "--spin", "1", "--coupling", "1e308K"],
+            ["tc", "--spin", "1", "--coupling", "1e308K", "--correlator", "literature"],
+            ["sweep", "--spins", "1", "--couplings", "1e308K"],
+        ],
+        ids=["tc", "tc-literature", "sweep"],
+    )
+    def test_overflowing_tc_formula_names_the_coupling(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert "coupling 1e+308 K is too large" in err
+        assert "temperature" not in err
+        assert out == ""
+
+    def test_bracket_near_the_largest_float_bisects_to_a_finite_tc(self, capsys):
+        # 1e3 J is finite and 1e3 J + 1e-3 J is not: this printed tc = inf
+        argv = ["tc", "--spin", "1", "--correlator", "literature", "--coupling"]
+        code, out, _ = run(capsys, [*argv, "1.7976931e305K"])
+        assert code == 0
+        _, [row], _ = parse_csv(out)
+        _, [unit], _ = parse_csv(run(capsys, [*argv, "1K"])[1])
+        assert float(row["tc_kelvin"]) / 1.7976931e305 == pytest.approx(
+            float(unit["tc_kelvin"]), rel=1e-8
+        )
+
+
 class TestDimCapEnvironment:
     """MIXEDSPIN_DIM_CAP bounds the chain model of synth and fit too."""
 
@@ -1148,6 +1180,77 @@ class TestFitAndSynth:
         assert float(row["coupling_kelvin"]) == pytest.approx(j, rel=5e-8, abs=0.0)
         assert float(row["g_factor"]) == pytest.approx(g, rel=5e-8, abs=0.0)
         assert float(row["residual_rms"]) == pytest.approx(rms, rel=5e-8, abs=0.0)
+
+
+class TestParser:
+    """`main` builds the parser of the subcommand it runs, and it reads and
+    prints exactly what the whole parser does."""
+
+    COMMANDS = ["tc", "sweep", "witness", "bound", "chain", "fit", "synth"]
+
+    @staticmethod
+    def whole_parser(capsys, argv):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["-h"], ["bogus"], ["bogus", "--help"]]
+        + [[name, "--help"] for name in COMMANDS]
+        + [[name] for name in COMMANDS[2:]]  # each missing a required option
+        + [[name, "--bogus", "1"] for name in COMMANDS]
+        + [["tc", "--format", "xml"], ["chain", "--spin", "1", "--twice-spin", "2"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_help_and_errors_are_the_whole_parsers(self, capsys, argv):
+        assert run(capsys, argv) == self.whole_parser(capsys, argv)
+
+    def test_whole_parser_lists_every_subcommand(self):
+        [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        assert list(sub.choices) == self.COMMANDS
+
+    @pytest.mark.parametrize(
+        "argv,built",
+        [
+            (["tc", "--spin", "1", "--coupling", "10K"], ["tc"]),
+            (["sweep", "--spins", "1"], ["sweep"]),
+            (["--help"], COMMANDS),
+            (["bogus"], COMMANDS),
+            ([], COMMANDS),
+        ],
+    )
+    def test_main_builds_only_the_subcommand_it_runs(
+        self, capsys, monkeypatch, argv, built
+    ):
+        parsers = []
+
+        def recording(command=None):
+            parsers.append(build(command))
+            return parsers[-1]
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", recording)
+        run(capsys, argv)
+        [parser] = parsers
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        assert list(sub.choices) == built
+
+    def test_coupling_flags_are_constant_options_of_the_parser(self):
+        flags = cli._COUPLING_FLAGS
+        assert isinstance(flags, frozenset)
+        parser = cli.build_parser()
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        options = {
+            option
+            for p in sub.choices.values()
+            for action in p._actions
+            for option in action.option_strings
+        }
+        assert flags <= options
 
 
 class TestOutputContract:

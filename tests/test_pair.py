@@ -179,6 +179,13 @@ class TestCharacteristicTemperature:
             2.0 * characteristic_temperature(spin, 1.0), rel=1e-14
         )
 
+    @pytest.mark.parametrize("spin", ALL_SPINS)
+    def test_overflowing_numerator_names_the_coupling(self, spin):
+        # J (2S + 1) overflows although T_c itself would not; the check at
+        # T_c once failed on T = inf, a temperature nobody gave
+        with pytest.raises(ValueError, match=r"coupling 1e\+308 K is too large"):
+            characteristic_temperature(spin, 1e308)
+
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
             characteristic_temperature(SpinQuantum(1), 0.0)

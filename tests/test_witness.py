@@ -1,6 +1,7 @@
 """Witness, negativity bound, T_c solving, sweeps, and compound table."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
     characteristic_temperature,
     pair_correlator,
+    pair_correlator_literature,
     pair_negativity,
 )
 from mixedspin.units import chi_reduced_to_emu_per_mol, wavenumber_to_kelvin
@@ -224,6 +226,32 @@ class TestSolveTc:
             solve_tc(lambda t: 0.0, SpinQuantum(1), 1.0)
         with pytest.raises(ValueError):
             solve_tc(lambda t: 0.0, SpinQuantum(1), -1.0)
+
+    @pytest.mark.parametrize("coupling", [1.7976932e305, 1e306, 1e308])
+    def test_overflowing_bracket_names_the_coupling(self, coupling):
+        # 1e3 J overflows; the correlator was once called at T = inf
+        spin = SpinQuantum(2)
+        message = re.escape(f"coupling {coupling} K is too large")
+        with pytest.raises(ValueError, match=message):
+            solve_tc(
+                lambda t: pair_correlator_literature(spin, coupling, t), spin, coupling
+            )
+
+    @pytest.mark.parametrize("ts", [1, 2])
+    def test_midpoint_of_a_bracket_near_the_largest_float(self, ts):
+        # 1e3 J is finite but 1e3 J + 1e-3 J is not: the first midpoint
+        # was inf, and the bisection returned it
+        spin, j = SpinQuantum(ts), 1.7976931e305
+        got = solve_tc(lambda t: pair_correlator_literature(spin, j, t), spin, j)
+        want = solve_tc(lambda t: pair_correlator_literature(spin, 1.0, t), spin, 1.0)
+        assert got / j == pytest.approx(want, rel=1e-8)
+
+    def test_bracket_stops_growing_before_overflow(self):
+        # G1 never reaches -S/2 + 0: the bracket grows by 10x until the
+        # next step would overflow, and no correlator sees T = inf
+        spin = SpinQuantum(2)
+        with pytest.raises(RuntimeError, match="does not change sign"):
+            solve_tc(lambda t: pair_correlator(spin, 1e300, t) - 10.0, spin, 1e300)
 
     @pytest.mark.parametrize("coupling", [math.nan, math.inf, 0.0, -1.0])
     def test_coupling_must_be_finite_and_positive(self, coupling):
