@@ -28,7 +28,6 @@ from .chain import (
     correlator_matrix,
     dense_hamiltonian,
     diagonalize,
-    mean_energy,
     negativity_bruteforce,
     reduced_pair_state,
     susceptibility_exact,

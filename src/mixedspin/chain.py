@@ -30,7 +30,7 @@ number of exactly degenerate copies it stands for and its 2Sz. Every
 thermal sum is one Boltzmann kernel on that table (`thermal_weights`):
 one exp per table entry and temperature, shifted by the ground energy
 so that no temperature underflows, then one weighted sum. An
-eigenvalue-only spectrum is that table alone.
+eigenvalue-only spectrum is that table and the bond S_0 . S_1 on it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "correlator_matrix",
     "susceptibility_exact",
     "thermal_mean",
-    "mean_energy",
     "bond_levels",
     "reduced_pair_state",
     "negativity_bruteforce",
@@ -108,9 +107,8 @@ class ChainSpec:
         """|J| n_bonds (2S+1)/2. Each (S, 1/2) bond spans S/2 down to
         -(S+1)/2, so no level, no difference of two levels and no partial
         sum of one exceeds this."""
-        return abs(self.coupling_kelvin) * (
-            len(self.bonds()) * (self.spin.twice_spin + 1) / 2
-        )
+        n_bonds = self.n_sites - (self.boundary == "open")
+        return abs(self.coupling_kelvin) * (n_bonds * (self.spin.twice_spin + 1) / 2)
 
     @cached_property
     def site_twice_spins(self) -> tuple[int, ...]:
@@ -141,9 +139,16 @@ class ChainSpec:
 
 
 def _check_cap(spec: ChainSpec) -> None:
-    if spec.total_dimension > spec.dim_cap:
+    # multiplied out cell by cell only until it passes the cap and 10^18
+    dim, stop = 1, max(spec.dim_cap, 10**18)
+    for _ in range(spec.n_sites // 2):
+        dim *= 2 * (spec.spin.twice_spin + 1)
+        if dim > stop:
+            break
+    if dim > spec.dim_cap:
+        size = dim if dim <= stop else f"above {stop}"
         raise RuntimeError(
-            f"Hilbert space dimension {spec.total_dimension} exceeds cap "
+            f"Hilbert space dimension {size} exceeds cap "
             f"{spec.dim_cap}; raise dim_cap explicitly to proceed"
         )
 
@@ -190,12 +195,11 @@ class SectorSpectralData:
     basis, levels and eigenvectors (`SectorSpectrum`) for a spectrum
     with eigenvectors, and is None for an eigenvalue-only one.
 
-    `edge_bond`, for the eigenvalue-only spectrum of an open chain, holds
-    <k| S_0 . S_1 |k> on each table entry (read-only), read off the first
-    intermediate spin j_1 of the coupling paths, so that
-    `thermal_mean(data, data.edge_bond, T)` is the edge bond's G1; it is
-    None for every other spectrum, where `bond_levels` gives it from the
-    eigenvectors.
+    `bond`, for an eigenvalue-only spectrum, holds <k| S_0 . S_1 |k> on
+    each table entry (read-only), so `thermal_mean(data, data.bond, T)`
+    is G1 on either boundary: levels / (n J) on a ring, where every bond
+    is equivalent, and the coupling paths' j_1 values on an open chain.
+    It is None with eigenvectors, where `bond_levels` gives any bond.
     """
 
     spec: ChainSpec
@@ -204,7 +208,7 @@ class SectorSpectralData:
     multiplicity: np.ndarray
     twice_sz: np.ndarray
     ground_energy_kelvin: float
-    edge_bond: np.ndarray | None = None
+    bond: np.ndarray | None = None
 
     @property
     def total_dimension(self) -> int:
@@ -612,9 +616,9 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     chain (vectors=False, open) solves one block per total spin J, on its
     D(J) - D(J + 1) coupling paths for sector dimensions D, built from 6j
     symbols (`_multiplet_runs`: 76 levels against an Sz block of 262 at
-    n=8, S=1) with no product basis, and records the edge bond's value
-    per level (`edge_bond`). Either way the levels agree with the dense
-    sector's to rounding, `sectors` is None, and the product basis is
+    n=8, S=1) with no product basis. Either way the levels agree with
+    the dense sector's to rounding, `sectors` is None, `bond` is set
+    (on a ring after the ground snap below), and the product basis is
     never split into sectors (`_enumerate_sectors`). Spectra with
     eigenvectors solve the one Sz block per sector (`_sector_blocks`).
     `dim_cap` is checked against the total dimension before anything is
@@ -649,9 +653,9 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     average reaches its T -> 0 limit.
     """
     _check_cap(spec)
-    bases, evecs, edge = None, {}, None
+    bases, evecs, bond = None, {}, None
     if spec.boundary == "open" and not vectors:
-        runs, edge = _multiplet_runs(spec)
+        runs, bond = _multiplet_runs(spec)
     elif not vectors:
         solved = []
         for tsz, q, parity, block, copies in _ring_blocks(spec):
@@ -673,7 +677,9 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     levels = np.concatenate([evals for _, _, evals in runs])
     e0 = float(levels.min())
     levels[levels - e0 <= _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites] = e0
-    for arr in (levels, multiplicity, twice_sz, edge, *evecs.values()):
+    if spec.boundary == "periodic" and not vectors:
+        bond = levels / (spec.n_sites * spec.coupling_kelvin)
+    for arr in (levels, multiplicity, twice_sz, bond, *evecs.values()):
         if arr is not None:
             arr.flags.writeable = False
     sectors = None
@@ -694,7 +700,7 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
         multiplicity=multiplicity,
         twice_sz=twice_sz,
         ground_energy_kelvin=e0,
-        edge_bond=edge,
+        bond=bond,
     )
 
 
@@ -766,21 +772,21 @@ class CorrelatorMatrix:
 _CHUNK = 2048
 
 
-def _flip_flop(
-    spec: ChainSpec, sector: SectorSpectrum, amp: np.ndarray, i: int, k: int
-) -> float:
-    """Thermal <S_i^+ S_k^-> within one sector.
-
-    amp = V * sqrt(w) column-scaled eigenvectors, so rho = amp @ amp.T;
-    the expectation gathers rho[target, source] rows without forming rho.
-    """
-    src, tgt, coeff = _hops(spec, sector.labels, sector.codes, i, k)
-    total = 0.0
+def _flip_flop_levels(
+    spec: ChainSpec, sector: SectorSpectrum, a: int, b: int
+) -> np.ndarray:
+    """<k| S_a^+ S_b^- |k> on each level k of one sector: sum coeff
+    V[tgt,k] V[src,k] over the hops of S_a^+ S_b^-, gathered in chunks
+    so that the temporaries stay bounded."""
+    vecs = sector.eigenvectors
+    src, tgt, coeff = _hops(spec, sector.labels, sector.codes, a, b)
+    values = np.zeros(vecs.shape[1])
     for lo in range(0, src.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        rows = np.einsum("ij,ij->i", amp[tgt[sl]], amp[src[sl]])
-        total += float(rows @ coeff[sl])
-    return total
+        rows = vecs[tgt[sl]]
+        rows *= vecs[src[sl]]
+        values += coeff[sl] @ rows
+    return values
 
 
 def correlator_matrix(
@@ -808,10 +814,9 @@ def correlator_matrix(
         flip[np.diag_indices(n)] += casimirs * prob.sum() - (m**2 * prob[:, None]).sum(
             axis=0
         )
-        amp = sector.eigenvectors * np.sqrt(w)[None, :]
         for i, k in itertools.combinations(range(n), 2):
             # <S_i^+ S_k^-> = <S_i^- S_k^+> for a real symmetric rho
-            val = _flip_flop(spec, sector, amp, i, k)
+            val = _flip_flop_levels(spec, sector, i, k) @ w
             flip[i, k] += val
             flip[k, i] += val
     g_zz = 0.5 * (g_zz + g_zz.T)  # BLAS output is not bitwise symmetric
@@ -845,9 +850,10 @@ def thermal_mean(
 
     `values` holds the quantity's value at each entry of the level table
     (`SectorSpectralData.levels`): the levels themselves for <H>,
-    `bond_levels` for a bond correlator. Both sum to zero over the whole
-    spectrum (multiplicity m times value), because H and every
-    S_i . S_j are traceless. The mean is (weights * values).sum(-1).
+    `SectorSpectralData.bond` or `bond_levels` for a bond correlator.
+    Each sums to zero over the whole spectrum (multiplicity m times
+    value), because H and every S_i . S_j are traceless. The mean is
+    (weights * values).sum(-1).
     Above the level spread (`ChainSpec.level_spread_kelvin`) the weights
     are nearly uniform and the mean falls like 1/T, while that sum keeps
     an absolute error near 1e-16; there it is taken as
@@ -879,27 +885,14 @@ def thermal_mean(
     return mean if np.ndim(temperature_kelvin) else float(mean)
 
 
-def mean_energy(
-    data: SectorSpectralData, temperature_kelvin: float | np.ndarray
-) -> float | np.ndarray:
-    """Thermal <H> in kelvin, from the levels alone.
-
-    On a ring every bond is equivalent under translation and reflection,
-    so the bond correlator <S_i . S_i+1> is <H> / (n J). Takes one
-    temperature or an array, as `thermal_mean` does.
-    """
-    return thermal_mean(data, data.levels, temperature_kelvin)
-
-
 def bond_levels(data: SectorSpectralData, bond: tuple[int, int]) -> np.ndarray:
     """Per-level values <k| S_i . S_j |k> of one site pair, aligned to the
     level table.
 
     The Sz Sz part is sum_b V[b,k]^2 m_i m_j. The flip-flop part
     (S_i^+ S_j^- + S_i^- S_j^+)/2 is sum coeff V[tgt,k] V[src,k] over the
-    hops of S_i^+ S_j^-: for real eigenvectors its two halves are equal,
-    as in `correlator_matrix`. The hops are gathered in chunks, like
-    `_flip_flop`, so the temporaries stay bounded. Each sector with a
+    hops of S_i^+ S_j^- (`_flip_flop_levels`): for real eigenvectors its
+    two halves are equal, as in `correlator_matrix`. Each sector with a
     table run (2Sz >= 0 from `diagonalize`) fills that run; S_i . S_j is
     invariant under the global spin flip, so a mirrored sector -M shares
     its partner's values as it does its levels. The array is read-only.
@@ -919,16 +912,9 @@ def bond_levels(data: SectorSpectralData, bond: tuple[int, int]) -> np.ndarray:
         run = data.twice_sz == sector.twice_total_sz
         if not run.any():
             continue
-        vecs = sector.eigenvectors
         m = sector.labels / 2.0
-        values = (m[:, i] * m[:, k]) @ vecs**2
-        src, tgt, coeff = _hops(spec, sector.labels, sector.codes, i, k)
-        for lo in range(0, src.size, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            rows = vecs[tgt[sl]]
-            rows *= vecs[src[sl]]
-            values += coeff[sl] @ rows
-        out[run] = values
+        zz = (m[:, i] * m[:, k]) @ sector.eigenvectors**2
+        out[run] = zz + _flip_flop_levels(spec, sector, i, k)
     out.flags.writeable = False
     return out
 

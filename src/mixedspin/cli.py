@@ -7,9 +7,10 @@ whose keys are its columns, named once: the CSV header is the first
 row's keys, and every JSON line has the same keys in the same order.
 
 Exit codes: 0 success, 2 usage or validation errors, 3 computational
-failures (solver found no crossing, Hilbert-dimension cap exceeded).
-The environment variable MIXEDSPIN_DIM_CAP overrides the default cap on
-exact-diagonalization Hilbert-space dimension.
+failures (solver found no crossing, Hilbert-dimension cap exceeded, out
+of memory). The environment variable MIXEDSPIN_DIM_CAP overrides the
+default cap on exact-diagonalization Hilbert-space dimension. The chain
+model's G1 is `thermal_mean(data, data.bond, T)` on both boundaries.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .chain import (
     DEFAULT_DIM_CAP,
     ChainSpec,
     diagonalize,
-    mean_energy,
     susceptibility_exact,
     thermal_mean,
 )
@@ -238,22 +238,6 @@ def _emit(args, rows, summary=None, comments=()) -> None:
             fh.write(text)
 
 
-def _chain_g1(data):
-    """G1(T) = <S_0 . S_1> as a function of one temperature or an array.
-
-    On a ring every bond is equivalent, so G1 = <H>/(nJ) from the levels
-    alone. On an open chain the spectrum holds the edge bond's value on
-    each entry of the level table (`SectorSpectralData.edge_bond`).
-    Either way every G1(T) is one Boltzmann average over the table
-    (`thermal_mean`).
-    """
-    spec = data.spec
-    if spec.boundary == "periodic":
-        scale = spec.n_sites * spec.coupling_kelvin
-        return lambda t: mean_energy(data, t) / scale
-    return lambda t: thermal_mean(data, data.edge_bond, t)
-
-
 def _cmd_tc(args) -> None:
     if args.report:
         rows = [_fields(r) for r in compound_report()]
@@ -284,7 +268,7 @@ def _cmd_tc(args) -> None:
             raise ValueError("--correlator literature applies to the pair model only")
         spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
         data = diagonalize(spec, vectors=False)
-        tc = solve_tc(_chain_g1(data), spin, coupling)
+        tc = solve_tc(functools.partial(thermal_mean, data, data.bond), spin, coupling)
     row = {
         "spin": spin,
         "coupling_kelvin": coupling,
@@ -361,7 +345,7 @@ def _cmd_chain(args) -> None:
     spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
     data = diagonalize(spec, vectors=False)
     temps = _parse_temps(args.temps)
-    g1 = _chain_g1(data)(np.asarray(temps))
+    g1 = thermal_mean(data, data.bond, np.asarray(temps))
     # each column in one call on the array, each cell bitwise the scalar call's
     columns = {
         "temperature_kelvin": temps,
@@ -557,6 +541,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; lower MIXEDSPIN_DIM_CAP", file=sys.stderr)
         return 3
     return 0
 

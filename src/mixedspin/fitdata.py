@@ -1,8 +1,9 @@
 """Measured-susceptibility ingestion, model curves, and (J, g) fitting.
 
 CSV input: header `temperature_kelvin,chi_emu_per_mol` (or `chi_reduced`),
-comma-separated, `#` comment lines ignored, UTF-8, decimal point only.
-Comment lines of the form `# key: value` are collected as metadata.
+comma-separated, `#` comment lines ignored, UTF-8 (a leading byte-order
+mark is dropped), decimal point only. Comment lines of the form
+`# key: value` are collected as metadata.
 
 Molar susceptibilities are per mole of formula units, one (S, 1/2) cell
 of 2 spins per formula unit. Chain models with more sites are rescaled
@@ -98,10 +99,10 @@ def load_measurements(source) -> MeasurementSeries:
     positive and strictly increasing.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8-sig")
     else:
         raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
     metadata: dict[str, str] = {}
     unit: str | None = None
     temps: list[float] = []
@@ -252,19 +253,20 @@ def synth_series(
     )
 
 
+_MAX_ITERATIONS = 2000
+_REL_TOL = 1e-9
+
+
 def nelder_mead(
-    objective: Callable[[np.ndarray], float],
-    x0: Sequence[float],
-    *,
-    max_iterations: int = 2000,
-    rel_tol: float = 1e-9,
+    objective: Callable[[np.ndarray], float], x0: Sequence[float]
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
     """Deterministic derivative-free simplex descent.
 
     Standard reflection/expansion/contraction/shrink coefficients
     (1, 2, 0.5, 0.5). Initial simplex: x0 plus a 5% step per coordinate
     (0.00025 absolute for zero coordinates). Converged when the simplex
-    diameter falls below rel_tol relative to the best vertex. Returns
+    diameter falls below _REL_TOL relative to the best vertex, else
+    stopped after _MAX_ITERATIONS iterations. Returns
     (x_best, f_best, iterations, converged, best_history); best_history
     is non-increasing by construction; a step that breaks this (a NaN
     objective value) raises RuntimeError.
@@ -280,7 +282,7 @@ def nelder_mead(
     history: list[float] = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
@@ -293,7 +295,7 @@ def nelder_mead(
         diameter = max(
             float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:]
         )
-        if diameter <= rel_tol * scale:
+        if diameter <= _REL_TOL * scale:
             converged = True
             break
         centroid = np.mean(simplex[:-1], axis=0)

@@ -20,7 +20,6 @@ from mixedspin.chain import (
     correlator_matrix,
     dense_hamiltonian,
     diagonalize,
-    mean_energy,
     negativity_bruteforce,
     reduced_pair_state,
     susceptibility_exact,
@@ -161,6 +160,18 @@ class TestSectorStructure:
         # dimension 12^20: anything allocated first would not fit in memory
         with pytest.raises(RuntimeError, match="exceeds cap"):
             _enumerate_sectors(ChainSpec(40, SpinQuantum(5), 1.0))
+
+    def test_cap_names_dimensions_up_to_18_digits(self):
+        # 4^29 has 18 digits and is named; 4^30 is only bounded, and so is
+        # a chain whose dimension would take minutes to form
+        with pytest.raises(RuntimeError, match="dimension 288230376151711744 exceeds cap 32768;"):
+            diagonalize(ChainSpec(58, SpinQuantum(1), 1.0))
+        for n in (60, 200_000):
+            with pytest.raises(RuntimeError, match="dimension above 10{18} exceeds cap 32768;"):
+                diagonalize(ChainSpec(n, SpinQuantum(1), 1.0), vectors=False)
+        big = 10**30
+        with pytest.raises(RuntimeError, match=f"dimension above {big} exceeds cap {big};"):
+            diagonalize(ChainSpec(200, SpinQuantum(1), 1.0, dim_cap=big))
 
     @pytest.mark.parametrize("n,ts", [(2, 3), (4, 1), (4, 2), (4, 3), (6, 1), (6, 2)])
     def test_blocks_are_exactly_symmetric(self, n, ts):
@@ -325,22 +336,22 @@ class TestMeanEnergy:
     )
     def test_array_equals_scalar_calls_bitwise(self, n, ts, boundary):
         data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary))
-        energies = mean_energy(data, ARRAY_TEMPS)
+        energies = thermal_mean(data, data.levels, ARRAY_TEMPS)
         assert energies.shape == ARRAY_TEMPS.shape
         for k, t in enumerate(ARRAY_TEMPS.tolist()):
-            scalar = mean_energy(data, t)
+            scalar = thermal_mean(data, data.levels, t)
             assert type(scalar) is float
             assert energies[k].tobytes() == np.float64(scalar).tobytes()
         grid = ARRAY_TEMPS[:30].reshape(5, 6)
-        assert mean_energy(data, grid).tobytes() == energies[:30].tobytes()
+        assert thermal_mean(data, data.levels, grid).tobytes() == energies[:30].tobytes()
 
     def test_limits(self):
         data = diagonalize(ChainSpec(4, SpinQuantum(2), 1.0), vectors=False)
-        assert mean_energy(data, 1e-300) == data.ground_energy_kelvin
+        assert thermal_mean(data, data.levels, 1e-300) == data.ground_energy_kelvin
         # H is traceless, so <H> falls off as -Tr(H^2) / (d T)
         levels = data.all_eigenvalues()
         hot = -float(levels @ levels) / levels.size / 1e6
-        assert mean_energy(data, 1e6) == pytest.approx(hot, rel=1e-5)
+        assert thermal_mean(data, data.levels, 1e6) == pytest.approx(hot, rel=1e-5)
 
     @pytest.mark.parametrize(
         "n,ts", [(2, 2), (4, 1), (4, 2), (6, 3), (6, 5), (8, 2)]
@@ -353,7 +364,7 @@ class TestMeanEnergy:
         levels = diagonalize(spec, vectors=False)
         for t in (0.01, 0.1, 0.4, 1.0, 3.0, 30.0):
             g1 = float(correlator_matrix(full, t).g_dot[0, 1])
-            assert abs(mean_energy(levels, t) / (n * 1.3) - g1) <= 1e-14
+            assert abs(thermal_mean(levels, levels.levels, t) / (n * 1.3) - g1) <= 1e-14
 
 
 class TestThermalMean:
@@ -396,7 +407,7 @@ class TestThermalMean:
                 # sum m exp(-E/T) E / sum m exp(-E/T) = <H>
                 x = mult * np.expm1(-levels / t)
                 total = (x * levels).sum() / (x.sum() + data.spec.total_dimension)
-            assert np.float64(mean_energy(data, t)).tobytes() == np.float64(
+            assert np.float64(thermal_mean(data, data.levels, t)).tobytes() == np.float64(
                 total
             ).tobytes()
 
@@ -464,7 +475,7 @@ class TestBondLevels:
         data = diagonalize(spec)
         values = bond_levels(data, (3, 4))
         for t in self.TEMPS:
-            want = mean_energy(data, t) / spec.n_sites
+            want = thermal_mean(data, data.levels, t) / spec.n_sites
             assert abs(thermal_mean(data, values, t) - want) <= 1e-14
 
     def test_spin_flip_partners_share_one_table_run(self):
@@ -984,8 +995,8 @@ class TestMomentumBlocks:
             rtol=1e-10,
         )
         np.testing.assert_allclose(
-            mean_energy(levels, temps),
-            mean_energy(full, temps),
+            thermal_mean(levels, levels.levels, temps),
+            thermal_mean(full, full.levels, temps),
             rtol=1e-10,
             atol=1e-10 * 1.3 * n,
         )
@@ -1100,7 +1111,7 @@ class TestThermodynamicLimit:
         tcs = []
         for n in (4, 6, 8, 10):
             data = diagonalize(ChainSpec(n, spin, 1.0), vectors=False)
-            tcs.append(solve_tc(lambda t: mean_energy(data, t) / n, spin, 1.0))
+            tcs.append(solve_tc(lambda t: thermal_mean(data, data.levels, t) / n, spin, 1.0))
         np.testing.assert_allclose(tcs, expected, rtol=0, atol=5e-6)
         steps = np.abs(np.diff(tcs))
         assert np.all(steps[1:] < steps[:-1])
@@ -1137,7 +1148,7 @@ class TestMultipletPath:
             sz.ground_energy_kelvin, rel=0, abs=tol
         )
         # the edge bond's per-level values give its thermal G1
-        edge = multiplets.edge_bond
+        edge = multiplets.bond
         assert edge.shape == multiplets.levels.shape and not edge.flags.writeable
         temps = abs(coupling) * np.geomspace(1e-3, 1e3, 61)
         got = thermal_mean(multiplets, edge, temps)
@@ -1160,14 +1171,29 @@ class TestMultipletPath:
             (data.levels, want.levels),
             (data.multiplicity, want.multiplicity),
             (data.twice_sz, want.twice_sz),
-            (data.edge_bond, want.edge_bond),
+            (data.bond, want.bond),
         ):
             assert got.tobytes() == ref.tobytes()
 
-    def test_only_open_spectra_without_vectors_carry_the_edge_bond(self):
-        spec = ChainSpec(4, SpinQuantum(2), 1.0, boundary="open")
-        assert diagonalize(spec).edge_bond is None
-        assert diagonalize(dataclasses.replace(spec, boundary="periodic"), False).edge_bond is None
+    @pytest.mark.parametrize("coupling", [1.3, -0.7])
+    @pytest.mark.parametrize("n,ts", MULTIPLET_CHAINS)
+    def test_ring_bond_matches_the_sz_blocks(self, n, ts, coupling):
+        # every ring bond is equivalent, so the eigenvalue-only ring's
+        # per-level bond gives G1 of the first bond and of the second
+        spec = ChainSpec(n, SpinQuantum(ts), coupling)
+        levels, sz = diagonalize(spec, vectors=False), diagonalize(spec)
+        temps = abs(coupling) * np.geomspace(1e-3, 1e3, 61)
+        got = thermal_mean(levels, levels.bond, temps)
+        for bond in [(0, 1), (1, 2)] if n >= 4 else [(0, 1)]:
+            want = thermal_mean(sz, bond_levels(sz, bond), temps)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_only_spectra_without_vectors_carry_the_bond(self, boundary):
+        spec = ChainSpec(4, SpinQuantum(2), 1.0, boundary=boundary)
+        data = diagonalize(spec, vectors=False)
+        assert data.bond.shape == data.levels.shape and not data.bond.flags.writeable
+        assert diagonalize(spec).bond is None
 
     @pytest.mark.parametrize("n,ts", MULTIPLET_CHAINS)
     def test_coupling_paths_count_the_multiplets(self, n, ts):
@@ -1191,8 +1217,8 @@ class TestMultipletPath:
         # on two sites the edge bond is the whole chain: S.s = E / J per level
         spec = ChainSpec(2, SpinQuantum(3), 2.5, boundary="open")
         data = diagonalize(spec, vectors=False)
-        np.testing.assert_array_equal(np.sort(data.edge_bond), [-1.25, -1.25, 0.75, 0.75, 0.75])
-        np.testing.assert_allclose(data.edge_bond, data.levels / 2.5, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(np.sort(data.bond), [-1.25, -1.25, 0.75, 0.75, 0.75])
+        np.testing.assert_allclose(data.bond, data.levels / 2.5, rtol=0, atol=1e-15)
 
 
 def triangle(tx, ty):

@@ -10,16 +10,18 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
-from mixedspin import cli
+from mixedspin import chain, cli
 from mixedspin.chain import (
     ChainSpec,
     correlator_matrix,
     diagonalize,
     susceptibility_exact,
+    thermal_mean,
 )
 from mixedspin.cli import main
 from mixedspin.operators import SpinQuantum
@@ -137,7 +139,8 @@ class TestTcCommand:
     def test_open_chain_tc_matches_correlator_bisection(self, n, ts):
         spin = SpinQuantum(ts)
         spec = ChainSpec(n, spin, 3.7, boundary="open")
-        tc = solve_tc(cli._chain_g1(diagonalize(spec, vectors=False)), spin, 3.7)
+        levels = diagonalize(spec, vectors=False)
+        tc = solve_tc(lambda t: thermal_mean(levels, levels.bond, t), spin, 3.7)
         data = diagonalize(spec)
         want = solve_tc(
             lambda t: float(correlator_matrix(data, t).g_dot[0, 1]), spin, 3.7
@@ -699,6 +702,30 @@ class TestDimCapEnvironment:
         assert "MIXEDSPIN_DIM_CAP" in err
         assert out == ""
 
+    @pytest.mark.parametrize("sites", ["20000", "1000000"])
+    def test_oversized_chain_fails_fast(self, capsys, monkeypatch, sites):
+        # the cap is decided without forming a dimension of thousands of digits
+        monkeypatch.delenv("MIXEDSPIN_DIM_CAP", raising=False)
+        argv = ["tc", "--model", "chain", "--spin", "1", "--sites", sites, "--coupling", "10K"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "exceeds cap" in err
+        assert out == ""
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(chain, "_basis", exhausted)
+        monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "1000000000000")
+        argv = ["tc", "--model", "chain", "--spin", "1", "--sites", "30", "--coupling", "10K"]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "MIXEDSPIN_DIM_CAP" in err
+
 
 class TestChainCommand:
     # every column is computed once on the temperature array; each cell is
@@ -711,12 +738,11 @@ class TestChainCommand:
         code, out, _ = run(capsys, argv)
         assert code == 0
         data = diagonalize(ChainSpec(4, spin, 2.0, boundary=boundary), vectors=False)
-        g1_of = cli._chain_g1(data)
         lines = out.splitlines()[1:]
         temps = cli._parse_temps("log:0.01:1000:300")
         assert len(lines) == len(temps)
         for line, t in zip(lines, temps):
-            g1 = g1_of(t)
+            g1 = thermal_mean(data, data.bond, t)
             cells = (
                 t,
                 susceptibility_exact(data, t),

@@ -63,6 +63,18 @@ class TestLoadMeasurements:
         assert len(load_measurements(path)) == 3
         assert len(load_measurements(str(path))) == 3
 
+    @pytest.mark.parametrize("text", [VALID_CSV, VALID_CSV.split("\n", 2)[2]])
+    def test_reads_a_byte_order_mark(self, tmp_path, text):
+        # spreadsheet exports start the file with the UTF-8 BOM
+        raw = text.encode("utf-8-sig")
+        assert raw.startswith(b"\xef\xbb\xbf")
+        path = tmp_path / "m.csv"
+        path.write_bytes(raw)
+        for source in (io.BytesIO(raw), path):
+            series = load_measurements(source)
+            np.testing.assert_array_equal(series.temperatures_kelvin, [2.0, 4.0, 8.0])
+            assert series.metadata == load_measurements(io.StringIO(text)).metadata
+
     def test_reduced_header(self):
         text = "temperature_kelvin,chi_reduced\n1.0,0.2\n2.0,0.3\n"
         series = load_measurements(io.StringIO(text))
@@ -247,9 +259,10 @@ class TestNelderMead:
         assert np.array_equal(r1[0], r2[0])
         assert r1[1:4] == r2[1:4]
 
-    def test_iteration_cap_reports_non_convergence(self):
+    def test_iteration_cap_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(fitdata, "_MAX_ITERATIONS", 3)
         objective = lambda x: float(np.sum(x**2))
-        _, _, iters, converged, _ = nelder_mead(objective, [1.0, 1.0], max_iterations=3)
+        _, _, iters, converged, _ = nelder_mead(objective, [1.0, 1.0])
         assert iters == 3
         assert not converged
 
