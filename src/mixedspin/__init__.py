@@ -35,7 +35,6 @@ from .chain import (
     thermal_weights,
 )
 from .fitdata import (
-    BoundPoint,
     FitResult,
     MeasurementSeries,
     bound_series,
@@ -54,14 +53,11 @@ from .operators import (
     spin_matrices,
 )
 from .pair import (
-    PairSpectrum,
     characteristic_temperature,
     negativity_from_g1,
     pair_correlator,
     pair_correlator_literature,
-    pair_correlator_zero_temperature,
     pair_negativity,
-    pair_negativity_zero_temperature,
 )
 from .units import (
     CURIE_FACTOR_EMU_K_PER_MOL,

@@ -217,7 +217,12 @@ def _json(obj) -> str:
 
 
 def _emit(args, rows, summary=None, comments=()) -> None:
-    """Write `rows` (dicts whose keys are the columns), one row or JSON line each."""
+    """Write `rows` (dicts whose keys are the columns), one row or JSON line
+    each; a nan or inf cell raises ValueError before anything is written."""
+    for row in rows:
+        for name, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is {value}, not a finite number")
     lines = []
     if args.format == "csv":
         header = list(rows[0])

@@ -43,7 +43,7 @@ from .units import (
     check_positive,
     chi_emu_per_mol_to_reduced,
 )
-from .witness import susceptibility_nn_approx, witness_report
+from .witness import WitnessReport, susceptibility_nn_approx, witness_report
 
 __all__ = [
     "MeasurementSeries",
@@ -53,7 +53,6 @@ __all__ = [
     "nelder_mead",
     "FitResult",
     "fit",
-    "BoundPoint",
     "bound_series",
 ]
 
@@ -157,7 +156,7 @@ def load_measurements(source) -> MeasurementSeries:
 
 @lru_cache(maxsize=8)
 def _unit_coupling_spectrum(
-    twice_spin: int, n_sites: int, boundary: str, dim_cap: int
+    twice_spin: int, n_sites: int, boundary: str, dim_cap: int | None
 ) -> SectorSpectralData:
     # H is linear in J, so the J=1 spectrum serves every coupling:
     # observables at (J, T) equal observables at (1, T/J). chi needs only
@@ -167,7 +166,7 @@ def _unit_coupling_spectrum(
         spin=SpinQuantum(twice_spin),
         coupling_kelvin=1.0,
         boundary=boundary,
-        dim_cap=dim_cap,
+        dim_cap=dim_cap or DEFAULT_DIM_CAP,
     )
     return diagonalize(spec, vectors=False)
 
@@ -205,9 +204,7 @@ def model_chi(
         ).reshape(temps.shape)
         chi_cell = susceptibility_nn_approx(SPINS_PER_FORMULA_UNIT, spin, g1)
     else:
-        data = _unit_coupling_spectrum(
-            spin.twice_spin, n_sites, boundary, dim_cap or DEFAULT_DIM_CAP
-        )
+        data = _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
         with np.errstate(over="ignore", under="ignore"):  # rejected just below
             reduced_temps = temps / coupling_kelvin
         try:
@@ -276,7 +273,8 @@ def nelder_mead(
     simplex = [x0.copy()]
     for k in range(ndim):
         vertex = x0.copy()
-        vertex[k] = vertex[k] * 1.05 if vertex[k] != 0.0 else 0.00025
+        # a Python float product: an overflow is inf, with no numpy warning
+        vertex[k] = float(x0[k]) * 1.05 if x0[k] != 0.0 else 0.00025
         simplex.append(vertex)
     values = [float(objective(v)) for v in simplex]
     history: list[float] = []
@@ -369,7 +367,8 @@ def fit(
 
     The model is `model_chi`'s: the pair for n_sites None, else the
     n_sites chain. Non-convergence is not an exception: the best-so-far
-    parameters come back with converged=False.
+    parameters come back with converged=False. A step that leaves the
+    float range raises ValueError, naming the start values.
     """
     if series.unit != "emu/mol":
         raise ValueError(
@@ -392,26 +391,37 @@ def fit(
             f"need at least 4 points for a 2-parameter fit, got {temps.size}"
         )
 
+    if n_sites is not None:  # a bad chain spec fails here, with its own message
+        _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
     measured = chi.tolist()
 
     def objective(params: np.ndarray) -> float:
-        j = math.exp(params[0])
-        g = params[1]
-        if not g > 0.0:
+        if not params[1] > 0.0:
             # chi depends on g^2 only; keep the simplex on the g > 0 branch
             return math.inf
-        model_values = model_chi(
-            spin,
-            j,
-            g,
-            temps,
-            n_sites=n_sites,
-            boundary=boundary,
-            dim_cap=dim_cap,
+        try:
+            model_values = model_chi(
+                spin,
+                math.exp(params[0]),
+                params[1],
+                temps,
+                n_sites=n_sites,
+                boundary=boundary,
+                dim_cap=dim_cap,
+            )
+            # left to right, and ** (libm pow) rather than an array square,
+            # so every value is bitwise that of a point-by-point loop
+            total = sum((m - x) ** 2 for m, x in zip(model_values.tolist(), measured))
+            if total < math.inf:
+                return total
+        except (OverflowError, ValueError):
+            pass
+        # an inf objective could let the simplex "converge" far from the data
+        raise ValueError(
+            f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor} reached "
+            f"J = exp({params[0]}) K, g = {params[1]}, where J, the model or a "
+            "squared residual leaves the float range"
         )
-        # left to right, and ** (libm pow) rather than an array square, so
-        # every value is bitwise that of a point-by-point loop
-        return sum((m - x) ** 2 for m, x in zip(model_values.tolist(), measured))
 
     x_best, f_best, iterations, converged, _ = nelder_mead(
         objective, [math.log(init_coupling_kelvin), init_g_factor]
@@ -427,23 +437,13 @@ def fit(
     )
 
 
-@dataclass(frozen=True)
-class BoundPoint:
-    """Witness and negativity bound derived from one measured point."""
-
-    temperature_kelvin: float
-    witness_reduced: float
-    negativity_bound: float
-    entangled: bool
-
-
 def bound_series(
     series: MeasurementSeries,
     spin: SpinQuantum,
     g_factor: float,
     *,
     correction_coupling_kelvin: float | None = None,
-) -> tuple[BoundPoint, ...]:
+) -> tuple[WitnessReport, ...]:
     """Per-point `witness_report` of a measured series, in reduced units.
 
     Each formula unit carries SPINS_PER_FORMULA_UNIT spins. Points with a
@@ -453,12 +453,10 @@ def bound_series(
     coupling. A negative susceptibility raises ValueError, as in
     `witness_report`.
     """
-    out = []
-    for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist()):
-        if series.unit == "emu/mol":
-            x = chi_emu_per_mol_to_reduced(x, t, g_factor)
-        report = witness_report(
-            x,
+    emu = series.unit == "emu/mol"
+    return tuple(
+        witness_report(
+            chi_emu_per_mol_to_reduced(x, t, g_factor) if emu else x,
             "reduced",
             t,
             g_factor,
@@ -466,12 +464,5 @@ def bound_series(
             spin,
             correction_coupling_kelvin=correction_coupling_kelvin,
         )
-        out.append(
-            BoundPoint(
-                temperature_kelvin=t,
-                witness_reduced=report.witness_value,
-                negativity_bound=report.negativity_lower_bound,
-                entangled=report.entangled,
-            )
-        )
-    return tuple(out)
+        for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist())
+    )

@@ -11,7 +11,6 @@ Temperatures and couplings are both in kelvin (energies divided by k_B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +18,10 @@ from .operators import SpinQuantum
 from .units import check_normal
 
 __all__ = [
-    "PairSpectrum",
     "pair_correlator",
-    "pair_correlator_zero_temperature",
     "pair_correlator_literature",
     "pair_negativity",
     "negativity_from_g1",
-    "pair_negativity_zero_temperature",
     "characteristic_temperature",
 ]
 
@@ -42,45 +38,6 @@ def _check_temperature(temperature_kelvin: float) -> None:
         raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
 
 
-@dataclass(frozen=True)
-class PairSpectrum:
-    """The two exchange multiplets of an (S, 1/2) pair."""
-
-    spin: SpinQuantum
-    coupling_kelvin: float
-
-    def __post_init__(self) -> None:
-        _check_coupling(self.coupling_kelvin)
-
-    @property
-    def upper_energy_kelvin(self) -> float:
-        return self.coupling_kelvin * self.spin.value / 2.0
-
-    @property
-    def lower_energy_kelvin(self) -> float:
-        return -self.coupling_kelvin * (self.spin.value + 1.0) / 2.0
-
-    @property
-    def upper_degeneracy(self) -> int:
-        return self.spin.twice_spin + 2
-
-    @property
-    def lower_degeneracy(self) -> int:
-        return self.spin.twice_spin
-
-    @property
-    def gap_kelvin(self) -> float:
-        return self.coupling_kelvin * (self.spin.twice_spin + 1) / 2.0
-
-
-def _boltzmann_ratio(spin: SpinQuantum, coupling_kelvin: float, temperature_kelvin: float) -> float:
-    """x = exp(-gap/T) in (0, 1]; underflows cleanly to 0 for T << gap."""
-    gap = coupling_kelvin * (spin.twice_spin + 1) / 2.0
-    arg = -gap / temperature_kelvin
-    # exp underflow below ~-745 just returns 0.0, which is the exact limit
-    return math.exp(arg) if arg > -745.0 else 0.0
-
-
 def pair_correlator(
     spin: SpinQuantum, coupling_kelvin: float, temperature_kelvin: float
 ) -> float:
@@ -92,13 +49,10 @@ def pair_correlator(
     _check_coupling(coupling_kelvin)
     _check_temperature(temperature_kelvin)
     s = spin.value
-    x = _boltzmann_ratio(spin, coupling_kelvin, temperature_kelvin)
+    gap = coupling_kelvin * (spin.twice_spin + 1) / 2.0
+    # math.exp underflows to 0.0, the exact T -> 0 limit, without raising
+    x = math.exp(-gap / temperature_kelvin)
     return s * (s + 1.0) * (x - 1.0) / (2.0 * ((s + 1.0) * x + s))
-
-
-def pair_correlator_zero_temperature(spin: SpinQuantum) -> float:
-    """T -> 0 limit of the pair correlator: -(S+1)/2."""
-    return -(spin.value + 1.0) / 2.0
 
 
 def pair_correlator_literature(
@@ -113,13 +67,11 @@ def pair_correlator_literature(
     """
     _check_coupling(coupling_kelvin)
     _check_temperature(temperature_kelvin)
-    t = temperature_kelvin
-    j = coupling_kelvin
     if spin.twice_spin == 1:
-        e = math.exp(-j / t) if -j / t > -745.0 else 0.0
+        e = math.exp(-coupling_kelvin / temperature_kelvin)
         return -3.0 * (1.0 - e) / (4.0 * (1.0 + 3.0 * e))
     if spin.twice_spin == 2:
-        e = math.exp(-1.5 * j / t) if -1.5 * j / t > -745.0 else 0.0
+        e = math.exp(-1.5 * coupling_kelvin / temperature_kelvin)
         return -5.0 * (1.0 - e) / (6.0 * (1.0 + 2.0 * e))
     raise ValueError(
         f"literature correlator is tabulated only for S = 1/2 and S = 1, got S = {spin}"
@@ -154,11 +106,6 @@ def negativity_from_g1(
     # max(0.0, -tau): -tau where it exceeds 0.0, else 0.0 (never -0.0)
     negativity = spin.twice_spin * np.where(-tau > 0.0, -tau, 0.0)
     return negativity if np.ndim(g1) else float(negativity)
-
-
-def pair_negativity_zero_temperature(spin: SpinQuantum) -> float:
-    """T -> 0 limit of the pair negativity: 1/(2S+1)."""
-    return 1.0 / (spin.twice_spin + 1)
 
 
 def characteristic_temperature(spin: SpinQuantum, coupling_kelvin: float) -> float:

@@ -96,12 +96,20 @@ def _squared(g_factor: float) -> float:
     Python's ** on floats is libm pow, which is not correctly rounded for
     an exponent of 2: with glibc, g = 1.0204 gives pow(g, 2) != g * g. Keeping
     ** keeps every finite result's bits; only the OverflowError it raises
-    becomes inf, which `_check_converted` then rejects.
+    becomes inf, which `_check_converted` then rejects. A square that is
+    not a normal float (|g| < 1.49e-154) raises ValueError.
     """
+    g_factor = float(g_factor)  # so that a numpy scalar raises, not warns
     try:
-        return g_factor**2
+        square = g_factor**2
     except OverflowError:
         return math.inf
+    if square < sys.float_info.min:
+        raise ValueError(
+            f"g_factor {g_factor!r} is too small: its square {square!r} is "
+            f"below the smallest normal float {sys.float_info.min:.4g}"
+        )
+    return square
 
 
 def _check_converted(value, temperature_kelvin, g_factor: float):

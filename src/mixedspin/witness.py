@@ -115,8 +115,15 @@ def negativity_lower_bound(
 
 
 def correction_polynomial(j_over_t: float) -> float:
-    """Finite-correlation correction weight P(y) = 0.11 y - 0.07 y^2, y = J/T."""
-    return 0.11 * j_over_t - 0.07 * j_over_t**2
+    """Finite-correlation correction weight P(y) = 0.11 y - 0.07 y^2, y = J/T.
+
+    y^2 is ** (libm pow), for its bits, or inf where that overflows.
+    """
+    try:
+        square = j_over_t**2
+    except OverflowError:
+        square = math.inf
+    return 0.11 * j_over_t - 0.07 * square
 
 
 def corrected_bound(

@@ -26,11 +26,9 @@ from mixedspin.chain import (
 from mixedspin.fitdata import bound_series, fit, synth_series
 from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
-    PairSpectrum,
     characteristic_temperature,
     pair_correlator,
     pair_negativity,
-    pair_negativity_zero_temperature,
 )
 from mixedspin.units import wavenumber_to_kelvin
 from mixedspin.witness import (
@@ -137,11 +135,10 @@ def test_lower_bound_never_exceeds_negativity():
 def test_zero_temperature_negativity_limit():
     """Negativity of the cold pair approaches 1/(2S+1) to 1e-9; 1/2 for S=1/2."""
     for spin in ALL_SPINS:
-        limit = pair_negativity_zero_temperature(spin)
-        assert limit == pytest.approx(1.0 / (spin.twice_spin + 1), rel=1e-15)
+        limit = 1.0 / (spin.twice_spin + 1)
         cold = pair_negativity(spin, 1.0, 1e-4)
         assert abs(cold - limit) < 1e-9
-    assert pair_negativity_zero_temperature(SpinQuantum(1)) == pytest.approx(0.5)
+    assert pair_negativity(SpinQuantum(1), 1.0, 1e-4) == pytest.approx(0.5)
 
 
 def test_dimer_and_sector_blocking_consistency():
@@ -155,16 +152,16 @@ def test_dimer_and_sector_blocking_consistency():
             n_sites=2, spin=spin, coupling_kelvin=coupling, boundary="open"
         )
         data = diagonalize(spec)
-        pair = PairSpectrum(spin, coupling)
+        # the pair's two multiplets: 2S states at -J (S + 1) / 2, then
+        # 2S + 2 states at J S / 2
+        lower_degeneracy = spin.twice_spin
+        lower = -coupling * (spin.value + 1.0) / 2.0
+        upper = coupling * spin.value / 2.0
         levels = np.sort(data.all_eigenvalues())
         dim = spec.total_dimension
         assert levels.shape == (dim,)
-        assert np.all(
-            np.abs(levels[: pair.lower_degeneracy] - pair.lower_energy_kelvin) < 1e-10
-        )
-        assert np.all(
-            np.abs(levels[pair.lower_degeneracy :] - pair.upper_energy_kelvin) < 1e-10
-        )
+        assert np.all(np.abs(levels[:lower_degeneracy] - lower) < 1e-10)
+        assert np.all(np.abs(levels[lower_degeneracy:] - upper) < 1e-10)
         dims = spec.site_dimensions
         for t in np.geomspace(0.05, 50.0, 12):
             g1 = float(correlator_matrix(data, float(t)).g_dot[0, 1])
@@ -270,7 +267,7 @@ def test_bound_series_sign_change_at_characteristic_temperature():
         assert temps[0] < tc < temps[-1]
         series = synth_series(spin, coupling, g_factor, temps)
         points = bound_series(series, spin, g_factor)
-        signs = [p.negativity_bound > 0.0 for p in points]
+        signs = [p.negativity_lower_bound > 0.0 for p in points]
         crossings = [
             (points[i].temperature_kelvin, points[i + 1].temperature_kelvin)
             for i in range(len(points) - 1)

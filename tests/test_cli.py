@@ -527,6 +527,95 @@ class TestOutOfDomainMeasurement:
         assert "initial g-factor" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["--model", "pair"],
+            ["--model", "chain", "--sites", "4"],
+            ["--model", "chain", "--sites", "4", "--boundary", "open"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "start,named",
+        [
+            # log J steps past 709.78, where exp overflows
+            (["--init-j", "1e300K"], "J = 1e+300 K, g = 2.0 "),
+            # J underflows to 0 (pair) or T/J overflows (chain)
+            (["--init-j", "1e-300K"], "J = 1e-300 K, g = 2.0 "),
+            # a squared residual overflows
+            (["--init-j", "12K", "--init-g", "1e100"], "J = 12.0 K, g = 1e+100 "),
+            # g^2 underflows
+            (["--init-j", "12K", "--init-g", "1e-320"], "J = 12.0 K, g = 1e-320 "),
+        ],
+    )
+    def test_fit_leaving_the_float_range_names_the_start(
+        self, capsys, tmp_path, model, start, named
+    ):
+        path = tmp_path / "series.csv"
+        synth = ["synth", "--spin", "1", "--j", "12K", "--g", "2.05"]
+        run(capsys, [*synth, "--temps", "log:2:200:12", "--output", str(path)])
+        argv = ["fit", "--input", str(path), "--spin", "1", *start, *model]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the fit from {named}")
+        assert err.count("\n") == 1
+
+    def test_fit_from_a_huge_coupling_exits_2(self, capsys, tmp_path):
+        # the simplex steps from log J = 575.6 past 709.78, where exp overflows
+        path = tmp_path / "series.csv"
+        synth = ["synth", "--spin", "1", "--j", "100K", "--g", "2"]
+        run(capsys, [*synth, "--temps", "log:0.1:100:12", "--output", str(path)])
+        argv = ["fit", "--input", str(path), "--spin", "1", "--init-j", "1e250K"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the fit from J = 1e+250 K, g = 2.0 ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "--chi", "1", "--temp", "1", "--spin", "1", "--g", "1e-200"],
+            ["bound", "--chi", "1", "--temp", "1", "--spin", "1", "--g", "1e-200"],
+            ["witness", "--chi", "0", "--temp", "3", "--spin", "1", "--g", "1e-160"],
+            ["synth", "--spin", "1", "--j", "1K", "--g", "1e-170", "--temps", "1,2"],
+            ["synth", "--spin", "1", "--j", "1K", "--g", "1e-170", "--temps", "1,2"]
+            + ["--model", "chain", "--sites", "4"],
+        ],
+    )
+    def test_g_whose_square_is_not_normal_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "too small: its square" in err
+
+    def test_reduced_witness_never_squares_g(self, capsys):
+        argv = ["witness", "--chi", "1", "--unit", "reduced", "--temp", "1"]
+        code, out, _ = run(capsys, [*argv, "--spin", "1", "--g", "1e-200"])
+        assert code == 0
+        assert parse_csv(out)[1][0]["verdict"] == "not detected"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--chi", "1e308", "--unit", "reduced", "--temp", "1"],
+            ["--chi", "1", "--temp", "1.7e308"],
+        ],
+    )
+    def test_bound_that_overflows_exits_2(self, capsys, argv):
+        # -6 W / (D n) overflows to -inf; no row prints a non-finite cell
+        code, out, err = run(capsys, ["bound", "--spin", "1", *argv])
+        assert (code, out) == (2, "")
+        assert err == "error: negativity_lower_bound is -inf, not a finite number\n"
+        # `witness` prints no bound, and its cells are finite
+        code, out, _ = run(capsys, ["witness", "--spin", "1", *argv])
+        assert code == 0
+        assert "inf" not in out
+
+    def test_correction_square_overflow_exits_2(self, capsys):
+        # (J/T)^2 = 1e602 overflows in the correction polynomial
+        argv = ["bound", "--chi", "1", "--unit", "reduced", "--temp", "1e-300"]
+        code, out, err = run(capsys, [*argv, "--spin", "1", "--correct-j", "10K"])
+        assert (code, out) == (2, "")
+        assert "corrected bound" in err
+
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from mixedspin import fitdata
 from mixedspin.fitdata import (
-    BoundPoint,
     MeasurementSeries,
     bound_series,
     fit,
@@ -381,6 +381,29 @@ class TestFit:
         with pytest.raises(ValueError, match="initial coupling"):
             fit(series, S_HALF, -1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "chain,message",
+        [
+            ({"n_sites": 3}, "n_sites must be even"),
+            ({"n_sites": 4, "boundary": "ring"}, "boundary must be"),
+        ],
+    )
+    def test_bad_chain_keeps_its_own_message(self, chain, message):
+        # the spec is checked before the simplex, whose errors name the start
+        series = synth_series(S_HALF, 10.0, 2.0, np.linspace(2.0, 80.0, 20))
+        with pytest.raises(ValueError, match=message):
+            fit(series, S_HALF, 10.0, 2.0, **chain)
+
+    @pytest.mark.parametrize("n_sites", [None, 4])
+    @pytest.mark.parametrize(
+        "start", [(1e300, 2.0), (1e-300, 2.0), (10.0, 1e100), (10.0, 1e-320)]
+    )
+    def test_leaving_the_float_range_names_the_start(self, n_sites, start):
+        series = synth_series(S_HALF, 10.0, 2.0, np.linspace(2.0, 80.0, 20))
+        j, g = start
+        with pytest.raises(ValueError, match=re.escape(f"fit from J = {j} K, g = {g} ")):
+            fit(series, S_HALF, j, g, n_sites=n_sites)
+
 
 class TestBoundSeries:
     def test_sign_tracks_characteristic_temperature(self):
@@ -393,10 +416,10 @@ class TestBoundSeries:
         for p in points:
             if p.temperature_kelvin < 0.98 * tc:
                 assert p.entangled
-                assert p.negativity_bound > 0.0
+                assert p.negativity_lower_bound > 0.0
             elif p.temperature_kelvin > 1.02 * tc:
                 assert not p.entangled
-                assert p.negativity_bound <= 0.0
+                assert p.negativity_lower_bound <= 0.0
 
     def test_threshold_series_gives_zero_bounds(self):
         from mixedspin.witness import separability_threshold
@@ -406,8 +429,8 @@ class TestBoundSeries:
         thr = separability_threshold(2, spin)
         series = MeasurementSeries(temps, np.full(3, thr), "reduced", {})
         for p in bound_series(series, spin, 2.0):
-            assert p.witness_reduced == 0.0
-            assert p.negativity_bound == 0.0
+            assert p.witness_value == 0.0
+            assert p.negativity_lower_bound == 0.0
             assert not p.entangled
 
     def test_reduced_and_molar_inputs_agree(self):
@@ -423,7 +446,7 @@ class TestBoundSeries:
         )
         reduced = MeasurementSeries(temps, chi_red, "reduced", {})
         for a, b in zip(bound_series(molar, spin, g), bound_series(reduced, spin, g)):
-            assert a.negativity_bound == pytest.approx(b.negativity_bound, rel=1e-10)
+            assert a.negativity_lower_bound == pytest.approx(b.negativity_lower_bound, rel=1e-10)
 
     @pytest.mark.parametrize("unit,chi", [("reduced", -0.5), ("emu/mol", -0.01)])
     def test_negative_susceptibility_is_rejected(self, unit, chi):
@@ -453,7 +476,9 @@ class TestBoundSeries:
             if correction is not None:
                 g1 = pair_correlator(spin, correction, t)
                 bound = corrected_bound(bound, correction, t, g1)
-            assert p == BoundPoint(t, w, bound, w < 0.0)
+            got = (p.temperature_kelvin, p.witness_value, p.negativity_lower_bound)
+            assert got == (t, w, bound)
+            assert p.entangled == (w < 0.0)
 
     def test_correction_shifts_by_polynomial_term(self):
         spin = S_ONE
@@ -464,8 +489,8 @@ class TestBoundSeries:
         corrected = bound_series(series, spin, g, correction_coupling_kelvin=j)
         for a, b, t in zip(plain, corrected, temps):
             g1 = pair_correlator(spin, j, float(t))
-            expected = a.negativity_bound + correction_polynomial(j / float(t)) * g1
-            assert b.negativity_bound == pytest.approx(expected, rel=1e-12)
+            expected = a.negativity_lower_bound + correction_polynomial(j / float(t)) * g1
+            assert b.negativity_lower_bound == pytest.approx(expected, rel=1e-12)
 
 
 class TestUnitCoherence:

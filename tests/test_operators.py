@@ -232,6 +232,20 @@ class TestUnits:
         with pytest.raises(ValueError, match="not finite"):
             chi_reduced_to_emu_per_mol(0.3, 7.0, 1e200)
 
+    @pytest.mark.parametrize("g", [1e-160, 1e-200, 5e-324, np.float64(1e-200)])
+    def test_g_whose_square_is_not_normal_is_rejected(self, g):
+        # g^2 below 2.2e-308 has lost digits or is 0, and the molar to
+        # reduced conversion divides by it
+        for convert in (chi_reduced_to_emu_per_mol, chi_emu_per_mol_to_reduced):
+            with pytest.raises(ValueError, match="g_factor .* too small"):
+                convert(0.3, 7.0, g)
+
+    def test_smallest_g_with_a_normal_square_converts(self):
+        g = 1.5e-154  # g^2 = 2.25e-308, just above the smallest normal float
+        assert chi_reduced_to_emu_per_mol(0.3, 7.0, g) == (
+            CURIE_FACTOR_EMU_K_PER_MOL * g**2 / 7.0 * 0.3
+        )
+
     def test_convert_units_errors(self):
         with pytest.raises(ValueError):
             chi_reduced_to_emu_per_mol(1.0, -2.0, 2.0)

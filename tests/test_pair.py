@@ -14,14 +14,11 @@ from mixedspin.chain import (
 )
 from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
-    PairSpectrum,
     characteristic_temperature,
     negativity_from_g1,
     pair_correlator,
     pair_correlator_literature,
-    pair_correlator_zero_temperature,
     pair_negativity,
-    pair_negativity_zero_temperature,
 )
 
 ALL_SPINS = [SpinQuantum(ts) for ts in range(1, 6)]
@@ -36,24 +33,18 @@ def dimer(spin: SpinQuantum, j: float = 1.0):
 class TestPairSpectrum:
     @pytest.mark.parametrize("spin", ALL_SPINS)
     def test_two_multiplets_match_diagonalization(self, spin):
-        ps = PairSpectrum(spin, 1.3)
-        evals = dimer(spin, 1.3).all_eigenvalues()
-        assert evals[0] == pytest.approx(ps.lower_energy_kelvin, abs=1e-12)
-        assert evals[-1] == pytest.approx(ps.upper_energy_kelvin, abs=1e-12)
-        n_lower = int(np.sum(np.abs(evals - ps.lower_energy_kelvin) < 1e-9))
-        n_upper = int(np.sum(np.abs(evals - ps.upper_energy_kelvin) < 1e-9))
-        assert n_lower == ps.lower_degeneracy
-        assert n_upper == ps.upper_degeneracy
+        # the closed forms: J S / 2 with 2S + 2 states, -J (S + 1) / 2 with 2S
+        j = 1.3
+        upper, lower = j * spin.value / 2.0, -j * (spin.value + 1.0) / 2.0
+        evals = dimer(spin, j).all_eigenvalues()
+        assert evals[0] == pytest.approx(lower, abs=1e-12)
+        assert evals[-1] == pytest.approx(upper, abs=1e-12)
+        n_lower = int(np.sum(np.abs(evals - lower) < 1e-9))
+        n_upper = int(np.sum(np.abs(evals - upper) < 1e-9))
+        assert n_lower == spin.twice_spin
+        assert n_upper == spin.twice_spin + 2
         assert n_lower + n_upper == evals.size
-        assert ps.gap_kelvin == pytest.approx(
-            ps.upper_energy_kelvin - ps.lower_energy_kelvin, abs=1e-12
-        )
-
-    def test_rejects_nonpositive_coupling(self):
-        with pytest.raises(ValueError):
-            PairSpectrum(SpinQuantum(1), 0.0)
-        with pytest.raises(ValueError):
-            PairSpectrum(SpinQuantum(1), -1.0)
+        assert j * (spin.twice_spin + 1) / 2.0 == pytest.approx(upper - lower, abs=1e-12)
 
 
 class TestPairCorrelator:
@@ -68,10 +59,10 @@ class TestPairCorrelator:
 
     @pytest.mark.parametrize("spin", ALL_SPINS)
     def test_limits(self, spin):
-        assert pair_correlator_zero_temperature(spin) == -(spin.value + 1.0) / 2.0
-        # deep in the gapped regime the limit is reached to machine precision
+        # deep in the gapped regime the T -> 0 limit -(S+1)/2 is reached to
+        # machine precision
         cold = pair_correlator(spin, 1.0, 1e-3)
-        assert cold == pytest.approx(pair_correlator_zero_temperature(spin), abs=1e-12)
+        assert cold == pytest.approx(-(spin.value + 1.0) / 2.0, abs=1e-12)
         hot = pair_correlator(spin, 1.0, 1e7)
         assert abs(hot) < 1e-6
 
@@ -141,7 +132,6 @@ class TestPairNegativity:
     @pytest.mark.parametrize("spin", ALL_SPINS)
     def test_zero_temperature_limit(self, spin):
         expected = 1.0 / (spin.twice_spin + 1)
-        assert pair_negativity_zero_temperature(spin) == expected
         assert pair_negativity(spin, 1.0, 1e-3) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("spin", ALL_SPINS)
@@ -152,7 +142,7 @@ class TestPairNegativity:
 
     @pytest.mark.parametrize("spin", ALL_SPINS)
     def test_range_and_monotonicity(self, spin):
-        cap = pair_negativity_zero_temperature(spin)
+        cap = 1.0 / (spin.twice_spin + 1)  # the T -> 0 limit
         values = [pair_negativity(spin, 1.0, float(t)) for t in TGRID]
         assert all(0.0 <= v <= cap + 1e-15 for v in values)
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))

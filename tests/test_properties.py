@@ -1,7 +1,8 @@
 """Property tests: out-of-domain CLI input exits 2 and never prints nan.
 
-A huge but finite coupling either gives finite rows or exits 2. No input
-may warn: every run treats warnings as errors.
+A huge but finite coupling either gives finite rows or exits 2. No
+subcommand exits 1 or raises, whatever its numeric flags. No input may
+warn: every run treats warnings as errors.
 
 Hypothesis is not a declared dependency; without it this module skips.
 Values go in as `--flag=VALUE`, so that a negative number is not read
@@ -11,13 +12,14 @@ as an option.
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mixedspin.cli import main  # noqa: E402
@@ -171,3 +173,116 @@ class TestSynth:
     @given(value=NOT_POSITIVE, unit=UNIT, model=st.sampled_from(["pair", "chain"]))
     def test_coupling(self, value, unit, model):
         assert_rejected([*with_flag(self.BASE, "--j", value + unit), f"--model={model}"])
+
+
+# every numeric flag: the float extremes, then any float at all
+EXTREME = st.sampled_from(
+    ["0", "-0.0", "5e-324", "-5e-324", "1e-310", "-1e-310", "1.7e308", "-1.7e308"]
+    + [f"{sign}1e{exp}" for sign in ("", "-") for exp in (100, 150, 200, 300)]
+    + [f"{sign}1e-{exp}" for sign in ("", "-") for exp in (100, 150, 200, 300)]
+    + ["nan", "inf", "-inf"]
+)
+NUMBER = EXTREME | st.floats().map(repr)
+COUPLING = st.tuples(NUMBER, UNIT).map("".join)
+TEMPS = st.lists(NUMBER, min_size=1, max_size=3).map(",".join)
+SPIN = st.sampled_from(["1/2", "1", "3/2"])
+CHAIN = st.sampled_from(
+    [
+        ["--model=chain", "--sites=4"],
+        ["--model=chain", "--sites=4", "--boundary=open"],
+    ]
+)
+MODEL = st.just(["--model=pair"]) | CHAIN
+# a run that succeeds prints no non-finite cell, in CSV or in JSON
+NON_FINITE_CELL = re.compile(r"(?i)(?<![\w.])-?(nan|inf|infinity)(?![\w.])")
+
+
+def assert_documented_exit(argv):
+    code, out = run(argv)
+    assert code in (0, 2, 3), (argv, code, out)
+    if code == 0:
+        assert NON_FINITE_CELL.search(out) is None, (argv, out)
+
+
+@pytest.fixture(scope="module")
+def series_csv(tmp_path_factory):
+    """A small noiseless pair-model series (S = 1, J = 12 K, g = 2.05)."""
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    argv = ["synth", "--spin=1", "--j=12K", "--g=2.05", "--temps=2,5,10,20,50,100"]
+    assert run([*argv, f"--output={path}"]) == (0, "")
+    return str(path)
+
+
+class TestNoSubcommandExits1:
+    """Every subcommand exits 0, 2 or 3 on any numeric flag, and never raises."""
+
+    @PROPERTY
+    @given(
+        spin=SPIN,
+        coupling=COUPLING,
+        form=st.sampled_from(
+            [[], ["--correlator=literature"], ["--model=chain", "--sites=4"]]
+            + [["--model=chain", "--sites=4", "--boundary=open"]]
+        ),
+    )
+    def test_tc(self, spin, coupling, form):
+        assert_documented_exit(["tc", f"--spin={spin}", f"--coupling={coupling}", *form])
+
+    @PROPERTY
+    @given(couplings=st.lists(COUPLING, min_size=1, max_size=2).map(",".join))
+    def test_sweep(self, couplings):
+        assert_documented_exit(["sweep", "--spins=1/2,1", f"--couplings={couplings}"])
+
+    @PROPERTY
+    @given(
+        command=st.sampled_from(["witness", "bound"]),
+        chi=NUMBER,
+        temp=NUMBER,
+        g=NUMBER,
+        unit=st.sampled_from(["emu/mol", "reduced"]),
+        correction=st.none() | COUPLING,
+    )
+    # each once exited 1: g^2 underflowed to 0, and (J/T)^2 overflowed
+    @example("witness", "1", "1", "1e-200", "emu/mol", None)
+    @example("bound", "1", "1e-300", "2", "reduced", "10K")
+    def test_witness_and_bound(self, command, chi, temp, g, unit, correction):
+        argv = [command, "--spin=1", f"--chi={chi}", f"--temp={temp}", f"--g={g}"]
+        argv.append(f"--unit={unit}")
+        if command == "bound" and correction is not None:
+            argv.append(f"--correct-j={correction}")
+        assert_documented_exit(argv)
+
+    @PROPERTY
+    @given(spin=SPIN, j=COUPLING, g=NUMBER, temps=TEMPS, model=MODEL)
+    def test_synth(self, spin, j, g, temps, model):
+        argv = ["synth", f"--spin={spin}", f"--j={j}", f"--g={g}", f"--temps={temps}"]
+        assert_documented_exit([*argv, *model])
+
+    @PROPERTY
+    @given(
+        spin=SPIN,
+        coupling=COUPLING,
+        temps=TEMPS,
+        boundary=st.sampled_from(["periodic", "open"]),
+    )
+    def test_chain(self, spin, coupling, temps, boundary):
+        argv = ["chain", f"--spin={spin}", "--sites=4", f"--coupling={coupling}"]
+        assert_documented_exit([*argv, f"--temps={temps}", f"--boundary={boundary}"])
+
+    @PROPERTY
+    @given(
+        init_j=COUPLING,
+        init_g=NUMBER,
+        window=st.none() | st.tuples(NUMBER, NUMBER).map(":".join),
+        model=MODEL,
+    )
+    # each once exited 1: exp(log J) overflowed, and so did a squared residual
+    @example("1e300K", "2", None, ["--model=pair"])
+    @example("1e300K", "2", None, ["--model=chain", "--sites=4"])
+    @example("12K", "1e100", None, ["--model=pair"])
+    def test_fit(self, series_csv, init_j, init_g, window, model):
+        argv = ["fit", f"--input={series_csv}", "--spin=1", f"--init-j={init_j}"]
+        argv += [f"--init-g={init_g}", *model]
+        if window is not None:
+            argv.append(f"--window={window}")
+        assert_documented_exit(argv)

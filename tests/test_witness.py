@@ -194,6 +194,12 @@ class TestCorrectedBound:
         with pytest.raises(ValueError):
             corrected_bound(0.1, 1.0, 0.0, -0.5)
 
+    def test_overflowing_square_is_inf_and_the_bound_is_rejected(self):
+        # (J/T)^2 overflows at J/T = 1e301; P(y) is then -inf, not an error
+        assert correction_polynomial(1e301) == -math.inf
+        with pytest.raises(ValueError, match="corrected bound"):
+            corrected_bound(0.1, 10.0, 1e-300, -1.0)
+
 
 class TestSolveTc:
     @pytest.mark.parametrize("spin", ALL_SPINS)
