@@ -27,9 +27,12 @@ Every block is real symmetric by construction (see `operators`).
 `diagonalize` records every eigenvalue array the eigensolver returns,
 once, in a flat level table (`SectorSpectralData.levels`), with the
 number of exactly degenerate copies it stands for and its 2Sz. Every
-thermal sum is one Boltzmann kernel on that table (`thermal_weights`):
-one exp per table entry and temperature, shifted by the ground energy
-so that no temperature underflows, then one weighted sum. An
+thermal sum starts from the Boltzmann factors of that table
+(`_boltzmann_factors`): one exp per table entry and temperature,
+shifted by the ground energy so that no temperature underflows. A
+thermal mean then takes the numerator and Z from those factors at
+once, with no normalized weights: chi from dot products with the
+columns (m Sz^2, m), a traceless quantity from pairwise sums. An
 eigenvalue-only spectrum is that table and the bond S_0 . S_1 on it.
 """
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -216,6 +220,28 @@ class SectorSpectralData:
 
     def all_eigenvalues(self) -> np.ndarray:
         return np.sort(np.repeat(self.levels, self.multiplicity))
+
+    @cached_property
+    def _gaps(self) -> np.ndarray:
+        """E0 - E of each table entry, the exponent of its Boltzmann
+        factor at T = 1."""
+        return self.ground_energy_kelvin - self.levels
+
+    @cached_property
+    def _least_gap(self) -> float:
+        """The most negative entry of `_gaps`."""
+        return float(self._gaps.min())
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """The multiplicities as floats."""
+        return self.multiplicity.astype(float)
+
+    @cached_property
+    def _chi_columns(self) -> np.ndarray:
+        """The columns (m Sz^2, m) of `susceptibility_exact`'s product,
+        as the rows of a (2, m) array."""
+        return np.stack([self._weights * (self.twice_sz / 2.0) ** 2, self._weights])
 
 
 def _basis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -712,6 +738,43 @@ def _check_vectors(data: SectorSpectralData, what: str) -> None:
         )
 
 
+# exp(x) is subnormal below this exponent, ln(2^-1022)
+_SUBNORMAL_EXPONENT = math.log(sys.float_info.min)
+
+
+def _boltzmann_factors(
+    data: SectorSpectralData, temperature_kelvin: float | np.ndarray
+) -> np.ndarray:
+    """exp((E0 - E_i)/T) of each table entry, shape T.shape + (m,).
+
+    Exponents are shifted by the ground energy so that low temperatures
+    never overflow, and divided by T rather than multiplied by 1/T: at a
+    subnormal T, 1/T is inf, and 0 inf would make the ground entries nan.
+
+    A factor that would be subnormal (exponent below -708.4) is 0. numpy's
+    exp leaves its vector path there and costs 10 to 100 times more per
+    entry (3.4 ms against 25 us for 35,400 of them), which made a chain
+    chi at T/J below about 1/60 several times slower. Z holds the ground
+    factor 1, and a sum with a term above 1e-290 cannot feel an entry
+    below 2.3e-308; only a mean made of such entries alone reads 0.
+    """
+    check_positive("temperature", temperature_kelvin)
+    t = np.asarray(temperature_kelvin, dtype=float)[..., None]
+    # (E0 - E)/T overflows to -inf at subnormal T; exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        f = data._gaps / t
+        # f's least entry, found without a pass over f: the gaps are <= 0,
+        # and a rounded quotient is monotone in both operands
+        least = data._least_gap / t.min()
+    if least >= _SUBNORMAL_EXPONENT:
+        return np.exp(f, out=f)
+    flushed = f < _SUBNORMAL_EXPONENT
+    f[flushed] = 0.0
+    np.exp(f, out=f)
+    f[flushed] = 0.0
+    return f
+
+
 def thermal_weights(
     data: SectorSpectralData, temperature_kelvin: float | np.ndarray
 ) -> np.ndarray:
@@ -719,19 +782,14 @@ def thermal_weights(
 
     Entry i is multiplicity[i] exp(-(E_i - E0)/T) / Z, the total weight
     of the equal levels it stands for, so the weights sum to 1: one exp
-    per table entry and temperature. Exponents are shifted by the ground
-    energy so that low temperatures never overflow. A row of a
+    per table entry and temperature (`_boltzmann_factors`). A row of a
     temperature array goes through the same operations as a scalar call
     (elementwise, then one sum over the last axis), so the two agree
-    bitwise. The steps after the first work in place: a fresh array per
-    step costs more than the exp itself at T.shape + (m,) = 60 x 590.
+    bitwise. The thermal means (`susceptibility_exact`, `thermal_mean`)
+    do not normalize; the per-sector weights of a spectrum with
+    eigenvectors are these.
     """
-    check_positive("temperature", temperature_kelvin)
-    t = np.asarray(temperature_kelvin, dtype=float)[..., None]
-    # (E0 - E)/T overflows to -inf at subnormal T; exp(-inf) = 0 is the limit
-    with np.errstate(over="ignore"):
-        w = (data.ground_energy_kelvin - data.levels) / t
-    np.exp(w, out=w)
+    w = _boltzmann_factors(data, temperature_kelvin)
     w *= data.multiplicity
     w /= w.sum(-1)[..., None]
     return w
@@ -831,14 +889,35 @@ def susceptibility_exact(
     """Reduced susceptibility chi k_B T / (g^2 mu_B^2) = sum_ij <Sz_i Sz_j>.
 
     Eigenstates carry definite total Sz, so the double sum collapses to
-    <(Sz_total)^2>: the table's weights times Sz_total^2, summed. A
-    float for a scalar temperature; for an array, an array of the same
-    shape whose elements equal the scalar calls bitwise.
+    <(Sz_total)^2> = sum m f Sz^2 / sum m f over the table, with the
+    Boltzmann factors f (`_boltzmann_factors`). Both sums come from one
+    stacked matrix product of the factors with the columns (m Sz^2, m):
+    each (row, column) pair is its own dot product (BLAS ddot), so an
+    element of a temperature array equals its scalar call bitwise. Every
+    term is >= 0, so no cancellation amplifies the dot product's
+    rounding. A float for a scalar temperature; for an array, an array
+    of the same shape.
     """
-    w = thermal_weights(data, temperature_kelvin)
-    w *= (data.twice_sz / 2.0) ** 2
-    chi = w.sum(-1)
+    f = _boltzmann_factors(data, temperature_kelvin)
+    sums = (f[..., None, None, :] @ data._chi_columns[:, :, None])[..., 0, 0]
+    chi = sums[..., 0] / sums[..., 1]
     return chi if np.ndim(temperature_kelvin) else float(chi)
+
+
+# |values| below 2^900 keeps d max|values| finite for any d below 2^100
+_UNSCALED_EXPONENT = 900
+
+
+def _weighted_sums(
+    factors: np.ndarray, weights: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sum w f v, sum w f) over the last axis of `factors`, which it
+    overwrites: two products in place and two pairwise sums, each row
+    summed on its own."""
+    factors *= weights
+    z = factors.sum(-1)
+    factors *= values
+    return factors.sum(-1), z
 
 
 def thermal_mean(
@@ -853,10 +932,13 @@ def thermal_mean(
     `SectorSpectralData.bond` or `bond_levels` for a bond correlator.
     Each sums to zero over the whole spectrum (multiplicity m times
     value), because H and every S_i . S_j are traceless. The mean is
-    (weights * values).sum(-1).
-    Above the level spread (`ChainSpec.level_spread_kelvin`) the weights
-    are nearly uniform and the mean falls like 1/T, while that sum keeps
-    an absolute error near 1e-16; there it is taken as
+    sum m f values / sum m f, with the Boltzmann factors f
+    (`_boltzmann_factors`), both sums pairwise (`_weighted_sums`): the
+    terms cancel where the mean is small, and a pairwise sum keeps the
+    rounding that the cancellation amplifies smaller than a dot product
+    does. Above the level spread (`ChainSpec.level_spread_kelvin`) the
+    factors are nearly equal and the mean falls like 1/T, while that
+    ratio keeps an absolute error near 1e-16; there it is taken as
     sum m expm1(-E/T) values / (sum m expm1(-E/T) + d), d = sum m the
     dimension, which is sum m exp(-E/T) values / sum m exp(-E/T) for a
     traceless quantity, to full relative accuracy. A float for a scalar
@@ -869,19 +951,26 @@ def thermal_mean(
             f"values must hold one number per level-table entry, shape "
             f"{data.levels.shape}; got shape {values.shape}"
         )
-    w = thermal_weights(data, temperature_kelvin)
-    w *= values
-    mean = w.sum(-1)
+    # Every partial sum is at most d max|values|. Where that could overflow
+    # (a coupling above about 1e270 K), values are scaled by a power of two
+    # below 1, which changes no bit.
+    _, scale = np.frexp(np.abs(values).max())
+    if scale > _UNSCALED_EXPONENT:
+        values = np.ldexp(values, -scale)
+    num, z = _weighted_sums(
+        _boltzmann_factors(data, temperature_kelvin), data._weights, values
+    )
+    mean = num / z
     t = np.asarray(temperature_kelvin, dtype=float)
     hot = t > data.spec.level_spread_kelvin
     if hot.any():
         mean = np.array(mean)
-        # values scaled by a power of two below 1, which keeps the partial
-        # sums of a huge coupling finite and changes no bit otherwise
-        _, scale = np.frexp(np.abs(values).max())
-        w_m1 = data.multiplicity * np.expm1(-data.levels / t[hot][:, None])
-        num = (w_m1 * np.ldexp(values, -scale)).sum(-1)
-        mean[hot] = np.ldexp(num / (w_m1.sum(-1) + data.spec.total_dimension), scale)
+        num, z = _weighted_sums(
+            np.expm1(-data.levels / t[hot][:, None]), data._weights, values
+        )
+        mean[hot] = num / (z + data.spec.total_dimension)
+    if scale > _UNSCALED_EXPONENT:
+        mean = np.ldexp(mean, scale)
     return mean if np.ndim(temperature_kelvin) else float(mean)
 
 

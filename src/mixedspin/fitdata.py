@@ -192,24 +192,22 @@ def model_chi(
 
     A float for a scalar temperature; for an array of temperatures, an
     array of the same shape whose elements equal the scalar calls
-    bitwise. The pair correlator stays a per-point `math.exp` closed
-    form, since `np.exp` may round differently.
+    bitwise. The pair correlator takes the whole array in one call, and
+    stays a per-point `math.exp` closed form (`pair_correlator`).
     """
     check_positive("temperature", temperature_kelvin)
     check_positive("coupling", coupling_kelvin)
     temps = np.asarray(temperature_kelvin, dtype=float)
     if n_sites is None:
-        g1 = np.array(
-            [pair_correlator(spin, coupling_kelvin, t) for t in temps.ravel().tolist()]
-        ).reshape(temps.shape)
+        g1 = pair_correlator(spin, coupling_kelvin, temps)
         chi_cell = susceptibility_nn_approx(SPINS_PER_FORMULA_UNIT, spin, g1)
     else:
         data = _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
         with np.errstate(over="ignore", under="ignore"):  # rejected just below
             reduced_temps = temps / coupling_kelvin
         try:
-            # `thermal_weights` checks T/J, as it checks every temperature;
-            # the message names T and J instead
+            # `susceptibility_exact` checks T/J, as it checks every
+            # temperature; the message names T and J instead
             chi_total = susceptibility_exact(data, reduced_temps)
         except ValueError:
             bad = ~((reduced_temps > 0.0) & np.isfinite(reduced_temps))
@@ -339,6 +337,87 @@ def _shrink(objective, simplex, values):
     return new_simplex, new_values
 
 
+def _rms(values: np.ndarray) -> float:
+    """Root mean square, with no overflow in the squares."""
+    return math.hypot(*values.tolist()) / math.sqrt(values.size)
+
+
+def _fit_g_squared(unit: np.ndarray, chi: np.ndarray) -> tuple[float, float]:
+    """(|g^2 unit - chi|, g^2) at the least-squares g^2 of chi ~ g^2 unit,
+    or (inf, nan) where that g^2 is not positive and finite."""
+    with np.errstate(over="ignore"):
+        norm, overlap = float(unit @ unit), float(chi @ unit)
+    if not (0.0 < norm < math.inf and 0.0 < overlap < math.inf):
+        return math.inf, math.nan
+    g_squared = overlap / norm
+    return math.hypot(*(g_squared * unit - chi).tolist()), g_squared
+
+
+def _check_determined(
+    model: Callable[..., np.ndarray],
+    temps: np.ndarray,
+    chi: np.ndarray,
+    coupling: float,
+    g_factor: float,
+    residual_rms: float,
+    reached: str,
+) -> None:
+    """Raise ValueError, starting with `reached`, unless the data pin the
+    fitted J. `model(J, g, temps)` is the fit's model.
+
+    Plateau: far above or below the data's temperatures chi no longer
+    depends on J, and the simplex shrinks along g until it passes its
+    diameter test. So scaling J by 2 or by 1/2 must move the model by more
+    than the residual rms. Other minimum: a J outside [J/2, 2J] must not
+    fit the data better. chi is g^2 times the g = 1 model, so the best g
+    at a given J is a linear least-squares fit, and the residual over J
+    costs one model evaluation per J: it is scanned on a log grid of 4
+    points per decade, from T_min/100 to 100 T_max. A narrower minimum
+    between grid points goes unseen. The residual over every k-th point
+    alone, at its own best g, is no larger than the whole one, so a J
+    that this subset of about 8 points already rules out is not
+    evaluated on the whole series.
+    """
+    fitted = model(coupling, g_factor, temps)
+    moves = []
+    for factor in (2.0, 0.5):
+        try:
+            moves.append(_rms(model(coupling * factor, g_factor, temps) - fitted))
+        except (OverflowError, ValueError):
+            moves.append(math.nan)  # no evidence either way
+    if not any(move > residual_rms for move in moves):
+        raise ValueError(
+            f"{reached}, where the data do not determine J: scaling J by 2 or by "
+            f"1/2 moves the model by no more than the residual rms {residual_rms} "
+            f"emu/mol (by {moves[0]} and {moves[1]})"
+        )
+    # residuals compared as |r| = rms sqrt(n)
+    bound = residual_rms * math.sqrt(temps.size) * (1.0 - 1e-6)
+    every = max(1, temps.size // 8)
+    lo, hi = math.log(temps[0]) - math.log(100.0), math.log(temps[-1]) + math.log(100.0)
+    steps = math.ceil(4.0 * (hi - lo) / math.log(10.0))
+    for k in range(steps + 1):
+        try:
+            j = math.exp(lo + (hi - lo) * k / steps)
+            if j / 2.0 <= coupling <= 2.0 * j:
+                continue
+            if every > 1:
+                sub = slice(None, None, every)
+                partial, _ = _fit_g_squared(model(j, 1.0, temps[sub]), chi[sub])
+                if bound <= partial < math.inf:
+                    continue
+            residual, g_squared = _fit_g_squared(model(j, 1.0, temps), chi)
+        except (OverflowError, ValueError):
+            continue
+        if residual < bound:
+            raise ValueError(
+                f"{reached}, a local minimum: J = {j} K, g = {math.sqrt(g_squared)} "
+                f"fits the data better (residual rms "
+                f"{residual / math.sqrt(temps.size)} against {residual_rms} "
+                "emu/mol); start nearer to it"
+            )
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Fitted coupling and g-factor with convergence diagnostics."""
@@ -368,7 +447,10 @@ def fit(
     The model is `model_chi`'s: the pair for n_sites None, else the
     n_sites chain. Non-convergence is not an exception: the best-so-far
     parameters come back with converged=False. A step that leaves the
-    float range raises ValueError, naming the start values.
+    float range raises ValueError, naming the start values, and so does
+    a result whose J the data do not pin (`_check_determined`): one where
+    scaling J by 2 and by 1/2 moves the model by no more than the residual
+    rms, or where a J outside [J/2, 2J] fits the data better.
     """
     if series.unit != "emu/mol":
         raise ValueError(
@@ -395,20 +477,25 @@ def fit(
         _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
     measured = chi.tolist()
 
+    def model(
+        coupling_kelvin: float, g_factor: float, at: np.ndarray = temps
+    ) -> np.ndarray:
+        return model_chi(
+            spin,
+            coupling_kelvin,
+            g_factor,
+            at,
+            n_sites=n_sites,
+            boundary=boundary,
+            dim_cap=dim_cap,
+        )
+
     def objective(params: np.ndarray) -> float:
         if not params[1] > 0.0:
             # chi depends on g^2 only; keep the simplex on the g > 0 branch
             return math.inf
         try:
-            model_values = model_chi(
-                spin,
-                math.exp(params[0]),
-                params[1],
-                temps,
-                n_sites=n_sites,
-                boundary=boundary,
-                dim_cap=dim_cap,
-            )
+            model_values = model(math.exp(params[0]), params[1])
             # left to right, and ** (libm pow) rather than an array square,
             # so every value is bitwise that of a point-by-point loop
             total = sum((m - x) ** 2 for m, x in zip(model_values.tolist(), measured))
@@ -426,10 +513,17 @@ def fit(
     x_best, f_best, iterations, converged, _ = nelder_mead(
         objective, [math.log(init_coupling_kelvin), init_g_factor]
     )
+    coupling, g_factor = math.exp(x_best[0]), float(x_best[1])
+    residual_rms = math.sqrt(f_best / temps.size)
+    reached = (
+        f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor} reached "
+        f"J = {coupling} K, g = {g_factor}"
+    )
+    _check_determined(model, temps, chi, coupling, g_factor, residual_rms, reached)
     return FitResult(
-        coupling_kelvin=math.exp(x_best[0]),
-        g_factor=float(x_best[1]),
-        residual_rms=math.sqrt(f_best / temps.size),
+        coupling_kelvin=coupling,
+        g_factor=g_factor,
+        residual_rms=residual_rms,
         iterations=iterations,
         converged=converged,
         fit_window=(float(temps[0]), float(temps[-1])),

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .operators import SpinQuantum
-from .units import check_normal
+from .units import check_normal, check_positive
 
 __all__ = [
     "pair_correlator",
@@ -33,25 +33,37 @@ def _check_coupling(coupling_kelvin: float) -> None:
         )
 
 
-def _check_temperature(temperature_kelvin: float) -> None:
-    if not math.isfinite(temperature_kelvin) or temperature_kelvin <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature_kelvin}")
-
-
 def pair_correlator(
-    spin: SpinQuantum, coupling_kelvin: float, temperature_kelvin: float
-) -> float:
+    spin: SpinQuantum,
+    coupling_kelvin: float,
+    temperature_kelvin: float | np.ndarray,
+) -> float | np.ndarray:
     """Thermal <S.s> of the pair.
 
     G1(T) = S(S+1)(x - 1) / (2((S+1)x + S)) with x = exp(-J(2S+1)/(2T)).
     Monotone increasing in T, from -(S+1)/2 at T=0 toward 0.
+
+    A float for one temperature; for an array, an array of the same
+    shape. J and the temperatures are checked once per call, and each
+    point is the `math.exp` closed form, so an element equals its scalar
+    call bitwise (`np.exp` rounds differently from `math.exp` for some
+    inputs).
     """
     _check_coupling(coupling_kelvin)
-    _check_temperature(temperature_kelvin)
+    check_positive("temperature", temperature_kelvin)
     s = spin.value
     gap = coupling_kelvin * (spin.twice_spin + 1) / 2.0
     # math.exp underflows to 0.0, the exact T -> 0 limit, without raising
-    x = math.exp(-gap / temperature_kelvin)
+    if not np.ndim(temperature_kelvin):
+        x = math.exp(-gap / float(temperature_kelvin))
+    else:
+        temps = np.asarray(temperature_kelvin, dtype=float)
+        # the quotients are correctly rounded either way; a subnormal T
+        # gives -inf, as the float division does
+        with np.errstate(over="ignore"):
+            exponents = (-gap / temps).ravel().tolist()
+        x = np.array(list(map(math.exp, exponents))).reshape(temps.shape)
+    # each array element goes through the scalar's operations
     return s * (s + 1.0) * (x - 1.0) / (2.0 * ((s + 1.0) * x + s))
 
 
@@ -66,7 +78,7 @@ def pair_correlator_literature(
     variant for comparison, not used by default anywhere.
     """
     _check_coupling(coupling_kelvin)
-    _check_temperature(temperature_kelvin)
+    check_positive("temperature", temperature_kelvin)
     if spin.twice_spin == 1:
         e = math.exp(-coupling_kelvin / temperature_kelvin)
         return -3.0 * (1.0 - e) / (4.0 * (1.0 + 3.0 * e))

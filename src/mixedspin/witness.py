@@ -445,12 +445,14 @@ def witness_report(
     n_sites spins; the usual reporting convention has n_sites = 2, one
     (S, 1/2) cell) or 'reduced'. When `correction_coupling_kelvin` is
     given, the finite-correlation correction is applied to the bound
-    using the pair correlator at that coupling.
+    using the pair correlator at that coupling. A subnormal temperature
+    raises ValueError in either unit.
     """
     check_finite("susceptibility", chi_value)
     if chi_value < 0.0:  # chi k_B T / (g mu_B)^2 = <Sz_total^2> >= 0
         raise ValueError(f"susceptibility must be >= 0, got {chi_value!r}")
     check_positive("temperature", temperature_kelvin)
+    check_normal("temperature", temperature_kelvin)
     check_positive("g_factor", g_factor)
     if chi_unit == "reduced":
         chi_reduced = chi_value

@@ -399,9 +399,11 @@ class TestThermalMean:
         levels, mult = data.levels, data.multiplicity
         for t in temps:
             if t <= spread:
-                # one exp per table entry, one multiply and one sum
-                raw = mult * np.exp(-(levels - data.ground_energy_kelvin) / t)
-                total = (raw / raw.sum() * levels).sum()
+                # one exp per table entry, times the multiplicity; the sum of
+                # those weighted factors and of their products with the
+                # levels, each pairwise, and one division
+                x = np.exp((data.ground_energy_kelvin - levels) / t) * mult
+                total = (x * levels).sum() / x.sum()
             else:
                 # H is traceless and sum(mult) is the dimension, so this is
                 # sum m exp(-E/T) E / sum m exp(-E/T) = <H>
@@ -453,6 +455,73 @@ class TestThermalMean:
         for values in (data.levels[:-1], data.all_eigenvalues()):
             with pytest.raises(ValueError, match="level-table entry"):
                 thermal_mean(data, values, 1.0)
+
+
+def oracle_weights(data, temperature_kelvin):
+    """`thermal_weights` as every thermal mean once went through it."""
+    t = np.asarray(temperature_kelvin, dtype=float)[..., None]
+    # (E0 - E)/T overflows to -inf at subnormal T; exp(-inf) = 0 is the limit
+    with np.errstate(over="ignore"):
+        w = (data.ground_energy_kelvin - data.levels) / t
+    np.exp(w, out=w)
+    w *= data.multiplicity
+    w /= w.sum(-1)[..., None]
+    return w
+
+
+def oracle_susceptibility(data, temperature_kelvin):
+    """The former `susceptibility_exact`: normalized weights, then one sum."""
+    w = oracle_weights(data, temperature_kelvin)
+    w *= (data.twice_sz / 2.0) ** 2
+    return w.sum(-1)
+
+
+def oracle_thermal_mean(data, values, temperature_kelvin):
+    """The former `thermal_mean`: normalized weights, then one sum, and the
+    expm1 form above the level spread."""
+    values = np.asarray(values, dtype=float)
+    w = oracle_weights(data, temperature_kelvin)
+    w *= values
+    mean = w.sum(-1)
+    t = np.asarray(temperature_kelvin, dtype=float)
+    hot = t > data.spec.level_spread_kelvin
+    if hot.any():
+        mean = np.array(mean)
+        _, scale = np.frexp(np.abs(values).max())
+        w_m1 = data.multiplicity * np.expm1(-data.levels / t[hot][:, None])
+        num = (w_m1 * np.ldexp(values, -scale)).sum(-1)
+        mean[hot] = np.ldexp(num / (w_m1.sum(-1) + data.spec.total_dimension), scale)
+    return mean
+
+
+class TestKernelAgainstWeightsThenSum:
+    """The thermal means skip the normalized weights; they agree with the
+    weights-then-sum formula that did not (kept above as an oracle)."""
+
+    @pytest.mark.parametrize("coupling", [1.3, -0.7])
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(4, 1, "periodic"), (6, 5, "periodic"), (8, 2, "periodic"), (10, 1, "periodic"),
+         (2, 3, "open"), (4, 3, "open"), (8, 2, "open"), (10, 1, "open")],
+    )
+    def test_within_1e13_of_the_oracle(self, n, ts, boundary, coupling):
+        spec = ChainSpec(n, SpinQuantum(ts), coupling, boundary=boundary)
+        data = diagonalize(spec, vectors=False)
+        spread = spec.level_spread_kelvin
+        temps = np.concatenate(
+            [
+                abs(coupling) * ARRAY_TEMPS,
+                spread * np.geomspace(1e-2, 1e2, 41),
+                [spread, np.nextafter(spread, 2 * spread)],
+            ]
+        )
+        pairs = [(susceptibility_exact(data, temps), oracle_susceptibility(data, temps))]
+        for values in (data.levels, data.bond):
+            pairs.append(
+                (thermal_mean(data, values, temps), oracle_thermal_mean(data, values, temps))
+            )
+        for got, want in pairs:
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 class TestBondLevels:

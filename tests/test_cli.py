@@ -473,6 +473,19 @@ class TestOutOfDomainMeasurement:
         assert out == ""
 
     @pytest.mark.parametrize("command", ["witness", "bound"])
+    @pytest.mark.parametrize("unit", ["reduced", "emu/mol"])
+    def test_subnormal_temperature_exits_2_in_both_units(self, capsys, command, unit):
+        # the reduced-unit row was once printed at T = 4.94065646e-324 K
+        argv = [command, "--chi", "1", "--unit", unit, "--temp", "5e-324", "--spin", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err == (
+            "error: temperature must not be subnormal (|value| < 2.225e-308), "
+            "got 5e-324\n"
+        )
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["witness", "bound"])
     @pytest.mark.parametrize("spin_flag", ["--spin=0", "--twice-spin=0"])
     def test_spin_zero_exits_2(self, capsys, command, spin_flag):
         # spin 0 has no moment: no verdict and no negativity bound exists
@@ -484,6 +497,7 @@ class TestOutOfDomainMeasurement:
 
     def test_correction_overflow_exits_2(self, capsys):
         # reduced units never convert, but J/T overflows in the correction
+        # (at a normal temperature: a subnormal one is refused before it)
         code, out, err = run(
             capsys,
             [
@@ -495,7 +509,7 @@ class TestOutOfDomainMeasurement:
                 "--unit",
                 "reduced",
                 "--temp",
-                "1e-320",
+                "1e-300",
                 "--correct-j",
                 "1K",
             ],
@@ -569,6 +583,53 @@ class TestOutOfDomainMeasurement:
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: the fit from J = 1e+250 K, g = 2.0 ")
+
+    @pytest.fixture
+    def series_10k(self, capsys, tmp_path):
+        """Noiseless pair-model data, S = 1, J = 10 K, g = 2, T = 1 ... 100 K."""
+        path = tmp_path / "s.csv"
+        synth = ["synth", "--spin", "1", "--j", "10K", "--g", "2"]
+        run(capsys, [*synth, "--temps", "1:100:12", "--output", str(path)])
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "model,start,bound",
+        [
+            ([], "1e250K", 1e200),  # ended at J = 3.98e237 K
+            ([], "1e-250K", 1e-200),  # ended at J = 4.73e-280 K
+            (["--model", "chain", "--sites", "6"], "1e250K", 1e200),  # 3.04e207 K
+        ],
+    )
+    def test_fit_where_the_data_do_not_determine_j_exits_2(
+        self, capsys, series_10k, model, start, bound
+    ):
+        # once J is far above (or below) every temperature, chi no longer
+        # depends on it; the simplex shrank along g there and reported
+        # "converged" with exit 0
+        argv = ["fit", "--input", series_10k, "--spin", "1", "--init-j", start, *model]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the fit from J = {float(start[:-1])} K, g = 2.0 ")
+        reached = float(re.search(r" reached J = (\S+) K, g = ", err).group(1))
+        assert reached > bound if bound > 1.0 else reached < bound
+        assert "where the data do not determine J" in err
+        assert err.count("\n") == 1
+
+    def test_fit_in_a_local_minimum_exits_2(self, capsys, series_10k):
+        # from 1 K the simplex settles in the minimum near J = 1.73 K, g = 1.81,
+        # whose residual rms is 0.0055 emu/mol; J = 10 K fits to 1.2e-10
+        argv = ["fit", "--input", series_10k, "--spin", "1", "--init-j", "1K"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the fit from J = 1.0 K, g = 2.0 reached J = 1.73122")
+        better = re.search(r"a local minimum: J = (\S+) K, g = (\S+) fits the data better", err)
+        assert float(better.group(1)) == pytest.approx(10.0, rel=1e-12)
+        assert float(better.group(2)) == pytest.approx(2.0, rel=1e-8)
+        # from 10 K the same data give the generating values
+        code, out, _ = run(capsys, [*argv[:-1], "10K"])
+        assert code == 0
+        _, (row,), _ = parse_csv(out)
+        assert float(row["coupling_kelvin"]) == pytest.approx(10.0, rel=1e-7)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1241,8 +1302,13 @@ class TestFitAndSynth:
     # Re-recorded again when each multiplet block began to be built on the
     # coupling paths from 6j symbols: the JSON J moved 11.4205112 ->
     # 11.4205113 and its wavenumber 7.93765273 -> 7.93765277, at 61
-    # iterations instead of 64. Still compared byte for byte; the values recorded before the
-    # mirroring are pinned to a relative 5e-8 just below.
+    # iterations instead of 64. Re-recorded again when the thermal means
+    # stopped normalizing the Boltzmann weights (chi from dot products of
+    # the factors with (m Sz^2, m)): the CSV row holds its values at 67
+    # iterations instead of 66, the JSON wavenumber moved 7.93765277 ->
+    # 7.9376528, at 65 iterations instead of 61. Still compared byte for
+    # byte; the values recorded before the mirroring are pinned to a
+    # relative 5e-8 just below.
     @pytest.mark.parametrize(
         "extra,expected",
         [
@@ -1250,14 +1316,14 @@ class TestFitAndSynth:
                 ["--init-j", "5K"],
                 "coupling_kelvin,coupling_wavenumber,g_factor,residual_rms,"
                 "iterations,converged,window_min_kelvin,window_max_kelvin,n_points\n"
-                "8.50373873,5.91039435,2.03016955,0.000440954126,66,true,2,80,16\n",
+                "8.50373873,5.91039435,2.03016955,0.000440954126,67,true,2,80,16\n",
             ),
             (
                 ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
                 + ["--window", "3:60", "--format", "json"],
-                '{"coupling_kelvin": 11.4205113, "coupling_wavenumber": 7.93765277, '
+                '{"coupling_kelvin": 11.4205113, "coupling_wavenumber": 7.9376528, '
                 '"g_factor": 2.02125744, "residual_rms": 0.00097679332, '
-                '"iterations": 61, "converged": true, "window_min_kelvin": 3.27068, '
+                '"iterations": 65, "converged": true, "window_min_kelvin": 3.27068, '
                 '"window_max_kelvin": 48.9195, "n_points": 12}\n',
             ),
         ],

@@ -219,8 +219,8 @@ class TestModelChi:
                 ("units", "g_factor")]),
     ])
     def test_each_input_is_checked_once(self, monkeypatch, n_sites, checked):
-        # temperatures and J in model_chi, T/J in thermal_weights (chain
-        # model only), g in the conversion to emu/mol
+        # temperatures and J in model_chi, T/J in the Boltzmann factors
+        # (chain model only), g in the conversion to emu/mol
         from mixedspin import chain, units
 
         seen = []

@@ -79,6 +79,26 @@ class TestPairCorrelator:
         warm = [pair_correlator(spin, 2.0, float(t)) for t in np.geomspace(0.5, 100, 20)]
         assert all(b > a for a, b in zip(warm, warm[1:]))
 
+    @pytest.mark.parametrize("spin", ALL_SPINS)
+    def test_array_equals_scalar_calls_bitwise(self, spin):
+        # one math.exp closed form per point; np.exp rounds some of these
+        # exponents differently
+        temps = np.concatenate([[5e-324, 1e-300], np.geomspace(1e-3, 1e4, 57), [1e300]])
+        values = pair_correlator(spin, 2.0, temps)
+        assert values.shape == temps.shape
+        for t, value in zip(temps.tolist(), values.tolist()):
+            scalar = pair_correlator(spin, 2.0, t)
+            assert type(scalar) is float
+            assert value == scalar
+        grid = pair_correlator(spin, 2.0, temps[:60].reshape(6, 10))
+        assert grid.tobytes() == values[:60].tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_any_invalid_temperature_raises(self, bad):
+        temps = np.array([0.5, 1.0, bad, 4.0])
+        with pytest.raises(ValueError, match=f"temperature must be finite and > 0, got {bad}"):
+            pair_correlator(SpinQuantum(2), 1.0, temps)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pair_correlator(SpinQuantum(1), 1.0, 0.0)

@@ -286,3 +286,32 @@ class TestNoSubcommandExits1:
         if window is not None:
             argv.append(f"--window={window}")
         assert_documented_exit(argv)
+
+
+class TestFitRecoversJOrExits2:
+    """From any start, a fit either returns the generating J to 1e-3 or
+    exits 2; it never reports a J that the data do not determine."""
+
+    @pytest.fixture(scope="class", params=[[], ["--model=chain", "--sites=4"]])
+    def series(self, request, tmp_path_factory):
+        """A noiseless series (S = 1, J = 10 K, g = 2) and the model flags."""
+        path = tmp_path_factory.mktemp("series") / "series.csv"
+        argv = ["synth", "--spin=1", "--j=10K", "--g=2", "--temps=1:100:12"]
+        assert run([*argv, *request.param, f"--output={path}"]) == (0, "")
+        return str(path), request.param
+
+    @PROPERTY
+    @given(log_j=st.floats(min_value=-300.0, max_value=300.0))
+    # the plateaus far above and below the data, and the pair's local
+    # minimum near J = 1.73 K, g = 1.81 (reached from 1 K)
+    @example(250.0)
+    @example(-250.0)
+    @example(0.0)
+    def test_fit(self, series, log_j):
+        path, model = series
+        argv = ["fit", f"--input={path}", "--spin=1", f"--init-j={10.0**log_j!r}K"]
+        code, out = run([*argv, *model])
+        assert code in (0, 2), (argv, code, out)
+        if code == 0:
+            (row,) = out.splitlines()[1:]
+            assert float(row.split(",")[0]) == pytest.approx(10.0, rel=1e-3), (argv, out)

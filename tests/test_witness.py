@@ -493,3 +493,14 @@ class TestWitnessReport:
             witness_report(0.1, "reduced", -1.0, 2.0, 2, SpinQuantum(1))
         with pytest.raises(ValueError):
             witness_report(0.1, "parsec", 1.0, 2.0, 2, SpinQuantum(1))
+
+    @pytest.mark.parametrize("unit", ["reduced", "emu/mol"])
+    @pytest.mark.parametrize("temp", [5e-324, 1e-310, 2.2250738585072e-308])
+    def test_subnormal_temperature_is_refused_in_both_units(self, unit, temp):
+        # reduced units never convert the temperature, so only this check
+        # keeps a row at T = 4.94e-324 K from being printed
+        with pytest.raises(ValueError, match="temperature must not be subnormal"):
+            witness_report(1.0, unit, temp, 2.0, 2, SpinQuantum(2))
+        smallest_normal = 2.2250738585072014e-308
+        rep = witness_report(1.0, unit, smallest_normal, 2.0, 2, SpinQuantum(2))
+        assert rep.temperature_kelvin == smallest_normal
