@@ -353,6 +353,25 @@ def _fit_g_squared(unit: np.ndarray, chi: np.ndarray) -> tuple[float, float]:
     return math.hypot(*(g_squared * unit - chi).tolist()), g_squared
 
 
+def _moves(
+    model: Callable[..., np.ndarray],
+    coupling: float,
+    g_factor: float,
+    temps: np.ndarray,
+) -> list[float]:
+    """The rms by which scaling J by 2 and by 1/2 moves `model(J, g, temps)`,
+    nan where the scaled model leaves the float range (no evidence either
+    way)."""
+    at = model(coupling, g_factor, temps)
+    moves = []
+    for factor in (2.0, 0.5):
+        try:
+            moves.append(_rms(model(coupling * factor, g_factor, temps) - at))
+        except (OverflowError, ValueError):
+            moves.append(math.nan)
+    return moves
+
+
 def _check_determined(
     model: Callable[..., np.ndarray],
     temps: np.ndarray,
@@ -368,23 +387,22 @@ def _check_determined(
     Plateau: far above or below the data's temperatures chi no longer
     depends on J, and the simplex shrinks along g until it passes its
     diameter test. So scaling J by 2 or by 1/2 must move the model by more
-    than the residual rms. Other minimum: a J outside [J/2, 2J] must not
-    fit the data better. chi is g^2 times the g = 1 model, so the best g
-    at a given J is a linear least-squares fit, and the residual over J
-    costs one model evaluation per J: it is scanned on a log grid of 4
-    points per decade, from T_min/100 to 100 T_max. A narrower minimum
-    between grid points goes unseen. The residual over every k-th point
-    alone, at its own best g, is no larger than the whole one, so a J
-    that this subset of about 8 points already rules out is not
-    evaluated on the whole series.
+    than the residual rms. Other minimum: no other minimum of the residual
+    over J may fit the data better. chi is g^2 times the g = 1 model, so
+    the best g at a given J is a linear least-squares fit, and the residual
+    over J costs one model evaluation per J: it is sampled on a log grid of
+    4 points per decade, from T_min/100 to 100 T_max. A grid point outside
+    [J/2, 2J] counts as another minimum if its residual is below the fit's
+    and no larger than its two neighbours', and if it passes the plateau
+    test at its own residual rms: where the residual only falls toward a
+    plateau, a fit started nearer would end there and be refused too. A
+    narrower minimum between grid points goes unseen. The residual over
+    every k-th point alone, at its own best g, is no larger than the whole
+    one, so a J that this subset of about 8 points already puts above the
+    fit's residual is not evaluated on the whole series: it cannot be
+    another minimum, and as a neighbour its bound compares the same way.
     """
-    fitted = model(coupling, g_factor, temps)
-    moves = []
-    for factor in (2.0, 0.5):
-        try:
-            moves.append(_rms(model(coupling * factor, g_factor, temps) - fitted))
-        except (OverflowError, ValueError):
-            moves.append(math.nan)  # no evidence either way
+    moves = _moves(model, coupling, g_factor, temps)
     if not any(move > residual_rms for move in moves):
         raise ValueError(
             f"{reached}, where the data do not determine J: scaling J by 2 or by "
@@ -393,29 +411,39 @@ def _check_determined(
         )
     # residuals compared as |r| = rms sqrt(n)
     bound = residual_rms * math.sqrt(temps.size) * (1.0 - 1e-6)
-    every = max(1, temps.size // 8)
     lo, hi = math.log(temps[0]) - math.log(100.0), math.log(temps[-1]) + math.log(100.0)
     steps = math.ceil(4.0 * (hi - lo) / math.log(10.0))
-    for k in range(steps + 1):
+    grid = [math.exp(lo + (hi - lo) * k / steps) for k in range(steps + 1)]
+    sub = slice(None, None, max(1, temps.size // 8))
+    profile = []
+    for j in grid:
         try:
-            j = math.exp(lo + (hi - lo) * k / steps)
-            if j / 2.0 <= coupling <= 2.0 * j:
+            point = _fit_g_squared(model(j, 1.0, temps[sub]), chi[sub])
+            if not bound <= point[0] < math.inf:
+                point = _fit_g_squared(model(j, 1.0, temps), chi)
+        except (OverflowError, ValueError):
+            point = (math.inf, math.nan)
+        profile.append(point)
+    residuals = [residual for residual, _ in profile]
+    for k in sorted(range(1, steps), key=residuals.__getitem__):
+        j, (residual, g_squared) = grid[k], profile[k]
+        if not residual < bound:
+            return
+        if j / 2.0 <= coupling <= 2.0 * j or residual > min(
+            residuals[k - 1], residuals[k + 1]
+        ):
+            continue
+        g, rms = math.sqrt(g_squared), residual / math.sqrt(temps.size)
+        try:
+            if not any(move > rms for move in _moves(model, j, g, temps)):
                 continue
-            if every > 1:
-                sub = slice(None, None, every)
-                partial, _ = _fit_g_squared(model(j, 1.0, temps[sub]), chi[sub])
-                if bound <= partial < math.inf:
-                    continue
-            residual, g_squared = _fit_g_squared(model(j, 1.0, temps), chi)
         except (OverflowError, ValueError):
             continue
-        if residual < bound:
-            raise ValueError(
-                f"{reached}, a local minimum: J = {j} K, g = {math.sqrt(g_squared)} "
-                f"fits the data better (residual rms "
-                f"{residual / math.sqrt(temps.size)} against {residual_rms} "
-                "emu/mol); start nearer to it"
-            )
+        raise ValueError(
+            f"{reached}, a local minimum: J = {j} K, g = {g} fits the data better "
+            f"(residual rms {rms} against {residual_rms} emu/mol); start nearer "
+            "to it"
+        )
 
 
 @dataclass(frozen=True)
@@ -450,7 +478,8 @@ def fit(
     float range raises ValueError, naming the start values, and so does
     a result whose J the data do not pin (`_check_determined`): one where
     scaling J by 2 and by 1/2 moves the model by no more than the residual
-    rms, or where a J outside [J/2, 2J] fits the data better.
+    rms, or where another minimum of the residual over J, outside
+    [J/2, 2J] and off such a plateau, fits the data better.
     """
     if series.unit != "emu/mol":
         raise ValueError(

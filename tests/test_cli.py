@@ -631,6 +631,27 @@ class TestOutOfDomainMeasurement:
         _, (row,), _ = parse_csv(out)
         assert float(row["coupling_kelvin"]) == pytest.approx(10.0, rel=1e-7)
 
+    def test_fit_is_not_refused_for_a_better_j_on_a_slope_to_a_plateau(
+        self, capsys, tmp_path
+    ):
+        # ring-4 data fitted by the open-6 model: the residual falls all the
+        # way from J = 5.69 K down to the Curie plateau J -> 0, so no other
+        # minimum exists. The fit was once refused in favour of the grid point
+        # J = 0.02 K, and a fit started there ends on the plateau, refused too.
+        path = str(tmp_path / "ring4.csv")
+        synth = ["synth", "--spin", "3/2", "--j", "12K", "--g", "2.05"]
+        synth += ["--temps", "log:2:200:15", "--model", "chain", "--sites", "4"]
+        assert run(capsys, [*synth, "--output", path])[0] == 0
+        fit = ["fit", "--input", path, "--spin", "3/2", "--model", "chain"]
+        fit += ["--sites", "6", "--boundary", "open", "--init-j"]
+        code, out, err = run(capsys, [*fit, "8K"])
+        assert (code, err) == (0, "")
+        _, (row,), _ = parse_csv(out)
+        assert float(row["coupling_kelvin"]) == pytest.approx(5.68782, rel=1e-5)
+        code, out, err = run(capsys, [*fit, "0.02K"])
+        assert (code, out) == (2, "")
+        assert "where the data do not determine J" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
