@@ -24,16 +24,18 @@ built from 6j symbols (`operators.six_j`) with no product basis
 240 (2000)), and the edge bond S_0 . S_1 is diagonal on the paths.
 Every block is real symmetric by construction (see `operators`).
 
-`diagonalize` records every eigenvalue array the eigensolver returns,
-once, in a flat level table (`SectorSpectralData.levels`), with the
-number of exactly degenerate copies it stands for and its 2Sz. Every
-thermal sum starts from the Boltzmann factors of that table
-(`_boltzmann_factors`): one exp per table entry and temperature,
-shifted by the ground energy so that no temperature underflows. A
-thermal mean then takes the numerator and Z from those factors at
-once, with no normalized weights: chi from dot products with the
-columns (m Sz^2, m), a traceless quantity from pairwise sums. An
-eigenvalue-only spectrum is that table and the bond S_0 . S_1 on it.
+H also commutes with total spin, so every level belongs to an SU(2)
+multiplet of 2J + 1 states, one in each sector |2Sz| <= 2J.
+`diagonalize` records each multiplet once in a flat level table
+(`SectorSpectralData.levels`), with its 2J and the number of states it
+stands for (on a ring, times its momentum copies). Every thermal sum
+starts from the Boltzmann factors of that table (`_boltzmann_factors`):
+one exp per table entry and temperature, shifted by the ground energy
+so that no temperature underflows. A thermal mean then takes the
+numerator and Z from those factors at once, with no normalized
+weights: chi from dot products with the columns (m J(J+1)/3, m), a
+traceless quantity from pairwise sums. An eigenvalue-only spectrum is
+that table and the bond S_0 . S_1 on it.
 """
 
 from __future__ import annotations
@@ -175,8 +177,10 @@ class SectorBlock:
 @dataclass(frozen=True, eq=False)
 class SectorSpectrum:
     """One sector of a spectrum with eigenvectors: its basis (see
-    `SectorBlock`), sorted levels (a read-only view of its level-table
-    run, shared by +-M) and eigenvectors."""
+    `SectorBlock`), sorted levels and eigenvectors. The levels are the
+    level-table entries of every multiplet with 2J >= |2Sz|, so each
+    multiplet has one energy in every sector; the read-only array is
+    shared by +-M."""
 
     twice_total_sz: int
     labels: np.ndarray
@@ -190,13 +194,15 @@ class SectorSpectralData:
     """A chain's blocked spectrum: its level table, and its sectors too
     if it holds eigenvectors.
 
-    The level table holds each eigenvalue array the eigensolver
-    returned, once: `levels[i]` stands for `multiplicity[i]` exactly
-    equal levels with total 2Sz = +-`twice_sz[i]`, so
-    np.repeat(levels, multiplicity) is the whole spectrum. The table is
-    what every thermal sum runs over. `sectors` holds every sector's
-    basis, levels and eigenvectors (`SectorSpectrum`) for a spectrum
-    with eigenvectors, and is None for an eigenvalue-only one.
+    The level table holds each SU(2) multiplet once: `levels[i]` is the
+    energy of a multiplet of total spin J = `twice_j[i]` / 2, and
+    `multiplicity[i]` counts its 2J + 1 states times its copies (2 for
+    a ring's 0 < k < pi momentum, whose -k partner has its levels, else
+    1), so np.repeat(levels, multiplicity) is the whole spectrum. The
+    table runs 2J descending, each run sorted ascending, and is what
+    every thermal sum runs over. `sectors` holds every sector's basis,
+    levels and eigenvectors (`SectorSpectrum`) for a spectrum with
+    eigenvectors, and is None for an eigenvalue-only one.
 
     `bond`, for an eigenvalue-only spectrum, holds <k| S_0 . S_1 |k> on
     each table entry (read-only), so `thermal_mean(data, data.bond, T)`
@@ -209,7 +215,7 @@ class SectorSpectralData:
     sectors: tuple[SectorSpectrum, ...] | None
     levels: np.ndarray
     multiplicity: np.ndarray
-    twice_sz: np.ndarray
+    twice_j: np.ndarray
     ground_energy_kelvin: float
     bond: np.ndarray | None = None
 
@@ -233,9 +239,12 @@ class SectorSpectralData:
 
     @cached_property
     def _chi_columns(self) -> np.ndarray:
-        """The columns (m Sz^2, m) of `susceptibility_exact`'s product,
-        as the rows of a (2, m) array."""
-        return np.stack([self._weights * (self.twice_sz / 2.0) ** 2, self._weights])
+        """The columns (m J(J+1)/3, m) of `susceptibility_exact`'s product,
+        as the rows of a (2, m) array. m J(J+1)/3 = copies sum Sz^2 over
+        the multiplet, a multiple of 1/2 computed exactly from the integer
+        m 2J (2J + 2)."""
+        sz2 = self.multiplicity * self.twice_j * (self.twice_j + 2) / 12.0
+        return np.stack([sz2, self._weights])
 
 
 def _basis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -526,9 +535,9 @@ def _coupling_paths(spec: ChainSpec) -> np.ndarray:
     return paths
 
 
-def _multiplet_runs(spec: ChainSpec) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
-    """Level-table runs of an open chain from its SU(2) multiplets, and the
-    edge bond's value on each table entry.
+def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level table of an open chain, one run per total spin J: each
+    multiplet's level, its 2J and the edge bond's value on it.
 
     H commutes with total spin, so each multiplet is solved once, as a
     level of the block H_J on the coupling paths of total spin J
@@ -542,10 +551,9 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[list[tuple[int, int, np.ndarray]],
     u = sqrt((2 j_k + 1) 2S) {j_k-1 s_k j_k; s_k+1 j_k+1 sigma} (`six_j`;
     the recoupling phase is common to the paths, so it cancels). A
     level's edge-bond value is the diagonal weighted by its eigenvector
-    squared. A level of spin J has one state in each sector
-    |2Sz| <= 2J: the runs are 2Sz = 2J_max, 2J_max - 2, ... >= 0, and
-    run 2Sz gets the levels of every J >= Sz, sorted, as an Sz block's
-    eigenvalues are. No product basis is enumerated.
+    squared. Each level is one multiplet and one table entry: run 2J
+    holds the sorted levels of H_J, 2J descending. No product basis is
+    enumerated.
     """
     ts = spec.spin.twice_spin
     coupling = spec.coupling_kelvin
@@ -570,7 +578,7 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[list[tuple[int, int, np.ndarray]],
     steps = (np.diff(paths, axis=1) + twice[1:]) // 2
     codes = steps @ strides[1:]
     raises = (steps[:, :-1] < twice[1:-1]) & (steps[:, 1:] > 0)
-    solved = []
+    levels, twice_j, edges = [], [], []
     for tj in sorted(set(paths[:, -1].tolist()), reverse=True):
         block = np.flatnonzero(paths[:, -1] == tj)
         own = codes[block]
@@ -580,14 +588,10 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[list[tuple[int, int, np.ndarray]],
         row = partner[col, bond]
         z = -coupling * (ts + 1) / 2 * u[block[row], bond] * u[block[col], bond]
         evals, vecs = eig_sym(_symmetric(row, col, z, diagonal[block]))
-        solved.append((tj, evals, (vecs * vecs).T @ edge[block]))
-    runs, edges = [], []
-    for tsz in range(solved[0][0], -1, -2):
-        levels = np.concatenate([evals for tj, evals, _ in solved if tj >= tsz])
-        order = np.argsort(levels, kind="stable")
-        runs.append((tsz, 1, levels[order]))
-        edges.append(np.concatenate([e for tj, _, e in solved if tj >= tsz])[order])
-    return runs, np.concatenate(edges)
+        levels.append(evals)
+        twice_j.append(np.full(evals.size, tj))
+        edges.append((vecs * vecs).T @ edge[block])
+    return np.concatenate(levels), np.concatenate(twice_j), np.concatenate(edges)
 
 
 def build_hamiltonian(spec: ChainSpec) -> list[SectorBlock]:
@@ -620,8 +624,67 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
 # excitation gap above it is 0.049 |J| (n=10, 2S=1, open, J < 0); all
 # measured with eigh and eigvalsh over every chain of dimension <= 8,000
 # with 2S <= 7 and J = +-1. A tolerance of 1e-12 |J| n sits at least 50x
-# above the first and 1e9x below the second.
+# above the first and 1e9x below the second. `_multiplets` clusters with
+# it too: over the same chains, the levels of one multiplet in all its
+# blocks span at most 6.0e-14 |J| (momentum blocks, n=6, 2S=7) and
+# 3.8e-14 |J| (Sz blocks, n=10, 2S=2), while two distinct levels of one
+# group lie at least 9.7e-7 |J| apart (Sz blocks of the n=12, 2S=1 ring).
 _GROUND_SNAP = 1e-12
+
+
+def _multiplets(
+    spec: ChainSpec, blocks: list[tuple[int, int, int, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(levels, 2J, copies) of every SU(2) multiplet, from the eigenvalues
+    of the blocks (2Sz, group, copies, eigenvalues) of the 2Sz >= 0
+    sectors.
+
+    S^-_tot commutes with H and with the symmetries that a group stands
+    for (a ring's translation T and reflection P), so the levels of block
+    (2Sz + 2, group) are among those of (2Sz, group), and a multiplet of
+    spin J has one level in each 2Sz <= 2J. The eigenvalues of one group
+    are clustered, levels less than 1e-12 |J| n apart (the ground snap's
+    tolerance) falling in one cluster. A cluster with c_M levels in
+    2Sz = M holds c_M - c_{M+2} multiplets of 2J = M, and its lowest
+    c_M - c_{M+2} levels in 2Sz = M are their energies, each taken from
+    the smallest block that holds it: one vectorized pass over every
+    eigenvalue. A negative count means that the blocks do not hold SU(2)
+    multiplets to the solver's accuracy, and raises RuntimeError.
+    """
+    sizes = [evals.size for *_, evals in blocks]
+    twice_sz, group, copies = np.repeat([b[:3] for b in blocks], sizes, axis=0).T
+    energy = np.concatenate([evals for *_, evals in blocks])
+    order = np.lexsort((energy, group))
+    twice_sz, group, copies, energy = (
+        twice_sz[order], group[order], copies[order], energy[order]
+    )
+    tol = _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites
+    starts = np.diff(energy, prepend=-np.inf) > tol
+    starts[1:] |= group[1:] != group[:-1]
+    cluster = np.cumsum(starts) - 1
+    # levels[key] counts a cluster's levels in one 2Sz, with one empty 2Sz
+    # above the highest, so that each has a c_{M+2}
+    lowest = min(b[0] for b in blocks)
+    rungs = (max(b[0] for b in blocks) - lowest) // 2 + 2
+    rung = (twice_sz - lowest) // 2
+    key = cluster * rungs + rung
+    levels = np.bincount(key, minlength=(cluster[-1] + 1) * rungs)
+    counts = levels.reshape(-1, rungs)
+    multiplets = counts[:, :-1] - counts[:, 1:]
+    if (multiplets < 0).any():
+        c, r = np.argwhere(multiplets < 0)[0]
+        raise RuntimeError(
+            f"the 2Sz = {lowest + 2 * r + 2} block holds a level at "
+            f"{float(energy[cluster == c][0])!r} K that the 2Sz = {lowest + 2 * r} "
+            "block of its symmetry lacks: the levels are not SU(2) multiplets "
+            "to within 1e-12 |J| n"
+        )
+    # each level's rank among its cluster's levels of its 2Sz, by energy (a
+    # stable sort on the key); the lowest ones are the multiplets
+    by_key = np.argsort(key, kind="stable")
+    rank = np.arange(key.size) - (np.cumsum(levels) - levels)[key[by_key]]
+    keep = by_key[rank < multiplets[cluster, rung][by_key]]
+    return energy[keep], twice_sz[keep], copies[keep]
 
 
 def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
@@ -644,27 +707,26 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     `dim_cap` is checked against the total dimension before anything is
     built.
 
+    The level table (`SectorSpectralData`) holds each multiplet once.
+    The open multiplet path solves each once and knows its J. Otherwise
+    `_multiplets` takes the multiplets from the eigenvalues of every
+    block: a ring's momentum blocks grouped by (q, P), a spectrum with
+    eigenvectors as one group of Sz blocks. An entry's energy is its
+    level in the smallest block that holds it (2Sz = 2J), and its copies
+    are 2 for a ring's 0 < k < pi block and 1 otherwise. On every path
+    the table runs 2J descending, each run sorted, and RuntimeError is
+    raised unless its multiplicities add up to the dimension.
+
     The global spin flip maps the basis of sector -M onto that of +M in
     reverse order (labels -labels[::-1]), and the -M block is bitwise the
-    +M block reversed in rows and columns. So the ±Sz levels are exactly
-    degenerate, and with eigenvectors sector -M shares its partner's
-    eigenvalue array and takes the row-reversed view V[::-1] of its
-    eigenvectors. The solved arrays are made read-only because they are
-    shared. Sectors keep their order (2Sz descending).
-
-    Each eigenvalue array the eigensolver returns is recorded once in the
-    level table (`SectorSpectralData`), with its 2Sz and its
-    multiplicity: the block's copies (2 for a ring's 0 < k < pi block,
-    whose -k partner has its levels), doubled for 2Sz > 0, whose -M
-    sector has its levels. The runs go 2Sz descending; a ring's blocks
-    are solved largest first and their runs then sorted by 2Sz
-    descending, q ascending and P = +1 before P = -1, the order of a
-    sector-by-sector build. With eigenvectors each sector is one run,
-    and its eigenvalue array a view of it. The multiplet path keeps this
-    layout: a level of spin J enters every run 2Sz = 2J, 2J - 2, ... >= 0,
-    each run sorted, so the table has the Sz path's size, order and
-    multiplicities, and the 2J + 1 states of a multiplet are one exact
-    energy.
+    +M block reversed in rows and columns. So with eigenvectors sector -M
+    takes the row-reversed view V[::-1] of its partner's eigenvectors.
+    The levels of sectors +-M are one array, the table entries of
+    2J >= |2Sz| sorted: the clusters of `_multiplets` keep their order,
+    so each entry lands on an eigenvector of its own cluster, and each
+    multiplet has one exact energy in all its sectors. The arrays are
+    made read-only because they are shared. Sectors keep their order
+    (2Sz descending).
 
     Every level within 1e-12 |J| n of the global ground energy is set to
     exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
@@ -675,40 +737,45 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     _check_cap(spec)
     bases, evecs, bond = None, {}, None
     if spec.boundary == "open" and not vectors:
-        runs, bond = _multiplet_runs(spec)
-    elif not vectors:
-        solved = []
-        for tsz, q, parity, block, copies in _ring_blocks(spec):
-            evals, _ = eig_sym(block, vectors=False)
-            del block  # free it before the next one is filled
-            solved.append(((-tsz, q, -parity), (tsz, copies, evals)))
-        # the table runs 2Sz descending, then q ascending, then P = +1 first
-        runs = [run for _, run in sorted(solved, key=lambda item: item[0])]
+        levels, twice_j, bond = _multiplet_runs(spec)
+        copies = np.ones_like(twice_j)
     else:
-        runs, bases = [], _enumerate_sectors(spec)
-        for tsz, labels, codes in bases:
-            if tsz >= 0:
-                evals, evecs[tsz] = eig_sym(_sector_blocks(spec, labels, codes))
-                runs.append((tsz, 1, evals))
-    sizes = [evals.size for _, _, evals in runs]
-    twice_sz = np.repeat([tsz for tsz, _, _ in runs], sizes)
-    copies = np.repeat([c for _, c, _ in runs], sizes)
-    multiplicity = np.where(twice_sz > 0, 2 * copies, copies)
-    levels = np.concatenate([evals for _, _, evals in runs])
+        blocks = []
+        if not vectors:
+            for tsz, q, parity, block, copies in _ring_blocks(spec):
+                evals, _ = eig_sym(block, vectors=False)
+                del block  # free it before the next one is filled
+                blocks.append((tsz, 3 * q + parity, copies, evals))  # group (q, P)
+        else:
+            bases = _enumerate_sectors(spec)
+            for tsz, labels, codes in bases:
+                if tsz >= 0:
+                    evals, evecs[tsz] = eig_sym(_sector_blocks(spec, labels, codes))
+                    blocks.append((tsz, 0, 1, evals))
+        levels, twice_j, copies = _multiplets(spec, blocks)
+    order = np.lexsort((levels, -twice_j))  # 2J descending, then ascending
+    levels, twice_j = levels[order], twice_j[order]
+    multiplicity = copies[order] * (twice_j + 1)
+    if bond is not None:
+        bond = bond[order]
+    if int(multiplicity.sum()) != spec.total_dimension:
+        raise RuntimeError(
+            f"the level table holds {int(multiplicity.sum())} states, not the "
+            f"dimension {spec.total_dimension}"
+        )
     e0 = float(levels.min())
     levels[levels - e0 <= _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites] = e0
     if spec.boundary == "periodic" and not vectors:
         bond = levels / (spec.n_sites * spec.coupling_kelvin)
-    for arr in (levels, multiplicity, twice_sz, bond, *evecs.values()):
+    spectra = {tsz: np.sort(levels[twice_j >= tsz]) for tsz in evecs}
+    for arr in (levels, multiplicity, twice_j, bond, *evecs.values(), *spectra.values()):
         if arr is not None:
             arr.flags.writeable = False
     sectors = None
     if vectors:
-        # one run per solved sector, in order: its eigenvalues are a view
-        solved = dict(zip(evecs, np.split(levels, np.cumsum(sizes)[:-1])))
         sectors = tuple(
             SectorSpectrum(
-                tsz, labels, codes, solved[abs(tsz)],
+                tsz, labels, codes, spectra[abs(tsz)],
                 evecs[tsz] if tsz >= 0 else evecs[-tsz][::-1],
             )
             for tsz, labels, codes in bases
@@ -718,7 +785,7 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
         sectors=sectors,
         levels=levels,
         multiplicity=multiplicity,
-        twice_sz=twice_sz,
+        twice_j=twice_j,
         ground_energy_kelvin=e0,
         bond=bond,
     )
@@ -732,10 +799,8 @@ def _check_vectors(data: SectorSpectralData, what: str) -> None:
         )
 
 
-def _boltzmann_factors(
-    data: SectorSpectralData, temperature_kelvin: float | np.ndarray
-) -> np.ndarray:
-    """exp((E0 - E_i)/T) of each table entry, shape T.shape + (m,).
+def _boltzmann_factors(gaps: np.ndarray, temperature_kelvin: float | np.ndarray) -> np.ndarray:
+    """exp(gaps / T), gaps = E0 - E_i, shape T.shape + gaps.shape.
 
     Exponents are shifted by the ground energy so that low temperatures
     never overflow, and divided by T rather than multiplied by 1/T: at a
@@ -745,7 +810,7 @@ def _boltzmann_factors(
     t = np.asarray(temperature_kelvin, dtype=float)[..., None]
     # (E0 - E)/T overflows to -inf at subnormal T; exp(-inf) = 0 is the limit
     with np.errstate(over="ignore"):
-        f = data._gaps / t
+        f = gaps / t
     return np.exp(f, out=f)
 
 
@@ -755,15 +820,14 @@ def thermal_weights(
     """Normalized Boltzmann weights of the level table, shape T.shape + (m,).
 
     Entry i is multiplicity[i] exp(-(E_i - E0)/T) / Z, the total weight
-    of the equal levels it stands for, so the weights sum to 1: one exp
-    per table entry and temperature (`_boltzmann_factors`). A row of a
-    temperature array goes through the same operations as a scalar call
-    (elementwise, then one sum over the last axis), so the two agree
-    bitwise. The thermal means (`susceptibility_exact`, `thermal_mean`)
-    do not normalize; the per-sector weights of a spectrum with
-    eigenvectors are these.
+    of the multiplicity[i] states of its multiplet (and their momentum
+    copies), so the weights sum to 1: one exp per table entry and
+    temperature (`_boltzmann_factors`). A row of a temperature array goes
+    through the same operations as a scalar call (elementwise, then one
+    sum over the last axis), so the two agree bitwise. The thermal means
+    (`susceptibility_exact`, `thermal_mean`) do not normalize.
     """
-    w = _boltzmann_factors(data, temperature_kelvin)
+    w = _boltzmann_factors(data._gaps, temperature_kelvin)
     w *= data.multiplicity
     w /= w.sum(-1)[..., None]
     return w
@@ -772,19 +836,14 @@ def thermal_weights(
 def _sector_weights(
     data: SectorSpectralData, temperature_kelvin: float
 ) -> list[np.ndarray]:
-    """Per-level weights of each sector, in sector order, sliced from
-    `thermal_weights`.
-
-    A spectrum with eigenvectors holds one table run per solved sector,
-    in the order of its eigenvalues; a sector -M mirrored from +M has no
-    run of its own and takes its partner's.
-    """
-    w = thermal_weights(data, temperature_kelvin) / data.multiplicity
-    runs = {tsz: w[data.twice_sz == tsz] for tsz in set(data.twice_sz.tolist())}
-    return [
-        runs[tsz if tsz in runs else -tsz]
-        for tsz in (sec.twice_total_sz for sec in data.sectors)
-    ]
+    """Boltzmann weights of each sector's levels, in sector order, from
+    the sectors' own levels (`SectorSpectrum.eigenvalues`) in one
+    `_boltzmann_factors` call, normalized over every state."""
+    levels = [sec.eigenvalues for sec in data.sectors]
+    gaps = data.ground_energy_kelvin - np.concatenate(levels)
+    w = _boltzmann_factors(gaps, temperature_kelvin)
+    w /= w.sum()
+    return np.split(w, np.cumsum([x.size for x in levels])[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -863,16 +922,18 @@ def susceptibility_exact(
     """Reduced susceptibility chi k_B T / (g^2 mu_B^2) = sum_ij <Sz_i Sz_j>.
 
     Eigenstates carry definite total Sz, so the double sum collapses to
-    <(Sz_total)^2> = sum m f Sz^2 / sum m f over the table, with the
-    Boltzmann factors f (`_boltzmann_factors`). Both sums come from one
-    stacked matrix product of the factors with the columns (m Sz^2, m):
+    <(Sz_total)^2>. The 2J + 1 states of a multiplet have sum Sz^2 =
+    (2J + 1) J(J + 1)/3, so over the table it is sum m f J(J + 1)/3 /
+    sum m f, with the Boltzmann factors f (`_boltzmann_factors`). Both
+    sums come from one stacked matrix product of the factors with the
+    columns (m J(J + 1)/3, m):
     each (row, column) pair is its own dot product (BLAS ddot), so an
     element of a temperature array equals its scalar call bitwise. Every
     term is >= 0, so no cancellation amplifies the dot product's
     rounding. A float for a scalar temperature; for an array, an array
     of the same shape.
     """
-    f = _boltzmann_factors(data, temperature_kelvin)
+    f = _boltzmann_factors(data._gaps, temperature_kelvin)
     sums = (f[..., None, None, :] @ data._chi_columns[:, :, None])[..., 0, 0]
     chi = sums[..., 0] / sums[..., 1]
     return chi if np.ndim(temperature_kelvin) else float(chi)
@@ -927,7 +988,7 @@ def thermal_mean(
 
     def ratio(values: np.ndarray) -> float | np.ndarray:
         num, z = _weighted_sums(
-            _boltzmann_factors(data, temperature_kelvin), data._weights, values
+            _boltzmann_factors(data._gaps, temperature_kelvin), data._weights, values
         )
         mean = num / z
         if hot.any():
@@ -950,18 +1011,22 @@ def thermal_mean(
 
 
 def bond_levels(data: SectorSpectralData, bond: tuple[int, int]) -> np.ndarray:
-    """Per-level values <k| S_i . S_j |k> of one site pair, aligned to the
-    level table.
+    """Values of S_i . S_j for one site pair, one per level-table entry:
+    each multiplet's mean over its 2J + 1 states.
 
-    The Sz Sz part is sum_b V[b,k]^2 m_i m_j. The flip-flop part
-    (S_i^+ S_j^- + S_i^- S_j^+)/2 is sum coeff V[tgt,k] V[src,k] over the
-    hops of S_i^+ S_j^- (`_flip_flop_levels`): for real eigenvectors its
-    two halves are equal, as in `correlator_matrix`. Each sector with a
-    table run (2Sz >= 0 from `diagonalize`) fills that run; S_i . S_j is
-    invariant under the global spin flip, so a mirrored sector -M shares
-    its partner's values as it does its levels. The array is read-only.
-    `thermal_mean(data, bond_levels(data, bond), T)` is then the thermal
-    bond correlator at any temperature.
+    On level k of a sector the value is <k| S_i . S_j |k>: the Sz Sz part
+    is sum_b V[b,k]^2 m_i m_j, the flip-flop part (S_i^+ S_j^- +
+    S_i^- S_j^+)/2 is sum coeff V[tgt,k] V[src,k] over the hops of
+    S_i^+ S_j^- (`_flip_flop_levels`): for real eigenvectors its two
+    halves are equal, as in `correlator_matrix`. Sector 2Sz's levels are
+    the entries of 2J >= |2Sz| in ascending order (`diagonalize`), so
+    each level adds its value to its entry, and the sum over the entry's
+    2J + 1 sectors is divided by 2J + 1; S_i . S_j is invariant under the
+    global spin flip, so a mirrored sector -M counts its partner's values
+    twice. Within a cluster of equal levels the sum is a trace, whatever
+    basis the eigensolver chose, so `thermal_mean(data, bond_levels(data,
+    bond), T)` is the thermal bond correlator at any temperature. The
+    array is read-only.
     """
     _check_vectors(data, "bond_levels")
     spec = data.spec
@@ -971,14 +1036,17 @@ def bond_levels(data: SectorSpectralData, bond: tuple[int, int]) -> np.ndarray:
         raise ValueError(
             f"bond {bond} is not two distinct sites of a {n}-site chain"
         )
-    out = np.empty_like(data.levels)
+    out = np.zeros_like(data.levels)
     for sector in data.sectors:
-        run = data.twice_sz == sector.twice_total_sz
-        if not run.any():
+        tsz = sector.twice_total_sz
+        if tsz < 0:
             continue
+        entries = np.flatnonzero(data.twice_j >= tsz)
+        entries = entries[np.argsort(data.levels[entries], kind="stable")]
         m = sector.labels / 2.0
         zz = (m[:, i] * m[:, k]) @ sector.eigenvectors**2
-        out[run] = zz + _flip_flop_levels(spec, sector, i, k)
+        out[entries] += (zz + _flip_flop_levels(spec, sector, i, k)) * (2 if tsz else 1)
+    out /= data.twice_j + 1
     out.flags.writeable = False
     return out
 

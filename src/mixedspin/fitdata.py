@@ -194,14 +194,18 @@ def model_chi(
     array of the same shape whose elements equal the scalar calls
     bitwise. The pair correlator takes the whole array in one call, and
     stays a per-point `math.exp` closed form (`pair_correlator`).
+
+    Each input is checked once per call: J and the temperatures by
+    `pair_correlator` in the pair model and here in the chain model,
+    T/J by `susceptibility_exact`, and g by the conversion to emu/mol.
     """
-    check_positive("temperature", temperature_kelvin)
-    check_positive("coupling", coupling_kelvin)
     temps = np.asarray(temperature_kelvin, dtype=float)
     if n_sites is None:
         g1 = pair_correlator(spin, coupling_kelvin, temps)
         chi_cell = susceptibility_nn_approx(SPINS_PER_FORMULA_UNIT, spin, g1)
     else:
+        check_positive("temperature", temps)
+        check_positive("coupling", coupling_kelvin)
         data = _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
         with np.errstate(over="ignore", under="ignore"):  # rejected just below
             reduced_temps = temps / coupling_kelvin

@@ -29,7 +29,7 @@ __all__ = [
 def _check_coupling(coupling_kelvin: float) -> None:
     if not math.isfinite(coupling_kelvin) or coupling_kelvin <= 0.0:
         raise ValueError(
-            f"antiferromagnetic coupling must be > 0, got {coupling_kelvin}"
+            f"antiferromagnetic coupling must be finite and > 0, got {coupling_kelvin}"
         )
 
 

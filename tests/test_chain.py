@@ -10,7 +10,6 @@ import pytest
 from mixedspin import chain
 from mixedspin.chain import (
     ChainSpec,
-    SectorSpectralData,
     SectorSpectrum,
     _enumerate_sectors,
     _hops,
@@ -67,10 +66,11 @@ def product_sectors(spec):
 
 def sector_levels(data, tsz):
     """Sector 2Sz = tsz's sorted eigenvalues, rebuilt from the level table:
-    the entries of run |2Sz|, each repeated by its block's copies (the
-    multiplicity, halved for 2Sz != 0, whose -M sector holds the rest)."""
-    run = data.twice_sz == abs(tsz)
-    return np.sort(np.repeat(data.levels[run], data.multiplicity[run] // (2 if tsz else 1)))
+    every multiplet with 2J >= |2Sz| has one state there, so its entry
+    is repeated by its block's copies (the multiplicity over 2J + 1)."""
+    run = data.twice_j >= abs(tsz)
+    copies = data.multiplicity[run] // (data.twice_j[run] + 1)
+    return np.sort(np.repeat(data.levels[run], copies))
 
 
 class TestChainSpec:
@@ -470,9 +470,10 @@ def oracle_weights(data, temperature_kelvin):
 
 
 def oracle_susceptibility(data, temperature_kelvin):
-    """The former `susceptibility_exact`: normalized weights, then one sum."""
+    """The former `susceptibility_exact`: normalized weights, then one sum,
+    J(J + 1)/3 the mean Sz^2 of a multiplet's 2J + 1 states."""
     w = oracle_weights(data, temperature_kelvin)
-    w *= (data.twice_sz / 2.0) ** 2
+    w *= data.twice_j * (data.twice_j + 2) / 12.0
     return w.sum(-1)
 
 
@@ -548,12 +549,13 @@ class TestBondLevels:
             assert abs(thermal_mean(data, values, t) - want) <= 1e-14
 
     def test_spin_flip_partners_share_one_table_run(self):
-        # one value per table entry, which holds the 2Sz >= 0 sectors only
+        # one value per table entry, which holds each multiplet once, and
+        # every sector |2Sz| is the 2J of some multiplet
         data = diagonalize(ChainSpec(6, SpinQuantum(3), 1.0, boundary="open"))
         values = bond_levels(data, (0, 1))
         assert values.shape == data.levels.shape
         assert not values.flags.writeable
-        assert set(data.twice_sz.tolist()) == {
+        assert set(data.twice_j.tolist()) == {
             abs(sec.twice_total_sz) for sec in data.sectors
         }
 
@@ -600,19 +602,22 @@ def per_sector_means(data, sectors, values, t):
 
 
 class TestLevelTable:
-    """`diagonalize` records each solved eigenvalue array once, with its
-    multiplicity and 2Sz, and every thermal sum runs over that table."""
+    """`diagonalize` records each SU(2) multiplet once, with its
+    multiplicity and 2J, and every thermal sum runs over that table."""
 
     @pytest.mark.parametrize("n,ts,boundary", TABLE_CHAINS)
     def test_table_repeats_into_the_spectrum_bitwise(self, n, ts, boundary):
         spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary)
         for vectors in (False, True) if spec.total_dimension <= 1728 else (False,):
             data = diagonalize(spec, vectors=vectors)
-            assert data.levels.shape == data.multiplicity.shape == data.twice_sz.shape
+            assert data.levels.shape == data.multiplicity.shape == data.twice_j.shape
             assert int(data.multiplicity.sum()) == spec.total_dimension
             assert data.total_dimension == spec.total_dimension
-            assert set(data.multiplicity.tolist()) <= {1, 2, 4}
-            assert np.all(data.twice_sz >= 0)
+            # a ring's 0 < k < pi copies times the 2J + 1 states of a multiplet
+            copies, rest = np.divmod(data.multiplicity, data.twice_j + 1)
+            assert set(copies.tolist()) <= {1, 2} and not rest.any()
+            assert np.all(data.twice_j >= 0)
+            assert np.all(data.twice_j % 2 == sum(spec.site_twice_spins) % 2)
             full = np.sort(np.repeat(data.levels, data.multiplicity))
             assert full.tobytes() == data.all_eigenvalues().tobytes()
             if vectors:
@@ -622,16 +627,17 @@ class TestLevelTable:
             else:
                 assert data.sectors is None
             assert data.ground_energy_kelvin == data.levels.min()
-            for arr in (data.levels, data.multiplicity, data.twice_sz):
+            for arr in (data.levels, data.multiplicity, data.twice_j):
                 assert not arr.flags.writeable
 
     @pytest.mark.parametrize(
         "n,ts,boundary,entries",
-        [(8, 2, "periodic", 590), (6, 5, "periodic", 649), (8, 2, "open", 779),
-         (10, 2, "periodic", 2334)],
+        [(8, 2, "periodic", 199), (6, 5, "periodic", 142), (8, 2, "open", 262),
+         (10, 2, "periodic", 828)],
     )
     def test_entry_count(self, n, ts, boundary, entries):
-        # a ring's 0 < k < pi blocks and every 2Sz > 0 sector are stored once
+        # one entry per multiplet, and per k, -k pair of a ring's 0 < k < pi
+        # blocks: the lowest sector's size on the Sz blocks (the open chain)
         spec = ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary)
         data = diagonalize(spec, vectors=boundary == "open")
         assert data.levels.size == entries
@@ -647,17 +653,21 @@ class TestLevelTable:
         # Lieb-Mattis T -> 0 limit through the expm1 form above the spread
         spec = ChainSpec(n, SpinQuantum(ts), coupling, boundary=boundary)
         data = diagonalize(spec, vectors=boundary == "open")
-        # every sector, 2Sz descending; each sorted run is its sector's order
-        tszs = sorted({tsz for u in data.twice_sz.tolist() for tsz in (u, -u)}, reverse=True)
+        # every sector, 2Sz descending, each holding every multiplet of
+        # 2J >= |2Sz| in ascending order
+        tszs = sorted({tsz for u in data.twice_j.tolist() for tsz in (u, -u)}, reverse=True)
         sectors = [(tsz, sector_levels(data, tsz)) for tsz in tszs]
         assert sum(evals.size for _, evals in sectors) == spec.total_dimension
         table = [data.levels]
         per_sector = [[evals for _, evals in sectors]]
         if boundary == "open":
             bond = bond_levels(data, (0, 1))
-            runs = {tsz: bond[data.twice_sz == tsz] for tsz in set(data.twice_sz.tolist())}
+            runs = {}
+            for tsz in tszs:
+                run = np.flatnonzero(data.twice_j >= abs(tsz))
+                runs[tsz] = bond[run[np.argsort(data.levels[run], kind="stable")]]
             table.append(bond)
-            per_sector.append([runs[abs(tsz)] for tsz in tszs])
+            per_sector.append([runs[tsz] for tsz in tszs])
         ratios = np.concatenate([np.geomspace(1e-300, 1e300, 61), np.geomspace(1e-2, 1e3, 40)])
         spread = spec.level_spread_kelvin
         temps = [*(abs(coupling) * ratios).tolist(), spread, np.nextafter(spread, 2 * spread)]
@@ -667,6 +677,107 @@ class TestLevelTable:
             assert chi == pytest.approx(want_chi, rel=1e-15, abs=0.0)
             for values, want in zip(table, want_means):
                 assert thermal_mean(data, values, t) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# every chain of dimension <= 8,000 with 2S <= 7
+SMALL_CHAINS = [
+    (n, ts)
+    for n in range(2, 14, 2)
+    for ts in range(1, 8)
+    if ((ts + 1) * 2) ** (n // 2) <= 8000
+]
+
+
+class TestMultipletTable:
+    """One level-table entry per SU(2) multiplet, on both boundaries, with
+    and without eigenvectors."""
+
+    @pytest.mark.parametrize("coupling", [1.0, -1.0])
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n,ts", SMALL_CHAINS)
+    def test_entries_expand_into_every_dense_sector(self, n, ts, boundary, coupling):
+        # the 2J + 1 states of each entry, one in each |2Sz| <= 2J, give
+        # every Sz block's levels; -M is +M's block mirrored bitwise
+        spec = ChainSpec(n, SpinQuantum(ts), coupling, boundary=boundary)
+        tol = 1e-12 * abs(coupling) * n
+        blocks = [b for b in build_hamiltonian(spec) if b.twice_total_sz >= 0]
+        dense = {b.twice_total_sz: np.linalg.eigvalsh(b.hamiltonian) for b in blocks}
+        for vectors in (False, True) if spec.total_dimension <= 1728 else (False,):
+            data = diagonalize(spec, vectors=vectors)
+            for tsz, want in dense.items():
+                for sz in {tsz, -tsz}:
+                    got = sector_levels(data, sz)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n,ts", SMALL_CHAINS)
+    def test_multiplicities_count_the_states_and_sz_squared(self, n, ts, boundary):
+        # sum m = d, and sum m J(J + 1)/3 = Tr (Sz_tot)^2 = d sum_i S_i(S_i + 1)/3,
+        # both in integers (times 12 for the second)
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0, boundary=boundary)
+        d = spec.total_dimension
+        casimirs = sum(t * (t + 2) for t in spec.site_twice_spins)
+        for vectors in (False, True) if d <= 1728 else (False,):
+            data = diagonalize(spec, vectors=vectors)
+            assert int(data.multiplicity.sum()) == d
+            twelve_sz2 = data.multiplicity * data.twice_j * (data.twice_j + 2)
+            assert int(twelve_sz2.sum()) == d * casimirs
+            assert float(data._chi_columns[0].sum()) == d * casimirs / 12
+
+    @pytest.mark.parametrize("n,ts", [(4, 1), (4, 2), (6, 3)])
+    def test_bond_values_are_traces_where_multiplets_of_two_spins_meet(self, n, ts):
+        # on the 4-ring H = J (S_0 + S_2) . (S_1 + S_3), and multiplets of
+        # different J share a level; the eigensolver mixes them in the
+        # sectors they share, and each bond's thermal mean stays exact
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0)
+        data = diagonalize(spec)
+        spins_at = [set(data.twice_j[abs(data.levels - e) < 1e-9].tolist()) for e in data.levels]
+        assert n > 4 or max(len(spins) for spins in spins_at) > 1
+        cms = {t: correlator_matrix(data, t) for t in (0.05, 0.4, 3.0)}
+        dims = spec.site_dimensions
+        ops = [spin_matrices(SpinQuantum(x)) for x in spec.site_twice_spins]
+        for i, k in spec.bonds()[:2]:
+            values = bond_levels(data, (i, k))
+            dot = embed(ops[i].sz, i, dims) @ embed(ops[k].sz, k, dims)
+            flip = embed(ops[i].sp, i, dims) @ embed(ops[k].sm, k, dims)
+            dot += 0.5 * (flip + flip.T)
+            for t, cm in cms.items():
+                got = thermal_mean(data, values, t)
+                assert abs(got - cm.g_dot[i, k]) <= 1e-14
+                want = float(np.trace(dense_thermal_rho(spec, t) @ dot))
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,ts", [(4, 2), (6, 1), (6, 3), (2, 2)])
+    def test_ring_blocks_missing_a_level_below_are_refused(self, monkeypatch, n, ts):
+        # every 2Sz = lowest + 2 block moved up by 0.37 J, out of the blocks below
+        spec = ChainSpec(n, SpinQuantum(ts), 1.0)
+        lowest, ring_blocks = sum(spec.site_twice_spins) % 2, chain._ring_blocks
+
+        def shifted(spec):
+            for tsz, q, parity, block, copies in ring_blocks(spec):
+                if tsz == lowest + 2:
+                    block = block + 0.37 * np.eye(block.shape[0])
+                yield tsz, q, parity, block, copies
+
+        monkeypatch.setattr(chain, "_ring_blocks", shifted)
+        with pytest.raises(RuntimeError, match="block holds a level at .* K that the"):
+            diagonalize(spec, vectors=False)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("n,ts", [(4, 2), (6, 1), (2, 2)])
+    def test_sz_blocks_missing_a_level_below_are_refused(self, monkeypatch, n, ts, boundary):
+        spec = ChainSpec(n, SpinQuantum(ts), -1.0, boundary=boundary)
+        lowest, sector_blocks = sum(spec.site_twice_spins) % 2, chain._sector_blocks
+
+        def shifted(spec, labels, codes):
+            block = sector_blocks(spec, labels, codes)
+            if labels[0].sum() == lowest + 2:
+                block += 0.37 * np.eye(block.shape[0])
+            return block
+
+        monkeypatch.setattr(chain, "_sector_blocks", shifted)
+        with pytest.raises(RuntimeError, match="block holds a level at .* K that the"):
+            diagonalize(spec)
 
 
 class TestLowTemperatureLimit:
@@ -890,7 +1001,9 @@ class TestNegativityBruteforce:
 
 def independently_solved(spec):
     """Every sector solved on its own with eigh: the unmirrored reference,
-    whose level table holds every sector, each level once."""
+    each sector with its own levels. The eigenvector observables read the
+    sectors and the ground energy alone; the level table is the
+    eigenvalue-only spectrum's."""
     sectors = []
     for block in build_hamiltonian(spec):
         evals, evecs = np.linalg.eigh(block.hamiltonian)
@@ -900,11 +1013,11 @@ def independently_solved(spec):
             )
         )
     levels = np.concatenate([sec.eigenvalues for sec in sectors])
-    twice_sz = np.concatenate(
-        [np.full(sec.eigenvalues.size, sec.twice_total_sz) for sec in sectors]
-    )
-    return SectorSpectralData(
-        spec, tuple(sectors), levels, np.ones_like(twice_sz), twice_sz, levels.min()
+    return dataclasses.replace(
+        diagonalize(spec, vectors=False),
+        sectors=tuple(sectors),
+        ground_energy_kelvin=float(levels.min()),
+        bond=None,
     )
 
 
@@ -985,9 +1098,9 @@ class TestSpinFlipMirror:
         spec = ChainSpec(n, SpinQuantum(ts), 1.3, boundary=boundary)
         full = diagonalize(spec)
         levels = diagonalize(spec, vectors=False)
-        # the table alone: one run per 2Sz >= 0, shared by -M, read-only
+        # the table alone: one entry per multiplet, every |2Sz| a 2J, read-only
         assert levels.sectors is None
-        assert set(levels.twice_sz.tolist()) == {
+        assert set(levels.twice_j.tolist()) == {
             abs(sec.twice_total_sz) for sec in full.sectors
         }
         assert not levels.levels.flags.writeable
@@ -1154,11 +1267,11 @@ class TestMomentumBlocks:
         for got, ref in (
             (data.levels, want.levels),
             (data.multiplicity, want.multiplicity),
-            (data.twice_sz, want.twice_sz),
+            (data.twice_j, want.twice_j),
         ):
             assert got.tobytes() == ref.tobytes()
-        # runs 2Sz descending
-        assert np.all(np.diff(data.twice_sz) <= 0)
+        # runs 2J descending
+        assert np.all(np.diff(data.twice_j) <= 0)
 
     def test_cap_bounds_the_total_dimension(self):
         for boundary in ("periodic", "open"):
@@ -1204,8 +1317,8 @@ class TestMultipletPath:
     def test_levels_and_edge_bond_match_the_sz_blocks(self, n, ts, coupling):
         spec = ChainSpec(n, SpinQuantum(ts), coupling, boundary="open")
         multiplets, sz = diagonalize(spec, vectors=False), diagonalize(spec)
-        # the same table layout: one sorted run per 2Sz >= 0 sector
-        assert np.array_equal(multiplets.twice_sz, sz.twice_sz)
+        # the same table layout: one sorted run per 2J, 2J descending
+        assert np.array_equal(multiplets.twice_j, sz.twice_j)
         assert np.array_equal(multiplets.multiplicity, sz.multiplicity)
         tol = 1e-12 * abs(coupling) * n
         np.testing.assert_allclose(multiplets.levels, sz.levels, rtol=0, atol=tol)
@@ -1239,7 +1352,7 @@ class TestMultipletPath:
         for got, ref in (
             (data.levels, want.levels),
             (data.multiplicity, want.multiplicity),
-            (data.twice_sz, want.twice_sz),
+            (data.twice_j, want.twice_j),
             (data.bond, want.bond),
         ):
             assert got.tobytes() == ref.tobytes()
@@ -1283,10 +1396,14 @@ class TestMultipletPath:
         assert sum((tj + 1) * count for tj, count in counts.items()) == spec.total_dimension
 
     def test_edge_bond_is_the_pair_value_of_j01(self):
-        # on two sites the edge bond is the whole chain: S.s = E / J per level
+        # on two sites the edge bond is the whole chain: S.s = E / J per
+        # level, -5/4 on the J = 1 triplet and 3/4 on the J = 2 quintet
         spec = ChainSpec(2, SpinQuantum(3), 2.5, boundary="open")
         data = diagonalize(spec, vectors=False)
-        np.testing.assert_array_equal(np.sort(data.bond), [-1.25, -1.25, 0.75, 0.75, 0.75])
+        np.testing.assert_array_equal(data.bond, [0.75, -1.25])
+        np.testing.assert_array_equal(
+            np.sort(np.repeat(data.bond, data.multiplicity)), [-1.25] * 3 + [0.75] * 5
+        )
         np.testing.assert_allclose(data.bond, data.levels / 2.5, rtol=0, atol=1e-15)
 
 

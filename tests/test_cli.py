@@ -13,6 +13,7 @@ import shlex
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixedspin import chain, cli
@@ -885,6 +886,23 @@ class TestDimCapEnvironment:
         assert "exceeds cap" in err
         assert out == ""
 
+    def test_blocks_that_are_not_multiplets_exit_3(self, capsys, monkeypatch):
+        # a 2Sz = 2 block moved up by 0.37 J holds levels that 2Sz = 0 lacks
+        ring_blocks = chain._ring_blocks
+
+        def shifted(spec):
+            for tsz, q, parity, block, copies in ring_blocks(spec):
+                if tsz == 2:
+                    block = block + 0.37 * spec.coupling_kelvin * np.eye(block.shape[0])
+                yield tsz, q, parity, block, copies
+
+        monkeypatch.setattr(chain, "_ring_blocks", shifted)
+        argv = ["tc", "--model", "chain", "--spin", "1", "--sites", "4", "--coupling", "10K"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "error: the 2Sz = 2 block holds a level at" in err
+        assert "not SU(2) multiplets" in err
+
     def test_out_of_memory_exits_3(self, capsys, monkeypatch):
         def exhausted(spec):
             raise MemoryError
@@ -1327,9 +1345,13 @@ class TestFitAndSynth:
     # stopped normalizing the Boltzmann weights (chi from dot products of
     # the factors with (m Sz^2, m)): the CSV row holds its values at 67
     # iterations instead of 66, the JSON wavenumber moved 7.93765277 ->
-    # 7.9376528, at 65 iterations instead of 61. Still compared byte for
-    # byte; the values recorded before the mirroring are pinned to a
-    # relative 5e-8 just below.
+    # 7.9376528, at 65 iterations instead of 61. Re-recorded again when the
+    # level table began to hold one entry per SU(2) multiplet: the CSV J
+    # moved 8.50373873 -> 8.50373871 and its wavenumber 5.91039435 ->
+    # 5.91039434, at 68 iterations instead of 67, the JSON wavenumber
+    # 7.9376528 -> 7.93765278, at 63 iterations instead of 65. Still
+    # compared byte for byte; the values recorded before the mirroring are
+    # pinned to a relative 5e-8 just below.
     @pytest.mark.parametrize(
         "extra,expected",
         [
@@ -1337,14 +1359,14 @@ class TestFitAndSynth:
                 ["--init-j", "5K"],
                 "coupling_kelvin,coupling_wavenumber,g_factor,residual_rms,"
                 "iterations,converged,window_min_kelvin,window_max_kelvin,n_points\n"
-                "8.50373873,5.91039435,2.03016955,0.000440954126,67,true,2,80,16\n",
+                "8.50373871,5.91039434,2.03016955,0.000440954126,68,true,2,80,16\n",
             ),
             (
                 ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
                 + ["--window", "3:60", "--format", "json"],
-                '{"coupling_kelvin": 11.4205113, "coupling_wavenumber": 7.9376528, '
+                '{"coupling_kelvin": 11.4205113, "coupling_wavenumber": 7.93765278, '
                 '"g_factor": 2.02125744, "residual_rms": 0.00097679332, '
-                '"iterations": 65, "converged": true, "window_min_kelvin": 3.27068, '
+                '"iterations": 63, "converged": true, "window_min_kelvin": 3.27068, '
                 '"window_max_kelvin": 48.9195, "n_points": 12}\n',
             ),
         ],

@@ -215,16 +215,16 @@ class TestModelChi:
     @pytest.mark.parametrize("n_sites,checked", [
         (4, [("fitdata", "temperature"), ("fitdata", "coupling"),
              ("chain", "temperature"), ("units", "g_factor")]),
-        (None, [("fitdata", "temperature"), ("fitdata", "coupling"),
-                ("units", "g_factor")]),
+        (None, [("pair", "coupling"), ("pair", "temperature"), ("units", "g_factor")]),
     ])
     def test_each_input_is_checked_once(self, monkeypatch, n_sites, checked):
-        # temperatures and J in model_chi, T/J in the Boltzmann factors
-        # (chain model only), g in the conversion to emu/mol
-        from mixedspin import chain, units
+        # temperatures and J in model_chi (chain model) or in the pair
+        # correlator (pair model), T/J in the Boltzmann factors (chain
+        # model only), g in the conversion to emu/mol
+        from mixedspin import chain, pair, units
 
         seen = []
-        for module in (fitdata, chain, units):
+        for module in (fitdata, chain, pair, units):
             real = module.check_positive
 
             def recording(name, value, module=module, real=real):
@@ -232,6 +232,13 @@ class TestModelChi:
                 return real(name, value)
 
             monkeypatch.setattr(module, "check_positive", recording)
+        real_coupling = pair._check_coupling
+
+        def coupling(value):
+            seen.append(("pair", "coupling"))
+            return real_coupling(value)
+
+        monkeypatch.setattr(pair, "_check_coupling", coupling)
         model_chi(S_ONE, 5.0, 2.0, np.geomspace(1.0, 100.0, 20), n_sites=n_sites)
         assert seen == checked
         for bad in ((-5.0, 2.0), (5.0, -2.0), (5.0, math.nan)):
