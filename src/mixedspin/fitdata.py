@@ -341,14 +341,16 @@ def _shrink(objective, simplex, values):
     return new_simplex, new_values
 
 
-def _rms(values: np.ndarray) -> float:
-    """Root mean square, with no overflow in the squares."""
-    return math.hypot(*values.tolist()) / math.sqrt(values.size)
-
-
-def _fit_g_squared(unit: np.ndarray, chi: np.ndarray) -> tuple[float, float]:
-    """(|g^2 unit - chi|, g^2) at the least-squares g^2 of chi ~ g^2 unit,
-    or (inf, nan) where that g^2 is not positive and finite."""
+def _profile(
+    model: Callable[..., np.ndarray], temps: np.ndarray, chi: np.ndarray, coupling: float
+) -> tuple[float, float]:
+    """(|g^2 m - chi|, g^2) at the least-squares g^2 of chi ~ g^2 m, where m
+    is the g = 1 model at J = `coupling`; (inf, nan) where the model or
+    that g^2 leaves the float range or g^2 is not positive."""
+    try:
+        unit = model(coupling, 1.0, temps)
+    except (OverflowError, ValueError):
+        return math.inf, math.nan
     with np.errstate(over="ignore"):
         norm, overlap = float(unit @ unit), float(chi @ unit)
     if not (0.0 < norm < math.inf and 0.0 < overlap < math.inf):
@@ -357,23 +359,24 @@ def _fit_g_squared(unit: np.ndarray, chi: np.ndarray) -> tuple[float, float]:
     return math.hypot(*(g_squared * unit - chi).tolist()), g_squared
 
 
-def _moves(
+def _determined(
     model: Callable[..., np.ndarray],
-    coupling: float,
-    g_factor: float,
     temps: np.ndarray,
-) -> list[float]:
-    """The rms by which scaling J by 2 and by 1/2 moves `model(J, g, temps)`,
-    nan where the scaled model leaves the float range (no evidence either
-    way)."""
-    at = model(coupling, g_factor, temps)
-    moves = []
-    for factor in (2.0, 0.5):
-        try:
-            moves.append(_rms(model(coupling * factor, g_factor, temps) - at))
-        except (OverflowError, ValueError):
-            moves.append(math.nan)
-    return moves
+    chi: np.ndarray,
+    coupling: float,
+    residual: float,
+) -> tuple[bool, float, float, float]:
+    """Whether the data determine J = `coupling`, fitted with residual norm
+    `residual`, and the p(2J), p(J/2) and threshold that decided it.
+
+    p is the `_profile` residual, each at its own best g. J is determined
+    if p(2J) or p(J/2) exceeds residual sqrt(1 + 1/n): moving J by a factor
+    2 raises the sum of squares by at least one point's mean square. An
+    inf p left the float range and is no evidence.
+    """
+    threshold = residual * math.sqrt(1.0 + 1.0 / temps.size)
+    up, down = (_profile(model, temps, chi, coupling * f)[0] for f in (2.0, 0.5))
+    return any(threshold < p < math.inf for p in (up, down)), up, down, threshold
 
 
 def _check_determined(
@@ -381,72 +384,57 @@ def _check_determined(
     temps: np.ndarray,
     chi: np.ndarray,
     coupling: float,
-    g_factor: float,
-    residual_rms: float,
+    residual: float,
     reached: str,
 ) -> None:
     """Raise ValueError, starting with `reached`, unless the data pin the
-    fitted J. `model(J, g, temps)` is the fit's model.
+    fitted J; `residual` is the fit's residual norm. Both refusals ask
+    `_determined`.
 
     Plateau: far above or below the data's temperatures chi no longer
     depends on J, and the simplex shrinks along g until it passes its
-    diameter test. So scaling J by 2 or by 1/2 must move the model by more
-    than the residual rms. Other minimum: no other minimum of the residual
-    over J may fit the data better. chi is g^2 times the g = 1 model, so
-    the best g at a given J is a linear least-squares fit, and the residual
-    over J costs one model evaluation per J: it is sampled on a log grid of
-    4 points per decade, from T_min/100 to 100 T_max. A grid point outside
-    [J/2, 2J] counts as another minimum if its residual is below the fit's
-    and no larger than its two neighbours', and if it passes the plateau
-    test at its own residual rms: where the residual only falls toward a
-    plateau, a fit started nearer would end there and be refused too. A
-    narrower minimum between grid points goes unseen. The residual over
-    every k-th point alone, at its own best g, is no larger than the whole
-    one, so a J that this subset of about 8 points already puts above the
-    fit's residual is not evaluated on the whole series: it cannot be
-    another minimum, and as a neighbour its bound compares the same way.
+    diameter test. Other minimum: p(J) is sampled on a log grid of 4 points
+    per decade, from T_min/100 to 100 T_max. A grid point outside [J/2, 2J]
+    is named if p there is below the fit's residual and no larger than at
+    its two neighbours, and J is determined there at its own residual:
+    where p only falls toward a plateau, a fit started nearer would be
+    refused too. A narrower minimum goes unseen. p over every k-th point
+    alone, about 8 points, bounds the whole p from below, so a J that it
+    already puts above the fit's residual is not evaluated on the whole
+    series.
     """
-    moves = _moves(model, coupling, g_factor, temps)
-    if not any(move > residual_rms for move in moves):
+    determined, up, down, threshold = _determined(model, temps, chi, coupling, residual)
+    if not determined:
         raise ValueError(
-            f"{reached}, where the data do not determine J: scaling J by 2 or by "
-            f"1/2 moves the model by no more than the residual rms {residual_rms} "
-            f"emu/mol (by {moves[0]} and {moves[1]})"
+            f"{reached}, where the data do not determine J: at 2J and at J/2, each "
+            f"at its best g, the residual norm is {up} and {down} emu/mol, not above "
+            f"{threshold} (the fit's {residual} times sqrt(1 + 1/{temps.size}))"
         )
-    # residuals compared as |r| = rms sqrt(n)
-    bound = residual_rms * math.sqrt(temps.size) * (1.0 - 1e-6)
+    bound = residual * (1.0 - 1e-6)
     lo, hi = math.log(temps[0]) - math.log(100.0), math.log(temps[-1]) + math.log(100.0)
     steps = math.ceil(4.0 * (hi - lo) / math.log(10.0))
     grid = [math.exp(lo + (hi - lo) * k / steps) for k in range(steps + 1)]
     sub = slice(None, None, max(1, temps.size // 8))
     profile = []
     for j in grid:
-        try:
-            point = _fit_g_squared(model(j, 1.0, temps[sub]), chi[sub])
-            if not bound <= point[0] < math.inf:
-                point = _fit_g_squared(model(j, 1.0, temps), chi)
-        except (OverflowError, ValueError):
-            point = (math.inf, math.nan)
+        point = _profile(model, temps[sub], chi[sub], j)
+        if not bound <= point[0] < math.inf:
+            point = _profile(model, temps, chi, j)
         profile.append(point)
-    residuals = [residual for residual, _ in profile]
+    residuals = [p for p, _ in profile]
     for k in sorted(range(1, steps), key=residuals.__getitem__):
-        j, (residual, g_squared) = grid[k], profile[k]
-        if not residual < bound:
+        j, (p, g_squared) = grid[k], profile[k]
+        if not p < bound:
             return
-        if j / 2.0 <= coupling <= 2.0 * j or residual > min(
-            residuals[k - 1], residuals[k + 1]
-        ):
+        if j / 2.0 <= coupling <= 2.0 * j or p > min(residuals[k - 1], residuals[k + 1]):
             continue
-        g, rms = math.sqrt(g_squared), residual / math.sqrt(temps.size)
-        try:
-            if not any(move > rms for move in _moves(model, j, g, temps)):
-                continue
-        except (OverflowError, ValueError):
+        if not _determined(model, temps, chi, j, p)[0]:
             continue
+        rms, residual_rms = (x / math.sqrt(temps.size) for x in (p, residual))
         raise ValueError(
-            f"{reached}, a local minimum: J = {j} K, g = {g} fits the data better "
-            f"(residual rms {rms} against {residual_rms} emu/mol); start nearer "
-            "to it"
+            f"{reached}, a local minimum: J = {j} K, g = {math.sqrt(g_squared)} fits "
+            f"the data better (residual rms {rms} against {residual_rms} emu/mol); "
+            "start nearer to it"
         )
 
 
@@ -481,9 +469,9 @@ def fit(
     parameters come back with converged=False. A step that leaves the
     float range raises ValueError, naming the start values, and so does
     a result whose J the data do not pin (`_check_determined`): one where
-    scaling J by 2 and by 1/2 moves the model by no more than the residual
-    rms, or where another minimum of the residual over J, outside
-    [J/2, 2J] and off such a plateau, fits the data better.
+    neither 2J nor J/2, each at its best g, raises the residual by one
+    point's share, or where another minimum of the residual over J,
+    outside [J/2, 2J] and off such a plateau, fits the data better.
     """
     if series.unit != "emu/mol":
         raise ValueError(
@@ -547,16 +535,15 @@ def fit(
         objective, [math.log(init_coupling_kelvin), init_g_factor]
     )
     coupling, g_factor = math.exp(x_best[0]), float(x_best[1])
-    residual_rms = math.sqrt(f_best / temps.size)
     reached = (
         f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor} reached "
         f"J = {coupling} K, g = {g_factor}"
     )
-    _check_determined(model, temps, chi, coupling, g_factor, residual_rms, reached)
+    _check_determined(model, temps, chi, coupling, math.sqrt(f_best), reached)
     return FitResult(
         coupling_kelvin=coupling,
         g_factor=g_factor,
-        residual_rms=residual_rms,
+        residual_rms=math.sqrt(f_best / temps.size),
         iterations=iterations,
         converged=converged,
         fit_window=(float(temps[0]), float(temps[-1])),

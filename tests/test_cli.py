@@ -614,6 +614,9 @@ class TestOutOfDomainMeasurement:
         reached = float(re.search(r" reached J = (\S+) K, g = ", err).group(1))
         assert reached > bound if bound > 1.0 else reached < bound
         assert "where the data do not determine J" in err
+        # neither 2J nor J/2 raises the residual norm above the threshold
+        moved = re.search(r"the residual norm is (\S+) and (\S+) emu/mol, not above (\S+) ", err)
+        assert max(map(float, moved.groups()[:2])) <= float(moved.group(3))
         assert err.count("\n") == 1
 
     def test_fit_in_a_local_minimum_exits_2(self, capsys, series_10k):
@@ -652,6 +655,38 @@ class TestOutOfDomainMeasurement:
         code, out, err = run(capsys, [*fit, "0.02K"])
         assert (code, out) == (2, "")
         assert "where the data do not determine J" in err
+
+    @pytest.mark.parametrize(
+        "data,model,coupling",
+        [
+            (["--sites", "4"], [], 37.41474),
+            (
+                ["--sites", "6", "--boundary", "open"],
+                ["--model", "chain", "--sites", "4"],
+                10.44031,
+            ),
+        ],
+    )
+    def test_fit_that_misfits_but_pins_j_exits_0(
+        self, capsys, tmp_path, data, model, coupling
+    ):
+        # chain data fitted by a smaller model: the residual is model misfit,
+        # and a factor-2 move of J at fixed g shifts the model by less than
+        # it, so both fits were once refused. At its best g, each move raises
+        # the residual by more than one point's share, and the starts agree.
+        path = str(tmp_path / "chain.csv")
+        synth = ["synth", "--spin", "3/2", "--j", "12K", "--g", "2.05"]
+        synth += ["--temps", "log:2:200:15", "--model", "chain", *data]
+        assert run(capsys, [*synth, "--output", path])[0] == 0
+        fitted = []
+        for start in (["8K"], ["20K", "--init-g", "1.9"]):
+            argv = ["fit", "--input", path, "--spin", "3/2", *model, "--init-j", *start]
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+            _, (row,), _ = parse_csv(out)
+            fitted.append(float(row["coupling_kelvin"]))
+        assert fitted[0] == pytest.approx(fitted[1], rel=1e-6)
+        assert fitted[0] == pytest.approx(coupling, rel=1e-6)
 
     @pytest.mark.parametrize(
         "argv",

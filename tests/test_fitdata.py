@@ -1,5 +1,6 @@
 """CSV ingestion, model susceptibility, simplex fitting, bound series."""
 
+import functools
 import io
 import math
 import re
@@ -410,6 +411,28 @@ class TestFit:
         j, g = start
         with pytest.raises(ValueError, match=re.escape(f"fit from J = {j} K, g = {g} ")):
             fit(series, S_HALF, j, g, n_sites=n_sites)
+
+    # beyond 2J the model raises (None), has no positive g^2 (0), or its g^2
+    # normal equation overflows (1e300)
+    @pytest.mark.parametrize("beyond", [None, 0.0, 1e300])
+    def test_a_neighbour_out_of_the_float_range_is_no_evidence(self, beyond):
+        # at J = 1, only J/2 = 0.5 is in range: it fits chi = 1/T with
+        # residual norm 0.12658, so it alone decides
+        temps = np.array([1.0, 2.0, 3.0, 4.0])
+
+        def model(coupling, g_factor, at):
+            if coupling < 1.5:
+                return g_factor**2 / (at + coupling)
+            if beyond is None:
+                raise OverflowError("the model overflows")
+            return np.full_like(at, beyond)
+
+        check = functools.partial(fitdata._determined, model, temps, 1.0 / temps, 1.0)
+        determined, up, down, threshold = check(0.12)
+        assert (determined, up) == (False, math.inf)
+        assert down == pytest.approx(0.1265766, rel=1e-6)
+        assert threshold == pytest.approx(0.12 * math.sqrt(1.25), rel=1e-15)
+        assert check(0.1)[0]
 
 
 class TestBoundSeries:
