@@ -8,28 +8,26 @@ Library layout:
   negativity, characteristic temperature.
 * `chain`: sector-blocked exact diagonalization, Boltzmann weights and
   thermal means of per-level values (energy, bond values), exact
-  susceptibility, correlators, reduced pair states, brute-force
-  negativity.
+  susceptibility.
 * `witness`: nearest-neighbor susceptibility, the separability
   threshold and witness, negativity lower bound, T_c solving and
   sweeps, built-in compound table.
 * `fitdata`: measurement CSV ingestion, model curves, (J, g) fitting,
   per-point negativity bounds.
 * `cli`: the `mixedspin` command.
+
+This namespace holds no name that needs eigenvectors. The dense oracle
+that does (Hamiltonians, correlator matrices, reduced pair states,
+brute-force negativity, spin matrices and their embedding) lives in
+`mixedspin.chain` and `mixedspin.operators`, as the reference for the
+tests and the benchmark.
 """
 
 from .chain import (
     DEFAULT_DIM_CAP,
     ChainSpec,
-    CorrelatorMatrix,
     SectorSpectralData,
-    bond_levels,
-    build_hamiltonian,
-    correlator_matrix,
-    dense_hamiltonian,
     diagonalize,
-    negativity_bruteforce,
-    reduced_pair_state,
     susceptibility_exact,
     thermal_mean,
     thermal_weights,
@@ -44,14 +42,7 @@ from .fitdata import (
     nelder_mead,
     synth_series,
 )
-from .operators import (
-    SPIN_HALF,
-    SpinOperators,
-    SpinQuantum,
-    eig_sym,
-    embed,
-    spin_matrices,
-)
+from .operators import SPIN_HALF, SpinQuantum, eig_sym
 from .pair import (
     characteristic_temperature,
     negativity_from_g1,

@@ -219,10 +219,6 @@ class SectorSpectralData:
     ground_energy_kelvin: float
     bond: np.ndarray | None = None
 
-    @property
-    def total_dimension(self) -> int:
-        return int(self.multiplicity.sum())
-
     def all_eigenvalues(self) -> np.ndarray:
         return np.sort(np.repeat(self.levels, self.multiplicity))
 

@@ -298,8 +298,6 @@ def _cmd_sweep(args) -> None:
     couplings = [
         _parse_coupling(tok) for tok in args.couplings.split(",") if tok.strip()
     ]
-    if not spins or not couplings:
-        raise ValueError("sweep needs at least one spin and one coupling")
     result = sweep_tc(spins, couplings)
     rows = [
         {**_fields(r), "tc_over_j": r.tc_kelvin / r.coupling_kelvin}

@@ -22,7 +22,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -498,25 +498,15 @@ def fit(
         _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
     measured = chi.tolist()
 
-    def model(
-        coupling_kelvin: float, g_factor: float, at: np.ndarray = temps
-    ) -> np.ndarray:
-        return model_chi(
-            spin,
-            coupling_kelvin,
-            g_factor,
-            at,
-            n_sites=n_sites,
-            boundary=boundary,
-            dim_cap=dim_cap,
-        )
+    # bound per call, so a `model_chi` replaced on the module is the one used
+    model = partial(model_chi, spin, n_sites=n_sites, boundary=boundary, dim_cap=dim_cap)
 
     def objective(params: np.ndarray) -> float:
         if not params[1] > 0.0:
             # chi depends on g^2 only; keep the simplex on the g > 0 branch
             return math.inf
         try:
-            model_values = model(math.exp(params[0]), params[1])
+            model_values = model(math.exp(params[0]), params[1], temps)
             # left to right, and ** (libm pow) rather than an array square,
             # so every value is bitwise that of a point-by-point loop
             total = sum((m - x) ** 2 for m, x in zip(model_values.tolist(), measured))

@@ -45,26 +45,23 @@ def pair_correlator(
 
     A float for one temperature; for an array, an array of the same
     shape. J and the temperatures are checked once per call, and each
-    point is the `math.exp` closed form, so an element equals its scalar
-    call bitwise (`np.exp` rounds differently from `math.exp` for some
-    inputs).
+    point is the `math.exp` closed form (`np.exp` rounds differently for
+    some inputs). A number takes the same path as a 0-d array, so an
+    array element equals its scalar call bitwise.
     """
     _check_coupling(coupling_kelvin)
     check_positive("temperature", temperature_kelvin)
     s = spin.value
     gap = coupling_kelvin * (spin.twice_spin + 1) / 2.0
+    temps = np.asarray(temperature_kelvin, dtype=float)
+    # the quotients are correctly rounded; a subnormal T gives -inf, as the
+    # float division does
+    with np.errstate(over="ignore"):
+        exponents = (-gap / temps).ravel().tolist()
     # math.exp underflows to 0.0, the exact T -> 0 limit, without raising
-    if not np.ndim(temperature_kelvin):
-        x = math.exp(-gap / float(temperature_kelvin))
-    else:
-        temps = np.asarray(temperature_kelvin, dtype=float)
-        # the quotients are correctly rounded either way; a subnormal T
-        # gives -inf, as the float division does
-        with np.errstate(over="ignore"):
-            exponents = (-gap / temps).ravel().tolist()
-        x = np.array(list(map(math.exp, exponents))).reshape(temps.shape)
-    # each array element goes through the scalar's operations
-    return s * (s + 1.0) * (x - 1.0) / (2.0 * ((s + 1.0) * x + s))
+    x = np.array(list(map(math.exp, exponents))).reshape(temps.shape)
+    g1 = s * (s + 1.0) * (x - 1.0) / (2.0 * ((s + 1.0) * x + s))
+    return g1 if temps.ndim else float(g1)
 
 
 def pair_correlator_literature(

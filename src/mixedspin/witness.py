@@ -189,7 +189,7 @@ def solve_tc(
     tol = 1e-8 * coupling_kelvin
     while hi - lo > tol:
         mid = _midpoint(lo, hi)
-        if not lo < mid < hi:  # no float between them: tol underflowed to 0
+        if not lo < mid < hi:  # no float between them: their spacing exceeds tol
             break
         if f(mid) < 0.0:
             lo = mid

@@ -1441,6 +1441,35 @@ class TestFitAndSynth:
         assert float(row["residual_rms"]) == pytest.approx(rms, rel=5e-8, abs=0.0)
 
 
+class TestValueErrors:
+    """Values argparse accepts as strings but the command cannot read."""
+
+    CHAIN = ["chain", "--spin", "1", "--coupling", "10K", "--temps"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tc", "--spin", "1", "--coupling", "tenK"], "cannot parse coupling value in 'tenK'"),
+            (["tc", "--spin", "1", "--coupling", "cm-1"], "cannot parse coupling value in 'cm-1'"),
+            ([*CHAIN, "1:x:3"], "cannot parse temperature range '1:x:3'"),
+            ([*CHAIN, "log:1:10:2.5"], "cannot parse temperature range 'log:1:10:2.5'"),
+            ([*CHAIN, "1:10:0"], "temperature count must be >= 1, got 0"),
+            ([*CHAIN, "1,x,3"], "cannot parse temperatures '1,x,3'"),
+            ([*CHAIN, ", ,"], "no temperatures given"),
+            (["tc", "--coupling", "5K"], "need --spin and --coupling (or --compound)"),
+            (["tc", "--spin", "1"], "need --spin and --coupling (or --compound)"),
+        ],
+    )
+    def test_exits_2_with_its_message(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("window", ["5:x", "a:80", ":"])
+    def test_unparsable_window_exits_2(self, capsys, window):
+        argv = ["fit", "--input", CHAIN_SERIES, "--spin", "1", "--init-j", "5K"]
+        code, out, err = run(capsys, [*argv, "--window", window])
+        assert (code, out, err) == (2, "", f"error: cannot parse window {window!r}\n")
+
+
 class TestParser:
     """`main` builds the parser of the subcommand it runs, and it reads and
     prints exactly what the whole parser does."""

@@ -106,6 +106,12 @@ class TestLoadMeasurements:
         with pytest.raises(ValueError, match="line 2"):
             load_measurements(io.StringIO(text))
 
+    @pytest.mark.parametrize("row", ["4.0,nan", "inf,0.02", "4.0,-inf"])
+    def test_non_finite_value_names_line(self, row):
+        text = f"temperature_kelvin,chi_emu_per_mol\n2.0,0.01\n{row}\n"
+        with pytest.raises(ValueError, match=f"line 3: non-finite value in '{row}'"):
+            load_measurements(io.StringIO(text))
+
     def test_unknown_header_rejected(self):
         text = "temp,chi\n1.0,0.2\n"
         with pytest.raises(ValueError, match="header"):
@@ -123,6 +129,20 @@ class TestMeasurementSeries:
         temps[position] = bad
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             MeasurementSeries(temps, np.ones(3), "emu/mol", {})
+
+    def test_rejects_an_unknown_unit(self):
+        with pytest.raises(ValueError, match="unit must be 'emu/mol' or 'reduced', got 'SI'"):
+            MeasurementSeries(np.array([1.0, 2.0]), np.ones(2), "SI", {})
+
+    def test_rejects_arrays_of_different_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            MeasurementSeries(np.array([1.0, 2.0]), np.ones(3), "reduced", {})
+
+    @pytest.mark.parametrize("temps", [[1.0, 3.0, 2.0], [1.0, 2.0, 2.0]])
+    def test_rejects_temperatures_that_do_not_increase(self, temps):
+        message = f"strictly increasing, got {temps[1]} then {temps[2]}"
+        with pytest.raises(ValueError, match=message):
+            MeasurementSeries(np.array(temps), np.ones(3), "emu/mol", {})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_susceptibility(self, bad):
@@ -266,6 +286,12 @@ class TestNelderMead:
         r2 = nelder_mead(objective, [1.0, 1.0])
         assert np.array_equal(r1[0], r2[0])
         assert r1[1:4] == r2[1:4]
+
+    def test_nan_objective_raises(self):
+        # a NaN best value is not <= the one before it, so it cannot pass
+        # for a converged minimum
+        with pytest.raises(RuntimeError, match="simplex best worsened from nan to nan"):
+            nelder_mead(lambda x: math.nan, [1.0, 1.0])
 
     def test_iteration_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(fitdata, "_MAX_ITERATIONS", 3)
@@ -433,6 +459,36 @@ class TestFit:
         assert down == pytest.approx(0.1265766, rel=1e-6)
         assert threshold == pytest.approx(0.12 * math.sqrt(1.25), rel=1e-15)
         assert check(0.1)[0]
+
+    def test_a_plateau_that_fits_better_is_not_named(self, monkeypatch):
+        # chi = 1 against g^2 (1 + h(J) s) with s = +-1 alternating, so p(J)
+        # rises with h. h falls from J = 1 onto a flat 0.01 from 10^1.5 K on:
+        # the plateau's grid points fit better than J = 1 and are no larger
+        # than their neighbours, but no J on a plateau is determined, so
+        # none of them is named as another minimum
+        temps = np.arange(1.0, 9.0)
+        sign = np.resize([1.0, -1.0], temps.size)
+
+        def model(coupling, g_factor, at):
+            h = 0.01 + 0.0066 * max(0.0, 1.5 - math.log10(coupling)) ** 2
+            return g_factor**2 * (1.0 + h * sign)
+
+        decided = []
+
+        def spy(*args):
+            decision = determined(*args)
+            decided.append((args[3], decision[0]))
+            return decision
+
+        determined = fitdata._determined
+        monkeypatch.setattr(fitdata, "_determined", spy)
+        chi = np.ones(temps.size)
+        residual = fitdata._profile(model, temps, chi, 1.0)[0]
+        fitdata._check_determined(model, temps, chi, 1.0, residual, "reached")
+        assert decided[0] == (1.0, True)
+        plateau = decided[1:]
+        assert len(plateau) == 5
+        assert all(j > 10**1.5 and not ok for j, ok in plateau)
 
 
 class TestBoundSeries:

@@ -128,6 +128,11 @@ class TestEmbed:
         with pytest.raises(ValueError):
             embed(np.eye(3), 0, (2, 2))
 
+    @pytest.mark.parametrize("dims", [(), (2, 0), (3, -2)])
+    def test_dimensions_must_be_positive(self, dims):
+        with pytest.raises(ValueError, match="dims must be positive integers"):
+            embed(np.eye(2), 0, dims)
+
 
 class TestEigSym:
     def test_diagonal_matrix(self):

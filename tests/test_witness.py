@@ -259,6 +259,30 @@ class TestSolveTc:
         with pytest.raises(RuntimeError, match="does not change sign"):
             solve_tc(lambda t: pair_correlator(spin, 1e300, t) - 10.0, spin, 1e300)
 
+    @pytest.mark.parametrize(
+        "kink, end",
+        [
+            # G1 = -S/2 up to 1 K: the bracket's low end moves down 8 decades
+            # and still sits on the boundary, so it is returned
+            (lambda t: max(0.0, t - 1.0), 1e-11),
+            # G1 = -S/2 from 1 K on: the high end moves up 8 decades
+            (lambda t: min(0.0, t - 1.0), 1e11),
+        ],
+    )
+    def test_a_bracket_end_on_the_boundary_is_returned(self, kink, end):
+        spin = SpinQuantum(3)
+        got = solve_tc(lambda t: kink(t) - spin.value / 2.0, spin, 1.0)
+        assert got == pytest.approx(end, rel=1e-12)
+
+    def test_bisection_stops_where_no_float_lies_between_the_ends(self):
+        # G1 steps across -S/2 at 5e10 J, which only a grown bracket
+        # reaches; there adjacent floats are 7.6e-6 J apart, more than the
+        # 1e-8 J tolerance, so the bisection ends on two adjacent floats
+        spin = SpinQuantum(2)
+        crossing = 5e10
+        got = solve_tc(lambda t: 0.0 if t >= crossing else -1.0, spin, 1.0)
+        assert crossing - math.ulp(crossing) <= got <= crossing
+
     @pytest.mark.parametrize("coupling", [math.nan, math.inf, 0.0, -1.0])
     def test_coupling_must_be_finite_and_positive(self, coupling):
         # a NaN coupling once reached the bracket and failed as a
@@ -340,6 +364,18 @@ class TestCompounds:
     def test_record_rejects_bad_coupling(self, value):
         with pytest.raises(ValueError, match="coupling must be finite and > 0"):
             CompoundRecord("X", SpinQuantum(2), value, "K", 2.0, None)
+
+    @pytest.mark.parametrize(
+        "unit, g, message",
+        [
+            ("meV", 2.0, "coupling unit must be 'K' or 'cm-1', got 'meV'"),
+            ("K", 2.6, "g_factor 2.6 outside sanity range"),
+            ("cm-1", 1.4, "g_factor 1.4 outside sanity range"),
+        ],
+    )
+    def test_record_rejects_bad_unit_and_g_factor(self, unit, g, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CompoundRecord("X", SpinQuantum(2), 5.0, unit, g, None)
 
     def test_record_values(self):
         cn = lookup_compound("CN")
