@@ -10,8 +10,10 @@ of 2 spins per formula unit. Chain models with more sites are rescaled
 to that 2-spin cell so every model is comparable to the same data.
 
 Fitting minimizes the plain sum of squared residuals in emu/mol over
-(log J, g) with a deterministic derivative-free simplex. log J keeps the
-coupling positive without constraints. Reduced-unit series cannot be
+(J, g). chi is g^2 times the g = 1 model, so the best g^2 at each J is
+a linear least-squares solution (variable projection), and a
+deterministic derivative-free simplex searches log J alone. log J keeps
+the coupling positive without constraints. Reduced-unit series cannot be
 fitted: the g-factor divides out of reduced susceptibility, so g would
 be unidentifiable.
 """
@@ -392,16 +394,16 @@ def _check_determined(
     `_determined`.
 
     Plateau: far above or below the data's temperatures chi no longer
-    depends on J, and the simplex shrinks along g until it passes its
-    diameter test. Other minimum: p(J) is sampled on a log grid of 4 points
-    per decade, from T_min/100 to 100 T_max. A grid point outside [J/2, 2J]
-    is named if p there is below the fit's residual and no larger than at
-    its two neighbours, and J is determined there at its own residual:
-    where p only falls toward a plateau, a fit started nearer would be
-    refused too. A narrower minimum goes unseen. p over every k-th point
-    alone, about 8 points, bounds the whole p from below, so a J that it
-    already puts above the fit's residual is not evaluated on the whole
-    series.
+    depends on J, so p is flat and the simplex over log J shrinks until
+    it passes its diameter test. Other minimum: p(J) is sampled on a log
+    grid of 4 points per decade, from T_min/100 to 100 T_max. A grid
+    point outside [J/2, 2J] is named if p there is below the fit's
+    residual and no larger than at its two neighbours, and J is
+    determined there at its own residual: where p only falls toward a
+    plateau, a fit started nearer would be refused too. A narrower
+    minimum goes unseen. p over every k-th point alone, about 8 points,
+    bounds the whole p from below, so a J that it already puts above the
+    fit's residual is not evaluated on the whole series.
     """
     determined, up, down, threshold = _determined(model, temps, chi, coupling, residual)
     if not determined:
@@ -465,9 +467,12 @@ def fit(
     """Least-squares fit of (J, g) to a molar susceptibility series.
 
     The model is `model_chi`'s: the pair for n_sites None, else the
-    n_sites chain. Non-convergence is not an exception: the best-so-far
-    parameters come back with converged=False. A step that leaves the
-    float range raises ValueError, naming the start values, and so does
+    n_sites chain. The simplex minimizes the `_profile` residual p over
+    log J from log init_coupling_kelvin, with g solved at each J;
+    init_g_factor enters only the check of the start. Non-convergence is
+    not an exception: the best-so-far parameters come back with
+    converged=False. A start or a step that leaves the float range
+    raises ValueError, naming the start values, and so does
     a result whose J the data do not pin (`_check_determined`): one where
     neither 2J nor J/2, each at its best g, raises the residual by one
     point's share, or where another minimum of the residual over J,
@@ -496,44 +501,54 @@ def fit(
 
     if n_sites is not None:  # a bad chain spec fails here, with its own message
         _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
-    measured = chi.tolist()
 
     # bound per call, so a `model_chi` replaced on the module is the one used
     model = partial(model_chi, spin, n_sites=n_sites, boundary=boundary, dim_cap=dim_cap)
-
-    def objective(params: np.ndarray) -> float:
-        if not params[1] > 0.0:
-            # chi depends on g^2 only; keep the simplex on the g > 0 branch
-            return math.inf
-        try:
-            model_values = model(math.exp(params[0]), params[1], temps)
-            # left to right, and ** (libm pow) rather than an array square,
-            # so every value is bitwise that of a point-by-point loop
-            total = sum((m - x) ** 2 for m, x in zip(model_values.tolist(), measured))
-            if total < math.inf:
-                return total
-        except (OverflowError, ValueError):
-            pass
-        # an inf objective could let the simplex "converge" far from the data
+    origin = f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor}"
+    # the start is the one point where g is not solved for: it must keep
+    # the model and its sum of squared residuals in the float range
+    try:
+        with np.errstate(over="ignore"):
+            residuals = model(init_coupling_kelvin, init_g_factor, temps) - chi
+            squares = float(np.sum(residuals**2))
+    except (OverflowError, ValueError):
+        squares = math.inf
+    if not squares < math.inf:
         raise ValueError(
-            f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor} reached "
-            f"J = exp({params[0]}) K, g = {params[1]}, where J, the model or a "
-            "squared residual leaves the float range"
+            f"{origin} reached J = exp({math.log(init_coupling_kelvin)}) K, "
+            f"g = {init_g_factor}, where J, the model or a squared residual leaves "
+            "the float range"
         )
 
-    x_best, f_best, iterations, converged, _ = nelder_mead(
-        objective, [math.log(init_coupling_kelvin), init_g_factor]
+    # chi is g^2 times the g = 1 model, so g^2 is solved at each J
+    # (`_profile`) and the simplex searches log J alone
+    g_squares: dict[float, float] = {}
+
+    def objective(params: np.ndarray) -> float:
+        log_j = float(params[0])
+        try:
+            p, g_squares[log_j] = _profile(model, temps, chi, math.exp(log_j))
+        except OverflowError:
+            p = math.inf
+        if p < math.inf:
+            return p
+        # an inf objective could let the simplex "converge" far from the data
+        raise ValueError(
+            f"{origin} reached J = exp({log_j}) K, where J or the model leaves the "
+            "float range or no positive g^2 fits"
+        )
+
+    x_best, residual, iterations, converged, _ = nelder_mead(
+        objective, [math.log(init_coupling_kelvin)]
     )
-    coupling, g_factor = math.exp(x_best[0]), float(x_best[1])
-    reached = (
-        f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor} reached "
-        f"J = {coupling} K, g = {g_factor}"
-    )
-    _check_determined(model, temps, chi, coupling, math.sqrt(f_best), reached)
+    log_j = float(x_best[0])
+    coupling, g_factor = math.exp(log_j), math.sqrt(g_squares[log_j])
+    reached = f"{origin} reached J = {coupling} K, g = {g_factor}"
+    _check_determined(model, temps, chi, coupling, residual, reached)
     return FitResult(
         coupling_kelvin=coupling,
         g_factor=g_factor,
-        residual_rms=math.sqrt(f_best / temps.size),
+        residual_rms=residual / math.sqrt(temps.size),
         iterations=iterations,
         converged=converged,
         fit_window=(float(temps[0]), float(temps[-1])),

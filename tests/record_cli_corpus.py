@@ -8,7 +8,9 @@ series name also write their output there, as the inputs of the `fit`
 rows.
 
 Run it only when a change to the CLI's output is intended, and list
-every row whose recorded output changes in CHANGES.md:
+every row whose recorded output changes in CHANGES.md; the script
+prints the name and the old and new exit code, stdout and stderr of
+each such row:
 
     PYTHONPATH=src python tests/record_cli_corpus.py
 """
@@ -130,7 +132,21 @@ def record() -> list[dict]:
     return rows
 
 
+def report_changes(old: list[dict], new: list[dict]) -> None:
+    """Print each row of `new` whose recording differs from `old`'s."""
+    before = {row["name"]: row for row in old}
+    for row in new:
+        was = before.get(row["name"])
+        for key in ("exit", "stdout", "stderr"):
+            if was is None or was[key] != row[key]:
+                print(f"{row['name']} {key}:")
+                print(f"  old: {was[key] if was else None!r}")
+                print(f"  new: {row[key]!r}")
+
+
 if __name__ == "__main__":
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
     corpus = record()
+    report_changes(old, corpus)
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
     print(f"{len(corpus)} rows written to {CORPUS}", file=sys.stderr)

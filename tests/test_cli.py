@@ -576,7 +576,8 @@ class TestOutOfDomainMeasurement:
         assert err.count("\n") == 1
 
     def test_fit_from_a_huge_coupling_exits_2(self, capsys, tmp_path):
-        # the simplex steps from log J = 575.6 past 709.78, where exp overflows
+        # once the simplex stepped from log J = 575.6 past 709.78, where exp
+        # overflows; the search over log J alone stays on the plateau there
         path = tmp_path / "series.csv"
         synth = ["synth", "--spin", "1", "--j", "100K", "--g", "2"]
         run(capsys, [*synth, "--temps", "log:0.1:100:12", "--output", str(path)])
@@ -596,9 +597,9 @@ class TestOutOfDomainMeasurement:
     @pytest.mark.parametrize(
         "model,start,bound",
         [
-            ([], "1e250K", 1e200),  # ended at J = 3.98e237 K
-            ([], "1e-250K", 1e-200),  # ended at J = 4.73e-280 K
-            (["--model", "chain", "--sites", "6"], "1e250K", 1e200),  # 3.04e207 K
+            ([], "1e250K", 1e200),  # ends at J = 1e250 K (once 3.98e237 K)
+            ([], "1e-250K", 1e-200),  # 1e-250 K (once 4.73e-280 K)
+            (["--model", "chain", "--sites", "6"], "1e250K", 1e200),  # 1e250 K (once 3.04e207 K)
         ],
     )
     def test_fit_where_the_data_do_not_determine_j_exits_2(
@@ -1384,8 +1385,12 @@ class TestFitAndSynth:
     # level table began to hold one entry per SU(2) multiplet: the CSV J
     # moved 8.50373873 -> 8.50373871 and its wavenumber 5.91039435 ->
     # 5.91039434, at 68 iterations instead of 67, the JSON wavenumber
-    # 7.9376528 -> 7.93765278, at 63 iterations instead of 65. Still
-    # compared byte for byte; the values recorded before the mirroring are
+    # 7.9376528 -> 7.93765278, at 63 iterations instead of 65. Re-recorded
+    # again when the simplex began to search log J alone, with g solved at
+    # each J: the CSV J moved 8.50373871 -> 8.50373874 and its wavenumber
+    # 5.91039434 -> 5.91039436, at 31 iterations instead of 68, the JSON J
+    # 11.4205113 -> 11.4205112 and its wavenumber 7.93765278 -> 7.93765275,
+    # at 27 iterations instead of 63. Still compared byte for byte; the values recorded before the mirroring are
     # pinned to a relative 5e-8 just below.
     @pytest.mark.parametrize(
         "extra,expected",
@@ -1394,14 +1399,14 @@ class TestFitAndSynth:
                 ["--init-j", "5K"],
                 "coupling_kelvin,coupling_wavenumber,g_factor,residual_rms,"
                 "iterations,converged,window_min_kelvin,window_max_kelvin,n_points\n"
-                "8.50373871,5.91039434,2.03016955,0.000440954126,68,true,2,80,16\n",
+                "8.50373874,5.91039436,2.03016955,0.000440954126,31,true,2,80,16\n",
             ),
             (
                 ["--init-j", "12K", "--init-g", "1.9", "--boundary", "open"]
                 + ["--window", "3:60", "--format", "json"],
-                '{"coupling_kelvin": 11.4205113, "coupling_wavenumber": 7.93765278, '
+                '{"coupling_kelvin": 11.4205112, "coupling_wavenumber": 7.93765275, '
                 '"g_factor": 2.02125744, "residual_rms": 0.00097679332, '
-                '"iterations": 63, "converged": true, "window_min_kelvin": 3.27068, '
+                '"iterations": 27, "converged": true, "window_min_kelvin": 3.27068, '
                 '"window_max_kelvin": 48.9195, "n_points": 12}\n',
             ),
         ],

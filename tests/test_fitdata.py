@@ -361,28 +361,122 @@ class TestFit:
         assert result.g_factor == pytest.approx(2.0, rel=1e-6)
 
     @pytest.mark.parametrize("n_sites", [None, 4])
-    def test_objective_equals_point_loop_bitwise(self, monkeypatch, n_sites):
-        # the reference is the point-by-point sum the array objective
-        # replaced; its ** is libm pow, which rounds some squares unlike x*x
+    def test_objective_is_the_profile_residual(self, monkeypatch, n_sites):
+        # the simplex sees p(J) = |g^2 m - chi| at the least-squares g^2 of
+        # each J, bitwise `_profile`'s; the reference solves g^2 and sums
+        # the squares point by point in Python floats
         series = load_measurements(CHAIN_SERIES)
-        objectives = []
+        temps, chi = series.temperatures_kelvin, series.chi
+        captured = []
 
-        def capture(objective, x0, **_):
-            objectives.append(objective)
-            return np.asarray(x0, dtype=float), 0.0, 0, True, []
+        class Captured(Exception):
+            pass
+
+        def capture(objective, x0):
+            captured.append((objective, list(x0)))
+            raise Captured
 
         monkeypatch.setattr(fitdata, "nelder_mead", capture)
-        fit(series, S_ONE, 8.0, 2.0, n_sites=n_sites)
-        (objective,) = objectives
-        for log_j in np.linspace(1.5, 2.7, 12):
-            for g in np.linspace(1.8, 2.3, 12):
-                expected = 0.0
-                for t, x in zip(series.temperatures_kelvin, series.chi):
-                    j = math.exp(log_j)
-                    chi = model_chi(S_ONE, j, g, float(t), n_sites=n_sites)
-                    expected += (chi - x) ** 2
-                got = objective(np.array([log_j, g]))
-                assert float(got).hex() == float(expected).hex()
+        with pytest.raises(Captured):
+            fit(series, S_ONE, 8.0, 2.0, n_sites=n_sites)
+        ((objective, x0),) = captured
+        assert x0 == [math.log(8.0)]
+        model = functools.partial(model_chi, S_ONE, n_sites=n_sites)
+        for log_j in np.linspace(1.5, 2.7, 12).tolist():
+            got = objective(np.array([log_j]))
+            j = math.exp(log_j)
+            assert got.hex() == fitdata._profile(model, temps, chi, j)[0].hex()
+            unit = [model_chi(S_ONE, j, 1.0, t, n_sites=n_sites) for t in temps.tolist()]
+            measured = chi.tolist()
+            g_squared = sum(x * m for x, m in zip(measured, unit)) / sum(m * m for m in unit)
+            expected = math.sqrt(sum((g_squared * m - x) ** 2 for m, x in zip(unit, measured)))
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "noisy_pair,start,model,window",
+        [
+            (False, (5.0, 2.0), dict(n_sites=4), (0.0, math.inf)),
+            (False, (12.0, 1.9), dict(n_sites=4, boundary="open"), (3.0, 60.0)),
+            (True, (7.0, 2.0), {}, (0.0, math.inf)),
+        ],
+        ids=["ring4", "open4-window", "noisy-pair"],
+    )
+    def test_fit_is_the_least_squares_minimum_over_j_and_g(
+        self, noisy_pair, start, model, window
+    ):
+        # the 1-D search over log J with g solved lands where a 2-D simplex
+        # over (log J, g) of the plain sum of squares does
+        if noisy_pair:
+            temps = np.geomspace(1.0, 100.0, 30)
+            noise = 1.0 + 0.01 * np.random.default_rng(7).standard_normal(temps.size)
+            chi = synth_series(S_ONE, 10.0, 2.0, temps).chi * noise
+            series = MeasurementSeries(temps, chi, "emu/mol", {})
+        else:
+            series = load_measurements(CHAIN_SERIES)
+        result = fit(series, S_ONE, *start, window=window, **model)
+        temps, chi = series.temperatures_kelvin, series.chi
+        inside = (temps >= window[0]) & (temps <= window[1])
+        temps, chi = temps[inside], chi[inside]
+
+        def squares(params):
+            values = model_chi(S_ONE, math.exp(params[0]), params[1], temps, **model)
+            return float(np.sum((values - chi) ** 2))
+
+        x, f, _, converged, _ = nelder_mead(squares, [math.log(start[0]), start[1]])
+        assert converged
+        assert result.coupling_kelvin == pytest.approx(math.exp(x[0]), rel=1e-6)
+        assert result.g_factor == pytest.approx(x[1], rel=1e-6)
+        assert result.residual_rms == pytest.approx(math.sqrt(f / temps.size), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "spin,j,g,start,n_sites,boundary",
+        [
+            (S_ONE, 10.0, 2.0, 7.0, None, "periodic"),
+            (S_ONE, 6.0, 2.1, 4.0, 6, "open"),
+            (SpinQuantum(3), 12.0, 2.05, 8.0, 4, "periodic"),
+            (S_ONE, 5.0, 2.1, 3.0, 8, "periodic"),
+        ],
+        ids=["pair", "open6", "ring4", "ring8"],
+    )
+    def test_full_precision_round_trip_pins_the_ninth_digit(
+        self, spin, j, g, start, n_sites, boundary
+    ):
+        # without a CSV round trip (which keeps 9 digits of chi) J and g
+        # come back to a few 1e-10; the 1-D search stops where its simplex
+        # is 1e-9 wide in log J
+        kw = dict(n_sites=n_sites, boundary=boundary)
+        series = synth_series(spin, j, g, np.geomspace(1.0, 100.0, 12), **kw)
+        result = fit(series, spin, start, 2.0, **kw)
+        assert result.converged
+        assert abs(result.coupling_kelvin - j) <= 2e-9 * j
+        assert abs(result.g_factor - g) <= 2e-9 * g
+
+    @pytest.mark.parametrize("n_sites", [8, None])
+    def test_a_bench_sized_fit_makes_at_most_100_model_calls(self, monkeypatch, n_sites):
+        # the 2-D simplex over (log J, g) made 153 (ring-8) and 180 (pair)
+        # calls on this kind of series, its checks included; the 1-D search
+        # over log J, with g solved at each J, makes fewer than 100
+        j, g = 4.5, 2.1
+        temps = j * np.geomspace(0.3, 20.0, 60)
+        chi = synth_series(S_ONE, j, g, temps, n_sites=8).chi
+        chi = chi * (1.0 + 1e-3 * np.random.default_rng(1).standard_normal(temps.size))
+        series = MeasurementSeries(temps, chi, "emu/mol", {})
+        calls, starts = [], []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return model_chi(*args, **kwargs)
+
+        def spied(objective, x0):
+            starts.append(list(x0))
+            return nelder_mead(objective, x0)
+
+        monkeypatch.setattr(fitdata, "model_chi", counted)
+        monkeypatch.setattr(fitdata, "nelder_mead", spied)
+        result = fit(series, S_ONE, 1.25 * j, 2.0, n_sites=n_sites)
+        assert result.converged
+        assert starts == [[math.log(1.25 * j)]]
+        assert len(calls) <= 100
 
     def test_too_few_points_rejected(self):
         series = load_measurements(io.StringIO(VALID_CSV))
