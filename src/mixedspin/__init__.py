@@ -39,7 +39,6 @@ from .fitdata import (
     fit,
     load_measurements,
     model_chi,
-    nelder_mead,
     synth_series,
 )
 from .operators import SPIN_HALF, SpinQuantum, eig_sym

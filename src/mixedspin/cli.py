@@ -245,6 +245,21 @@ def _emit(args, rows, summary=None, comments=()) -> None:
 
 def _cmd_tc(args) -> None:
     if args.report:
+        # the flags that choose a system or a model, at their unset values
+        unset = dict(
+            spin=None, twice_spin=None, coupling=None, compound=None, model="pair",
+            correlator="exact",
+        )
+        given = [
+            f"--{name.replace('_', '-')} {getattr(args, name)}"
+            for name, value in unset.items()
+            if getattr(args, name) != value
+        ]
+        if given:
+            raise ValueError(
+                "--report tabulates every built-in compound on the pair model; "
+                f"it takes no {', '.join(given)}"
+            )
         rows = [_fields(r) for r in compound_report()]
         _emit(args, [{"compound": row.pop("name"), **row} for row in rows])
         return

@@ -12,10 +12,10 @@ to that 2-spin cell so every model is comparable to the same data.
 Fitting minimizes the plain sum of squared residuals in emu/mol over
 (J, g). chi is g^2 times the g = 1 model, so the best g^2 at each J is
 a linear least-squares solution (variable projection), and a
-deterministic derivative-free simplex searches log J alone. log J keeps
-the coupling positive without constraints. Reduced-unit series cannot be
-fitted: the g-factor divides out of reduced susceptibility, so g would
-be unidentifiable.
+two-point Nelder-Mead simplex on plain floats (`nelder_mead`) searches
+log J alone. log J keeps the coupling positive without constraints.
+Reduced-unit series cannot be fitted: the g-factor divides out of
+reduced susceptibility, so g would be unidentifiable.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "load_measurements",
     "model_chi",
     "synth_series",
-    "nelder_mead",
     "FitResult",
     "fit",
     "bound_series",
@@ -259,88 +258,65 @@ _REL_TOL = 1e-9
 
 
 def nelder_mead(
-    objective: Callable[[np.ndarray], float], x0: Sequence[float]
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Deterministic derivative-free simplex descent.
+    objective: Callable[[float], float], x0: float
+) -> tuple[float, float, int, bool]:
+    """Deterministic derivative-free simplex descent in one dimension.
 
-    Standard reflection/expansion/contraction/shrink coefficients
-    (1, 2, 0.5, 0.5). Initial simplex: x0 plus a 5% step per coordinate
-    (0.00025 absolute for zero coordinates). Converged when the simplex
-    diameter falls below _REL_TOL relative to the best vertex, else
-    stopped after _MAX_ITERATIONS iterations. Returns
-    (x_best, f_best, iterations, converged, best_history); best_history
-    is non-increasing by construction; a step that breaks this (a NaN
-    objective value) raises RuntimeError.
+    The simplex is two points, `best` and `worst`, from x0 and x0 plus
+    5% (0.00025 at x0 = 0). Standard reflection/expansion/contraction/
+    shrink coefficients (1, 2, 0.5, 0.5); in one dimension the centroid
+    is the best point, and a shrink moves the worst point halfway to it.
+    Each iteration orders the two as a stable sort with NaN last does;
+    the result is the first NaN, else the first lowest, as an argmin
+    picks it. Converged when |worst - best| falls below _REL_TOL
+    relative to max(1, |best|), else stopped after _MAX_ITERATIONS
+    iterations.
+    Returns (x_best, f_best, iterations, converged). The best value never
+    rises; a step that breaks this (a NaN objective value) raises
+    RuntimeError.
     """
-    x0 = np.asarray(x0, dtype=float)
-    ndim = x0.size
-    simplex = [x0.copy()]
-    for k in range(ndim):
-        vertex = x0.copy()
-        # a Python float product: an overflow is inf, with no numpy warning
-        vertex[k] = float(x0[k]) * 1.05 if x0[k] != 0.0 else 0.00025
-        simplex.append(vertex)
-    values = [float(objective(v)) for v in simplex]
-    history: list[float] = []
+    best = float(x0)
+    # a Python float product: an overflow is inf, with no warning
+    worst = best * 1.05 if best != 0.0 else 0.00025
+    f_best, f_worst = float(objective(best)), float(objective(worst))
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if history and not values[0] <= history[-1]:
-            raise RuntimeError(
-                f"simplex best worsened from {history[-1]} to {values[0]}"
-            )
-        history.append(values[0])
-        scale = max(1.0, float(np.max(np.abs(simplex[0]))))
-        diameter = max(
-            float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:]
-        )
-        if diameter <= _REL_TOL * scale:
+        # as a stable sort: a lower or non-NaN worst point moves first, a tie stays
+        if not f_best <= f_worst and not math.isnan(f_worst):
+            best, worst, f_best, f_worst = worst, best, f_worst, f_best
+        if iterations > 1 and not f_best <= previous:
+            raise RuntimeError(f"simplex best worsened from {previous} to {f_best}")
+        previous = f_best
+        if abs(worst - best) <= _REL_TOL * max(1.0, abs(best)):
             converged = True
             break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
+        reflected = best + (best - worst)
         f_reflected = float(objective(reflected))
-        if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
+        if f_reflected < f_best:
+            expanded = best + 2.0 * (best - worst)
             f_expanded = float(objective(expanded))
             if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
+                worst, f_worst = expanded, f_expanded
             else:
-                simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
+                worst, f_worst = reflected, f_reflected
+            continue
+        # contract outside, toward the reflected point, or inside, toward the worst
+        outside = f_reflected < f_worst
+        if outside:
+            contracted = best + 0.5 * (reflected - best)
         else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_contracted = float(objective(contracted))
-                if f_contracted <= f_reflected:
-                    simplex[-1], values[-1] = contracted, f_contracted
-                else:
-                    simplex, values = _shrink(objective, simplex, values)
-            else:
-                contracted = centroid - 0.5 * (centroid - worst)
-                f_contracted = float(objective(contracted))
-                if f_contracted < values[-1]:
-                    simplex[-1], values[-1] = contracted, f_contracted
-                else:
-                    simplex, values = _shrink(objective, simplex, values)
-    best = int(np.argmin(values))
-    return simplex[best].copy(), float(values[best]), iterations, converged, history
-
-
-def _shrink(objective, simplex, values):
-    best = simplex[0]
-    new_simplex = [best]
-    new_values = [values[0]]
-    for vertex in simplex[1:]:
-        shrunk = best + 0.5 * (vertex - best)
-        new_simplex.append(shrunk)
-        new_values.append(float(objective(shrunk)))
-    return new_simplex, new_values
+            contracted = best - 0.5 * (best - worst)
+        f_contracted = float(objective(contracted))
+        if f_contracted <= f_reflected if outside else f_contracted < f_worst:
+            worst, f_worst = contracted, f_contracted
+        else:  # shrink: the worst point moves halfway to the best
+            worst = best + 0.5 * (worst - best)
+            f_worst = float(objective(worst))
+    # as an argmin: the first NaN, else the first lowest
+    if math.isnan(f_best) or not (math.isnan(f_worst) or f_worst < f_best):
+        return best, f_best, iterations, converged
+    return worst, f_worst, iterations, converged
 
 
 def _profile(
@@ -524,8 +500,7 @@ def fit(
     # (`_profile`) and the simplex searches log J alone
     g_squares: dict[float, float] = {}
 
-    def objective(params: np.ndarray) -> float:
-        log_j = float(params[0])
+    def objective(log_j: float) -> float:
         try:
             p, g_squares[log_j] = _profile(model, temps, chi, math.exp(log_j))
         except OverflowError:
@@ -538,10 +513,9 @@ def fit(
             "float range or no positive g^2 fits"
         )
 
-    x_best, residual, iterations, converged, _ = nelder_mead(
-        objective, [math.log(init_coupling_kelvin)]
+    log_j, residual, iterations, converged = nelder_mead(
+        objective, math.log(init_coupling_kelvin)
     )
-    log_j = float(x_best[0])
     coupling, g_factor = math.exp(log_j), math.sqrt(g_squares[log_j])
     reached = f"{origin} reached J = {coupling} K, g = {g_factor}"
     _check_determined(model, temps, chi, coupling, residual, reached)

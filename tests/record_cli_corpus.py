@@ -80,6 +80,8 @@ ROWS = [
     ("tc_without_spin", "tc --coupling 5K", {}),
     ("tc_without_unit", "tc --spin 1/2 --coupling 5.12", {}),
     ("tc_ferro_chain", "tc --model chain --spin 1 --coupling -3K", {}),
+    ("tc_report_chain", "tc --report --model chain --sites 4 --boundary open", {}),
+    ("tc_report_spin_coupling", "tc --report --spin 1 --coupling 5K", {}),
     ("bound_ferro_correction", "bound --chi 0.8 --unit reduced --temp 2 --spin 1 --correct-j -3K --format json", {}),
     ("synth_ferro", "synth --spin 1/2 --j -6K --g 2 --temps 1,3,10 --model chain --sites 4 --boundary open", {}),
     ("sweep_no_spins", "sweep --spins ,", {}),

@@ -166,6 +166,31 @@ class TestTcCommand:
         assert by_name["Cu-HTS"]["reported_tc_kelvin"] == ""
         assert by_name["Cu-HTS"]["matches_reported"] == ""
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--model", "chain", "--sites", "4", "--boundary", "open"], "--model chain"),
+            (["--spin", "1"], "--spin 1"),
+            (["--twice-spin", "2"], "--twice-spin 2"),
+            (["--coupling", "5K"], "--coupling 5K"),
+            (["--compound", "CN"], "--compound CN"),
+            (["--correlator", "literature"], "--correlator literature"),
+            (["--spin", "1", "--coupling", "5K"], "--spin 1, --coupling 5K"),
+        ],
+    )
+    def test_report_refuses_model_spin_and_coupling_flags(self, capsys, flags, named):
+        # the table is the pair model's for every built-in compound; a
+        # flag that asks for another model or system would be ignored
+        code, out, err = run(capsys, ["tc", "--report", *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --report ") and err.rstrip().endswith(f"no {named}")
+
+    def test_report_ignores_the_default_model_flags(self, capsys):
+        plain = run(capsys, ["tc", "--report"])
+        explicit = ["--model", "pair", "--correlator", "exact", "--sites", "4"]
+        assert run(capsys, ["tc", "--report", *explicit]) == plain
+
     def test_negative_coupling_exits_2(self, capsys):
         code, _, err = run(capsys, ["tc", "--spin", "1/2", "--coupling=-3K"])
         assert code == 2

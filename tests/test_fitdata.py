@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mixedspin
 from mixedspin import fitdata
 from mixedspin.fitdata import (
     MeasurementSeries,
@@ -267,38 +268,285 @@ class TestModelChi:
                 model_chi(S_ONE, *bad, 10.0, n_sites=n_sites)
 
 
+def _bench_shaped_series(j=4.5):
+    """A 60-point n=8, S=1 ring series with 0.1% noise, shaped like `fit_chain`'s."""
+    temps = j * np.geomspace(0.3, 20.0, 60)
+    chi = synth_series(S_ONE, j, 2.1, temps, n_sites=8).chi
+    return temps, chi * (1.0 + 1e-3 * np.random.default_rng(1).standard_normal(temps.size))
+
+
+# Recorded from the n-dimensional simplex that the one-dimensional search
+# replaced, on a 1-element start: every point the objective was called
+# with, in order, then (x, f, iterations, converged), as hex floats.
+# "profile" is `fit`'s search on `_bench_shaped_series()` with the ring-8
+# model from J = 1.25 * 4.5 K; PROFILE_VALUES are its objective values,
+# replayed so that the recording does not hang on the last bits of
+# numpy's exp and dot products.
+SEARCH_RECORDINGS = {
+    "quadratic": (
+        """
+        0x1.0000000000000p-1 0x1.0cccccccccccdp-1 0x1.199999999999ap-1 0x1.2666666666667p-1
+        0x1.4000000000001p-1 0x1.599999999999bp-1 0x1.8cccccccccccfp-1 0x1.c000000000003p-1
+        0x1.1333333333336p+0 0x1.466666666666ap+0 0x1.accccccccccd2p+0 0x1.099999999999ep+1
+        0x1.7000000000007p+1 0x1.d666666666670p+1 0x1.d666666666670p+1 0x1.a33333333333cp+1
+        0x1.3ccccccccccd2p+1 0x1.89999999999a2p+1 0x1.a33333333333dp+1 0x1.7ccccccccccd4p+1
+        0x1.7000000000006p+1 0x1.833333333333bp+1 0x1.766666666666dp+1 0x1.8000000000008p+1
+        0x1.833333333333cp+1 0x1.7e6666666666ep+1 0x1.81999999999a2p+1 0x1.7f3333333333bp+1
+        0x1.80cccccccccd5p+1 0x1.7f999999999a2p+1 0x1.806666666666ep+1 0x1.7fcccccccccd5p+1
+        0x1.803333333333bp+1 0x1.7fe666666666ep+1 0x1.80199999999a2p+1 0x1.7ff333333333bp+1
+        0x1.800ccccccccd5p+1 0x1.7ff99999999a2p+1 0x1.800666666666ep+1 0x1.7ffccccccccd5p+1
+        0x1.800333333333bp+1 0x1.7ffe66666666ep+1 0x1.80019999999a2p+1 0x1.7fff33333333bp+1
+        0x1.8000cccccccd5p+1 0x1.7fff9999999a2p+1 0x1.800066666666ep+1 0x1.7fffcccccccd5p+1
+        0x1.800033333333bp+1 0x1.7fffe6666666ep+1 0x1.80001999999a2p+1 0x1.7ffff3333333bp+1
+        0x1.80000ccccccd5p+1 0x1.7ffff999999a2p+1 0x1.800006666666ep+1 0x1.7ffffccccccd5p+1
+        0x1.800003333333bp+1 0x1.7ffffe666666ep+1 0x1.80000199999a2p+1 0x1.7fffff333333bp+1
+        0x1.800000cccccd5p+1 0x1.7fffff99999a2p+1 0x1.800000666666ep+1 0x1.7fffffcccccd5p+1
+        0x1.800000333333bp+1 0x1.7fffffe66666ep+1 0x1.80000019999a2p+1 0x1.7ffffff33333bp+1
+        0x1.8000000ccccd5p+1 0x1.7ffffff9999a2p+1
+        """,
+        ("0x1.8000000000008p+1", "0x1.0000000000000p-96", 35, True),
+    ),
+    "staircase": (
+        """
+        0x1.8000000000000p+2 0x1.9333333333334p+2 0x1.6ccccccccccccp+2 0x1.5999999999998p+2
+        0x1.3333333333330p+2 0x1.4666666666664p+2 0x1.6ccccccccccccp+2 0x1.4666666666664p+2
+        0x1.6333333333332p+2 0x1.4fffffffffffep+2 0x1.5e66666666665p+2 0x1.5e66666666665p+2
+        0x1.54ccccccccccbp+2 0x1.5bffffffffffep+2 0x1.5bffffffffffep+2 0x1.5733333333332p+2
+        0x1.5accccccccccbp+2 0x1.5accccccccccbp+2 0x1.5866666666665p+2 0x1.5a33333333332p+2
+        0x1.5a33333333332p+2 0x1.58ffffffffffep+2 0x1.59e6666666665p+2 0x1.59e6666666665p+2
+        0x1.594cccccccccbp+2 0x1.59bfffffffffep+2 0x1.59bfffffffffep+2 0x1.5973333333332p+2
+        0x1.59acccccccccbp+2 0x1.59acccccccccbp+2 0x1.5986666666665p+2 0x1.59a3333333332p+2
+        0x1.59a3333333332p+2 0x1.598fffffffffep+2 0x1.599e666666665p+2 0x1.599e666666665p+2
+        0x1.5994ccccccccbp+2 0x1.599bffffffffep+2 0x1.599bffffffffep+2 0x1.5997333333332p+2
+        0x1.599accccccccbp+2 0x1.599accccccccbp+2 0x1.5998666666665p+2 0x1.599a333333332p+2
+        0x1.599a333333332p+2 0x1.5998ffffffffep+2 0x1.5999e66666665p+2 0x1.5999e66666665p+2
+        0x1.59994cccccccbp+2 0x1.5999bfffffffep+2 0x1.5999bfffffffep+2 0x1.5999733333332p+2
+        0x1.5999acccccccbp+2 0x1.5999acccccccbp+2 0x1.5999866666665p+2 0x1.5999a33333332p+2
+        0x1.5999a33333332p+2 0x1.59998fffffffep+2 0x1.59999e6666665p+2 0x1.59999e6666665p+2
+        0x1.599994ccccccbp+2 0x1.59999bffffffep+2 0x1.59999bffffffep+2 0x1.5999973333332p+2
+        0x1.59999accccccbp+2 0x1.59999accccccbp+2 0x1.5999986666665p+2 0x1.59999a3333332p+2
+        0x1.59999a3333332p+2 0x1.599998ffffffep+2 0x1.599999e666665p+2 0x1.599999e666665p+2
+        0x1.5999994cccccbp+2 0x1.599999bfffffep+2 0x1.599999bfffffep+2 0x1.5999997333332p+2
+        0x1.599999acccccbp+2 0x1.599999acccccbp+2 0x1.5999998666665p+2 0x1.599999a333332p+2
+        0x1.599999a333332p+2 0x1.5999998fffffep+2 0x1.5999999e66665p+2 0x1.5999999e66665p+2
+        """,
+        ("0x1.5999999999998p+2", "0x1.8000000000000p-1", 29, True),
+    ),
+    "plateau": (
+        """
+        0x1.0000000000000p-1 0x1.0cccccccccccdp-1 0x1.199999999999ap-1 0x1.2666666666667p-1
+        0x1.4000000000001p-1 0x1.599999999999bp-1 0x1.8cccccccccccfp-1 0x1.c000000000003p-1
+        0x1.1333333333336p+0 0x1.466666666666ap+0 0x1.466666666666ap+0 0x1.2ccccccccccd0p+0
+        0x1.f333333333338p-1 0x1.2000000000003p+0 0x1.2000000000003p+0 0x1.0666666666669p+0
+        0x1.199999999999cp+0 0x1.199999999999cp+0 0x1.0ccccccccccd0p+0 0x1.1666666666669p+0
+        0x1.1666666666669p+0 0x1.1000000000003p+0 0x1.14cccccccccd0p+0 0x1.14cccccccccd0p+0
+        0x1.119999999999cp+0 0x1.1400000000003p+0 0x1.1400000000003p+0 0x1.1266666666669p+0
+        0x1.139999999999cp+0 0x1.139999999999cp+0 0x1.12cccccccccd0p+0 0x1.1366666666669p+0
+        0x1.1366666666669p+0
+        """,
+        ("0x1.1333333333336p+0", "0x0.0p+0", 12, False),
+    ),
+    "nan_region": (
+        """
+        0x1.fae147ae147aep-1 0x1.0a1cac083126fp+0 0x1.16c8b43958107p+0 0x1.2374bc6a7ef9fp+0
+        0x1.3cccccccccccfp+0 0x1.5624dd2f1a9ffp+0 0x1.88d4fdf3b645fp+0 0x1.bb851eb851ebfp+0
+        0x1.1072b020c49c0p+1 0x1.88d4fdf3b645fp+0 0x1.ee353f7ced91fp+0 0x1.1072b020c49c0p+1
+        0x1.1072b020c49c0p+1 0x1.d4dd2f1a9fbefp+0 0x1.03c6a7ef9db28p+1 0x1.e189374bc6a87p+0
+        0x1.fae147ae147b7p+0 0x1.03c6a7ef9db28p+1 0x1.03c6a7ef9db28p+1 0x1.f48b43958106bp+0
+        0x1.009ba5e353f82p+1 0x1.f7b645a1cac11p+0 0x1.fe0c49ba5e35dp+0 0x1.009ba5e353f82p+1
+        0x1.009ba5e353f82p+1 0x1.fc76c8b43958ap+0 0x1.ffa1cac083130p+0 0x1.009ba5e353f82p+1
+        0x1.009ba5e353f82p+1 0x1.fed70a3d70a46p+0 0x1.003645a1cac0dp+1 0x1.ff3c6a7ef9dbbp+0
+        0x1.0003958106252p+1 0x1.ff6f1a9fbe776p+0 0x1.ffd47ae147aeap+0 0x1.0003958106252p+1
+        0x1.0003958106252p+1 0x1.ffbb22d0e560dp+0 0x1.ffedd2f1a9fc7p+0 0x1.0003958106252p+1
+        0x1.0003958106252p+1 0x1.ffe126e978d58p+0 0x1.fffa7ef9db236p+0 0x1.0003958106252p+1
+        0x1.0003958106252p+1 0x1.fff428f5c28fep+0 0x1.00006a7ef9db7p+1 0x1.fff753f7ced9ap+0
+        0x1.fffda9fbe76d2p+0 0x1.00006a7ef9db7p+1 0x1.00006a7ef9db7p+1 0x1.fffc147ae1484p+0
+        0x1.ffff3f7ced920p+0 0x1.00006a7ef9db7p+1 0x1.00006a7ef9db7p+1 0x1.fffe74bc6a7f9p+0
+        0x1.0000051eb8524p+1 0x1.fffeda1cac08cp+0 0x1.ffffa4dd2f1b4p+0 0x1.0000051eb8524p+1
+        0x1.0000051eb8524p+1 0x1.ffff722d0e56ap+0 0x1.ffffd78d4fdfep+0 0x1.0000051eb8524p+1
+        0x1.0000051eb8524p+1 0x1.ffffbe353f7d9p+0 0x1.fffff0e560423p+0 0x1.0000051eb8524p+1
+        0x1.0000051eb8524p+1 0x1.ffffe43958110p+0 0x1.fffffd9168736p+0 0x1.0000051eb8524p+1
+        0x1.0000051eb8524p+1 0x1.fffff73b645acp+0 0x1.000001f3b6460p+1 0x1.fffffa6666671p+0
+        0x1.0000005e353fep+1 0x1.fffffbfbe76d4p+0 0x1.ffffff26e9798p+0 0x1.0000005e353fdp+1
+        0x1.0000005e353fdp+1 0x1.fffffe5c28f67p+0 0x1.fffffff1a9fc9p+0 0x1.0000005e353fdp+1
+        0x1.0000005e353fdp+1 0x1.ffffff8c49bb0p+0 0x1.0000002b851f1p+1 0x1.ffffffbef9dbcp+0
+        0x1.000000122d0ebp+1 0x1.ffffffd851ec2p+0 0x1.0000000581068p+1 0x1.ffffffe4fdf46p+0
+        0x1.fffffffe5604cp+0 0x1.0000000581068p+1 0x1.0000000581068p+1 0x1.fffffff80000ap+0
+        """,
+        ("0x1.fffffffe5604cp+0", "0x1.0000000353f68p+0", 48, True),
+    ),
+    "nan_edge": (
+        """
+        0x1.0000000000000p+0 0x1.0cccccccccccdp+0 0x1.199999999999ap+0 0x1.0666666666666p+0
+        0x1.0666666666666p+0
+        """,
+        ("0x1.0666666666666p+0", "nan", 1, False),
+    ),
+    "from_zero": (
+        """
+        0x0.0p+0 0x1.0624dd2f1a9fcp-12 -0x1.0624dd2f1a9fcp-12 -0x1.0624dd2f1a9fcp-11
+        -0x1.0624dd2f1a9fcp-10 -0x1.89374bc6a7efap-10 -0x1.47ae147ae147bp-9 -0x1.cac083126e979p-9
+        -0x1.6872b020c49bap-8 -0x1.eb851eb851eb8p-8 -0x1.78d4fdf3b645ap-7 -0x1.fbe76c8b43958p-7
+        -0x1.810624dd2f1aap-6 -0x1.020c49ba5e354p-5 -0x1.851eb851eb852p-5 -0x1.04189374bc6a8p-4
+        -0x1.872b020c49ba6p-4 -0x1.051eb851eb852p-3 -0x1.883126e978d50p-3 -0x1.05a1cac083127p-2
+        -0x1.88b4395810625p-2 -0x1.05e353f7ced92p-1 -0x1.88f5c28f5c290p-1 -0x1.0604189374bc8p+0
+        -0x1.0604189374bc7p+0 -0x1.476c8b4395811p-1 -0x1.05e353f7ced92p-1 -0x1.683126e978d50p-1
+        -0x1.88f5c28f5c28fp-1 -0x1.57ced916872b0p-1 -0x1.789374bc6a7f0p-1 -0x1.6000000000000p-1
+        -0x1.70624dd2f1aa0p-1 -0x1.64189374bc6a8p-1 -0x1.6c49ba5e353f8p-1 -0x1.6624dd2f1a9fcp-1
+        -0x1.64189374bc6a8p-1 -0x1.672b020c49ba6p-1 -0x1.651eb851eb852p-1 -0x1.66a7ef9db22d1p-1
+        -0x1.65a1cac083127p-1 -0x1.6666666666666p-1 -0x1.66a7ef9db22d0p-1 -0x1.6645a1cac0831p-1
+        -0x1.66872b020c49bp-1 -0x1.665604189374cp-1 -0x1.6676c8b439580p-1 -0x1.665e353f7ced9p-1
+        -0x1.666e978d4fdf3p-1 -0x1.66624dd2f1aa0p-1 -0x1.666a7ef9db22cp-1 -0x1.66645a1cac083p-1
+        -0x1.666872b020c49p-1 -0x1.6665604189374p-1 -0x1.66676c8b43958p-1 -0x1.6665e353f7cedp-1
+        -0x1.6666e978d4fdfp-1 -0x1.666624dd2f1aap-1 -0x1.6666a7ef9db22p-1 -0x1.666645a1cac08p-1
+        -0x1.6666872b020c4p-1 -0x1.6666560418937p-1 -0x1.666676c8b4395p-1 -0x1.66665e353f7cep-1
+        -0x1.66666e978d4fep-1 -0x1.6666624dd2f1ap-1 -0x1.66666a7ef9db2p-1 -0x1.6666645a1cac0p-1
+        -0x1.66666872b020cp-1 -0x1.6666656041893p-1 -0x1.6666676c8b439p-1 -0x1.666665e353f7cp-1
+        -0x1.666666e978d50p-1 -0x1.66666624dd2f1p-1 -0x1.666666a7ef9dbp-1 -0x1.66666645a1cacp-1
+        -0x1.666666872b020p-1 -0x1.6666665604189p-1 -0x1.6666665604189p-1 -0x1.66666676c8b43p-1
+        -0x1.6666665e353f8p-1 -0x1.6666665e353f8p-1
+        """,
+        ("-0x1.6666666666666p-1", "0x1.0000000000000p-1", 40, True),
+    ),
+    "profile": (
+        """
+        0x1.ba2b26ed03c62p+0 0x1.d046e8df43f67p+0 0x1.a40f64fac395dp+0 0x1.8df3a30883658p+0
+        0x1.61bc1f240304ep+0 0x1.77d7e11643353p+0 0x1.61bc1f240304ep+0 0x1.82e5c20f634d6p+0
+        0x1.8df3a30883659p+0 0x1.7d5ed192d3414p+0 0x1.886cb28bf3598p+0 0x1.802249d11b475p+0
+        0x1.7d5ed192d3414p+0 0x1.818405f03f4a6p+0 0x1.82e5c20f634d7p+0 0x1.80d327e0ad48ep+0
+        0x1.8234e3ffd14bep+0 0x1.812b96e87649ap+0 0x1.80d327e0ad48ep+0 0x1.8157ce6c5aca0p+0
+        0x1.80ff5f6491c94p+0 0x1.8141b2aa6889dp+0 0x1.8157ce6c5aca0p+0 0x1.8136a4c96f69cp+0
+        0x1.812b96e87649bp+0 0x1.813c2bb9ebf9cp+0 0x1.81311dd8f2d9cp+0 0x1.81396841adb1cp+0
+        0x1.813c2bb9ebf9cp+0 0x1.813806858e8dcp+0 0x1.8136a4c96f69cp+0 0x1.8138b7639e1fcp+0
+        0x1.813755a77efbcp+0 0x1.81385ef49656cp+0 0x1.8137ae1686c4cp+0 0x1.813832bd12724p+0
+        0x1.8137da4e0aa94p+0 0x1.81381ca150800p+0 0x1.8137f069cc9b8p+0 0x1.813811936f86ep+0
+        0x1.81381ca150800p+0 0x1.81380c0c7f0a5p+0 0x1.813806858e8dcp+0 0x1.81380ecff748ap+0
+        0x1.813811936f86fp+0 0x1.81380d6e3b298p+0 0x1.81381031b367cp+0 0x1.81380e1f19391p+0
+        0x1.81380d6e3b298p+0 0x1.81380e778840ep+0 0x1.81380ecff748bp+0 0x1.81380e4b50bd0p+0
+        0x1.81380ea3bfc4cp+0 0x1.81380e616c7efp+0 0x1.81380e4b50bd0p+0 0x1.81380e6c7a5fep+0
+        0x1.81380e565e9e0p+0 0x1.81380e66f36f6p+0
+        """,
+        ("0x1.81380e66f36f6p+0", "0x1.13ed140201891p-10", 29, True),
+    ),
+}
+PROFILE_VALUES = """
+    0x1.27e93d6b5862ep-4 0x1.897dbb09c8a7ep-4 0x1.77db9726e9809p-5 0x1.1b9c650e30b24p-6
+    0x1.6a83c1edae3d3p-5 0x1.ab9d5712b6a84p-7 0x1.6a83c1edae3d3p-5 0x1.4c33a916a96ddp-9
+    0x1.1b9c650e30b44p-6 0x1.630a94988d97cp-8 0x1.44485bc25dd75p-7 0x1.df2bc81c4a4fep-10
+    0x1.630a94988d97cp-8 0x1.27f20bb999420p-10 0x1.4c33a916a975ep-9 0x1.366aff8315bd3p-10
+    0x1.c24f2a8d58103p-10 0x1.147c0efd63a54p-10 0x1.366aff8315bd3p-10 0x1.1787130a92888p-10
+    0x1.1f41636d39912p-10 0x1.14429ec622366p-10 0x1.1787130a92888p-10 0x1.13eeea56970c1p-10
+    0x1.147c0efd63904p-10 0x1.13fcaa3bbeb77p-10 0x1.1419694c83804p-10 0x1.13eec242f6df1p-10
+    0x1.13fcaa3bbeb77p-10 0x1.13ed143b14804p-10 0x1.13eeea56970c1p-10 0x1.13ed7abb45d5cp-10
+    0x1.13ed8ec446187p-10 0x1.13ed2b5a12112p-10 0x1.13ed355e784a9p-10 0x1.13ed18c2491bbp-10
+    0x1.13ed1dc478b2ep-10 0x1.13ed14bc9bedbp-10 0x1.13ed173db3517p-10 0x1.13ed140b53657p-10
+    0x1.13ed14bc9bedbp-10 0x1.13ed140712bcbp-10 0x1.13ed143b14804p-10 0x1.13ed14022ac01p-10
+    0x1.13ed140b53695p-10 0x1.13ed1402dcbcbp-10 0x1.13ed1404fcde7p-10 0x1.13ed1402132adp-10
+    0x1.13ed1402dcbcbp-10 0x1.13ed140202de7p-10 0x1.13ed14022acb2p-10 0x1.13ed14020401bp-10
+    0x1.13ed14020ff81p-10 0x1.13ed140201c18p-10 0x1.13ed14020401bp-10 0x1.13ed140201ddcp-10
+    0x1.13ed140202645p-10 0x1.13ed140201891p-10
+"""
+
+PROFILE = dict(
+    zip(
+        map(float.fromhex, SEARCH_RECORDINGS["profile"][0].split()),
+        map(float.fromhex, PROFILE_VALUES.split()),
+    )
+)
+SEARCH_OBJECTIVES = {
+    "quadratic": (lambda x: (x - 3.0) ** 2, 0.5, None),
+    # non-convex, with plateaus that tie
+    "staircase": (
+        lambda x: float(math.floor(3.0 * x) % 4) + 0.25 * abs(math.floor(x) - 2.0),
+        6.0,
+        None,
+    ),
+    "plateau": (lambda x: max(0.0, 1.0 - x), 0.5, 12),
+    # the start is NaN and sorts last
+    "nan_region": (lambda x: (x - 3.0) ** 2 if 1.0 <= x < 2.0 else math.nan, 0.99, None),
+    # after one iteration the worst point is NaN, and it is the result
+    "nan_edge": (lambda x: x - 1.04 if x >= 1.04 else math.nan, 1.0, 1),
+    "from_zero": (lambda x: (x + 0.7) ** 2 + 0.5, 0.0, None),
+    "profile": (PROFILE.__getitem__, math.log(1.25 * 4.5), None),
+}
+
+
 class TestNelderMead:
     def test_quadratic_bowl(self):
-        objective = lambda x: (x[0] - 3.0) ** 2 + 10.0 * (x[1] + 1.0) ** 2
-        x, f, iters, converged, history = nelder_mead(objective, [0.0, 0.0])
+        objective = lambda x: (x - 3.0) ** 2
+        x, f, iters, converged = nelder_mead(objective, 0.0)
         assert converged
-        np.testing.assert_allclose(x, [3.0, -1.0], atol=1e-7)
+        assert type(x) is float
+        assert x == pytest.approx(3.0, abs=1e-7)
         assert f < 1e-14
 
-    def test_best_history_is_non_increasing(self):
-        objective = lambda x: (x[0] - 1.0) ** 2 + (x[0] * x[1] - 2.0) ** 2
-        _, _, _, _, history = nelder_mead(objective, [4.0, 4.0])
-        assert all(b <= a for a, b in zip(history, history[1:]))
+    def test_best_value_never_rises(self, monkeypatch):
+        # the result after k iterations is the best point the (k + 1)-th
+        # iteration starts from
+        objective = lambda x: (x - 1.0) ** 2 + (x * x - 2.0) ** 2
+        bests = []
+        for cap in range(1, 60):
+            monkeypatch.setattr(fitdata, "_MAX_ITERATIONS", cap)
+            _, f, _, converged = nelder_mead(objective, 4.0)
+            bests.append(f)
+            if converged:
+                break
+        assert converged
+        assert all(b <= a for a, b in zip(bests, bests[1:]))
 
     def test_deterministic(self):
-        objective = lambda x: math.sin(x[0]) ** 2 + (x[1] - 0.5) ** 4
-        r1 = nelder_mead(objective, [1.0, 1.0])
-        r2 = nelder_mead(objective, [1.0, 1.0])
-        assert np.array_equal(r1[0], r2[0])
-        assert r1[1:4] == r2[1:4]
+        objective = lambda x: math.sin(x) ** 2 + (x - 0.5) ** 4
+        r1 = nelder_mead(objective, 1.0)
+        r2 = nelder_mead(objective, 1.0)
+        assert r1 == r2
 
     def test_nan_objective_raises(self):
         # a NaN best value is not <= the one before it, so it cannot pass
         # for a converged minimum
         with pytest.raises(RuntimeError, match="simplex best worsened from nan to nan"):
-            nelder_mead(lambda x: math.nan, [1.0, 1.0])
+            nelder_mead(lambda x: math.nan, 1.0)
 
     def test_iteration_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(fitdata, "_MAX_ITERATIONS", 3)
-        objective = lambda x: float(np.sum(x**2))
-        _, _, iters, converged, _ = nelder_mead(objective, [1.0, 1.0])
+        objective = lambda x: x**2
+        _, _, iters, converged = nelder_mead(objective, 1.0)
         assert iters == 3
         assert not converged
+
+    def test_is_not_in_the_package_namespace(self):
+        # a generic optimizer is not physics API; the benchmark wraps it
+        # in `fitdata`
+        assert not hasattr(mixedspin, "nelder_mead")
+        assert fitdata.nelder_mead is nelder_mead
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_OBJECTIVES))
+    def test_reproduces_the_recorded_search(self, monkeypatch, name):
+        # bit for bit the path of the n-dimensional simplex this search
+        # replaced, run on a 1-element start: every point evaluated, in
+        # order, and (x, f, iterations, converged)
+        objective, x0, cap = SEARCH_OBJECTIVES[name]
+        text, (x_hex, f_hex, iterations, converged) = SEARCH_RECORDINGS[name]
+        if cap is not None:
+            monkeypatch.setattr(fitdata, "_MAX_ITERATIONS", cap)
+        seen = []
+
+        def recorded(x):
+            assert type(x) is float
+            seen.append(x.hex())
+            return objective(x)
+
+        x, f, iters, conv = nelder_mead(recorded, x0)
+        assert seen == text.split()
+        assert (x.hex(), f.hex(), iters, conv) == (x_hex, f_hex, iterations, converged)
+
+    def test_the_recorded_profile_is_a_bench_shaped_fit(self):
+        # the "profile" recording replays p(log J) of `fit`'s search on a
+        # 60-point ring-8 series shaped like the benchmark's `fit_chain`
+        temps, chi = _bench_shaped_series()
+        model = functools.partial(model_chi, S_ONE, n_sites=8)
+        for log_j, p in PROFILE.items():
+            expected = fitdata._profile(model, temps, chi, math.exp(log_j))[0]
+            assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestFit:
@@ -373,17 +621,17 @@ class TestFit:
             pass
 
         def capture(objective, x0):
-            captured.append((objective, list(x0)))
+            captured.append((objective, x0))
             raise Captured
 
         monkeypatch.setattr(fitdata, "nelder_mead", capture)
         with pytest.raises(Captured):
             fit(series, S_ONE, 8.0, 2.0, n_sites=n_sites)
         ((objective, x0),) = captured
-        assert x0 == [math.log(8.0)]
+        assert x0 == math.log(8.0)
         model = functools.partial(model_chi, S_ONE, n_sites=n_sites)
         for log_j in np.linspace(1.5, 2.7, 12).tolist():
-            got = objective(np.array([log_j]))
+            got = objective(log_j)
             j = math.exp(log_j)
             assert got.hex() == fitdata._profile(model, temps, chi, j)[0].hex()
             unit = [model_chi(S_ONE, j, 1.0, t, n_sites=n_sites) for t in temps.tolist()]
@@ -404,8 +652,9 @@ class TestFit:
     def test_fit_is_the_least_squares_minimum_over_j_and_g(
         self, noisy_pair, start, model, window
     ):
-        # the 1-D search over log J with g solved lands where a 2-D simplex
-        # over (log J, g) of the plain sum of squares does
+        # the 1-D search over log J with g solved lands on a minimum of the
+        # plain sum of squares over (J, g): no neighbour at a relative step
+        # of 1e-6 in J, in g or in both is lower
         if noisy_pair:
             temps = np.geomspace(1.0, 100.0, 30)
             noise = 1.0 + 0.01 * np.random.default_rng(7).standard_normal(temps.size)
@@ -418,15 +667,17 @@ class TestFit:
         inside = (temps >= window[0]) & (temps <= window[1])
         temps, chi = temps[inside], chi[inside]
 
-        def squares(params):
-            values = model_chi(S_ONE, math.exp(params[0]), params[1], temps, **model)
-            return float(np.sum((values - chi) ** 2))
+        def squares(j, g):
+            return float(np.sum((model_chi(S_ONE, j, g, temps, **model) - chi) ** 2))
 
-        x, f, _, converged, _ = nelder_mead(squares, [math.log(start[0]), start[1]])
-        assert converged
-        assert result.coupling_kelvin == pytest.approx(math.exp(x[0]), rel=1e-6)
-        assert result.g_factor == pytest.approx(x[1], rel=1e-6)
-        assert result.residual_rms == pytest.approx(math.sqrt(f / temps.size), rel=1e-6)
+        assert result.converged
+        j, g = result.coupling_kelvin, result.g_factor
+        at_fit = squares(j, g)
+        for dj, dg in [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]:
+            assert at_fit <= squares(j * (1.0 + 1e-6 * dj), g * (1.0 + 1e-6 * dg))
+        assert result.residual_rms == pytest.approx(
+            math.sqrt(at_fit / temps.size), rel=1e-12
+        )
 
     @pytest.mark.parametrize(
         "spin,j,g,start,n_sites,boundary",
@@ -456,11 +707,8 @@ class TestFit:
         # the 2-D simplex over (log J, g) made 153 (ring-8) and 180 (pair)
         # calls on this kind of series, its checks included; the 1-D search
         # over log J, with g solved at each J, makes fewer than 100
-        j, g = 4.5, 2.1
-        temps = j * np.geomspace(0.3, 20.0, 60)
-        chi = synth_series(S_ONE, j, g, temps, n_sites=8).chi
-        chi = chi * (1.0 + 1e-3 * np.random.default_rng(1).standard_normal(temps.size))
-        series = MeasurementSeries(temps, chi, "emu/mol", {})
+        j = 4.5
+        series = MeasurementSeries(*_bench_shaped_series(j), "emu/mol", {})
         calls, starts = [], []
 
         def counted(*args, **kwargs):
@@ -468,14 +716,14 @@ class TestFit:
             return model_chi(*args, **kwargs)
 
         def spied(objective, x0):
-            starts.append(list(x0))
+            starts.append(x0)
             return nelder_mead(objective, x0)
 
         monkeypatch.setattr(fitdata, "model_chi", counted)
         monkeypatch.setattr(fitdata, "nelder_mead", spied)
         result = fit(series, S_ONE, 1.25 * j, 2.0, n_sites=n_sites)
         assert result.converged
-        assert starts == [[math.log(1.25 * j)]]
+        assert starts == [math.log(1.25 * j)]
         assert len(calls) <= 100
 
     def test_too_few_points_rejected(self):
