@@ -12,8 +12,7 @@ Library layout:
 * `witness`: nearest-neighbor susceptibility, the separability
   threshold and witness, negativity lower bound, T_c solving and
   sweeps, built-in compound table.
-* `fitdata`: measurement CSV ingestion, model curves, (J, g) fitting,
-  per-point negativity bounds.
+* `fitdata`: measurement CSV ingestion, model curves, (J, g) fitting.
 * `cli`: the `mixedspin` command.
 
 This namespace holds no name that needs eigenvectors. The dense oracle
@@ -35,7 +34,6 @@ from .chain import (
 from .fitdata import (
     FitResult,
     MeasurementSeries,
-    bound_series,
     fit,
     load_measurements,
     model_chi,
@@ -75,7 +73,6 @@ from .witness import (
     susceptibility_nn_approx,
     sweep_tc,
     witness_report,
-    witness_value,
 )
 
 __version__ = "0.1.0"

@@ -178,22 +178,39 @@ def _dim_cap() -> int:
 def _add_chain_flags(
     parser: argparse.ArgumentParser, sites: int, help: str | None
 ) -> None:
-    """--model, --sites (default `sites`) and --boundary, read by `_chain_model`."""
+    """--model, --sites and --boundary, read by `_chain_model`; unset, the
+    chain model has `sites` sites and a periodic boundary."""
     parser.add_argument("--model", choices=("pair", "chain"), default="pair")
-    parser.add_argument("--sites", type=int, default=sites, help=help)
-    parser.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    parser.add_argument("--sites", type=int, help=help)
+    parser.add_argument("--boundary", choices=("periodic", "open"))
+    parser.set_defaults(chain_sites=sites)
 
 
 def _chain_model(args) -> dict:
-    """`ChainSpec` fields, and `fitdata` keywords, of the chain model; {} for the pair.
+    """`ChainSpec` fields, and `fitdata` keywords, of the chain model; {} for
+    the pair, which refuses --sites and --boundary.
 
     `chain` has no --model flag; its parser sets model to "chain". The
     dimension cap is read only here, so a bad MIXEDSPIN_DIM_CAP leaves a
     pair-model command alone.
     """
     if args.model == "pair":
+        given = [
+            f"--{name} {getattr(args, name)}"
+            for name in ("sites", "boundary")
+            if getattr(args, name) is not None
+        ]
+        if given:
+            raise ValueError(
+                f"the pair model takes no {', '.join(given)}; they belong to the chain "
+                "model, chosen with --model chain"
+            )
         return {}
-    return {"n_sites": args.sites, "boundary": args.boundary, "dim_cap": _dim_cap()}
+    return {
+        "n_sites": args.chain_sites if args.sites is None else args.sites,
+        "boundary": args.boundary or "periodic",
+        "dim_cap": _dim_cap(),
+    }
 
 
 def _fields(record) -> dict:
@@ -250,6 +267,8 @@ def _cmd_tc(args) -> None:
             spin=None, twice_spin=None, coupling=None, compound=None, model="pair",
             correlator="exact",
         )
+        if args.model == "pair":  # under --model chain they are its own flags
+            unset.update(sites=None, boundary=None)
         given = [
             f"--{name.replace('_', '-')} {getattr(args, name)}"
             for name, value in unset.items()
@@ -277,6 +296,7 @@ def _cmd_tc(args) -> None:
     if spin is None or coupling is None:
         raise ValueError("need --spin and --coupling (or --compound)")
     if args.model == "pair":
+        _chain_model(args)  # refuses --sites and --boundary
         if args.correlator == "exact":
             tc = characteristic_temperature(spin, coupling)
         else:

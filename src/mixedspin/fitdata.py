@@ -1,9 +1,9 @@
 """Measured-susceptibility ingestion, model curves, and (J, g) fitting.
 
-CSV input: header `temperature_kelvin,chi_emu_per_mol` (or `chi_reduced`),
-comma-separated, `#` comment lines ignored, UTF-8 (a leading byte-order
-mark is dropped), decimal point only. Comment lines of the form
-`# key: value` are collected as metadata.
+CSV input: header `temperature_kelvin,chi_emu_per_mol`, comma-separated,
+`#` comment lines ignored, UTF-8 (a leading byte-order mark is dropped),
+decimal point only. Only molar susceptibility is read: reduced
+susceptibility has the g-factor divided out, so g could not be fitted.
 
 Molar susceptibilities are per mole of formula units, one (S, 1/2) cell
 of 2 spins per formula unit. Chain models with more sites are rescaled
@@ -14,8 +14,6 @@ Fitting minimizes the plain sum of squared residuals in emu/mol over
 a linear least-squares solution (variable projection), and a
 two-point Nelder-Mead simplex on plain floats (`nelder_mead`) searches
 log J alone. log J keeps the coupling positive without constraints.
-Reduced-unit series cannot be fitted: the g-factor divides out of
-reduced susceptibility, so g would be unidentifiable.
 """
 
 from __future__ import annotations
@@ -39,13 +37,8 @@ from .chain import (
 )
 from .operators import SpinQuantum
 from .pair import pair_correlator
-from .units import (
-    _reduced_to_emu_per_mol,
-    check_finite,
-    check_positive,
-    chi_emu_per_mol_to_reduced,
-)
-from .witness import WitnessReport, susceptibility_nn_approx, witness_report
+from .units import _reduced_to_emu_per_mol, check_finite, check_positive
+from .witness import susceptibility_nn_approx
 
 __all__ = [
     "MeasurementSeries",
@@ -54,29 +47,19 @@ __all__ = [
     "synth_series",
     "FitResult",
     "fit",
-    "bound_series",
 ]
-
-_HEADERS = {
-    "chi_emu_per_mol": "emu/mol",
-    "chi_reduced": "reduced",
-}
 
 SPINS_PER_FORMULA_UNIT = 2
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSeries:
-    """A susceptibility-vs-temperature series in one declared unit."""
+    """A molar susceptibility (emu/mol) vs temperature (K) series."""
 
     temperatures_kelvin: np.ndarray
     chi: np.ndarray
-    unit: str
-    metadata: dict[str, str]
 
     def __post_init__(self) -> None:
-        if self.unit not in ("emu/mol", "reduced"):
-            raise ValueError(f"unit must be 'emu/mol' or 'reduced', got {self.unit!r}")
         t = self.temperatures_kelvin
         if t.size != self.chi.size:
             raise ValueError("temperature and chi arrays differ in length")
@@ -103,29 +86,23 @@ def load_measurements(source) -> MeasurementSeries:
     else:
         raw = source.read()
         text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
-    metadata: dict[str, str] = {}
-    unit: str | None = None
+    header = False
     temps: list[float] = []
     chis: list[float] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                metadata[key.strip()] = value.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         fields = next(csv.reader(io.StringIO(stripped)))
         fields = [f.strip() for f in fields]
-        if unit is None:
-            if len(fields) != 2 or fields[0] != "temperature_kelvin" or fields[1] not in _HEADERS:
+        if not header:
+            if fields != ["temperature_kelvin", "chi_emu_per_mol"]:
                 raise ValueError(
-                    f"line {lineno}: expected header 'temperature_kelvin,chi_emu_per_mol'"
-                    f" or 'temperature_kelvin,chi_reduced', got {stripped!r}"
+                    f"line {lineno}: expected header 'temperature_kelvin,chi_emu_per_mol', "
+                    f"got {stripped!r}; fit needs molar chi, as reduced chi has the "
+                    "g-factor divided out"
                 )
-            unit = _HEADERS[fields[1]]
+            header = True
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}")
@@ -145,14 +122,9 @@ def load_measurements(source) -> MeasurementSeries:
             )
         temps.append(t)
         chis.append(x)
-    if unit is None:
+    if not header:
         raise ValueError("no header line found")
-    return MeasurementSeries(
-        temperatures_kelvin=np.asarray(temps),
-        chi=np.asarray(chis),
-        unit=unit,
-        metadata=metadata,
-    )
+    return MeasurementSeries(temperatures_kelvin=np.asarray(temps), chi=np.asarray(chis))
 
 
 @lru_cache(maxsize=8)
@@ -248,9 +220,7 @@ def synth_series(
         boundary=boundary,
         dim_cap=dim_cap,
     )
-    return MeasurementSeries(
-        temperatures_kelvin=temps, chi=chi, unit="emu/mol", metadata={}
-    )
+    return MeasurementSeries(temperatures_kelvin=temps, chi=chi)
 
 
 _MAX_ITERATIONS = 2000
@@ -266,14 +236,13 @@ def nelder_mead(
     5% (0.00025 at x0 = 0). Standard reflection/expansion/contraction/
     shrink coefficients (1, 2, 0.5, 0.5); in one dimension the centroid
     is the best point, and a shrink moves the worst point halfway to it.
-    Each iteration orders the two as a stable sort with NaN last does;
-    the result is the first NaN, else the first lowest, as an argmin
-    picks it. Converged when |worst - best| falls below _REL_TOL
-    relative to max(1, |best|), else stopped after _MAX_ITERATIONS
-    iterations.
+    Each iteration, and the result, takes the worst point as the best
+    only if its value is lower (`<`), so a tie keeps the best. Converged
+    when |worst - best| falls below _REL_TOL relative to max(1, |best|),
+    else stopped after _MAX_ITERATIONS iterations.
     Returns (x_best, f_best, iterations, converged). The best value never
-    rises; a step that breaks this (a NaN objective value) raises
-    RuntimeError.
+    rises and is never NaN: no value is `<` NaN, so a NaN start raises
+    RuntimeError, and the result holds the lowest value evaluated.
     """
     best = float(x0)
     # a Python float product: an overflow is inf, with no warning
@@ -281,11 +250,11 @@ def nelder_mead(
     f_best, f_worst = float(objective(best)), float(objective(worst))
     converged = False
     iterations = 0
+    previous = f_best
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        # as a stable sort: a lower or non-NaN worst point moves first, a tie stays
-        if not f_best <= f_worst and not math.isnan(f_worst):
+        if f_worst < f_best:
             best, worst, f_best, f_worst = worst, best, f_worst, f_best
-        if iterations > 1 and not f_best <= previous:
+        if not f_best <= previous:
             raise RuntimeError(f"simplex best worsened from {previous} to {f_best}")
         previous = f_best
         if abs(worst - best) <= _REL_TOL * max(1.0, abs(best)):
@@ -313,10 +282,9 @@ def nelder_mead(
         else:  # shrink: the worst point moves halfway to the best
             worst = best + 0.5 * (worst - best)
             f_worst = float(objective(worst))
-    # as an argmin: the first NaN, else the first lowest
-    if math.isnan(f_best) or not (math.isnan(f_worst) or f_worst < f_best):
-        return best, f_best, iterations, converged
-    return worst, f_worst, iterations, converged
+    if f_worst < f_best:
+        return worst, f_worst, iterations, converged
+    return best, f_best, iterations, converged
 
 
 def _profile(
@@ -454,11 +422,6 @@ def fit(
     point's share, or where another minimum of the residual over J,
     outside [J/2, 2J] and off such a plateau, fits the data better.
     """
-    if series.unit != "emu/mol":
-        raise ValueError(
-            "fit needs an emu/mol series; reduced susceptibility has the "
-            "g-factor divided out, so g would be unidentifiable"
-        )
     check_positive("initial coupling", init_coupling_kelvin)
     check_positive("initial g-factor", init_g_factor)
     temps = series.temperatures_kelvin
@@ -527,35 +490,4 @@ def fit(
         converged=converged,
         fit_window=(float(temps[0]), float(temps[-1])),
         n_points=int(temps.size),
-    )
-
-
-def bound_series(
-    series: MeasurementSeries,
-    spin: SpinQuantum,
-    g_factor: float,
-    *,
-    correction_coupling_kelvin: float | None = None,
-) -> tuple[WitnessReport, ...]:
-    """Per-point `witness_report` of a measured series, in reduced units.
-
-    Each formula unit carries SPINS_PER_FORMULA_UNIT spins. Points with a
-    nonpositive bound certify nothing ("no entanglement detected"), they
-    are still reported. The optional correction applies the
-    finite-correlation polynomial with the pair correlator at the given
-    coupling. A negative susceptibility raises ValueError, as in
-    `witness_report`.
-    """
-    emu = series.unit == "emu/mol"
-    return tuple(
-        witness_report(
-            chi_emu_per_mol_to_reduced(x, t, g_factor) if emu else x,
-            "reduced",
-            t,
-            g_factor,
-            SPINS_PER_FORMULA_UNIT,
-            spin,
-            correction_coupling_kelvin=correction_coupling_kelvin,
-        )
-        for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist())
     )

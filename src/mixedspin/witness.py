@@ -36,7 +36,6 @@ from .units import (
 __all__ = [
     "susceptibility_nn_approx",
     "separability_threshold",
-    "witness_value",
     "negativity_lower_bound",
     "correction_polynomial",
     "corrected_bound",
@@ -92,11 +91,6 @@ def separability_threshold(n_sites: int, spin: SpinQuantum) -> float:
     _check_sites(n_sites)
     s = spin.value
     return n_sites * (12.0 * s * s - 4.0 * s + 3.0) / 24.0
-
-
-def witness_value(chi_reduced: float, n_sites: int, spin: SpinQuantum) -> float:
-    """Witness in reduced units: negative iff the chain is certified entangled."""
-    return chi_reduced - separability_threshold(n_sites, spin)
 
 
 def negativity_lower_bound(
@@ -212,9 +206,6 @@ class LinearLaw:
     slope: float
     intercept: float
     r_squared: float
-
-    def tc_over_j(self, spin: SpinQuantum) -> float:
-        return self.slope * spin.value + self.intercept
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,9 @@ ROWS = [
     ("witness_subnormal_temp", "witness --chi 1 --unit reduced --temp 5e-324 --spin 1", {}),
     ("fit_huge_start", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 1e250K", {}),
     ("fit_bad_window", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 7K --window 5:x", {}),
+    ("fit_reduced_series", "fit --input {data}/corpus_reduced_s1.csv --spin 1 --init-j 7K", {}),
+    ("tc_pair_sites_boundary", "tc --spin 1 --coupling 5K --sites 8 --boundary open", {}),
+    ("fit_pair_sites", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --sites 4", {}),
     ("tc_bad_dim_cap", "tc --model chain --spin 1 --coupling 10K", {"MIXEDSPIN_DIM_CAP": "big"}),
     # refusals: exit 3
     ("tc_over_dim_cap", "tc --model chain --spin 1 --sites 8 --coupling 10K", {"MIXEDSPIN_DIM_CAP": "100"}),

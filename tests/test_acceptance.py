@@ -4,7 +4,7 @@ Each test pins a user-facing claim end to end: characteristic
 temperatures for the built-in compounds, closed-form negativity against
 brute force, the witness-derived lower bound, exact-diagonalization
 consistency, the linear T_c/J law, fit round trips, and the sign change
-of the measurement-series bound.  Tolerances and runtime budgets are
+of the per-point bound along a measured series.  Tolerances and runtime budgets are
 asserted exactly as promised; nothing here is loosened to pass.
 """
 
@@ -23,7 +23,7 @@ from mixedspin.chain import (
     reduced_pair_state,
     susceptibility_exact,
 )
-from mixedspin.fitdata import bound_series, fit, synth_series
+from mixedspin.fitdata import fit, synth_series
 from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
     characteristic_temperature,
@@ -35,9 +35,10 @@ from mixedspin.witness import (
     compound_report,
     lookup_compound,
     negativity_lower_bound,
+    separability_threshold,
     solve_tc,
     sweep_tc,
-    witness_value,
+    witness_report,
 )
 
 ALL_SPINS = [SpinQuantum(k) for k in range(1, 6)]
@@ -114,7 +115,7 @@ def test_lower_bound_never_exceeds_negativity():
         for t in list(temps) + [tc]:
             g1 = pair_correlator(spin, coupling, float(t))
             chi_t = n_sites * (0.125 + spin.value**2 / 2.0 + g1 / 3.0)
-            w = witness_value(chi_t, n_sites, spin)
+            w = chi_t - separability_threshold(n_sites, spin)
             bound = negativity_lower_bound(w, n_sites, spin)
             negativity = pair_negativity(spin, coupling, float(t))
             assert bound <= negativity + 1e-9
@@ -125,7 +126,7 @@ def test_lower_bound_never_exceeds_negativity():
         for t in np.geomspace(0.2 * tc, 0.999 * tc, 8):
             g1 = pair_correlator(spin, coupling, float(t))
             chi_t = n_sites * (0.125 + spin.value**2 / 2.0 + g1 / 3.0)
-            w = witness_value(chi_t, n_sites, spin)
+            w = chi_t - separability_threshold(n_sites, spin)
             bound = negativity_lower_bound(w, n_sites, spin)
             assert bound == pytest.approx(
                 pair_negativity(spin, coupling, float(t)), abs=1e-9
@@ -256,8 +257,9 @@ def test_fit_round_trips_recover_parameters():
 
 
 def test_bound_series_sign_change_at_characteristic_temperature():
-    """On model-generated measurement data, the negativity bound changes
-    sign within one grid step of the model's own T_c."""
+    """On model-generated measurement data, the negativity bound of each
+    point's `witness_report` changes sign within one grid step of the
+    model's own T_c."""
     cases = [
         (SpinQuantum(2), wavenumber_to_kelvin(81.4), 2.15, np.arange(60.0, 200.0, 2.0)),
         (SpinQuantum(1), 5.12, 2.0, np.arange(2.0, 8.0, 0.2)),
@@ -266,7 +268,10 @@ def test_bound_series_sign_change_at_characteristic_temperature():
         tc = characteristic_temperature(spin, coupling)
         assert temps[0] < tc < temps[-1]
         series = synth_series(spin, coupling, g_factor, temps)
-        points = bound_series(series, spin, g_factor)
+        points = [
+            witness_report(chi, "emu/mol", t, g_factor, 2, spin)
+            for t, chi in zip(series.temperatures_kelvin.tolist(), series.chi.tolist())
+        ]
         signs = [p.negativity_lower_bound > 0.0 for p in points]
         crossings = [
             (points[i].temperature_kelvin, points[i + 1].temperature_kelvin)

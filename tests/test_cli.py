@@ -41,7 +41,6 @@ from mixedspin.witness import (
     separability_threshold,
     solve_tc,
     susceptibility_nn_approx,
-    witness_value,
 )
 
 S_HALF = SpinQuantum(1)
@@ -176,6 +175,10 @@ class TestTcCommand:
             (["--compound", "CN"], "--compound CN"),
             (["--correlator", "literature"], "--correlator literature"),
             (["--spin", "1", "--coupling", "5K"], "--spin 1, --coupling 5K"),
+            # the pair model's own refusal of the chain's flags
+            (["--model", "pair", "--sites", "8"], "--sites 8"),
+            (["--boundary", "open", "--spin", "1", "--sites", "8"],
+             "--spin 1, --sites 8, --boundary open"),
         ],
     )
     def test_report_refuses_model_spin_and_coupling_flags(self, capsys, flags, named):
@@ -188,7 +191,7 @@ class TestTcCommand:
 
     def test_report_ignores_the_default_model_flags(self, capsys):
         plain = run(capsys, ["tc", "--report"])
-        explicit = ["--model", "pair", "--correlator", "exact", "--sites", "4"]
+        explicit = ["--model", "pair", "--correlator", "exact"]
         assert run(capsys, ["tc", "--report", *explicit]) == plain
 
     def test_negative_coupling_exits_2(self, capsys):
@@ -340,7 +343,7 @@ class TestWitnessCommand:
         assert code == 0
         _, rows, _ = parse_csv(out)
         (row,) = rows
-        expected = witness_value(chi, 2, S_HALF)
+        expected = chi - separability_threshold(2, S_HALF)
         assert float(row["witness_value"]) == pytest.approx(expected, rel=1e-8)
         assert expected < 0.0
         assert row["verdict"] == "entangled"
@@ -399,7 +402,7 @@ class TestBoundCommand:
         assert code == 0
         _, rows, _ = parse_csv(out)
         (row,) = rows
-        w = witness_value(0.05, 2, S_HALF)
+        w = 0.05 - separability_threshold(2, S_HALF)
         expected = negativity_lower_bound(w, 2, S_HALF)
         assert float(row["negativity_lower_bound"]) == pytest.approx(
             expected, rel=1e-8
@@ -891,6 +894,41 @@ class TestOutOfDomainMeasurement:
         )
 
 
+class TestPairModelRefusesChainFlags:
+    # --sites and --boundary shape the chain model; the pair model once
+    # ignored them and answered with exit 0
+    ARGV = {
+        "tc": ["tc", "--spin", "1", "--coupling", "5K"],
+        "synth": ["synth", "--spin", "1", "--j", "10K", "--g", "2", "--temps", "1,2"],
+        "fit": ["fit", "--input", CHAIN_SERIES, "--spin", "1", "--init-j", "5K"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--sites", "8"], "--sites 8"),
+            (["--boundary", "open"], "--boundary open"),
+            (["--boundary", "periodic", "--sites", "4"], "--sites 4, --boundary periodic"),
+        ],
+    )
+    def test_each_given_chain_flag_is_named(self, capsys, command, flags, named):
+        for model in ([], ["--model", "pair"]):
+            code, out, err = run(capsys, [*self.ARGV[command], *model, *flags])
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: the pair model takes no {named}; they belong to the chain "
+                "model, chosen with --model chain\n"
+            )
+
+    @pytest.mark.parametrize("command,sites", [("tc", "6"), ("synth", "4"), ("fit", "4")])
+    def test_the_chain_model_defaults_to_a_ring(self, capsys, command, sites):
+        implicit = run(capsys, [*self.ARGV[command], "--model", "chain"])
+        explicit = ["--model", "chain", "--sites", sites, "--boundary", "periodic"]
+        assert implicit == run(capsys, [*self.ARGV[command], *explicit])
+        assert implicit[0] == 0
+
+
 class TestDimCapEnvironment:
     """MIXEDSPIN_DIM_CAP bounds the chain model of synth and fit too."""
 
@@ -927,7 +965,7 @@ class TestDimCapEnvironment:
     @pytest.mark.parametrize("command", ["synth", "fit"])
     def test_bad_cap_is_read_only_by_the_chain_model(self, capsys, monkeypatch, command):
         monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "lots")
-        code, out, _ = run(capsys, self.ARGV[command] + ["--model", "pair", "--sites", "3"])
+        code, out, _ = run(capsys, self.ARGV[command] + ["--model", "pair"])
         assert code == 0
         assert out
         code, out, err = run(capsys, self.ARGV[command] + self.CHAIN)

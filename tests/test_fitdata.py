@@ -1,4 +1,4 @@
-"""CSV ingestion, model susceptibility, simplex fitting, bound series."""
+"""CSV ingestion, model susceptibility, simplex fitting."""
 
 import functools
 import io
@@ -13,7 +13,6 @@ import mixedspin
 from mixedspin import fitdata
 from mixedspin.fitdata import (
     MeasurementSeries,
-    bound_series,
     fit,
     load_measurements,
     model_chi,
@@ -21,18 +20,12 @@ from mixedspin.fitdata import (
     synth_series,
 )
 from mixedspin.operators import SpinQuantum
-from mixedspin.pair import characteristic_temperature, pair_correlator
+from mixedspin.pair import pair_correlator
 from mixedspin.units import (
     CURIE_FACTOR_EMU_K_PER_MOL,
     chi_emu_per_mol_to_reduced,
     chi_reduced_to_emu_per_mol,
     wavenumber_to_kelvin,
-)
-from mixedspin.witness import (
-    corrected_bound,
-    correction_polynomial,
-    negativity_lower_bound,
-    witness_value,
 )
 
 S_HALF = SpinQuantum(1)
@@ -49,13 +42,11 @@ temperature_kelvin,chi_emu_per_mol
 
 
 class TestLoadMeasurements:
-    def test_parses_rows_and_metadata(self):
+    def test_parses_rows_and_skips_comments(self):
         series = load_measurements(io.StringIO(VALID_CSV))
         assert len(series) == 3
-        assert series.unit == "emu/mol"
         np.testing.assert_array_equal(series.temperatures_kelvin, [2.0, 4.0, 8.0])
         np.testing.assert_array_equal(series.chi, [0.011, 0.021, 0.015])
-        assert series.metadata == {"compound": "demo", "note": "synthetic"}
 
     def test_reads_bytes_and_paths(self, tmp_path):
         series = load_measurements(io.BytesIO(VALID_CSV.encode()))
@@ -75,12 +66,18 @@ class TestLoadMeasurements:
         for source in (io.BytesIO(raw), path):
             series = load_measurements(source)
             np.testing.assert_array_equal(series.temperatures_kelvin, [2.0, 4.0, 8.0])
-            assert series.metadata == load_measurements(io.StringIO(text)).metadata
+            np.testing.assert_array_equal(series.chi, [0.011, 0.021, 0.015])
 
-    def test_reduced_header(self):
-        text = "temperature_kelvin,chi_reduced\n1.0,0.2\n2.0,0.3\n"
-        series = load_measurements(io.StringIO(text))
-        assert series.unit == "reduced"
+    def test_a_reduced_header_is_refused_as_unfittable(self):
+        # reduced chi has g divided out, so a fit of g could not use it
+        text = "# reduced\ntemperature_kelvin,chi_reduced\n1.0,0.2\n2.0,0.3\n"
+        message = (
+            "line 2: expected header 'temperature_kelvin,chi_emu_per_mol', got "
+            "'temperature_kelvin,chi_reduced'; fit needs molar chi, as reduced chi "
+            "has the g-factor divided out"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_measurements(io.StringIO(text))
 
     def test_malformed_row_names_line(self):
         text = "temperature_kelvin,chi_emu_per_mol\n1.0,0.2\nabc,0.01\n"
@@ -129,26 +126,22 @@ class TestMeasurementSeries:
         temps = np.array([1.0, 2.0, 3.0])
         temps[position] = bad
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
-            MeasurementSeries(temps, np.ones(3), "emu/mol", {})
-
-    def test_rejects_an_unknown_unit(self):
-        with pytest.raises(ValueError, match="unit must be 'emu/mol' or 'reduced', got 'SI'"):
-            MeasurementSeries(np.array([1.0, 2.0]), np.ones(2), "SI", {})
+            MeasurementSeries(temps, np.ones(3))
 
     def test_rejects_arrays_of_different_length(self):
         with pytest.raises(ValueError, match="differ in length"):
-            MeasurementSeries(np.array([1.0, 2.0]), np.ones(3), "reduced", {})
+            MeasurementSeries(np.array([1.0, 2.0]), np.ones(3))
 
     @pytest.mark.parametrize("temps", [[1.0, 3.0, 2.0], [1.0, 2.0, 2.0]])
     def test_rejects_temperatures_that_do_not_increase(self, temps):
         message = f"strictly increasing, got {temps[1]} then {temps[2]}"
         with pytest.raises(ValueError, match=message):
-            MeasurementSeries(np.array(temps), np.ones(3), "emu/mol", {})
+            MeasurementSeries(np.array(temps), np.ones(3))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_susceptibility(self, bad):
         with pytest.raises(ValueError, match="susceptibility must be finite"):
-            MeasurementSeries(np.array([1.0, 2.0]), np.array([0.1, bad]), "reduced", {})
+            MeasurementSeries(np.array([1.0, 2.0]), np.array([0.1, bad]))
 
 
 class TestModelChi:
@@ -346,42 +339,6 @@ SEARCH_RECORDINGS = {
         """,
         ("0x1.1333333333336p+0", "0x0.0p+0", 12, False),
     ),
-    "nan_region": (
-        """
-        0x1.fae147ae147aep-1 0x1.0a1cac083126fp+0 0x1.16c8b43958107p+0 0x1.2374bc6a7ef9fp+0
-        0x1.3cccccccccccfp+0 0x1.5624dd2f1a9ffp+0 0x1.88d4fdf3b645fp+0 0x1.bb851eb851ebfp+0
-        0x1.1072b020c49c0p+1 0x1.88d4fdf3b645fp+0 0x1.ee353f7ced91fp+0 0x1.1072b020c49c0p+1
-        0x1.1072b020c49c0p+1 0x1.d4dd2f1a9fbefp+0 0x1.03c6a7ef9db28p+1 0x1.e189374bc6a87p+0
-        0x1.fae147ae147b7p+0 0x1.03c6a7ef9db28p+1 0x1.03c6a7ef9db28p+1 0x1.f48b43958106bp+0
-        0x1.009ba5e353f82p+1 0x1.f7b645a1cac11p+0 0x1.fe0c49ba5e35dp+0 0x1.009ba5e353f82p+1
-        0x1.009ba5e353f82p+1 0x1.fc76c8b43958ap+0 0x1.ffa1cac083130p+0 0x1.009ba5e353f82p+1
-        0x1.009ba5e353f82p+1 0x1.fed70a3d70a46p+0 0x1.003645a1cac0dp+1 0x1.ff3c6a7ef9dbbp+0
-        0x1.0003958106252p+1 0x1.ff6f1a9fbe776p+0 0x1.ffd47ae147aeap+0 0x1.0003958106252p+1
-        0x1.0003958106252p+1 0x1.ffbb22d0e560dp+0 0x1.ffedd2f1a9fc7p+0 0x1.0003958106252p+1
-        0x1.0003958106252p+1 0x1.ffe126e978d58p+0 0x1.fffa7ef9db236p+0 0x1.0003958106252p+1
-        0x1.0003958106252p+1 0x1.fff428f5c28fep+0 0x1.00006a7ef9db7p+1 0x1.fff753f7ced9ap+0
-        0x1.fffda9fbe76d2p+0 0x1.00006a7ef9db7p+1 0x1.00006a7ef9db7p+1 0x1.fffc147ae1484p+0
-        0x1.ffff3f7ced920p+0 0x1.00006a7ef9db7p+1 0x1.00006a7ef9db7p+1 0x1.fffe74bc6a7f9p+0
-        0x1.0000051eb8524p+1 0x1.fffeda1cac08cp+0 0x1.ffffa4dd2f1b4p+0 0x1.0000051eb8524p+1
-        0x1.0000051eb8524p+1 0x1.ffff722d0e56ap+0 0x1.ffffd78d4fdfep+0 0x1.0000051eb8524p+1
-        0x1.0000051eb8524p+1 0x1.ffffbe353f7d9p+0 0x1.fffff0e560423p+0 0x1.0000051eb8524p+1
-        0x1.0000051eb8524p+1 0x1.ffffe43958110p+0 0x1.fffffd9168736p+0 0x1.0000051eb8524p+1
-        0x1.0000051eb8524p+1 0x1.fffff73b645acp+0 0x1.000001f3b6460p+1 0x1.fffffa6666671p+0
-        0x1.0000005e353fep+1 0x1.fffffbfbe76d4p+0 0x1.ffffff26e9798p+0 0x1.0000005e353fdp+1
-        0x1.0000005e353fdp+1 0x1.fffffe5c28f67p+0 0x1.fffffff1a9fc9p+0 0x1.0000005e353fdp+1
-        0x1.0000005e353fdp+1 0x1.ffffff8c49bb0p+0 0x1.0000002b851f1p+1 0x1.ffffffbef9dbcp+0
-        0x1.000000122d0ebp+1 0x1.ffffffd851ec2p+0 0x1.0000000581068p+1 0x1.ffffffe4fdf46p+0
-        0x1.fffffffe5604cp+0 0x1.0000000581068p+1 0x1.0000000581068p+1 0x1.fffffff80000ap+0
-        """,
-        ("0x1.fffffffe5604cp+0", "0x1.0000000353f68p+0", 48, True),
-    ),
-    "nan_edge": (
-        """
-        0x1.0000000000000p+0 0x1.0cccccccccccdp+0 0x1.199999999999ap+0 0x1.0666666666666p+0
-        0x1.0666666666666p+0
-        """,
-        ("0x1.0666666666666p+0", "nan", 1, False),
-    ),
     "from_zero": (
         """
         0x0.0p+0 0x1.0624dd2f1a9fcp-12 -0x1.0624dd2f1a9fcp-12 -0x1.0624dd2f1a9fcp-11
@@ -462,10 +419,6 @@ SEARCH_OBJECTIVES = {
         None,
     ),
     "plateau": (lambda x: max(0.0, 1.0 - x), 0.5, 12),
-    # the start is NaN and sorts last
-    "nan_region": (lambda x: (x - 3.0) ** 2 if 1.0 <= x < 2.0 else math.nan, 0.99, None),
-    # after one iteration the worst point is NaN, and it is the result
-    "nan_edge": (lambda x: x - 1.04 if x >= 1.04 else math.nan, 1.0, 1),
     "from_zero": (lambda x: (x + 0.7) ** 2 + 0.5, 0.0, None),
     "profile": (PROFILE.__getitem__, math.log(1.25 * 4.5), None),
 }
@@ -505,6 +458,38 @@ class TestNelderMead:
         # for a converged minimum
         with pytest.raises(RuntimeError, match="simplex best worsened from nan to nan"):
             nelder_mead(lambda x: math.nan, 1.0)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, None])
+    @pytest.mark.parametrize(
+        "objective,starts",
+        [
+            (lambda x: (x - 3.0) ** 2 if 1.0 <= x < 2.0 else math.nan, [0.99, 1.0, 1.5, 1.9]),
+            (lambda x: x - 1.04 if x >= 1.04 else math.nan, [1.0, 1.05, 1.2]),
+            # from 1.0 the first shrink point, 1.025, is NaN
+            (lambda x: -x if x < 1.02 else math.nan, [1.0, 0.9]),
+        ],
+        ids=["region", "edge", "cliff"],
+    )
+    def test_a_nan_region_gives_the_lowest_finite_value_or_raises(
+        self, monkeypatch, objective, starts, cap
+    ):
+        # never a NaN point as the result: a NaN start raises, and from a
+        # finite start the result holds the lowest value evaluated
+        if cap is not None:
+            monkeypatch.setattr(fitdata, "_MAX_ITERATIONS", cap)
+        for x0 in starts:
+            seen = {}
+
+            def recorded(x):
+                seen[x] = objective(x)
+                return seen[x]
+
+            if math.isnan(objective(x0)):
+                with pytest.raises(RuntimeError, match="from nan to nan"):
+                    nelder_mead(recorded, x0)
+                continue
+            x, f, _, _ = nelder_mead(recorded, x0)
+            assert f == seen[x] == min(v for v in seen.values() if not math.isnan(v))
 
     def test_iteration_cap_reports_non_convergence(self, monkeypatch):
         monkeypatch.setattr(fitdata, "_MAX_ITERATIONS", 3)
@@ -583,7 +568,7 @@ class TestFit:
         series = synth_series(S_HALF, j, 2.0, temps)
         chi = series.chi.copy()
         chi[temps < 10.0] *= 5.0  # corrupt the low-T points
-        corrupted = MeasurementSeries(series.temperatures_kelvin, chi, "emu/mol", {})
+        corrupted = MeasurementSeries(series.temperatures_kelvin, chi)
         result = fit(
             corrupted, S_HALF, init_coupling_kelvin=10.0, init_g_factor=2.0,
             window=(10.0, 100.0),
@@ -594,9 +579,7 @@ class TestFit:
     def test_chi_scale_moves_g_not_j(self):
         j = 8.0
         series = synth_series(S_HALF, j, 2.0, np.linspace(2.0, 80.0, 40))
-        scaled = MeasurementSeries(
-            series.temperatures_kelvin, series.chi * 1.1, "emu/mol", {}
-        )
+        scaled = MeasurementSeries(series.temperatures_kelvin, series.chi * 1.1)
         result = fit(scaled, S_HALF, init_coupling_kelvin=10.0, init_g_factor=2.0)
         assert result.coupling_kelvin == pytest.approx(j, rel=5e-3)
         assert result.g_factor == pytest.approx(2.0 * math.sqrt(1.1), rel=5e-3)
@@ -659,7 +642,7 @@ class TestFit:
             temps = np.geomspace(1.0, 100.0, 30)
             noise = 1.0 + 0.01 * np.random.default_rng(7).standard_normal(temps.size)
             chi = synth_series(S_ONE, 10.0, 2.0, temps).chi * noise
-            series = MeasurementSeries(temps, chi, "emu/mol", {})
+            series = MeasurementSeries(temps, chi)
         else:
             series = load_measurements(CHAIN_SERIES)
         result = fit(series, S_ONE, *start, window=window, **model)
@@ -708,7 +691,7 @@ class TestFit:
         # calls on this kind of series, its checks included; the 1-D search
         # over log J, with g solved at each J, makes fewer than 100
         j = 4.5
-        series = MeasurementSeries(*_bench_shaped_series(j), "emu/mol", {})
+        series = MeasurementSeries(*_bench_shaped_series(j))
         calls, starts = [], []
 
         def counted(*args, **kwargs):
@@ -737,20 +720,6 @@ class TestFit:
             fit(series, S_HALF, 10.0, 2.0, window=(500.0, 600.0))
         with pytest.raises(ValueError, match="min above max"):
             fit(series, S_HALF, 10.0, 2.0, window=(600.0, 500.0))
-
-    def test_reduced_series_rejected_as_unidentifiable(self):
-        temps = np.linspace(2.0, 80.0, 20)
-        chi_red = np.array(
-            [
-                chi_emu_per_mol_to_reduced(
-                    model_chi(S_HALF, 10.0, 2.0, float(t)), float(t), 2.0
-                )
-                for t in temps
-            ]
-        )
-        series = MeasurementSeries(temps, chi_red, "reduced", {})
-        with pytest.raises(ValueError, match="unidentifiable"):
-            fit(series, S_HALF, 10.0, 2.0)
 
     def test_nonpositive_initial_coupling_rejected(self):
         series = synth_series(S_HALF, 10.0, 2.0, np.linspace(2.0, 80.0, 20))
@@ -831,94 +800,6 @@ class TestFit:
         plateau = decided[1:]
         assert len(plateau) == 5
         assert all(j > 10**1.5 and not ok for j, ok in plateau)
-
-
-class TestBoundSeries:
-    def test_sign_tracks_characteristic_temperature(self):
-        spin = S_HALF
-        j, g = 5.12, 2.0
-        tc = characteristic_temperature(spin, j)
-        temps = np.linspace(0.5, 3.0 * tc, 40)
-        series = synth_series(spin, j, g, temps)
-        points = bound_series(series, spin, g)
-        for p in points:
-            if p.temperature_kelvin < 0.98 * tc:
-                assert p.entangled
-                assert p.negativity_lower_bound > 0.0
-            elif p.temperature_kelvin > 1.02 * tc:
-                assert not p.entangled
-                assert p.negativity_lower_bound <= 0.0
-
-    def test_threshold_series_gives_zero_bounds(self):
-        from mixedspin.witness import separability_threshold
-
-        spin = S_ONE
-        temps = np.array([1.0, 2.0, 5.0])
-        thr = separability_threshold(2, spin)
-        series = MeasurementSeries(temps, np.full(3, thr), "reduced", {})
-        for p in bound_series(series, spin, 2.0):
-            assert p.witness_value == 0.0
-            assert p.negativity_lower_bound == 0.0
-            assert not p.entangled
-
-    def test_reduced_and_molar_inputs_agree(self):
-        spin = S_HALF
-        j, g = 5.0, 2.1
-        temps = np.linspace(1.0, 12.0, 10)
-        molar = synth_series(spin, j, g, temps)
-        chi_red = np.array(
-            [
-                chi_emu_per_mol_to_reduced(float(x), float(t), g)
-                for t, x in zip(molar.temperatures_kelvin, molar.chi)
-            ]
-        )
-        reduced = MeasurementSeries(temps, chi_red, "reduced", {})
-        for a, b in zip(bound_series(molar, spin, g), bound_series(reduced, spin, g)):
-            assert a.negativity_lower_bound == pytest.approx(b.negativity_lower_bound, rel=1e-10)
-
-    @pytest.mark.parametrize("unit,chi", [("reduced", -0.5), ("emu/mol", -0.01)])
-    def test_negative_susceptibility_is_rejected(self, unit, chi):
-        # chi k_B T / (g mu_B)^2 = <Sz_total^2> >= 0: a negative value is a
-        # bad measurement, and its "bound" would exceed the largest negativity
-        series = MeasurementSeries(np.array([1.0, 2.0]), np.array([chi, 0.1]), unit, {})
-        with pytest.raises(ValueError, match="must be >= 0"):
-            bound_series(series, S_ONE, 2.0)
-
-    @pytest.mark.parametrize("unit", ["reduced", "emu/mol"])
-    @pytest.mark.parametrize("correction", [None, 117.0])
-    def test_points_keep_the_per_point_formulas_bitwise(self, unit, correction):
-        spin, g = S_ONE, 2.15
-        series = synth_series(spin, 117.0, g, np.geomspace(5.0, 400.0, 25))
-        if unit == "reduced":
-            chi = [
-                chi_emu_per_mol_to_reduced(x, t, g)
-                for t, x in zip(series.temperatures_kelvin.tolist(), series.chi.tolist())
-            ]
-            series = MeasurementSeries(series.temperatures_kelvin, np.array(chi), unit, {})
-        points = bound_series(series, spin, g, correction_coupling_kelvin=correction)
-        for p, t, x in zip(points, series.temperatures_kelvin.tolist(), series.chi.tolist()):
-            if unit == "emu/mol":
-                x = chi_emu_per_mol_to_reduced(x, t, g)
-            w = witness_value(x, 2, spin)
-            bound = negativity_lower_bound(w, 2, spin)
-            if correction is not None:
-                g1 = pair_correlator(spin, correction, t)
-                bound = corrected_bound(bound, correction, t, g1)
-            got = (p.temperature_kelvin, p.witness_value, p.negativity_lower_bound)
-            assert got == (t, w, bound)
-            assert p.entangled == (w < 0.0)
-
-    def test_correction_shifts_by_polynomial_term(self):
-        spin = S_ONE
-        j, g = 30.0, 2.15
-        temps = np.linspace(10.0, 60.0, 6)
-        series = synth_series(spin, j, g, temps)
-        plain = bound_series(series, spin, g)
-        corrected = bound_series(series, spin, g, correction_coupling_kelvin=j)
-        for a, b, t in zip(plain, corrected, temps):
-            g1 = pair_correlator(spin, j, float(t))
-            expected = a.negativity_lower_bound + correction_polynomial(j / float(t)) * g1
-            assert b.negativity_lower_bound == pytest.approx(expected, rel=1e-12)
 
 
 class TestUnitCoherence:

@@ -27,7 +27,6 @@ from mixedspin.witness import (
     susceptibility_nn_approx,
     sweep_tc,
     witness_report,
-    witness_value,
 )
 
 ALL_SPINS = [SpinQuantum(ts) for ts in range(1, 6)]
@@ -37,6 +36,11 @@ def chi_nn_pair(spin, j, t, n=2):
     """Reduced nearest-neighbor susceptibility fed by the pair correlator."""
     s = spin.value
     return n * (0.125 + s * s / 2.0 + pair_correlator(spin, j, t) / 3.0)
+
+
+def witness_value(chi_reduced, n, spin):
+    """The witness of a reduced chi, as `witness_report` gives it."""
+    return witness_report(chi_reduced, "reduced", 1.0, 2.0, n, spin).witness_value
 
 
 class TestWitnessValue:
@@ -326,7 +330,7 @@ class TestSweep:
         ep = result.endpoint_fit
         for spin in (SpinQuantum(1), SpinQuantum(5)):
             expected = characteristic_temperature(spin, 1.0)
-            assert ep.tc_over_j(spin) == pytest.approx(expected, rel=1e-12)
+            assert ep.slope * spin.value + ep.intercept == pytest.approx(expected, rel=1e-12)
 
     def test_fits_invariant_under_coupling_scale(self):
         a = sweep_tc(ALL_SPINS, [1.0]).least_squares_fit
