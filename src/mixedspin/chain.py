@@ -29,7 +29,7 @@ multiplet of 2J + 1 states, one in each sector |2Sz| <= 2J.
 `diagonalize` records each multiplet once in a flat level table
 (`SectorSpectralData.levels`), with its 2J and the number of states it
 stands for (on a ring, times its momentum copies). Every thermal sum
-starts from the Boltzmann factors of that table (`_boltzmann_factors`):
+starts from the Boltzmann factors of that table (`_factors`):
 one exp per table entry and temperature, shifted by the ground energy
 so that no temperature underflows. A thermal mean then takes the
 numerator and Z from those factors at once, with no normalized
@@ -796,17 +796,22 @@ def _check_vectors(data: SectorSpectralData, what: str) -> None:
 
 
 def _boltzmann_factors(gaps: np.ndarray, temperature_kelvin: float | np.ndarray) -> np.ndarray:
-    """exp(gaps / T), gaps = E0 - E_i, shape T.shape + gaps.shape.
+    """`_factors` at temperatures checked here."""
+    check_positive("temperature", temperature_kelvin)
+    with np.errstate(over="ignore"):  # see `_factors`
+        return _factors(gaps, temperature_kelvin)
+
+
+def _factors(gaps: np.ndarray, temperature_kelvin: float | np.ndarray) -> np.ndarray:
+    """exp(gaps / T), gaps = E0 - E_i, shape T.shape + gaps.shape, unchecked.
 
     Exponents are shifted by the ground energy so that low temperatures
     never overflow, and divided by T rather than multiplied by 1/T: at a
     subnormal T, 1/T is inf, and 0 inf would make the ground entries nan.
+    There (E0 - E)/T overflows to -inf, whose exp = 0 is the limit; the
+    overflow warns unless the caller ignores it.
     """
-    check_positive("temperature", temperature_kelvin)
-    t = np.asarray(temperature_kelvin, dtype=float)[..., None]
-    # (E0 - E)/T overflows to -inf at subnormal T; exp(-inf) = 0 is the limit
-    with np.errstate(over="ignore"):
-        f = gaps / t
+    f = gaps / np.asarray(temperature_kelvin, dtype=float)[..., None]
     return np.exp(f, out=f)
 
 
@@ -927,12 +932,23 @@ def susceptibility_exact(
     element of a temperature array equals its scalar call bitwise. Every
     term is >= 0, so no cancellation amplifies the dot product's
     rounding. A float for a scalar temperature; for an array, an array
-    of the same shape.
+    of the same shape. The temperatures are checked here, then
+    `_susceptibility` computes.
     """
-    f = _boltzmann_factors(data._gaps, temperature_kelvin)
-    sums = (f[..., None, None, :] @ data._chi_columns[:, :, None])[..., 0, 0]
-    chi = sums[..., 0] / sums[..., 1]
+    check_positive("temperature", temperature_kelvin)
+    with np.errstate(over="ignore"):  # see `_factors`
+        chi = _susceptibility(data._gaps, data._chi_columns, temperature_kelvin)
     return chi if np.ndim(temperature_kelvin) else float(chi)
+
+
+def _susceptibility(
+    gaps: np.ndarray, columns: np.ndarray, temperature_kelvin: float | np.ndarray
+) -> np.ndarray:
+    """`susceptibility_exact` of the table with these `_gaps` and
+    `_chi_columns`, unchecked (`_factors`)."""
+    f = _factors(gaps, temperature_kelvin)
+    sums = (f[..., None, None, :] @ columns[:, :, None])[..., 0, 0]
+    return sums[..., 0] / sums[..., 1]
 
 
 def _weighted_sums(

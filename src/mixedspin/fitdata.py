@@ -14,6 +14,12 @@ Fitting minimizes the plain sum of squared residuals in emu/mol over
 a linear least-squares solution (variable projection), and a
 two-point Nelder-Mead simplex on plain floats (`nelder_mead`) searches
 log J alone. log J keeps the coupling positive without constraints.
+
+Checks run once where they can: a series when it is built, the start
+and the chain spec once per fit. `fit` binds its model once
+(`_bind_model`), and each J of the search then guards only what J can
+push out of range. `model_chi` puts the public checks in front of the
+same model.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -32,13 +38,17 @@ from .chain import (
     DEFAULT_DIM_CAP,
     ChainSpec,
     SectorSpectralData,
+    _susceptibility,
     diagonalize,
-    susceptibility_exact,
 )
 from .operators import SpinQuantum
-from .pair import pair_correlator
-from .units import _reduced_to_emu_per_mol, check_finite, check_positive
+from .pair import _check_coupling, _correlator
+from .units import _check_converted, _emu_per_mol, check_finite, check_positive
 from .witness import susceptibility_nn_approx
+
+# unused here; the bench layer tracer wraps them by these names
+from .chain import susceptibility_exact  # noqa: F401
+from .pair import pair_correlator  # noqa: F401
 
 __all__ = [
     "MeasurementSeries",
@@ -144,6 +154,51 @@ def _unit_coupling_spectrum(
     return diagonalize(spec, vectors=False)
 
 
+def _bind_model(
+    spin: SpinQuantum,
+    n_sites: int | None = None,
+    boundary: str = "periodic",
+    dim_cap: int | None = None,
+) -> Callable[[float, float, np.ndarray], np.ndarray]:
+    """`model_chi`'s model as model(J, g, T) on an array T, with its
+    constants bound once: the spin for the pair, the J = 1 spectrum's
+    `_gaps` and `_chi_columns` for the chain (a bad chain spec fails here).
+
+    T and g are taken as checked, g by the conversion (`_squared`). Each
+    call guards only what J can push out of range, with a ValueError: J
+    finite and > 0 in the pair model, T/J finite and > 0 (so J too) in the
+    chain model. A result out of the float range is inf or nan, with no
+    warning.
+    """
+    if n_sites is None:
+
+        def cell(coupling: float, temps: np.ndarray) -> np.ndarray:
+            _check_coupling(coupling)
+            g1 = _correlator(spin, coupling, temps)
+            return susceptibility_nn_approx(SPINS_PER_FORMULA_UNIT, spin, g1)
+
+    else:
+        data = _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
+        gaps, columns = data._gaps, data._chi_columns
+
+        def cell(coupling: float, temps: np.ndarray) -> np.ndarray:
+            reduced = temps / coupling
+            if not (reduced.min() > 0.0 and reduced.max() < math.inf):
+                k = int(np.flatnonzero(~((reduced > 0.0) & np.isfinite(reduced)))[0])
+                raise ValueError(
+                    f"T/J at T = {float(temps.flat[k])} K, J = {coupling} K "
+                    f"is {float(reduced.flat[k])}; it must be finite and > 0"
+                )
+            chi_total = _susceptibility(gaps, columns, reduced)
+            return chi_total * SPINS_PER_FORMULA_UNIT / n_sites
+
+    def model(coupling: float, g_factor: float, temps: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return _emu_per_mol(cell(coupling, temps), temps, g_factor)
+
+    return model
+
+
 def model_chi(
     spin: SpinQuantum,
     coupling_kelvin: float,
@@ -168,34 +223,23 @@ def model_chi(
     bitwise. The pair correlator takes the whole array in one call, and
     stays a per-point `math.exp` closed form (`pair_correlator`).
 
-    Each input is checked once per call: J and the temperatures by
-    `pair_correlator` in the pair model and here in the chain model,
-    T/J by `susceptibility_exact`, and g by the conversion to emu/mol.
+    The checks run here, in front of the model that `fit` evaluates
+    (`_bind_model`): J and the temperatures, then T/J (chain model) and g
+    inside the model, then the result. So a call is refused with the
+    message, and in the order, of `pair_correlator`,
+    `susceptibility_exact` and `chi_reduced_to_emu_per_mol`. `fit`
+    checks its series once, when it is built; each J of its search runs
+    only the model's guards on J.
     """
     temps = np.asarray(temperature_kelvin, dtype=float)
     if n_sites is None:
-        g1 = pair_correlator(spin, coupling_kelvin, temps)
-        chi_cell = susceptibility_nn_approx(SPINS_PER_FORMULA_UNIT, spin, g1)
+        _check_coupling(coupling_kelvin)
+        check_positive("temperature", temps)
     else:
         check_positive("temperature", temps)
         check_positive("coupling", coupling_kelvin)
-        data = _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
-        with np.errstate(over="ignore", under="ignore"):  # rejected just below
-            reduced_temps = temps / coupling_kelvin
-        try:
-            # `susceptibility_exact` checks T/J, as it checks every
-            # temperature; the message names T and J instead
-            chi_total = susceptibility_exact(data, reduced_temps)
-        except ValueError:
-            bad = ~((reduced_temps > 0.0) & np.isfinite(reduced_temps))
-            k = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"T/J at T = {float(temps.flat[k])} K, J = {coupling_kelvin} K "
-                f"is {float(reduced_temps.flat[k])}; it must be finite and > 0"
-            ) from None
-        chi_cell = chi_total * SPINS_PER_FORMULA_UNIT / n_sites
-    # the temperatures are checked above, and chi_cell is finite
-    chi = _reduced_to_emu_per_mol(chi_cell, temps, g_factor)
+    model = _bind_model(spin, n_sites, boundary, dim_cap)
+    chi = _check_converted(model(coupling_kelvin, g_factor, temps), temps, g_factor)
     return chi if temps.ndim else float(chi)
 
 
@@ -410,10 +454,11 @@ def fit(
 ) -> FitResult:
     """Least-squares fit of (J, g) to a molar susceptibility series.
 
-    The model is `model_chi`'s: the pair for n_sites None, else the
-    n_sites chain. The simplex minimizes the `_profile` residual p over
-    log J from log init_coupling_kelvin, with g solved at each J;
-    init_g_factor enters only the check of the start. Non-convergence is
+    The model is `model_chi`'s, bound once (`_bind_model`): the pair for
+    n_sites None, else the n_sites chain. The simplex minimizes the
+    `_profile` residual p over log J from log init_coupling_kelvin, with
+    g solved at each J; init_g_factor enters only the check of the
+    start. Non-convergence is
     not an exception: the best-so-far parameters come back with
     converged=False. A start or a step that leaves the float range
     raises ValueError, naming the start values, and so does
@@ -438,11 +483,8 @@ def fit(
             f"need at least 4 points for a 2-parameter fit, got {temps.size}"
         )
 
-    if n_sites is not None:  # a bad chain spec fails here, with its own message
-        _unit_coupling_spectrum(spin.twice_spin, n_sites, boundary, dim_cap)
-
-    # bound per call, so a `model_chi` replaced on the module is the one used
-    model = partial(model_chi, spin, n_sites=n_sites, boundary=boundary, dim_cap=dim_cap)
+    # a bad chain spec fails here, with its own message
+    model = _bind_model(spin, n_sites, boundary, dim_cap)
     origin = f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor}"
     # the start is the one point where g is not solved for: it must keep
     # the model and its sum of squared residuals in the float range

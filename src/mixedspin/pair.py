@@ -44,24 +44,31 @@ def pair_correlator(
     Monotone increasing in T, from -(S+1)/2 at T=0 toward 0.
 
     A float for one temperature; for an array, an array of the same
-    shape. J and the temperatures are checked once per call, and each
-    point is the `math.exp` closed form (`np.exp` rounds differently for
-    some inputs). A number takes the same path as a 0-d array, so an
-    array element equals its scalar call bitwise.
+    shape. J and the temperatures are checked here, then `_correlator`
+    computes every point as the `math.exp` closed form (`np.exp` rounds
+    differently for some inputs). A number takes the same path as a 0-d
+    array, so an array element equals its scalar call bitwise.
     """
     _check_coupling(coupling_kelvin)
     check_positive("temperature", temperature_kelvin)
+    temps = np.asarray(temperature_kelvin, dtype=float)
+    with np.errstate(over="ignore"):  # see `_correlator`
+        g1 = _correlator(spin, coupling_kelvin, temps)
+    return g1 if temps.ndim else float(g1)
+
+
+def _correlator(spin: SpinQuantum, coupling_kelvin: float, temps: np.ndarray) -> np.ndarray:
+    """`pair_correlator` at an array of temperatures, unchecked. Where
+    -J(2S+1)/(2T) overflows to -inf (a subnormal T, or J above T by more
+    than the float range), G1 is its T -> 0 limit; the overflow warns
+    unless the caller ignores it."""
     s = spin.value
     gap = coupling_kelvin * (spin.twice_spin + 1) / 2.0
-    temps = np.asarray(temperature_kelvin, dtype=float)
-    # the quotients are correctly rounded; a subnormal T gives -inf, as the
-    # float division does
-    with np.errstate(over="ignore"):
-        exponents = (-gap / temps).ravel().tolist()
+    # the quotients are correctly rounded, as the float division's are
+    exponents = (-gap / temps).ravel().tolist()
     # math.exp underflows to 0.0, the exact T -> 0 limit, without raising
     x = np.array(list(map(math.exp, exponents))).reshape(temps.shape)
-    g1 = s * (s + 1.0) * (x - 1.0) / (2.0 * ((s + 1.0) * x + s))
-    return g1 if temps.ndim else float(g1)
+    return s * (s + 1.0) * (x - 1.0) / (2.0 * ((s + 1.0) * x + s))
 
 
 def pair_correlator_literature(

@@ -91,15 +91,18 @@ def check_normal(name: str, value: float) -> None:
 
 
 def _squared(g_factor: float) -> float:
-    """g_factor**2, or inf where the square overflows.
+    """g_factor**2, or inf where the square overflows; the one check of g.
 
-    Python's ** on floats is libm pow, which is not correctly rounded for
-    an exponent of 2: with glibc, g = 1.0204 gives pow(g, 2) != g * g. Keeping
-    ** keeps every finite result's bits; only the OverflowError it raises
-    becomes inf, which `_check_converted` then rejects. A square that is
-    not a normal float (|g| < 1.49e-154) raises ValueError.
+    g must be finite and > 0, and its square a normal float (g >= 1.49e-154),
+    else ValueError. Python's ** on floats is libm pow, which is not
+    correctly rounded for an exponent of 2: with glibc, g = 1.0204 gives
+    pow(g, 2) != g * g. Keeping ** keeps every finite result's bits; only
+    the OverflowError it raises becomes inf, which `_check_converted` then
+    rejects.
     """
     g_factor = float(g_factor)  # so that a numpy scalar raises, not warns
+    if not 0.0 < g_factor < math.inf:
+        raise ValueError(f"g_factor must be finite and > 0, got {g_factor}")
     try:
         square = g_factor**2
     except OverflowError:
@@ -135,29 +138,23 @@ def chi_reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor: float)
     """
     check_finite("susceptibility", chi_reduced)
     check_positive("temperature", temperature_kelvin)
-    return _reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor)
-
-
-def _reduced_to_emu_per_mol(chi_reduced, temperature_kelvin, g_factor: float):
-    """`chi_reduced_to_emu_per_mol` for a finite chi at temperatures the
-    caller has checked: only g and the result are checked here."""
-    check_positive("g_factor", g_factor)
     # a non-finite result (inf, or inf * 0 = nan) is rejected just below
     with np.errstate(over="ignore", invalid="ignore"):
-        value = (
-            CURIE_FACTOR_EMU_K_PER_MOL
-            * _squared(g_factor)
-            / temperature_kelvin
-            * chi_reduced
-        )
+        value = _emu_per_mol(chi_reduced, temperature_kelvin, g_factor)
     return _check_converted(value, temperature_kelvin, g_factor)
+
+
+def _emu_per_mol(chi_reduced, temperature_kelvin, g_factor: float):
+    """`chi_reduced_to_emu_per_mol`'s product with only g checked
+    (`_squared`): a result out of the float range is inf or nan, and
+    warns unless the caller ignores overflow and invalid operations."""
+    return CURIE_FACTOR_EMU_K_PER_MOL * _squared(g_factor) / temperature_kelvin * chi_reduced
 
 
 def chi_emu_per_mol_to_reduced(chi_emu_per_mol, temperature_kelvin, g_factor: float):
     """Inverse of `chi_reduced_to_emu_per_mol`, numbers or arrays alike."""
     check_finite("susceptibility", chi_emu_per_mol)
     check_positive("temperature", temperature_kelvin)
-    check_positive("g_factor", g_factor)
     # a non-finite result (inf, or inf * 0 = nan) is rejected just below
     with np.errstate(over="ignore", invalid="ignore"):
         value = (

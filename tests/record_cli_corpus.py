@@ -76,6 +76,7 @@ ROWS = [
     ("fit_ring4", "fit --input {data}/corpus_ring4_s3half.csv --spin 3/2 --init-j 8K --model chain --sites 4", {}),
     ("fit_open6", "fit --input {data}/corpus_open6_s1.csv --spin 1 --init-j 4K --init-g 2 --model chain --sites 6 --boundary open", {}),
     ("fit_ring4_noisy", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --model chain --sites 4", {}),
+    ("fit_ring8_noisy", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --model chain --sites 8", {}),
     # refusals: exit 2
     ("tc_without_spin", "tc --coupling 5K", {}),
     ("tc_without_unit", "tc --spin 1/2 --coupling 5.12", {}),
@@ -89,6 +90,9 @@ ROWS = [
     ("chain_bad_range", "chain --spin 1 --coupling 10K --temps 1:2", {}),
     ("witness_subnormal_temp", "witness --chi 1 --unit reduced --temp 5e-324 --spin 1", {}),
     ("fit_huge_start", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 1e250K", {}),
+    ("fit_pair_local_minimum", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 1K", {}),
+    ("fit_ring4_below_float_range", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 1e-300K --model chain --sites 4", {}),
+    ("fit_ring6_plateau", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 1e250K --model chain --sites 6", {}),
     ("fit_bad_window", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 7K --window 5:x", {}),
     ("fit_reduced_series", "fit --input {data}/corpus_reduced_s1.csv --spin 1 --init-j 7K", {}),
     ("tc_pair_sites_boundary", "tc --spin 1 --coupling 5K --sites 8 --boundary open", {}),

@@ -227,15 +227,19 @@ class TestModelChi:
             model_chi(S_ONE, coupling, 2.0, np.array(temps), n_sites=4)
         assert str(err.value) == message + "; it must be finite and > 0"
 
-    @pytest.mark.parametrize("n_sites,checked", [
-        (4, [("fitdata", "temperature"), ("fitdata", "coupling"),
-             ("chain", "temperature"), ("units", "g_factor")]),
-        (None, [("pair", "coupling"), ("pair", "temperature"), ("units", "g_factor")]),
+    @pytest.mark.parametrize("n_sites,checked,guarded", [
+        (4, [("fitdata", "temperature"), ("fitdata", "coupling")], []),
+        (None, [("fitdata", "coupling"), ("fitdata", "temperature")],
+         [("fitdata", "coupling")]),
     ])
-    def test_each_input_is_checked_once(self, monkeypatch, n_sites, checked):
-        # temperatures and J in model_chi (chain model) or in the pair
-        # correlator (pair model), T/J in the Boltzmann factors (chain
-        # model only), g in the conversion to emu/mol
+    def test_public_checks_run_first_and_the_model_guards_only_j(
+        self, monkeypatch, n_sites, checked, guarded
+    ):
+        # model_chi checks J and the temperatures in the order that the
+        # chain model (T first) or the pair correlator (J first) checked
+        # them, then runs the model that `fit` evaluates: that one guards J
+        # alone (pair model; in the chain model its T/J guard covers J),
+        # and g is checked once, in the conversion to emu/mol (`_squared`)
         from mixedspin import chain, pair, units
 
         seen = []
@@ -247,15 +251,25 @@ class TestModelChi:
                 return real(name, value)
 
             monkeypatch.setattr(module, "check_positive", recording)
-        real_coupling = pair._check_coupling
+        real_coupling, real_squared = fitdata._check_coupling, units._squared
 
         def coupling(value):
-            seen.append(("pair", "coupling"))
+            seen.append(("fitdata", "coupling"))
             return real_coupling(value)
 
-        monkeypatch.setattr(pair, "_check_coupling", coupling)
-        model_chi(S_ONE, 5.0, 2.0, np.geomspace(1.0, 100.0, 20), n_sites=n_sites)
-        assert seen == checked
+        def squared(value):
+            seen.append(("units", "g_factor"))
+            return real_squared(value)
+
+        monkeypatch.setattr(fitdata, "_check_coupling", coupling)
+        monkeypatch.setattr(units, "_squared", squared)
+        temps = np.geomspace(1.0, 100.0, 20)
+        model_chi(S_ONE, 5.0, 2.0, temps, n_sites=n_sites)
+        assert seen == checked + guarded + [("units", "g_factor")]
+        model = fitdata._bind_model(S_ONE, n_sites)
+        del seen[:]
+        model(5.0, 1.0, temps)
+        assert seen == guarded + [("units", "g_factor")]
         for bad in ((-5.0, 2.0), (5.0, -2.0), (5.0, math.nan)):
             with pytest.raises(ValueError, match="must be finite and > 0"):
                 model_chi(S_ONE, *bad, 10.0, n_sites=n_sites)
@@ -689,25 +703,34 @@ class TestFit:
     def test_a_bench_sized_fit_makes_at_most_100_model_calls(self, monkeypatch, n_sites):
         # the 2-D simplex over (log J, g) made 153 (ring-8) and 180 (pair)
         # calls on this kind of series, its checks included; the 1-D search
-        # over log J, with g solved at each J, makes fewer than 100
+        # over log J, with g solved at each J, makes fewer than 100, each an
+        # evaluation of the model that `fit` binds once
         j = 4.5
         series = MeasurementSeries(*_bench_shaped_series(j))
-        calls, starts = [], []
+        binds, calls, starts = [], [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return model_chi(*args, **kwargs)
+        def bind(*args):
+            model = real_bind(*args)
+            binds.append(args)
+
+            def counted(*a):
+                calls.append(a)
+                return model(*a)
+
+            return counted
 
         def spied(objective, x0):
             starts.append(x0)
             return nelder_mead(objective, x0)
 
-        monkeypatch.setattr(fitdata, "model_chi", counted)
+        real_bind = fitdata._bind_model
+        monkeypatch.setattr(fitdata, "_bind_model", bind)
         monkeypatch.setattr(fitdata, "nelder_mead", spied)
         result = fit(series, S_ONE, 1.25 * j, 2.0, n_sites=n_sites)
         assert result.converged
         assert starts == [math.log(1.25 * j)]
-        assert len(calls) <= 100
+        assert binds == [(S_ONE, n_sites, "periodic", None)]
+        assert 50 <= len(calls) <= 100
 
     def test_too_few_points_rejected(self):
         series = load_measurements(io.StringIO(VALID_CSV))

@@ -2,7 +2,8 @@
 
 A huge but finite coupling either gives finite rows or exits 2. No
 subcommand exits 1 or raises, whatever its numeric flags. No input may
-warn: every run treats warnings as errors.
+warn: every run treats warnings as errors. The model that `fit` binds
+once per fit gives the profile residual of `model_chi`, bit for bit.
 
 Hypothesis is not a declared dependency; without it this module skips.
 Values go in as `--flag=VALUE`, so that a negative number is not read
@@ -15,6 +16,8 @@ import math
 import random
 import re
 import warnings
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from mixedspin import fitdata  # noqa: E402
 from mixedspin.cli import main  # noqa: E402
+from mixedspin.operators import SpinQuantum  # noqa: E402
 
 PROPERTY = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -339,3 +344,48 @@ class TestFitRecoversJOrExits2:
         if code == 0:
             (row,) = out.splitlines()[1:]
             assert float(row.split(",")[0]) == pytest.approx(10.0, rel=rel), (argv, out)
+
+
+# the corpus series, each with the model that made it and its J in kelvin
+BOUND_MODELS = {
+    "pair": ("corpus_pair_s1.csv", SpinQuantum(2), {}, 10.0),
+    "ring4": ("corpus_ring4_s3half.csv", SpinQuantum(3), {"n_sites": 4}, 12.0),
+    "open6": (
+        "corpus_open6_s1.csv", SpinQuantum(2), {"n_sites": 6, "boundary": "open"}, 6.0
+    ),
+}
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(sorted(BOUND_MODELS)),
+    coupling=st.one_of(
+        # 1e-6 to 1e6 times the J of the data
+        st.floats(min_value=-6.0, max_value=6.0).map(lambda u: ("scale", 10.0**u)),
+        # T/J above the float range, or J near it (pair: J(2S+1) overflows)
+        st.floats(min_value=5e-324, max_value=1e-300).map(lambda j: ("kelvin", j)),
+        st.floats(min_value=1e300, max_value=1.7976931348623157e308).map(
+            lambda j: ("kelvin", j)
+        ),
+        st.sampled_from([0.0, -1.0, math.inf, math.nan]).map(lambda j: ("kelvin", j)),
+    ),
+    step=st.sampled_from([1, 3]),
+)
+@example(name="ring4", coupling=("kelvin", 1e-306), step=1)
+@example(name="pair", coupling=("kelvin", 5e-324), step=1)
+def test_the_bound_model_gives_model_chis_profile_bit_for_bit(name, coupling, step):
+    # `fit` evaluates p(J) through the model it binds once; the profile,
+    # its (inf, nan) out of the float range included, is the one of
+    # `model_chi`, on the whole series and on a subset as the refusal
+    # grid takes it
+    csv, spin, model, scale = BOUND_MODELS[name]
+    series = fitdata.load_measurements(Path(__file__).with_name("data") / csv)
+    temps, chi = series.temperatures_kelvin[::step], series.chi[::step]
+    j = coupling[1] * scale if coupling[0] == "scale" else coupling[1]
+    bound = fitdata._bind_model(spin, **model)
+    checked = partial(fitdata.model_chi, spin, **model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fitdata._profile(bound, temps, chi, j)
+        expected = fitdata._profile(checked, temps, chi, j)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
