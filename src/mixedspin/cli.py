@@ -142,18 +142,8 @@ def _parse_temps(text: str) -> list[float]:
     return temps
 
 
-def _add_spin_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
-    group.add_argument("--spin", help="spin as '1/2', '1', '3/2', ...")
-    group.add_argument("--twice-spin", type=int, help="integer 2S")
-
-
-def _spin_from_args(args) -> SpinQuantum | None:
-    if args.twice_spin is not None:
-        return SpinQuantum(args.twice_spin)
-    if args.spin is not None:
-        return SpinQuantum.parse(args.spin)
-    return None
+def _add_spin_flag(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--spin", required=required, help="spin as '1/2', '1', '3/2', ...")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -175,15 +165,31 @@ def _dim_cap() -> int:
         raise ValueError(f"MIXEDSPIN_DIM_CAP must be an integer, got {raw!r}") from None
 
 
-def _add_chain_flags(
-    parser: argparse.ArgumentParser, sites: int, help: str | None
-) -> None:
-    """--model, --sites and --boundary, read by `_chain_model`; unset, the
-    chain model has `sites` sites and a periodic boundary."""
-    parser.add_argument("--model", choices=("pair", "chain"), default="pair")
-    parser.add_argument("--sites", type=int, help=help)
+def _add_chain_flags(parser: argparse.ArgumentParser, sites: int) -> None:
+    """--sites and --boundary, read by `_chain_model`; unset, the chain
+    model has `sites` sites and a periodic boundary."""
+    parser.add_argument("--sites", type=int, help="chain model size")
     parser.add_argument("--boundary", choices=("periodic", "open"))
     parser.set_defaults(chain_sites=sites)
+
+
+def _add_model_flags(parser: argparse.ArgumentParser, sites: int) -> None:
+    """--model, pair or chain, and the chain model's flags."""
+    parser.add_argument("--model", choices=("pair", "chain"), default="pair")
+    _add_chain_flags(parser, sites)
+
+
+def _refuse(args, unset: dict, subject: str, reason: str = "") -> None:
+    """Raise ValueError naming, with its value, each flag of `unset` (a
+    dest and its unset value) that `args` holds at another value:
+    "{subject} takes no --flag value, ...{reason}"."""
+    given = [
+        f"--{name.replace('_', '-')} {getattr(args, name)}"
+        for name, value in unset.items()
+        if getattr(args, name) != value
+    ]
+    if given:
+        raise ValueError(f"{subject} takes no {', '.join(given)}{reason}")
 
 
 def _chain_model(args) -> dict:
@@ -195,16 +201,12 @@ def _chain_model(args) -> dict:
     pair-model command alone.
     """
     if args.model == "pair":
-        given = [
-            f"--{name} {getattr(args, name)}"
-            for name in ("sites", "boundary")
-            if getattr(args, name) is not None
-        ]
-        if given:
-            raise ValueError(
-                f"the pair model takes no {', '.join(given)}; they belong to the chain "
-                "model, chosen with --model chain"
-            )
+        _refuse(
+            args,
+            dict(sites=None, boundary=None),
+            "the pair model",
+            "; they belong to the chain model, chosen with --model chain",
+        )
         return {}
     return {
         "n_sites": args.chain_sites if args.sites is None else args.sites,
@@ -263,38 +265,26 @@ def _emit(args, rows, summary=None, comments=()) -> None:
 def _cmd_tc(args) -> None:
     if args.report:
         # the flags that choose a system or a model, at their unset values
-        unset = dict(
-            spin=None, twice_spin=None, coupling=None, compound=None, model="pair",
-            correlator="exact",
-        )
+        unset = dict(spin=None, coupling=None, compound=None, model="pair", correlator="exact")
         if args.model == "pair":  # under --model chain they are its own flags
             unset.update(sites=None, boundary=None)
-        given = [
-            f"--{name.replace('_', '-')} {getattr(args, name)}"
-            for name, value in unset.items()
-            if getattr(args, name) != value
-        ]
-        if given:
-            raise ValueError(
-                "--report tabulates every built-in compound on the pair model; "
-                f"it takes no {', '.join(given)}"
-            )
+        _refuse(args, unset, "--report tabulates every built-in compound on the pair model; it")
         rows = [_fields(r) for r in compound_report()]
         _emit(args, [{"compound": row.pop("name"), **row} for row in rows])
         return
-    spin = _spin_from_args(args)
-    coupling = _parse_coupling(args.coupling) if args.coupling else None
     compound = None
-    reported = None
     if args.compound:
-        if spin is not None or coupling is not None:
-            raise ValueError("--compound replaces --spin/--coupling; give one or the other")
+        _refuse(
+            args,
+            dict(spin=None, coupling=None),
+            f"--compound {args.compound} sets the spin and the coupling; it",
+        )
         compound = lookup_compound(args.compound)
-        spin = compound.spin
-        coupling = compound.coupling_kelvin
-        reported = compound.reported_tc_kelvin
-    if spin is None or coupling is None:
+        spin, coupling = compound.spin, compound.coupling_kelvin
+    elif args.spin is None or not args.coupling:
         raise ValueError("need --spin and --coupling (or --compound)")
+    else:
+        spin, coupling = SpinQuantum.parse(args.spin), _parse_coupling(args.coupling)
     if args.model == "pair":
         _chain_model(args)  # refuses --sites and --boundary
         if args.correlator == "exact":
@@ -304,8 +294,7 @@ def _cmd_tc(args) -> None:
                 lambda t: pair_correlator_literature(spin, coupling, t), spin, coupling
             )
     else:
-        if args.correlator == "literature":
-            raise ValueError("--correlator literature applies to the pair model only")
+        _refuse(args, dict(correlator="exact"), "the chain model", "; it belongs to the pair model")
         spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
         data = diagonalize(spec, vectors=False)
         tc = solve_tc(functools.partial(thermal_mean, data, data.bond), spin, coupling)
@@ -317,6 +306,7 @@ def _cmd_tc(args) -> None:
         "tc_kelvin": tc,
     }
     if compound is not None:
+        reported = compound.reported_tc_kelvin
         row = {
             "compound": compound.name,
             **row,
@@ -347,7 +337,7 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_witness(args, with_bound: bool) -> None:
-    spin = _spin_from_args(args)
+    spin = SpinQuantum.parse(args.spin)
     correction = (
         _parse_coupling(args.correct_j)
         if with_bound and args.correct_j is not None
@@ -378,7 +368,7 @@ def _cmd_witness(args, with_bound: bool) -> None:
 
 
 def _cmd_chain(args) -> None:
-    spin = _spin_from_args(args)
+    spin = SpinQuantum.parse(args.spin)
     coupling = _parse_coupling(args.coupling)
     spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
     data = diagonalize(spec, vectors=False)
@@ -388,7 +378,7 @@ def _cmd_chain(args) -> None:
     columns = {
         "temperature_kelvin": temps,
         "chi_exact_reduced": susceptibility_exact(data, np.asarray(temps)).tolist(),
-        "chi_nn_reduced": susceptibility_nn_approx(args.sites, spin, g1).tolist(),
+        "chi_nn_reduced": susceptibility_nn_approx(spec.n_sites, spin, g1).tolist(),
         "g1": g1.tolist(),
         "negativity": negativity_from_g1(spin, g1).tolist(),
     }
@@ -398,7 +388,7 @@ def _cmd_chain(args) -> None:
 
 def _cmd_fit(args) -> None:
     series = load_measurements(args.input)
-    spin = _spin_from_args(args)
+    spin = SpinQuantum.parse(args.spin)
     window = None
     if args.window is not None:
         parts = args.window.split(":")
@@ -431,7 +421,7 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_synth(args) -> None:
-    spin = _spin_from_args(args)
+    spin = SpinQuantum.parse(args.spin)
     coupling = _parse_coupling(args.j)
     temps = _parse_temps(args.temps)
     series = synth_series(spin, coupling, args.g, temps, **_chain_model(args))
@@ -449,10 +439,10 @@ def _cmd_synth(args) -> None:
 
 
 def _add_tc(p_tc: argparse.ArgumentParser) -> None:
-    _add_spin_flags(p_tc, required=False)
+    _add_spin_flag(p_tc, required=False)
     p_tc.add_argument("--coupling", help="e.g. '81.4cm-1' or '5.12K'")
     p_tc.add_argument("--compound", help="built-in compound name")
-    _add_chain_flags(p_tc, 6, "chain model size")
+    _add_model_flags(p_tc, 6)
     p_tc.add_argument(
         "--correlator",
         choices=("exact", "literature"),
@@ -481,7 +471,7 @@ def _add_witness(p_w: argparse.ArgumentParser, with_bound: bool) -> None:
     p_w.add_argument("--temp", type=float, required=True, help="temperature in K")
     p_w.add_argument("--g", type=float, default=2.0, help="g-factor")
     p_w.add_argument("--n", type=int, default=2, help="spins per formula unit")
-    _add_spin_flags(p_w)
+    _add_spin_flag(p_w)
     if with_bound:
         p_w.add_argument(
             "--correct-j",
@@ -492,10 +482,9 @@ def _add_witness(p_w: argparse.ArgumentParser, with_bound: bool) -> None:
 
 
 def _add_chain(p_chain: argparse.ArgumentParser) -> None:
-    _add_spin_flags(p_chain)
-    p_chain.add_argument("--sites", type=int, default=4)
+    _add_spin_flag(p_chain)
+    _add_chain_flags(p_chain, 4)
     p_chain.add_argument("--coupling", required=True)
-    p_chain.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p_chain.add_argument(
         "--temps",
         required=True,
@@ -507,8 +496,8 @@ def _add_chain(p_chain: argparse.ArgumentParser) -> None:
 
 def _add_fit(p_fit: argparse.ArgumentParser) -> None:
     p_fit.add_argument("--input", required=True, help="measurement CSV path")
-    _add_spin_flags(p_fit)
-    _add_chain_flags(p_fit, 4, "chain model size")
+    _add_spin_flag(p_fit)
+    _add_model_flags(p_fit, 4)
     p_fit.add_argument("--init-j", required=True, help="initial coupling, e.g. '10K'")
     p_fit.add_argument("--init-g", type=float, default=2.0)
     p_fit.add_argument("--window", help="'TMIN:TMAX' in K")
@@ -517,11 +506,11 @@ def _add_fit(p_fit: argparse.ArgumentParser) -> None:
 
 
 def _add_synth(p_synth: argparse.ArgumentParser) -> None:
-    _add_spin_flags(p_synth)
+    _add_spin_flag(p_synth)
     p_synth.add_argument("--j", required=True, help="coupling, e.g. '10.2cm-1'")
     p_synth.add_argument("--g", type=float, required=True)
     p_synth.add_argument("--temps", required=True)
-    _add_chain_flags(p_synth, 4, None)
+    _add_model_flags(p_synth, 4)
     p_synth.add_argument("--output", default="-", help="output path, '-' for stdout")
     p_synth.set_defaults(format="csv", run=_cmd_synth)
 

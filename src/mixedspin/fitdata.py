@@ -43,7 +43,7 @@ from .chain import (
 )
 from .operators import SpinQuantum
 from .pair import _check_coupling, _correlator
-from .units import _check_converted, _emu_per_mol, check_finite, check_positive
+from .units import _check_converted, _emu_per_mol, check_finite, check_normal, check_positive
 from .witness import susceptibility_nn_approx
 
 # unused here; the bench layer tracer wraps them by these names
@@ -64,7 +64,11 @@ SPINS_PER_FORMULA_UNIT = 2
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSeries:
-    """A molar susceptibility (emu/mol) vs temperature (K) series."""
+    """A molar susceptibility (emu/mol) vs temperature (K) series.
+
+    Temperatures must be finite, > 0, normal (not subnormal) and strictly
+    increasing, and every chi finite.
+    """
 
     temperatures_kelvin: np.ndarray
     chi: np.ndarray
@@ -74,6 +78,7 @@ class MeasurementSeries:
         if t.size != self.chi.size:
             raise ValueError("temperature and chi arrays differ in length")
         check_positive("temperature", t)
+        check_normal("temperature", float(t.min(initial=math.inf)))
         check_finite("susceptibility", self.chi)
         if np.any(np.diff(t) <= 0.0):
             k = int(np.flatnonzero(np.diff(t) <= 0.0)[0])
@@ -89,7 +94,8 @@ def load_measurements(source) -> MeasurementSeries:
     """Parse a measurement CSV from a path, text, or binary stream.
 
     Malformed rows fail with their line number; temperatures must be
-    positive and strictly increasing.
+    positive and strictly increasing, and `MeasurementSeries` refuses a
+    subnormal one.
     """
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8-sig")
@@ -139,7 +145,7 @@ def load_measurements(source) -> MeasurementSeries:
 
 @lru_cache(maxsize=8)
 def _unit_coupling_spectrum(
-    twice_spin: int, n_sites: int, boundary: str, dim_cap: int | None
+    twice_spin: int, n_sites: int, boundary: str, dim_cap: int
 ) -> SectorSpectralData:
     # H is linear in J, so the J=1 spectrum serves every coupling:
     # observables at (J, T) equal observables at (1, T/J). chi needs only
@@ -149,7 +155,7 @@ def _unit_coupling_spectrum(
         spin=SpinQuantum(twice_spin),
         coupling_kelvin=1.0,
         boundary=boundary,
-        dim_cap=dim_cap or DEFAULT_DIM_CAP,
+        dim_cap=dim_cap,
     )
     return diagonalize(spec, vectors=False)
 
@@ -158,7 +164,7 @@ def _bind_model(
     spin: SpinQuantum,
     n_sites: int | None = None,
     boundary: str = "periodic",
-    dim_cap: int | None = None,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> Callable[[float, float, np.ndarray], np.ndarray]:
     """`model_chi`'s model as model(J, g, T) on an array T, with its
     constants bound once: the spin for the pair, the J = 1 spectrum's
@@ -207,7 +213,7 @@ def model_chi(
     *,
     n_sites: int | None = None,
     boundary: str = "periodic",
-    dim_cap: int | None = None,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> float | np.ndarray:
     """Model susceptibility in emu per mole of 2-spin formula units.
 
@@ -251,7 +257,7 @@ def synth_series(
     *,
     n_sites: int | None = None,
     boundary: str = "periodic",
-    dim_cap: int | None = None,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> MeasurementSeries:
     """Noiseless `model_chi` series in emu/mol, for round-trip tests and demos."""
     temps = np.asarray(sorted(float(t) for t in temperatures_kelvin))
@@ -449,7 +455,7 @@ def fit(
     *,
     n_sites: int | None = None,
     boundary: str = "periodic",
-    dim_cap: int | None = None,
+    dim_cap: int = DEFAULT_DIM_CAP,
     window: tuple[float, float] | None = None,
 ) -> FitResult:
     """Least-squares fit of (J, g) to a molar susceptibility series.

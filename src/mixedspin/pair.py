@@ -76,16 +76,15 @@ def pair_correlator_literature(
 ) -> float:
     """Commonly tabulated closed forms for the two smallest spins.
 
-    For S = 1/2 this coincides with `pair_correlator`. For S = 1 the
+    For S = 1/2 it is `pair_correlator`. For S = 1 the
     tabulated expression carries a 5/6 prefactor relative to the exact
     two-level thermal average; it is kept as a separate, clearly labeled
     variant for comparison, not used by default anywhere.
     """
+    if spin.twice_spin == 1:
+        return pair_correlator(spin, coupling_kelvin, temperature_kelvin)
     _check_coupling(coupling_kelvin)
     check_positive("temperature", temperature_kelvin)
-    if spin.twice_spin == 1:
-        e = math.exp(-coupling_kelvin / temperature_kelvin)
-        return -3.0 * (1.0 - e) / (4.0 * (1.0 + 3.0 * e))
     if spin.twice_spin == 2:
         e = math.exp(-1.5 * coupling_kelvin / temperature_kelvin)
         return -5.0 * (1.0 - e) / (6.0 * (1.0 + 2.0 * e))

@@ -236,8 +236,6 @@ def _r_squared(xs: list[float], ys: list[float], law_slope: float, law_icpt: flo
     mean = sum(ys) / len(ys)
     ss_tot = sum((y - mean) ** 2 for y in ys)
     ss_res = sum((y - (law_slope * x + law_icpt)) ** 2 for x, y in zip(xs, ys))
-    if ss_tot == 0.0:
-        return 1.0
     return 1.0 - ss_res / ss_tot
 
 

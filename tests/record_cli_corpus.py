@@ -38,7 +38,7 @@ SERIES = {
 ROWS = [
     # tc, pair model
     ("tc_pair_wavenumber", "tc --spin 1 --coupling 81.4cm-1", {}),
-    ("tc_pair_twice_spin_json", "tc --twice-spin 5 --coupling 3.2K --format json", {}),
+    ("tc_pair_twice_spin_json", "tc --spin 5/2 --coupling 3.2K --format json", {}),
     ("tc_pair_literature", "tc --spin 1/2 --coupling 5K --correlator literature", {}),
     ("tc_compound", "tc --compound CN", {}),
     ("tc_report", "tc --report", {}),
@@ -61,7 +61,7 @@ ROWS = [
     # chain
     ("chain_ring4_s1", "chain --spin 1 --sites 4 --coupling 10K --temps 1,10,100", {}),
     ("chain_ring8_s1_ferro", "chain --spin 1 --sites 8 --coupling -5K --temps log:0.5:50:5", {}),
-    ("chain_ring6_s5half", "chain --twice-spin 5 --sites 6 --coupling 10K --temps 2:20:3", {}),
+    ("chain_ring6_s5half", "chain --spin 5/2 --sites 6 --coupling 10K --temps 2:20:3", {}),
     ("chain_open6_s3half_json", "chain --spin 3/2 --sites 6 --boundary open --coupling 10K --temps 1:20:4 --format json", {}),
     ("chain_open8_s_half_ferro", "chain --spin 1/2 --sites 8 --boundary open --coupling -4K --temps 0.5,5,50", {}),
     ("chain_dimer_s2", "chain --spin 2 --sites 2 --coupling 10K --temps 1,2", {}),
@@ -98,6 +98,11 @@ ROWS = [
     ("tc_pair_sites_boundary", "tc --spin 1 --coupling 5K --sites 8 --boundary open", {}),
     ("fit_pair_sites", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --sites 4", {}),
     ("tc_bad_dim_cap", "tc --model chain --spin 1 --coupling 10K", {"MIXEDSPIN_DIM_CAP": "big"}),
+    ("tc_compound_spin", "tc --compound CN --spin 1/2", {}),
+    ("tc_chain_literature", "tc --model chain --spin 1 --coupling 5K --correlator literature", {}),
+    ("fit_ring4_dim_cap_0", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --model chain --sites 4", {"MIXEDSPIN_DIM_CAP": "0"}),
+    ("synth_ring4_dim_cap_0", "synth --spin 1 --j 10K --g 2 --temps 1,2 --model chain", {"MIXEDSPIN_DIM_CAP": "0"}),
+    ("fit_subnormal_temp", "fit --input {data}/corpus_subnormal_temp.csv --spin 1 --init-j 5K", {}),
     # refusals: exit 3
     ("tc_over_dim_cap", "tc --model chain --spin 1 --sites 8 --coupling 10K", {"MIXEDSPIN_DIM_CAP": "100"}),
     ("chain_huge", "chain --spin 1 --sites 1000000 --coupling 10K --temps 1", {}),

@@ -104,10 +104,11 @@ class TestTcCommand:
         assert float(rows[0]["tc_kelvin"]) == pytest.approx(expected, rel=1e-8)
         assert float(rows[0]["tc_kelvin"]) == pytest.approx(126.722478, rel=1e-8)
 
-    def test_twice_spin_flag_is_equivalent(self, capsys):
-        _, out_a, _ = run(capsys, ["tc", "--spin", "1/2", "--coupling", "5K"])
-        _, out_b, _ = run(capsys, ["tc", "--twice-spin", "1", "--coupling", "5K"])
-        assert out_a == out_b
+    def test_twice_spin_is_an_unknown_option(self, capsys):
+        # --spin is the one spelling of the spin; 2S = 5 is --spin 5/2
+        code, out, err = run(capsys, ["tc", "--twice-spin", "5", "--coupling", "3.2K"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --twice-spin 5\n")
 
     def test_chain_model_dimer_matches_pair(self, capsys):
         code, out, _ = run(
@@ -170,7 +171,8 @@ class TestTcCommand:
         [
             (["--model", "chain", "--sites", "4", "--boundary", "open"], "--model chain"),
             (["--spin", "1"], "--spin 1"),
-            (["--twice-spin", "2"], "--twice-spin 2"),
+            # --report refuses before --compound does
+            (["--compound", "CN", "--spin", "1/2"], "--spin 1/2, --compound CN"),
             (["--coupling", "5K"], "--coupling 5K"),
             (["--compound", "CN"], "--compound CN"),
             (["--correlator", "literature"], "--correlator literature"),
@@ -212,11 +214,16 @@ class TestTcCommand:
         assert "unit suffix" in err
 
     def test_compound_conflicts_with_spin(self, capsys):
-        code, _, err = run(
-            capsys, ["tc", "--compound", "CN", "--spin", "1/2"]
-        )
-        assert code == 2
-        assert "--compound" in err
+        for flags, named in [
+            (["--spin", "1/2"], "--spin 1/2"),
+            (["--coupling", "5K"], "--coupling 5K"),
+            (["--coupling", "5K", "--spin", "1/2"], "--spin 1/2, --coupling 5K"),
+        ]:
+            code, out, err = run(capsys, ["tc", "--compound", "CN", *flags])
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: --compound CN sets the spin and the coupling; it takes no {named}\n"
+            )
 
     def test_unknown_compound_lists_names(self, capsys):
         code, _, err = run(capsys, ["tc", "--compound", "nope"])
@@ -224,7 +231,7 @@ class TestTcCommand:
         assert "NiCu" in err
 
     def test_literature_correlator_needs_pair_model(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             [
                 "tc",
@@ -238,8 +245,11 @@ class TestTcCommand:
                 "literature",
             ],
         )
-        assert code == 2
-        assert "pair model" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the chain model takes no --correlator literature; it belongs to "
+            "the pair model\n"
+        )
 
 
 class TestSweepCommand:
@@ -515,7 +525,7 @@ class TestOutOfDomainMeasurement:
         assert out == ""
 
     @pytest.mark.parametrize("command", ["witness", "bound"])
-    @pytest.mark.parametrize("spin_flag", ["--spin=0", "--twice-spin=0"])
+    @pytest.mark.parametrize("spin_flag", ["--spin=0", "--spin=0/2"])
     def test_spin_zero_exits_2(self, capsys, command, spin_flag):
         # spin 0 has no moment: no verdict and no negativity bound exists
         argv = [command, "--chi", "0.1", "--unit", "reduced", "--temp", "1", spin_flag]
@@ -963,6 +973,13 @@ class TestDimCapEnvironment:
         assert out
 
     @pytest.mark.parametrize("command", ["synth", "fit"])
+    def test_cap_below_two_exits_2(self, capsys, monkeypatch, command):
+        # as for tc and chain: 0 is a cap, not a request for the default
+        monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "0")
+        code, out, err = run(capsys, self.ARGV[command] + self.CHAIN)
+        assert (code, out, err) == (2, "", "error: dim_cap must be >= 2, got 0\n")
+
+    @pytest.mark.parametrize("command", ["synth", "fit"])
     def test_bad_cap_is_read_only_by_the_chain_model(self, capsys, monkeypatch, command):
         monkeypatch.setenv("MIXEDSPIN_DIM_CAP", "lots")
         code, out, _ = run(capsys, self.ARGV[command] + ["--model", "pair"])
@@ -1039,6 +1056,13 @@ class TestChainCommand:
                 negativity_from_g1(spin, g1),
             )
             assert line == ",".join(cli._fmt(c) for c in cells)
+
+    def test_unset_chain_flags_are_a_four_site_ring(self, capsys):
+        # the chi_nn_reduced column takes its site count from the chain's spec
+        argv = ["chain", "--spin", "3/2", "--coupling", "2K", "--temps", "1,10"]
+        implicit = run(capsys, argv)
+        assert implicit[0] == 0
+        assert implicit == run(capsys, [*argv, "--sites", "4", "--boundary", "periodic"])
 
     def test_open_dimer_matches_pair_closed_forms(self, capsys):
         coupling = 2.0

@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,21 @@ class TestMeasurementSeries:
         temps[position] = bad
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             MeasurementSeries(temps, np.ones(3))
+
+    @pytest.mark.parametrize("text", ["5e-324", "1e-320", "2.2e-308"])
+    def test_rejects_a_subnormal_temperature(self, text):
+        # with witness's and bound's message; fit once went on and blamed
+        # J and g when the model left the float range
+        temps = np.array([float(text), 1.0, 2.0])
+        message = f"temperature must not be subnormal (|value| < 2.225e-308), got {text}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MeasurementSeries(temps, np.ones(3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_measurements(io.StringIO(f"temperature_kelvin,chi_emu_per_mol\n{text},0.5\n"))
+
+    def test_the_smallest_normal_temperature_and_an_empty_series_are_accepted(self):
+        assert len(MeasurementSeries(np.array([sys.float_info.min, 1.0]), np.ones(2))) == 2
+        assert len(MeasurementSeries(np.array([]), np.array([]))) == 0
 
     def test_rejects_arrays_of_different_length(self):
         with pytest.raises(ValueError, match="differ in length"):
@@ -729,7 +745,7 @@ class TestFit:
         result = fit(series, S_ONE, 1.25 * j, 2.0, n_sites=n_sites)
         assert result.converged
         assert starts == [math.log(1.25 * j)]
-        assert binds == [(S_ONE, n_sites, "periodic", None)]
+        assert binds == [(S_ONE, n_sites, "periodic", fitdata.DEFAULT_DIM_CAP)]
         assert 50 <= len(calls) <= 100
 
     def test_too_few_points_rejected(self):
