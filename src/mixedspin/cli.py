@@ -306,14 +306,11 @@ def _cmd_tc(args) -> None:
         "tc_kelvin": tc,
     }
     if compound is not None:
-        reported = compound.reported_tc_kelvin
         row = {
             "compound": compound.name,
             **row,
-            "reported_tc_kelvin": reported,
-            "relative_deviation": (
-                (tc - reported) / reported if reported is not None else None
-            ),
+            "reported_tc_kelvin": compound.reported_tc_kelvin,
+            "relative_deviation": compound.deviation(tc),
         }
     _emit(args, [row])
 
@@ -324,16 +321,12 @@ def _cmd_sweep(args) -> None:
         _parse_coupling(tok) for tok in args.couplings.split(",") if tok.strip()
     ]
     result = sweep_tc(spins, couplings)
-    rows = [
-        {**_fields(r), "tc_over_j": r.tc_kelvin / r.coupling_kelvin}
-        for r in result.rows
-    ]
     summary = {
         "least_squares": _fields(result.least_squares_fit),
         "endpoints": _fields(result.endpoint_fit),
         "degenerate": result.degenerate,
     }
-    _emit(args, rows, summary=summary)
+    _emit(args, [_fields(r) for r in result.rows], summary=summary)
 
 
 def _cmd_witness(args, with_bound: bool) -> None:

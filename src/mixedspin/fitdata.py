@@ -479,6 +479,8 @@ def fit(
     chi = series.chi
     if window is not None:
         t_lo, t_hi = window
+        if math.isnan(t_lo) or math.isnan(t_hi):
+            raise ValueError(f"window {window} has a nan bound; it selects no temperature")
         if t_lo > t_hi:
             raise ValueError(f"window {window} has min above max")
         mask = (temps >= t_lo) & (temps <= t_hi)

@@ -213,6 +213,7 @@ class SweepRow:
     spin: SpinQuantum
     coupling_kelvin: float
     tc_kelvin: float
+    tc_over_j: float
 
 
 @dataclass(frozen=True)
@@ -248,15 +249,10 @@ def sweep_tc(
     rows = []
     for spin in spins:
         for j in coupling_kelvins:
-            rows.append(
-                SweepRow(
-                    spin=spin,
-                    coupling_kelvin=j,
-                    tc_kelvin=characteristic_temperature(spin, j),
-                )
-            )
+            tc = characteristic_temperature(spin, j)
+            rows.append(SweepRow(spin, j, tc, tc / j))
     xs = [row.spin.value for row in rows]
-    ys = [row.tc_kelvin / row.coupling_kelvin for row in rows]
+    ys = [row.tc_over_j for row in rows]
     unique_spins = sorted({row.spin for row in rows})
     degenerate = len(unique_spins) == 1
     if degenerate:
@@ -272,8 +268,8 @@ def sweep_tc(
     ls = LinearLaw(ls_slope, ls_icpt, _r_squared(xs, ys, ls_slope, ls_icpt))
     s_lo, s_hi = unique_spins[0], unique_spins[-1]
     # tc/J is independent of J, so any row at the extreme spin will do
-    y_lo = next(r.tc_kelvin / r.coupling_kelvin for r in rows if r.spin == s_lo)
-    y_hi = next(r.tc_kelvin / r.coupling_kelvin for r in rows if r.spin == s_hi)
+    y_lo = next(r.tc_over_j for r in rows if r.spin == s_lo)
+    y_hi = next(r.tc_over_j for r in rows if r.spin == s_hi)
     ep_slope = (y_hi - y_lo) / (s_hi.value - s_lo.value)
     ep_icpt = y_lo - ep_slope * s_lo.value
     ep = LinearLaw(ep_slope, ep_icpt, _r_squared(xs, ys, ep_slope, ep_icpt))
@@ -291,34 +287,26 @@ class CompoundRecord:
 
     name: str
     spin: SpinQuantum
-    coupling_value: float
-    coupling_unit: str
-    g_factor: float
+    coupling_kelvin: float
     reported_tc_kelvin: float | None
 
     def __post_init__(self) -> None:
-        check_positive("coupling", self.coupling_value)
-        if self.coupling_unit not in ("K", "cm-1"):
-            raise ValueError(f"coupling unit must be 'K' or 'cm-1', got {self.coupling_unit!r}")
-        if not 1.5 <= self.g_factor <= 2.5:
-            raise ValueError(f"g_factor {self.g_factor} outside sanity range [1.5, 2.5]")
+        check_positive("coupling", self.coupling_kelvin)
 
-    @property
-    def coupling_kelvin(self) -> float:
-        if self.coupling_unit == "cm-1":
-            return wavenumber_to_kelvin(self.coupling_value)
-        return self.coupling_value
+    def deviation(self, tc_kelvin: float) -> float | None:
+        """(T_c - reported) / reported, or None without a reported value."""
+        reported = self.reported_tc_kelvin
+        return None if reported is None else (tc_kelvin - reported) / reported
 
 
-# g-factors: Cu-HTS and NiCu have measured values; the rest default to the
-# free-electron nominal 2.0 (no literature value in scope).
+# couplings quoted in cm-1 are converted to kelvin here, once
 _COMPOUNDS = (
-    CompoundRecord("CN", SpinQuantum(1), 5.12, "K", 2.0, 4.7),
-    CompoundRecord("NiCu", SpinQuantum(2), 81.4, "cm-1", 2.15, 125.0),
-    CompoundRecord("CoCu", SpinQuantum(3), 18.0, "cm-1", 2.0, 26.0),
-    CompoundRecord("FeCu", SpinQuantum(4), 20.0, "cm-1", 2.0, 32.0),
-    CompoundRecord("MnCu", SpinQuantum(5), 23.44, "cm-1", 2.0, 40.0),
-    CompoundRecord("Cu-HTS", SpinQuantum(1), 10.2, "cm-1", 2.06, None),
+    CompoundRecord("CN", SpinQuantum(1), 5.12, 4.7),
+    CompoundRecord("NiCu", SpinQuantum(2), wavenumber_to_kelvin(81.4), 125.0),
+    CompoundRecord("CoCu", SpinQuantum(3), wavenumber_to_kelvin(18.0), 26.0),
+    CompoundRecord("FeCu", SpinQuantum(4), wavenumber_to_kelvin(20.0), 32.0),
+    CompoundRecord("MnCu", SpinQuantum(5), wavenumber_to_kelvin(23.44), 40.0),
+    CompoundRecord("Cu-HTS", SpinQuantum(1), wavenumber_to_kelvin(10.2), None),
 )
 
 
@@ -372,11 +360,8 @@ def compound_report() -> tuple[CompoundTcRow, ...]:
             variant = solve_tc(
                 lambda t: pair_correlator_literature(rec.spin, j, t), rec.spin, j
             )
-        deviation = None
-        matches = None
-        if rec.reported_tc_kelvin is not None:
-            deviation = (computed - rec.reported_tc_kelvin) / rec.reported_tc_kelvin
-            matches = abs(deviation) <= REPRODUCIBILITY_TOLERANCE
+        deviation = rec.deviation(computed)
+        matches = None if deviation is None else abs(deviation) <= REPRODUCIBILITY_TOLERANCE
         rows.append(
             CompoundTcRow(
                 name=rec.name,

@@ -40,7 +40,10 @@ ROWS = [
     ("tc_pair_wavenumber", "tc --spin 1 --coupling 81.4cm-1", {}),
     ("tc_pair_twice_spin_json", "tc --spin 5/2 --coupling 3.2K --format json", {}),
     ("tc_pair_literature", "tc --spin 1/2 --coupling 5K --correlator literature", {}),
+    ("tc_pair_large_spin", "tc --spin 206827000 --coupling 1K", {}),
     ("tc_compound", "tc --compound CN", {}),
+    ("tc_compound_wavenumber", "tc --compound NiCu", {}),
+    ("tc_compound_unreported", "tc --compound Cu-HTS", {}),
     ("tc_report", "tc --report", {}),
     ("tc_report_json", "tc --report --format json", {}),
     # tc, chain model
@@ -94,6 +97,8 @@ ROWS = [
     ("fit_ring4_below_float_range", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 1e-300K --model chain --sites 4", {}),
     ("fit_ring6_plateau", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 1e250K --model chain --sites 6", {}),
     ("fit_bad_window", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 7K --window 5:x", {}),
+    ("fit_nan_window_min", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 7K --window nan:100", {}),
+    ("fit_nan_window_max", "fit --input {data}/corpus_pair_s1.csv --spin 1 --init-j 7K --window 5:nan", {}),
     ("fit_reduced_series", "fit --input {data}/corpus_reduced_s1.csv --spin 1 --init-j 7K", {}),
     ("tc_pair_sites_boundary", "tc --spin 1 --coupling 5K --sites 8 --boundary open", {}),
     ("fit_pair_sites", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --sites 4", {}),

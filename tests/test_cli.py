@@ -37,6 +37,8 @@ from mixedspin.units import (
     wavenumber_to_kelvin,
 )
 from mixedspin.witness import (
+    builtin_compounds,
+    lookup_compound,
     negativity_lower_bound,
     separability_threshold,
     solve_tc,
@@ -224,6 +226,26 @@ class TestTcCommand:
             assert err == (
                 f"error: --compound CN sets the spin and the coupling; it takes no {named}\n"
             )
+
+    @pytest.mark.parametrize("name", [rec.name for rec in builtin_compounds()])
+    def test_compound_row_agrees_with_its_report_row(self, capsys, name):
+        _, report, _ = parse_csv(run(capsys, ["tc", "--report"])[1])
+        (listed,) = [row for row in report if row["compound"] == name]
+        code, out, _ = run(capsys, ["tc", "--compound", name])
+        assert code == 0
+        _, (row,), _ = parse_csv(out)
+        for column in ("coupling_kelvin", "reported_tc_kelvin", "relative_deviation"):
+            assert row[column] == listed[column]
+        assert row["tc_kelvin"] == listed["computed_tc_kelvin"]
+
+    # the couplings the literature quotes in cm-1
+    @pytest.mark.parametrize(
+        "name, wavenumber",
+        [("NiCu", "81.4"), ("CoCu", "18.0"), ("FeCu", "20.0"), ("MnCu", "23.44"), ("Cu-HTS", "10.2")],
+    )
+    def test_wavenumber_coupling_is_the_parsed_one(self, name, wavenumber):
+        kelvin = lookup_compound(name).coupling_kelvin
+        assert kelvin.hex() == cli._parse_coupling(f"{wavenumber}cm-1").hex()
 
     def test_unknown_compound_lists_names(self, capsys):
         code, _, err = run(capsys, ["tc", "--compound", "nope"])

@@ -760,6 +760,13 @@ class TestFit:
         with pytest.raises(ValueError, match="min above max"):
             fit(series, S_HALF, 10.0, 2.0, window=(600.0, 500.0))
 
+    @pytest.mark.parametrize("window", [(math.nan, 100.0), (5.0, math.nan), (math.nan, math.nan)])
+    def test_window_with_a_nan_bound_rejected(self, window):
+        # a nan bound selects no point; the refusal names the window, not the data
+        series = synth_series(S_HALF, 10.0, 2.0, np.linspace(2.0, 80.0, 20))
+        with pytest.raises(ValueError, match=r"window \(.*\) has a nan bound"):
+            fit(series, S_HALF, 10.0, 2.0, window=window)
+
     def test_nonpositive_initial_coupling_rejected(self):
         series = synth_series(S_HALF, 10.0, 2.0, np.linspace(2.0, 80.0, 20))
         with pytest.raises(ValueError, match="initial coupling"):

@@ -1,5 +1,6 @@
 """Witness, negativity bound, T_c solving, sweeps, and compound table."""
 
+import dataclasses
 import math
 import re
 
@@ -304,6 +305,7 @@ class TestSweep:
             assert row.tc_kelvin == pytest.approx(
                 characteristic_temperature(row.spin, row.coupling_kelvin), rel=1e-12
             )
+            assert row.tc_over_j == row.tc_kelvin / row.coupling_kelvin
 
     def test_couplings_scale_rows(self):
         result = sweep_tc(ALL_SPINS, [10.0, 20.0])
@@ -361,25 +363,16 @@ class TestCompounds:
         names = [r.name for r in recs]
         assert names == ["CN", "NiCu", "CoCu", "FeCu", "MnCu", "Cu-HTS"]
         for rec in recs:
-            assert 1.5 <= rec.g_factor <= 2.5
             assert rec.coupling_kelvin > 0.0
+
+    def test_record_has_four_fields(self):
+        names = [f.name for f in dataclasses.fields(CompoundRecord)]
+        assert names == ["name", "spin", "coupling_kelvin", "reported_tc_kelvin"]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])
     def test_record_rejects_bad_coupling(self, value):
         with pytest.raises(ValueError, match="coupling must be finite and > 0"):
-            CompoundRecord("X", SpinQuantum(2), value, "K", 2.0, None)
-
-    @pytest.mark.parametrize(
-        "unit, g, message",
-        [
-            ("meV", 2.0, "coupling unit must be 'K' or 'cm-1', got 'meV'"),
-            ("K", 2.6, "g_factor 2.6 outside sanity range"),
-            ("cm-1", 1.4, "g_factor 1.4 outside sanity range"),
-        ],
-    )
-    def test_record_rejects_bad_unit_and_g_factor(self, unit, g, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            CompoundRecord("X", SpinQuantum(2), 5.0, unit, g, None)
+            CompoundRecord("X", SpinQuantum(2), value, None)
 
     def test_record_values(self):
         cn = lookup_compound("CN")
@@ -388,17 +381,10 @@ class TestCompounds:
         assert cn.reported_tc_kelvin == 4.7
         mn = lookup_compound("mncu")
         assert mn.spin.twice_spin == 5
-        assert mn.coupling_value == 23.44
-        assert mn.coupling_unit == "cm-1"
-        assert mn.coupling_kelvin == pytest.approx(
-            wavenumber_to_kelvin(23.44), rel=0
-        )
+        assert mn.coupling_kelvin == wavenumber_to_kelvin(23.44)
         assert mn.reported_tc_kelvin == 40.0
         hts = lookup_compound("Cu-HTS")
-        assert hts.g_factor == 2.06
-        assert hts.coupling_value == 10.2
         assert hts.reported_tc_kelvin is None
-        assert lookup_compound("NiCu").g_factor == 2.15
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="NiCu"):
