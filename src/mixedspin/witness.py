@@ -299,7 +299,7 @@ class CompoundRecord:
         return None if reported is None else (tc_kelvin - reported) / reported
 
 
-# couplings quoted in cm-1 are converted to kelvin here, once
+# the literature quotes every coupling but CN's in cm-1
 _COMPOUNDS = (
     CompoundRecord("CN", SpinQuantum(1), 5.12, 4.7),
     CompoundRecord("NiCu", SpinQuantum(2), wavenumber_to_kelvin(81.4), 125.0),

@@ -1,14 +1,13 @@
-"""Count the code lines of a package, per module and in total.
+"""Count the code lines of src/mixedspin, per module and in total.
 
 A code line holds a token other than a comment, a newline or an indent,
 and lies outside the module, class and function docstrings. A token
 that spans lines (a multi-line string) makes each of its lines a code
 line. Blank lines, comment lines and docstrings do not count.
 
-    python tests/count_code_lines.py [PACKAGE_DIR]
+    python tests/count_code_lines.py
 
-PACKAGE_DIR defaults to this checkout's src/mixedspin. The output is one
-"module lines" row per module, then "total lines".
+The output is one "module lines" row per module, then "total lines".
 """
 
 from __future__ import annotations
@@ -52,10 +51,9 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name} {count}")
@@ -64,4 +62,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

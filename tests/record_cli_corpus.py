@@ -51,6 +51,9 @@ ROWS = [
     ("tc_ring8_s_half_json", "tc --model chain --spin 1/2 --sites 8 --coupling 10K --format json", {}),
     ("tc_open8_s1", "tc --model chain --spin 1 --sites 8 --boundary open --coupling 10K", {}),
     ("tc_open4_s3half", "tc --model chain --spin 3/2 --sites 4 --boundary open --coupling 7.5cm-1", {}),
+    # the README's two bisected T_c with an undetermined 9th digit
+    ("tc_ring8_s1", "tc --model chain --spin 1 --sites 8 --coupling 10K", {}),
+    ("tc_open6_s1", "tc --model chain --spin 1 --sites 6 --boundary open --coupling 10K", {}),
     # sweep
     ("sweep_default", "sweep", {}),
     ("sweep_grid_json", "sweep --spins 1,2 --couplings 10K,20cm-1 --format json", {}),
