@@ -29,6 +29,7 @@ from .chain import (
     diagonalize,
     susceptibility_exact,
     thermal_mean,
+    thermal_mean_and_slope,
     thermal_weights,
 )
 from .fitdata import (
@@ -44,7 +45,6 @@ from .pair import (
     characteristic_temperature,
     negativity_from_g1,
     pair_correlator,
-    pair_correlator_literature,
     pair_negativity,
 )
 from .units import (

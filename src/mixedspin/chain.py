@@ -65,6 +65,7 @@ __all__ = [
     "correlator_matrix",
     "susceptibility_exact",
     "thermal_mean",
+    "thermal_mean_and_slope",
     "bond_levels",
     "reduced_pair_state",
     "negativity_bruteforce",
@@ -963,6 +964,17 @@ def _weighted_sums(
     return factors.sum(-1), z
 
 
+def _per_entry(data: SectorSpectralData, values: np.ndarray) -> np.ndarray:
+    """`values` as floats, one per level-table entry, or ValueError."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != data.levels.shape:
+        raise ValueError(
+            f"values must hold one number per level-table entry, shape "
+            f"{data.levels.shape}; got shape {values.shape}"
+        )
+    return values
+
+
 def thermal_mean(
     data: SectorSpectralData,
     values: np.ndarray,
@@ -988,12 +1000,7 @@ def thermal_mean(
     temperature; for an array, an array of the same shape whose elements
     equal the scalar calls bitwise.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != data.levels.shape:
-        raise ValueError(
-            f"values must hold one number per level-table entry, shape "
-            f"{data.levels.shape}; got shape {values.shape}"
-        )
+    values = _per_entry(data, values)
     scalar = np.ndim(temperature_kelvin) == 0
     t = np.asarray(temperature_kelvin, dtype=float)
     hot = t > data.spec.level_spread_kelvin
@@ -1020,6 +1027,34 @@ def thermal_mean(
         _, scale = np.frexp(np.abs(values).max())
         mean = np.ldexp(ratio(np.ldexp(values, -scale)), scale)
     return float(mean) if scalar else mean
+
+
+def thermal_mean_and_slope(
+    data: SectorSpectralData, values: np.ndarray, temperature_kelvin: float
+) -> tuple[float, float | None]:
+    """`thermal_mean` at one temperature, bitwise, and its derivative in T.
+
+    From the same Boltzmann factors f, the slope is d<b>/dT = (<bE> -
+    <b><E>)/T^2, taken as -sum m f (b - <b>) (E0 - E) / (Z T^2): on a
+    ring, where the bond values are E/(nJ), that is Var(E)/(nJT^2) > 0.
+    Above the level spread, where `thermal_mean` takes its expm1 form,
+    and where its sums overflow, the mean is `thermal_mean`'s own and
+    the slope is None, as it is wherever it is not a finite number.
+    """
+    values = _per_entry(data, values)
+    t = float(temperature_kelvin)
+    if t > data.spec.level_spread_kelvin:
+        return thermal_mean(data, values, t), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = _boltzmann_factors(data._gaps, t)
+        weighted *= data._weights
+        z = weighted.sum()
+        # the products and pairwise sums of `_weighted_sums`, bit for bit
+        mean = float((weighted * values).sum() / z)
+        if not math.isfinite(mean):
+            return thermal_mean(data, values, t), None
+        slope = float(-(((values - mean) * weighted) @ data._gaps) / z / t / t)
+    return mean, (slope if math.isfinite(slope) else None)
 
 
 def bond_levels(data: SectorSpectralData, bond: tuple[int, int]) -> np.ndarray:

@@ -32,6 +32,7 @@ from .chain import (
     diagonalize,
     susceptibility_exact,
     thermal_mean,
+    thermal_mean_and_slope,
 )
 
 # unused here; the bench layer tracer wraps them by these names
@@ -42,11 +43,7 @@ from .chain import (  # noqa: F401
 )
 from .fitdata import fit, load_measurements, synth_series
 from .operators import SpinQuantum
-from .pair import (
-    characteristic_temperature,
-    negativity_from_g1,
-    pair_correlator_literature,
-)
+from .pair import characteristic_temperature, negativity_from_g1
 from .units import check_normal, kelvin_to_wavenumber, wavenumber_to_kelvin
 from .witness import (
     compound_report,
@@ -265,7 +262,7 @@ def _emit(args, rows, summary=None, comments=()) -> None:
 def _cmd_tc(args) -> None:
     if args.report:
         # the flags that choose a system or a model, at their unset values
-        unset = dict(spin=None, coupling=None, compound=None, model="pair", correlator="exact")
+        unset = dict(spin=None, coupling=None, compound=None, model="pair")
         if args.model == "pair":  # under --model chain they are its own flags
             unset.update(sites=None, boundary=None)
         _refuse(args, unset, "--report tabulates every built-in compound on the pair model; it")
@@ -287,22 +284,18 @@ def _cmd_tc(args) -> None:
         spin, coupling = SpinQuantum.parse(args.spin), _parse_coupling(args.coupling)
     if args.model == "pair":
         _chain_model(args)  # refuses --sites and --boundary
-        if args.correlator == "exact":
-            tc = characteristic_temperature(spin, coupling)
-        else:
-            tc = solve_tc(
-                lambda t: pair_correlator_literature(spin, coupling, t), spin, coupling
-            )
+        tc = characteristic_temperature(spin, coupling)
     else:
-        _refuse(args, dict(correlator="exact"), "the chain model", "; it belongs to the pair model")
         spec = ChainSpec(spin=spin, coupling_kelvin=coupling, **_chain_model(args))
         data = diagonalize(spec, vectors=False)
-        tc = solve_tc(functools.partial(thermal_mean, data, data.bond), spin, coupling)
+        tc = solve_tc(
+            functools.partial(thermal_mean_and_slope, data, data.bond), spin, coupling
+        )
     row = {
         "spin": spin,
         "coupling_kelvin": coupling,
         "model": args.model,
-        "correlator": args.correlator,
+        "correlator": "exact",
         "tc_kelvin": tc,
     }
     if compound is not None:
@@ -436,12 +429,6 @@ def _add_tc(p_tc: argparse.ArgumentParser) -> None:
     p_tc.add_argument("--coupling", help="e.g. '81.4cm-1' or '5.12K'")
     p_tc.add_argument("--compound", help="built-in compound name")
     _add_model_flags(p_tc, 6)
-    p_tc.add_argument(
-        "--correlator",
-        choices=("exact", "literature"),
-        default="exact",
-        help="pair correlator form",
-    )
     p_tc.add_argument(
         "--report",
         action="store_true",

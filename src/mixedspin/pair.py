@@ -19,7 +19,6 @@ from .units import check_normal, check_positive
 
 __all__ = [
     "pair_correlator",
-    "pair_correlator_literature",
     "pair_negativity",
     "negativity_from_g1",
     "characteristic_temperature",
@@ -69,28 +68,6 @@ def _correlator(spin: SpinQuantum, coupling_kelvin: float, temps: np.ndarray) ->
     # math.exp underflows to 0.0, the exact T -> 0 limit, without raising
     x = np.array(list(map(math.exp, exponents))).reshape(temps.shape)
     return s * (s + 1.0) * (x - 1.0) / (2.0 * ((s + 1.0) * x + s))
-
-
-def pair_correlator_literature(
-    spin: SpinQuantum, coupling_kelvin: float, temperature_kelvin: float
-) -> float:
-    """Commonly tabulated closed forms for the two smallest spins.
-
-    For S = 1/2 it is `pair_correlator`. For S = 1 the
-    tabulated expression carries a 5/6 prefactor relative to the exact
-    two-level thermal average; it is kept as a separate, clearly labeled
-    variant for comparison, not used by default anywhere.
-    """
-    if spin.twice_spin == 1:
-        return pair_correlator(spin, coupling_kelvin, temperature_kelvin)
-    _check_coupling(coupling_kelvin)
-    check_positive("temperature", temperature_kelvin)
-    if spin.twice_spin == 2:
-        e = math.exp(-1.5 * coupling_kelvin / temperature_kelvin)
-        return -5.0 * (1.0 - e) / (6.0 * (1.0 + 2.0 * e))
-    raise ValueError(
-        f"literature correlator is tabulated only for S = 1/2 and S = 1, got S = {spin}"
-    )
 
 
 def pair_negativity(

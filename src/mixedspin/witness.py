@@ -19,11 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import SpinQuantum
-from .pair import (
-    characteristic_temperature,
-    pair_correlator,
-    pair_correlator_literature,
-)
+from .pair import characteristic_temperature, pair_correlator
 from .units import (
     check_finite,
     check_normal,
@@ -135,23 +131,38 @@ def corrected_bound(
 
 
 def solve_tc(
-    correlator: Callable[[float], float],
+    correlator: Callable[[float], tuple[float, float | None]],
     spin: SpinQuantum,
     coupling_kelvin: float,
 ) -> float:
-    """Bisect for the temperature where G1(T) crosses -S/2, to 1e-8 J.
+    """The float where G1(T) + S/2 changes sign, found by safeguarded Newton.
 
-    `correlator` maps temperature (K) to the nearest-neighbor dot
-    correlator; it must be continuous and increasing. The bracket starts
-    at [1e-3, 1e3] * J and expands geometrically, never to inf, before
-    giving up; a coupling whose 1e3 J overflows raises ValueError.
+    `correlator` maps a temperature (K) to the nearest-neighbor dot
+    correlator G1 and its slope dG1/dT, or None where it has no slope
+    (`chain.thermal_mean_and_slope` on a level table); G1 must be
+    continuous and increasing. The bracket starts at [1e-3, 1e3] * J and
+    expands geometrically, never to inf, before giving up; a coupling
+    whose 1e3 J overflows raises ValueError, and a bracket end where
+    G1 = -S/2 exactly is returned as it is.
+
+    Newton steps in log T start from 0.9 J and stay inside the sign
+    bracket; a step that leaves it, lands on one of its ends or has no
+    slope is replaced by the bracket's geometric midpoint. Once a step
+    is at most 4 ulps, the bracket is closed around where it ends by
+    probes 1, 2, 4, ... ulps outward and bisected until its ends lo < hi
+    are adjacent floats with G1(lo) + S/2 < 0 <= G1(hi) + S/2; hi is
+    returned. Where the computed G1 + S/2 changes sign more than once
+    (near the crossing, from roundoff), hi is one of
+    those adjacent-float sign changes. Each evaluation goes through
+    `correlator`: about 10 on a level table, bracket ends included.
     """
     check_positive("coupling", coupling_kelvin)
     check_normal("coupling", coupling_kelvin)
     half_s = spin.value / 2.0
 
-    def f(t: float) -> float:
-        return correlator(t) + half_s
+    def f(t: float) -> tuple[float, float | None]:
+        g1, slope = correlator(t)
+        return g1 + half_s, slope
 
     lo = 1e-3 * coupling_kelvin
     hi = 1e3 * coupling_kelvin
@@ -160,17 +171,17 @@ def solve_tc(
             f"coupling {coupling_kelvin} K is too large: the T_c bracket "
             "[1e-3, 1e3] J overflows"
         )
-    flo, fhi = f(lo), f(hi)
+    (flo, _), (fhi, _) = f(lo), f(hi)
     for _ in range(8):
         if flo < 0.0:
             break
         lo /= 10.0
-        flo = f(lo)
+        flo, _ = f(lo)
     for _ in range(8):
         if fhi > 0.0 or math.isinf(hi * 10.0):
             break
         hi *= 10.0
-        fhi = f(hi)
+        fhi, _ = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -180,16 +191,60 @@ def solve_tc(
             f"witness does not change sign on [{lo:.3e}, {hi:.3e}] K; "
             "no characteristic temperature found"
         )
-    tol = 1e-8 * coupling_kelvin
-    while hi - lo > tol:
-        mid = _midpoint(lo, hi)
-        if not lo < mid < hi:  # no float between them: their spacing exceeds tol
-            break
-        if f(mid) < 0.0:
-            lo = mid
+
+    def probe(t: float) -> tuple[float, float | None]:
+        """f(t), with t made the end of the bracket on its side."""
+        nonlocal lo, hi
+        ft, slope = f(t)
+        if ft < 0.0:
+            lo = t
         else:
-            hi = mid
-    return _midpoint(lo, hi)
+            hi = t
+        return ft, slope
+
+    t = 0.9 * coupling_kelvin
+    while True:
+        ft, slope = probe(t)
+        rate = 0.0 if slope is None else t * slope  # dG1 / d(log T)
+        step = None
+        if rate > 0.0:
+            # exp of a log-T step above 709 overflows; any such step leaves
+            # the bracket, and so does the step to t * exp(709)
+            step = t * math.exp(min(-ft / rate, 709.0))
+            if abs(step - t) <= 4.0 * math.ulp(t):  # converged
+                break
+        if step is None or not lo < step < hi:
+            step = _geometric_midpoint(lo, hi)
+            if step is None:
+                return hi
+        t = step
+    # the Newton step is a few ulps: evaluate where it ends, close the
+    # bracket by probes 1, 2, 4, ... ulps beyond that, then bisect the
+    # bracket to adjacent floats
+    if lo < step < hi:
+        t = step
+        probe(t)
+    side = 1.0 if t == lo else -1.0
+    ulps = 1.0
+    while lo < (near := t + side * ulps * math.ulp(t)) < hi:
+        probe(near)
+        if near != (lo if side > 0.0 else hi):  # the probe crossed over
+            break
+        ulps *= 2.0
+    while True:
+        mid = _midpoint(lo, hi)
+        if not lo < mid < hi:
+            return hi
+        probe(mid)
+
+
+def _geometric_midpoint(lo: float, hi: float) -> float | None:
+    """sqrt(lo hi) of two positive floats, strictly between them; their
+    `_midpoint` where the rounded root is not; None if no float is."""
+    mid = math.sqrt(lo) * math.sqrt(hi)
+    if not lo < mid < hi:
+        mid = _midpoint(lo, hi)
+    return mid if lo < mid < hi else None
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -338,28 +393,17 @@ class CompoundTcRow:
     spin: SpinQuantum
     coupling_kelvin: float
     computed_tc_kelvin: float
-    literature_variant_tc_kelvin: float | None
     reported_tc_kelvin: float | None
     relative_deviation: float | None
     matches_reported: bool | None
 
 
 def compound_report() -> tuple[CompoundTcRow, ...]:
-    """Pair-model T_c for every built-in compound, against the literature.
-
-    `literature_variant_tc_kelvin` solves T_c with the tabulated
-    (literature-form) correlator instead of the exact one; it exists only
-    for S = 1/2 and S = 1, and for S = 1/2 the two coincide.
-    """
+    """Pair-model T_c for every built-in compound, against the literature."""
     rows = []
     for rec in builtin_compounds():
         j = rec.coupling_kelvin
         computed = characteristic_temperature(rec.spin, j)
-        variant = None
-        if rec.spin.twice_spin in (1, 2):
-            variant = solve_tc(
-                lambda t: pair_correlator_literature(rec.spin, j, t), rec.spin, j
-            )
         deviation = rec.deviation(computed)
         matches = None if deviation is None else abs(deviation) <= REPRODUCIBILITY_TOLERANCE
         rows.append(
@@ -368,7 +412,6 @@ def compound_report() -> tuple[CompoundTcRow, ...]:
                 spin=rec.spin,
                 coupling_kelvin=j,
                 computed_tc_kelvin=computed,
-                literature_variant_tc_kelvin=variant,
                 reported_tc_kelvin=rec.reported_tc_kelvin,
                 relative_deviation=deviation,
                 matches_reported=matches,

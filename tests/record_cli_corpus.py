@@ -39,7 +39,6 @@ ROWS = [
     # tc, pair model
     ("tc_pair_wavenumber", "tc --spin 1 --coupling 81.4cm-1", {}),
     ("tc_pair_twice_spin_json", "tc --spin 5/2 --coupling 3.2K --format json", {}),
-    ("tc_pair_literature", "tc --spin 1/2 --coupling 5K --correlator literature", {}),
     ("tc_pair_large_spin", "tc --spin 206827000 --coupling 1K", {}),
     ("tc_compound", "tc --compound CN", {}),
     ("tc_compound_wavenumber", "tc --compound NiCu", {}),
@@ -51,7 +50,7 @@ ROWS = [
     ("tc_ring8_s_half_json", "tc --model chain --spin 1/2 --sites 8 --coupling 10K --format json", {}),
     ("tc_open8_s1", "tc --model chain --spin 1 --sites 8 --boundary open --coupling 10K", {}),
     ("tc_open4_s3half", "tc --model chain --spin 3/2 --sites 4 --boundary open --coupling 7.5cm-1", {}),
-    # the README's two bisected T_c with an undetermined 9th digit
+    # the README's two chain T_c
     ("tc_ring8_s1", "tc --model chain --spin 1 --sites 8 --coupling 10K", {}),
     ("tc_open6_s1", "tc --model chain --spin 1 --sites 6 --boundary open --coupling 10K", {}),
     # sweep
@@ -107,7 +106,6 @@ ROWS = [
     ("fit_pair_sites", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --sites 4", {}),
     ("tc_bad_dim_cap", "tc --model chain --spin 1 --coupling 10K", {"MIXEDSPIN_DIM_CAP": "big"}),
     ("tc_compound_spin", "tc --compound CN --spin 1/2", {}),
-    ("tc_chain_literature", "tc --model chain --spin 1 --coupling 5K --correlator literature", {}),
     ("fit_ring4_dim_cap_0", "fit --input {data}/chain_fit_n4.csv --spin 1 --init-j 5K --model chain --sites 4", {"MIXEDSPIN_DIM_CAP": "0"}),
     ("synth_ring4_dim_cap_0", "synth --spin 1 --j 10K --g 2 --temps 1,2 --model chain", {"MIXEDSPIN_DIM_CAP": "0"}),
     ("fit_subnormal_temp", "fit --input {data}/corpus_subnormal_temp.csv --spin 1 --init-j 5K", {}),

@@ -171,7 +171,9 @@ def test_dimer_and_sector_blocking_consistency():
             brute = negativity_bruteforce(rho, dims[0], dims[1])
             assert abs(brute - pair_negativity(spin, coupling, float(t))) < 1e-10
         tc_chain = solve_tc(
-            lambda t: float(correlator_matrix(data, t).g_dot[0, 1]), spin, coupling
+            lambda t: (float(correlator_matrix(data, t).g_dot[0, 1]), None),
+            spin,
+            coupling,
         )
         assert tc_chain == pytest.approx(
             characteristic_temperature(spin, coupling), rel=1e-7

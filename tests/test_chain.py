@@ -23,6 +23,7 @@ from mixedspin.chain import (
     reduced_pair_state,
     susceptibility_exact,
     thermal_mean,
+    thermal_mean_and_slope,
     thermal_weights,
 )
 from mixedspin.operators import (
@@ -465,6 +466,76 @@ class TestThermalMean:
         for values in (data.levels[:-1], data.all_eigenvalues()):
             with pytest.raises(ValueError, match="level-table entry"):
                 thermal_mean(data, values, 1.0)
+            with pytest.raises(ValueError, match="level-table entry"):
+                thermal_mean_and_slope(data, values, 1.0)
+
+
+class TestThermalMeanAndSlope:
+    """The T_c kernel: `thermal_mean` at one temperature, bit for bit, and
+    its derivative in T from the same Boltzmann factors."""
+
+    @pytest.mark.parametrize("coupling", [1.3, 10.0, -0.7])
+    @pytest.mark.parametrize(
+        "n,ts,boundary",
+        [(2, 1, "open"), (4, 1, "periodic"), (6, 5, "periodic"), (8, 2, "open"),
+         (4, 9, "open"), (8, 2, "periodic")],
+    )
+    def test_mean_is_thermal_mean_bitwise(self, n, ts, boundary, coupling):
+        data = diagonalize(
+            ChainSpec(n, SpinQuantum(ts), coupling, boundary=boundary), vectors=False
+        )
+        spread = data.spec.level_spread_kelvin
+        temps = [1e-300, *(abs(coupling) * np.geomspace(1e-3, 1e3, 61)).tolist()]
+        temps += [spread, float(np.nextafter(spread, 2 * spread))]
+        assert any(t > spread for t in temps)
+        for values in (data.bond, data.levels):
+            for t in temps:
+                mean, slope = thermal_mean_and_slope(data, values, t)
+                assert type(mean) is float
+                assert mean.hex() == thermal_mean(data, values, t).hex()
+                # the expm1 form above the level spread has no slope
+                assert (slope is None) == (t > spread)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_mean_is_thermal_mean_bitwise_where_its_sums_overflow(self, boundary):
+        # at T = J, below the level spread, the levels' sums overflow, and
+        # `thermal_mean` redoes them on rescaled values
+        spec = ChainSpec(4, SpinQuantum(2), 2.0761934805741516e307, boundary=boundary)
+        data = diagonalize(spec, vectors=False)
+        t = spec.coupling_kelvin
+        assert t < spec.level_spread_kelvin
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = data.multiplicity * np.exp((data.ground_energy_kelvin - data.levels) / t)
+            assert not np.isfinite((w * data.levels).sum() / w.sum())
+        mean, slope = thermal_mean_and_slope(data, data.levels, t)
+        assert mean.hex() == thermal_mean(data, data.levels, t).hex()
+        assert math.isfinite(mean) and slope is None
+
+    @pytest.mark.parametrize("coupling", [1.3, 10.0, -0.7])
+    @pytest.mark.parametrize("n,ts", [(4, 1), (6, 5), (8, 2), (4, 9), (10, 1)])
+    def test_ring_slope_is_the_energy_variance(self, n, ts, coupling):
+        # b = E/(nJ) on a ring, so dG1/dT = Var(E)/(nJT^2)
+        data = diagonalize(ChainSpec(n, SpinQuantum(ts), coupling), vectors=False)
+        spread = data.spec.level_spread_kelvin
+        for t in np.geomspace(1e-2 * abs(coupling), spread, 40).tolist():
+            _, slope = thermal_mean_and_slope(data, data.bond, t)
+            w = data.multiplicity * np.exp((data.ground_energy_kelvin - data.levels) / t)
+            energy = (w * data.levels).sum() / w.sum()
+            variance = (w * (data.levels - energy) ** 2).sum() / w.sum()
+            assert slope == pytest.approx(variance / (n * coupling * t * t), rel=1e-12)
+
+    @pytest.mark.parametrize("n,ts", [(2, 1), (4, 3), (6, 2), (8, 1), (4, 9)])
+    def test_open_slope_is_the_derivative_of_thermal_mean(self, n, ts):
+        data = diagonalize(ChainSpec(n, SpinQuantum(ts), 1.3, boundary="open"), vectors=False)
+        spread = data.spec.level_spread_kelvin
+        for t in np.geomspace(0.05, 0.99 * spread, 25).tolist():
+            h = 1e-5 * t
+            central = (
+                thermal_mean(data, data.bond, t + h) - thermal_mean(data, data.bond, t - h)
+            ) / (2 * h)
+            _, slope = thermal_mean_and_slope(data, data.bond, t)
+            # the difference quotient's roundoff is about 2e-16 |G1| / h
+            assert slope == pytest.approx(central, rel=1e-6, abs=1e-10 / t)
 
 
 def oracle_weights(data, temperature_kelvin):
@@ -1308,7 +1379,9 @@ class TestThermodynamicLimit:
         tcs = []
         for n in (4, 6, 8, 10):
             data = diagonalize(ChainSpec(n, spin, 1.0), vectors=False)
-            tcs.append(solve_tc(lambda t: thermal_mean(data, data.levels, t) / n, spin, 1.0))
+            tcs.append(
+                solve_tc(lambda t: thermal_mean_and_slope(data, data.bond, t), spin, 1.0)
+            )
         np.testing.assert_allclose(tcs, expected, rtol=0, atol=5e-6)
         steps = np.abs(np.diff(tcs))
         assert np.all(steps[1:] < steps[:-1])

@@ -23,6 +23,7 @@ from mixedspin.chain import (
     diagonalize,
     susceptibility_exact,
     thermal_mean,
+    thermal_mean_and_slope,
 )
 from mixedspin.cli import main
 from mixedspin.operators import SpinQuantum
@@ -135,18 +136,21 @@ class TestTcCommand:
             1.0 / math.log(3.0), rel=1e-7
         )
 
-    # the open chain bisects on the edge bond's per-level values of the
-    # multiplet spectrum; the correlator matrix of the Sz-block spectrum
-    # with eigenvectors, at every step, is the independent route
+    # the open chain solves on the edge bond's per-level values of the
+    # multiplet spectrum, with their slope; the correlator matrix of the
+    # Sz-block spectrum with eigenvectors, bisected with no slope, is the
+    # independent route
     @pytest.mark.parametrize("n,ts", [(2, 1), (4, 3), (6, 2), (8, 1)])
     def test_open_chain_tc_matches_correlator_bisection(self, n, ts):
         spin = SpinQuantum(ts)
         spec = ChainSpec(n, spin, 3.7, boundary="open")
         levels = diagonalize(spec, vectors=False)
-        tc = solve_tc(lambda t: thermal_mean(levels, levels.bond, t), spin, 3.7)
+        tc = solve_tc(
+            lambda t: thermal_mean_and_slope(levels, levels.bond, t), spin, 3.7
+        )
         data = diagonalize(spec)
         want = solve_tc(
-            lambda t: float(correlator_matrix(data, t).g_dot[0, 1]), spin, 3.7
+            lambda t: (float(correlator_matrix(data, t).g_dot[0, 1]), None), spin, 3.7
         )
         assert tc == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -177,7 +181,6 @@ class TestTcCommand:
             (["--compound", "CN", "--spin", "1/2"], "--spin 1/2, --compound CN"),
             (["--coupling", "5K"], "--coupling 5K"),
             (["--compound", "CN"], "--compound CN"),
-            (["--correlator", "literature"], "--correlator literature"),
             (["--spin", "1", "--coupling", "5K"], "--spin 1, --coupling 5K"),
             # the pair model's own refusal of the chain's flags
             (["--model", "pair", "--sites", "8"], "--sites 8"),
@@ -195,7 +198,7 @@ class TestTcCommand:
 
     def test_report_ignores_the_default_model_flags(self, capsys):
         plain = run(capsys, ["tc", "--report"])
-        explicit = ["--model", "pair", "--correlator", "exact"]
+        explicit = ["--model", "pair"]
         assert run(capsys, ["tc", "--report", *explicit]) == plain
 
     def test_negative_coupling_exits_2(self, capsys):
@@ -251,27 +254,6 @@ class TestTcCommand:
         code, _, err = run(capsys, ["tc", "--compound", "nope"])
         assert code == 2
         assert "NiCu" in err
-
-    def test_literature_correlator_needs_pair_model(self, capsys):
-        code, out, err = run(
-            capsys,
-            [
-                "tc",
-                "--spin",
-                "1/2",
-                "--coupling",
-                "1K",
-                "--model",
-                "chain",
-                "--correlator",
-                "literature",
-            ],
-        )
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: the chain model takes no --correlator literature; it belongs to "
-            "the pair model\n"
-        )
 
 
 class TestSweepCommand:
@@ -818,7 +800,6 @@ class TestOutOfDomainMeasurement:
         "argv",
         [
             ["tc", "--spin", "1", "--coupling", "1e-320K", "--model", "chain"],
-            ["tc", "--spin", "1", "--coupling", "1e-320K", "--correlator", "literature"],
             ["tc", "--spin", "1", "--coupling", "1e-320K"],
             ["chain", "--spin", "1", "--coupling", "1e-320K", "--temps", "1,2"],
             ["synth", "--spin", "1", "--j", "1e-320K", "--g", "2", "--temps", "1,2"],
@@ -902,10 +883,9 @@ class TestOutOfDomainMeasurement:
         "argv",
         [
             ["tc", "--spin", "1", "--coupling", "1e308K"],
-            ["tc", "--spin", "1", "--coupling", "1e308K", "--correlator", "literature"],
             ["sweep", "--spins", "1", "--couplings", "1e308K"],
         ],
-        ids=["tc", "tc-literature", "sweep"],
+        ids=["tc", "sweep"],
     )
     def test_overflowing_tc_formula_names_the_coupling(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -916,7 +896,7 @@ class TestOutOfDomainMeasurement:
 
     def test_bracket_near_the_largest_float_bisects_to_a_finite_tc(self, capsys):
         # 1e3 J is finite and 1e3 J + 1e-3 J is not: this printed tc = inf
-        argv = ["tc", "--spin", "1", "--correlator", "literature", "--coupling"]
+        argv = ["tc", "--spin", "1", "--model", "chain", "--coupling"]
         code, out, _ = run(capsys, [*argv, "1.7976931e305K"])
         assert code == 0
         _, [row], _ = parse_csv(out)

@@ -17,7 +17,6 @@ from mixedspin.pair import (
     characteristic_temperature,
     negativity_from_g1,
     pair_correlator,
-    pair_correlator_literature,
     pair_negativity,
 )
 
@@ -106,36 +105,6 @@ class TestPairCorrelator:
             pair_correlator(SpinQuantum(1), -1.0, 1.0)
         with pytest.raises(ValueError):
             pair_correlator(SpinQuantum(0), 1.0, 1.0)
-
-
-class TestLiteratureCorrelator:
-    def test_spin_half_coincides_with_exact(self):
-        for t in TGRID:
-            exact = pair_correlator(SpinQuantum(1), 1.0, float(t))
-            lit = pair_correlator_literature(SpinQuantum(1), 1.0, float(t))
-            assert lit == pytest.approx(exact, abs=1e-12)
-
-    def test_spin_half_closed_form_value(self):
-        # independent evaluation of -3(1 - e^{-J/T}) / (4(1 + 3 e^{-J/T}))
-        e = math.exp(-1.0)
-        expected = -3.0 * (1.0 - e) / (4.0 * (1.0 + 3.0 * e))
-        assert pair_correlator_literature(SpinQuantum(1), 1.0, 1.0) == pytest.approx(
-            expected, abs=1e-15
-        )
-
-    def test_spin_one_is_five_sixths_of_exact(self):
-        for t in TGRID:
-            exact = pair_correlator(SpinQuantum(2), 1.0, float(t))
-            lit = pair_correlator_literature(SpinQuantum(2), 1.0, float(t))
-            assert lit == pytest.approx(5.0 / 6.0 * exact, abs=1e-12)
-
-    def test_spin_one_zero_temperature_limit(self):
-        cold = pair_correlator_literature(SpinQuantum(2), 1.0, 1e-3)
-        assert cold == pytest.approx(-5.0 / 6.0, abs=1e-12)
-
-    def test_unsupported_spin(self):
-        with pytest.raises(ValueError):
-            pair_correlator_literature(SpinQuantum(3), 1.0, 1.0)
 
 
 class TestPairNegativity:

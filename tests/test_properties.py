@@ -227,7 +227,7 @@ class TestNoSubcommandExits1:
         spin=SPIN,
         coupling=COUPLING,
         form=st.sampled_from(
-            [[], ["--correlator=literature"], ["--model=chain", "--sites=4"]]
+            [[], ["--model=chain", "--sites=4"]]
             + [["--model=chain", "--sites=4", "--boundary=open"]]
         ),
     )

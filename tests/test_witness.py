@@ -1,17 +1,22 @@
 """Witness, negativity bound, T_c solving, sweeps, and compound table."""
 
 import dataclasses
+import functools
+import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixedspin import cli
+from mixedspin.chain import ChainSpec, diagonalize, thermal_mean, thermal_mean_and_slope
 from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
     characteristic_temperature,
     pair_correlator,
-    pair_correlator_literature,
     pair_negativity,
 )
 from mixedspin.units import chi_reduced_to_emu_per_mol, wavenumber_to_kelvin
@@ -206,19 +211,35 @@ class TestCorrectedBound:
             corrected_bound(0.1, 10.0, 1e-300, -1.0)
 
 
+def pair_g1_and_slope(spin, j):
+    """The pair correlator at T and its closed-form slope: with x =
+    exp(-D/T), D = J (2S+1)/2, dG1/dT = S(S+1)(2S+1) x (D/T) / (2 T
+    ((S+1) x + S)^2), as `solve_tc` takes them."""
+    s = spin.value
+    gap = j * (spin.twice_spin + 1) / 2.0
+
+    def correlator(t):
+        x = math.exp(-gap / t)
+        slope = s * (s + 1) * (2 * s + 1) * x * (gap / t)
+        slope /= 2.0 * t * ((s + 1) * x + s) ** 2
+        return pair_correlator(spin, j, t), slope
+
+    return correlator
+
+
 class TestSolveTc:
     @pytest.mark.parametrize("spin", ALL_SPINS)
     def test_agrees_with_closed_form(self, spin):
         j = 5.12
-        got = solve_tc(lambda t: pair_correlator(spin, j, t), spin, j)
+        got = solve_tc(pair_g1_and_slope(spin, j), spin, j)
         assert got == pytest.approx(
             characteristic_temperature(spin, j), rel=1e-8
         )
 
     def test_homogeneity(self):
         spin = SpinQuantum(3)
-        t1 = solve_tc(lambda t: pair_correlator(spin, 1.0, t), spin, 1.0)
-        t2 = solve_tc(lambda t: pair_correlator(spin, 2.0, t), spin, 2.0)
+        t1 = solve_tc(pair_g1_and_slope(spin, 1.0), spin, 1.0)
+        t2 = solve_tc(pair_g1_and_slope(spin, 2.0), spin, 2.0)
         assert t2 == pytest.approx(2.0 * t1, rel=1e-7)
 
     def test_chain_model_crossing_is_below_pair_value(self):
@@ -227,16 +248,16 @@ class TestSolveTc:
         spin = SpinQuantum(1)
         data = diagonalize(ChainSpec(6, spin, 1.0))
         tc_chain = solve_tc(
-            lambda t: float(correlator_matrix(data, t).g_dot[0, 1]), spin, 1.0
+            lambda t: (float(correlator_matrix(data, t).g_dot[0, 1]), None), spin, 1.0
         )
         tc_pair = characteristic_temperature(spin, 1.0)
         assert 0.0 < tc_chain < tc_pair
 
     def test_no_crossing_reported(self):
         with pytest.raises(RuntimeError):
-            solve_tc(lambda t: 0.0, SpinQuantum(1), 1.0)
+            solve_tc(lambda t: (0.0, None), SpinQuantum(1), 1.0)
         with pytest.raises(ValueError):
-            solve_tc(lambda t: 0.0, SpinQuantum(1), -1.0)
+            solve_tc(lambda t: (0.0, None), SpinQuantum(1), -1.0)
 
     @pytest.mark.parametrize("coupling", [1.7976932e305, 1e306, 1e308])
     def test_overflowing_bracket_names_the_coupling(self, coupling):
@@ -244,25 +265,24 @@ class TestSolveTc:
         spin = SpinQuantum(2)
         message = re.escape(f"coupling {coupling} K is too large")
         with pytest.raises(ValueError, match=message):
-            solve_tc(
-                lambda t: pair_correlator_literature(spin, coupling, t), spin, coupling
-            )
+            solve_tc(pair_g1_and_slope(spin, coupling), spin, coupling)
 
     @pytest.mark.parametrize("ts", [1, 2])
     def test_midpoint_of_a_bracket_near_the_largest_float(self, ts):
         # 1e3 J is finite but 1e3 J + 1e-3 J is not: the first midpoint
         # was inf, and the bisection returned it
         spin, j = SpinQuantum(ts), 1.7976931e305
-        got = solve_tc(lambda t: pair_correlator_literature(spin, j, t), spin, j)
-        want = solve_tc(lambda t: pair_correlator_literature(spin, 1.0, t), spin, 1.0)
+        got = solve_tc(pair_g1_and_slope(spin, j), spin, j)
+        want = solve_tc(pair_g1_and_slope(spin, 1.0), spin, 1.0)
         assert got / j == pytest.approx(want, rel=1e-8)
 
     def test_bracket_stops_growing_before_overflow(self):
         # G1 never reaches -S/2 + 0: the bracket grows by 10x until the
         # next step would overflow, and no correlator sees T = inf
         spin = SpinQuantum(2)
+        correlator = pair_g1_and_slope(spin, 1e300)
         with pytest.raises(RuntimeError, match="does not change sign"):
-            solve_tc(lambda t: pair_correlator(spin, 1e300, t) - 10.0, spin, 1e300)
+            solve_tc(lambda t: (correlator(t)[0] - 10.0, None), spin, 1e300)
 
     @pytest.mark.parametrize(
         "kink, end",
@@ -276,17 +296,17 @@ class TestSolveTc:
     )
     def test_a_bracket_end_on_the_boundary_is_returned(self, kink, end):
         spin = SpinQuantum(3)
-        got = solve_tc(lambda t: kink(t) - spin.value / 2.0, spin, 1.0)
+        got = solve_tc(lambda t: (kink(t) - spin.value / 2.0, None), spin, 1.0)
         assert got == pytest.approx(end, rel=1e-12)
 
     def test_bisection_stops_where_no_float_lies_between_the_ends(self):
         # G1 steps across -S/2 at 5e10 J, which only a grown bracket
-        # reaches; there adjacent floats are 7.6e-6 J apart, more than the
-        # 1e-8 J tolerance, so the bisection ends on two adjacent floats
+        # reaches; with no slope the search bisects down to the adjacent
+        # floats around the step and returns the upper one, the step
         spin = SpinQuantum(2)
         crossing = 5e10
-        got = solve_tc(lambda t: 0.0 if t >= crossing else -1.0, spin, 1.0)
-        assert crossing - math.ulp(crossing) <= got <= crossing
+        got = solve_tc(lambda t: (0.0 if t >= crossing else -1.0, None), spin, 1.0)
+        assert got == crossing
 
     @pytest.mark.parametrize("coupling", [math.nan, math.inf, 0.0, -1.0])
     def test_coupling_must_be_finite_and_positive(self, coupling):
@@ -294,7 +314,91 @@ class TestSolveTc:
         # computation ("does not change sign"), not as a usage error
         spin = SpinQuantum(2)
         with pytest.raises(ValueError, match="coupling must be finite and > 0"):
-            solve_tc(lambda t: pair_correlator(spin, 1.0, t), spin, coupling)
+            solve_tc(pair_g1_and_slope(spin, 1.0), spin, coupling)
+
+
+def bisect_to_adjacency(g1, half_s, lo, hi):
+    """Plain bisection of g1 + S/2 from a sign bracket down to two adjacent
+    floats; the upper one, where g1 + S/2 >= 0, is the root."""
+    assert g1(lo) + half_s < 0.0 <= g1(hi) + half_s
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if g1(mid) + half_s < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def corpus_chains():
+    """(n, 2S, boundary, J) of every `tc --model chain` row of the CLI corpus
+    that prints a T_c."""
+    corpus = Path(__file__).with_name("data") / "cli_corpus.json"
+    chains = []
+    for row in json.loads(corpus.read_text(encoding="utf-8")):
+        argv = shlex.split(row["command"])
+        if argv[0] != "tc" or "chain" not in argv or row["exit"] != 0:
+            continue
+        args = cli.build_parser("tc").parse_args(argv)
+        spin = SpinQuantum.parse(args.spin)
+        n = args.chain_sites if args.sites is None else args.sites
+        chains.append((n, spin.twice_spin, args.boundary or "periodic",
+                       cli._parse_coupling(args.coupling)))
+    return chains
+
+
+# the corpus chains, and every 2S <= 9 at n = 2 and 4 on both boundaries at
+# five couplings
+ORACLE_CHAINS = corpus_chains() + [
+    (n, ts, boundary, j)
+    for n in (2, 4)
+    for ts in range(1, 10)
+    for boundary in ("periodic", "open")
+    for j in (10.0, 0.37, 1.0, 123.4, 3e-5)
+]
+
+
+class TestSolveTcOnLevelTables:
+    """`solve_tc` on a level table's G1 and slope, against a plain bisection
+    of the same G1 to adjacent floats."""
+
+    def test_the_corpus_has_chain_rows(self):
+        assert len(corpus_chains()) >= 6
+
+    @pytest.mark.parametrize("n,ts,boundary,j", ORACLE_CHAINS)
+    def test_root_is_the_oracle_adjacent_float_sign_change(self, n, ts, boundary, j):
+        spin = SpinQuantum(ts)
+        data = diagonalize(ChainSpec(n, spin, j, boundary=boundary), vectors=False)
+        kernel = functools.partial(thermal_mean_and_slope, data, data.bond)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return kernel(t)
+
+        got = solve_tc(counted, spin, j)
+        assert len(calls) <= 20
+        half_s = spin.value / 2.0
+        g1 = functools.partial(thermal_mean, data, data.bond)
+        assert g1(math.nextafter(got, 0.0)) + half_s < 0.0 <= g1(got) + half_s
+        want = bisect_to_adjacency(g1, half_s, 1e-3 * j, 1e3 * j)
+        if got != want:
+            # roundoff makes the computed G1 + S/2 change sign more than once
+            # near the crossing: over up to 28 ulps (open n = 4, 2S = 9,
+            # J = 3e-5 K), so both are sign changes, close together
+            assert abs(got - want) <= 32 * math.ulp(want)
+
+    def test_closed_form_pair_slope_is_the_dimer_kernel(self):
+        for ts in range(1, 10):
+            spin = SpinQuantum(ts)
+            data = diagonalize(ChainSpec(2, spin, 1.7, boundary="open"), vectors=False)
+            closed_form = pair_g1_and_slope(spin, 1.7)
+            for t in np.geomspace(0.05, 1.7, 12).tolist():
+                g1, slope = thermal_mean_and_slope(data, data.bond, t)
+                want_g1, want_slope = closed_form(t)
+                assert g1 == pytest.approx(want_g1, rel=1e-13, abs=1e-15)
+                assert slope == pytest.approx(want_slope, rel=1e-12, abs=1e-300)
 
 
 class TestSweep:
@@ -415,18 +519,6 @@ class TestCompounds:
         for row in compound_report():
             g1 = pair_correlator(row.spin, row.coupling_kelvin, row.computed_tc_kelvin)
             assert g1 == pytest.approx(-row.spin.value / 2.0, abs=1e-8)
-
-    def test_literature_variant_only_for_small_spins(self):
-        rows = {r.name: r for r in compound_report()}
-        assert rows["CoCu"].literature_variant_tc_kelvin is None
-        # for S=1/2 the literature form is the exact form
-        assert rows["CN"].literature_variant_tc_kelvin == pytest.approx(
-            rows["CN"].computed_tc_kelvin, rel=1e-7
-        )
-        # the 5/6 prefactor moves the S=1 crossing well below the exact one
-        ni = rows["NiCu"]
-        assert ni.literature_variant_tc_kelvin == pytest.approx(103.0502, abs=1e-3)
-        assert ni.literature_variant_tc_kelvin < ni.computed_tc_kelvin
 
 
 class TestWitnessReport:
