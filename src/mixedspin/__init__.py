@@ -10,7 +10,7 @@ Library layout:
   thermal means of per-level values (energy, bond values), exact
   susceptibility.
 * `witness`: nearest-neighbor susceptibility, the separability
-  threshold and witness, negativity lower bound, T_c solving and
+  threshold and witness, the paper's negativity bound, T_c solving and
   sweeps, built-in compound table.
 * `fitdata`: measurement CSV ingestion, model curves, (J, g) fitting.
 * `cli`: the `mixedspin` command.
@@ -64,8 +64,6 @@ from .witness import (
     WitnessReport,
     builtin_compounds,
     compound_report,
-    corrected_bound,
-    correction_polynomial,
     lookup_compound,
     negativity_lower_bound,
     separability_threshold,

@@ -100,21 +100,25 @@ class ChainSpec:
             raise ValueError(
                 f"boundary must be 'periodic' or 'open', got {self.boundary!r}"
             )
+        if self.dim_cap < 2:
+            raise ValueError(f"dim_cap must be >= 2, got {self.dim_cap}")
         if not math.isfinite(self.level_spread_kelvin):
+            _check_cap(self)  # a chain too long for a float spread stops here
             raise ValueError(
                 f"coupling {self.coupling_kelvin} K is too large: the level "
                 "spread |J| n_bonds (2S+1)/2 of this chain overflows"
             )
-        if self.dim_cap < 2:
-            raise ValueError(f"dim_cap must be >= 2, got {self.dim_cap}")
 
     @cached_property
     def level_spread_kelvin(self) -> float:
         """|J| n_bonds (2S+1)/2. Each (S, 1/2) bond spans S/2 down to
         -(S+1)/2, so no level, no difference of two levels and no partial
-        sum of one exceeds this."""
+        sum of one exceeds this. inf where it leaves the float range."""
         n_bonds = self.n_sites - (self.boundary == "open")
-        return abs(self.coupling_kelvin) * (n_bonds * (self.spin.twice_spin + 1) / 2)
+        try:
+            return abs(self.coupling_kelvin) * (n_bonds * (self.spin.twice_spin + 1) / 2)
+        except OverflowError:  # n_bonds (2S+1)/2 itself
+            return math.inf
 
     @cached_property
     def site_twice_spins(self) -> tuple[int, ...]:

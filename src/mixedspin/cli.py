@@ -10,7 +10,10 @@ Exit codes: 0 success, 2 usage or validation errors, 3 computational
 failures (solver found no crossing, Hilbert-dimension cap exceeded, out
 of memory). The environment variable MIXEDSPIN_DIM_CAP overrides the
 default cap on exact-diagonalization Hilbert-space dimension. The chain
-model's G1 is `thermal_mean(data, data.bond, T)` on both boundaries.
+model's G1 is the thermal mean of the bond S_0 . S_1 over the level
+table on both boundaries: `thermal_mean(data, data.bond, T)` in `chain`,
+and `thermal_mean_and_slope` in `tc`, which gives the same G1 bit for
+bit and its slope.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def _parse_coupling(text: str) -> float:
 
 
 # every option whose value is a coupling such as '5.12K' or '-3K'
-_COUPLING_FLAGS = frozenset({"--coupling", "--couplings", "--correct-j", "--init-j", "--j"})
+_COUPLING_FLAGS = frozenset({"--coupling", "--couplings", "--init-j", "--j"})
 
 
 def _join_negative_couplings(argv: list[str]) -> list[str]:
@@ -323,20 +326,13 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_witness(args, with_bound: bool) -> None:
-    spin = SpinQuantum.parse(args.spin)
-    correction = (
-        _parse_coupling(args.correct_j)
-        if with_bound and args.correct_j is not None
-        else None
-    )
     report = witness_report(
         chi_value=args.chi,
         chi_unit=args.unit,
         temperature_kelvin=args.temp,
         g_factor=args.g,
         n_sites=args.n,
-        spin=spin,
-        correction_coupling_kelvin=correction,
+        spin=SpinQuantum.parse(args.spin),
     )
     row = {
         "temperature_kelvin": report.temperature_kelvin,
@@ -349,7 +345,6 @@ def _cmd_witness(args, with_bound: bool) -> None:
     }
     if with_bound:
         row["negativity_lower_bound"] = report.negativity_lower_bound
-        row["correction_applied"] = report.correction_applied
     _emit(args, [row])
 
 
@@ -452,11 +447,6 @@ def _add_witness(p_w: argparse.ArgumentParser, with_bound: bool) -> None:
     p_w.add_argument("--g", type=float, default=2.0, help="g-factor")
     p_w.add_argument("--n", type=int, default=2, help="spins per formula unit")
     _add_spin_flag(p_w)
-    if with_bound:
-        p_w.add_argument(
-            "--correct-j",
-            help="apply the finite-correlation correction at this coupling",
-        )
     _add_output_flags(p_w)
     p_w.set_defaults(run=functools.partial(_cmd_witness, with_bound=with_bound))
 

@@ -45,6 +45,10 @@ class SpinQuantum:
         if self.twice_spin < 1:
             # spin 0 carries no magnetic moment, and no site of this package has it
             raise ValueError(f"twice_spin must be >= 1, got {self.twice_spin}")
+        try:  # the formulas take S and 2S + 1 as floats
+            float(self.twice_spin + 1)
+        except OverflowError:
+            raise ValueError("spin is too large: 2S + 1 leaves the float range") from None
         object.__setattr__(self, "twice_spin", int(self.twice_spin))
 
     @classmethod

@@ -3,8 +3,10 @@
 The zero-field susceptibility of the alternating (S, 1/2) chain, in
 reduced form chi_tilde = chi k_B T / (g^2 mu_B^2), certifies
 entanglement whenever it drops below a separability threshold. The
-witness is chi_tilde minus that threshold; a negative witness rescales
-into a lower bound on the nearest-neighbor negativity.
+witness W is chi_tilde minus that threshold. The paper rescales it into
+its "bound of negativity" -6W/(n(2S+1)), which is not a proven bound:
+on the exact S = 1/2 ring of 4 sites at T = 0.5 J it reads 0.321, above
+the exact bond negativity 0.137.
 
 All core functions work in reduced (dimensionless) susceptibility and
 kelvin energies; `witness_report` converts emu/mol input at the edge.
@@ -19,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import SpinQuantum
-from .pair import characteristic_temperature, pair_correlator
+from .pair import characteristic_temperature
 from .units import (
     check_finite,
     check_normal,
@@ -33,8 +35,6 @@ __all__ = [
     "susceptibility_nn_approx",
     "separability_threshold",
     "negativity_lower_bound",
-    "correction_polynomial",
-    "corrected_bound",
     "solve_tc",
     "LinearLaw",
     "SweepRow",
@@ -54,9 +54,13 @@ __all__ = [
 REPRODUCIBILITY_TOLERANCE = 0.05
 
 
-def _check_sites(n_sites: int) -> None:
+def _check_sites(n_sites: int, spin: SpinQuantum) -> None:
     if n_sites < 2 or n_sites % 2:
         raise ValueError(f"n_sites must be even and >= 2, got {n_sites}")
+    try:  # the negativity bound divides by the float n_sites (2S + 1)
+        float(n_sites * (spin.twice_spin + 1))
+    except OverflowError:
+        raise ValueError("n_sites is too large: n_sites (2S + 1) leaves the float range") from None
 
 
 def susceptibility_nn_approx(
@@ -69,7 +73,7 @@ def susceptibility_nn_approx(
     (M. Wiesniak, V. Vedral, C. Brukner, New J. Phys. 7, 258 (2005)).
     g1 may be a number (float result) or an array (array result).
     """
-    _check_sites(n_sites)
+    _check_sites(n_sites, spin)
     s = spin.value
     # g1 >= -(S+1)/2 in every state, so the exact value is >= 0; below 0 is roundoff
     chi = np.maximum(n_sites * (0.125 + s * s / 2.0 + g1 / 3.0), 0.0)
@@ -84,7 +88,7 @@ def separability_threshold(n_sites: int, spin: SpinQuantum) -> float:
     g1 = -S/2, written in its own operation order so that an exactly
     representable threshold (3 at n = 18, S = 1/2) stays exact.
     """
-    _check_sites(n_sites)
+    _check_sites(n_sites, spin)
     s = spin.value
     return n_sites * (12.0 * s * s - 4.0 * s + 3.0) / 24.0
 
@@ -92,42 +96,16 @@ def separability_threshold(n_sites: int, spin: SpinQuantum) -> float:
 def negativity_lower_bound(
     witness_reduced: float, n_sites: int, spin: SpinQuantum
 ) -> float:
-    """Lower bound on nearest-neighbor negativity from the reduced witness.
+    """The paper's negativity bound from the reduced witness W.
 
-    bound = -6 W / (D n) with D = 2S + 1; dimensionless, positive exactly
-    when the witness is negative. The actual negativity is >= this bound.
-    At the separable boundary W = 0 the bound is +0, never -0.
+    -6 W / (D n) with D = 2S + 1; dimensionless, positive exactly when the
+    witness is negative. It is the paper's rescaled witness, not a proven
+    lower bound: the exact negativity can be smaller (see the module
+    docstring). At the separable boundary W = 0 it is +0, never -0.
     """
-    _check_sites(n_sites)
-    d = spin.twice_spin + 1
+    _check_sites(n_sites, spin)
     # + 0.0 turns the -0.0 of a zero witness into 0.0 and changes nothing else
-    return -6.0 * witness_reduced / (d * n_sites) + 0.0
-
-
-def correction_polynomial(j_over_t: float) -> float:
-    """Finite-correlation correction weight P(y) = 0.11 y - 0.07 y^2, y = J/T.
-
-    y^2 is ** (libm pow), for its bits, or inf where that overflows.
-    """
-    try:
-        square = j_over_t**2
-    except OverflowError:
-        square = math.inf
-    return 0.11 * j_over_t - 0.07 * square
-
-
-def corrected_bound(
-    bound: float, coupling_kelvin: float, temperature_kelvin: float, g1: float
-) -> float:
-    """Negativity bound with the finite-correlation correction P(J/T) * g1.
-
-    Calibrated for the (1, 1/2) chain; the correction vanishes at high
-    temperature and at J/T = 11/7.
-    """
-    check_positive("temperature", temperature_kelvin)
-    corrected = bound + correction_polynomial(coupling_kelvin / temperature_kelvin) * g1
-    check_finite(f"corrected bound at T = {temperature_kelvin} K", corrected)
-    return corrected
+    return -6.0 * witness_reduced / ((spin.twice_spin + 1) * n_sites) + 0.0
 
 
 def solve_tc(
@@ -428,7 +406,7 @@ class WitnessReport:
     input chi; `negativity_lower_bound` is always dimensionless (a
     negativity). `verdict` ("entangled", "separable boundary" or "not
     detected") is the sign of the reduced witness, which also sets the
-    uncorrected bound; at the boundary the input-unit `witness_value`,
+    sign of the bound; at the boundary the input-unit `witness_value`,
     rounded on its own, can read 0 or the opposite sign.
     """
 
@@ -439,7 +417,6 @@ class WitnessReport:
     witness_value: float
     verdict: str
     negativity_lower_bound: float
-    correction_applied: bool
 
     @property
     def entangled(self) -> bool:
@@ -453,17 +430,13 @@ def witness_report(
     g_factor: float,
     n_sites: int,
     spin: SpinQuantum,
-    *,
-    correction_coupling_kelvin: float | None = None,
 ) -> WitnessReport:
     """Evaluate the witness for a measured susceptibility.
 
     chi_unit is 'emu/mol' (per mole of formula units, each carrying
     n_sites spins; the usual reporting convention has n_sites = 2, one
-    (S, 1/2) cell) or 'reduced'. When `correction_coupling_kelvin` is
-    given, the finite-correlation correction is applied to the bound
-    using the pair correlator at that coupling. A subnormal temperature
-    raises ValueError in either unit.
+    (S, 1/2) cell) or 'reduced'. A subnormal temperature raises
+    ValueError in either unit.
     """
     check_finite("susceptibility", chi_value)
     if chi_value < 0.0:  # chi k_B T / (g mu_B)^2 = <Sz_total^2> >= 0
@@ -474,32 +447,20 @@ def witness_report(
     if chi_unit == "reduced":
         chi_reduced = chi_value
     elif chi_unit == "emu/mol":
-        chi_reduced = chi_emu_per_mol_to_reduced(
-            chi_value, temperature_kelvin, g_factor
-        )
+        chi_reduced = chi_emu_per_mol_to_reduced(chi_value, temperature_kelvin, g_factor)
     else:
         raise ValueError(f"chi_unit must be 'emu/mol' or 'reduced', got {chi_unit!r}")
     threshold = separability_threshold(n_sites, spin)
-    w_reduced = chi_reduced - threshold
+    w_reduced = w_input = chi_reduced - threshold
     if chi_unit == "emu/mol":
         threshold = chi_reduced_to_emu_per_mol(threshold, temperature_kelvin, g_factor)
         w_input = chi_value - threshold
-    else:
-        w_input = w_reduced
     if w_reduced < 0.0:
         verdict = "entangled"
     elif w_reduced == 0.0:
         verdict = "separable boundary"
     else:
         verdict = "not detected"
-    bound = negativity_lower_bound(w_reduced, n_sites, spin)
-    applied = False
-    if correction_coupling_kelvin is not None:
-        g1 = pair_correlator(spin, correction_coupling_kelvin, temperature_kelvin)
-        bound = corrected_bound(
-            bound, correction_coupling_kelvin, temperature_kelvin, g1
-        )
-        applied = True
     return WitnessReport(
         temperature_kelvin=temperature_kelvin,
         chi_input=chi_value,
@@ -507,6 +468,5 @@ def witness_report(
         threshold=threshold,
         witness_value=w_input,
         verdict=verdict,
-        negativity_lower_bound=bound,
-        correction_applied=applied,
+        negativity_lower_bound=negativity_lower_bound(w_reduced, n_sites, spin),
     )

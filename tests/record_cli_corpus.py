@@ -61,8 +61,7 @@ ROWS = [
     ("witness_reduced_json", "witness --chi 0.5 --unit reduced --temp 3 --spin 1/2 --format json", {}),
     ("witness_separable", "witness --chi 2.5 --unit reduced --temp 40 --spin 3/2 --g 2.1 --n 2", {}),
     ("bound_reduced", "bound --chi 0.8 --unit reduced --temp 2 --spin 1", {}),
-    ("bound_corrected", "bound --chi 0.8 --unit reduced --temp 2 --spin 1 --correct-j 3K", {}),
-    ("bound_corrected_json", "bound --chi 1.2 --unit reduced --temp 4 --spin 3/2 --correct-j 2.5cm-1 --format json", {}),
+    ("bound_json", "bound --chi 1.2 --unit reduced --temp 4 --spin 3/2 --format json", {}),
     # chain
     ("chain_ring4_s1", "chain --spin 1 --sites 4 --coupling 10K --temps 1,10,100", {}),
     ("chain_ring8_s1_ferro", "chain --spin 1 --sites 8 --coupling -5K --temps log:0.5:50:5", {}),
@@ -88,7 +87,6 @@ ROWS = [
     ("tc_ferro_chain", "tc --model chain --spin 1 --coupling -3K", {}),
     ("tc_report_chain", "tc --report --model chain --sites 4 --boundary open", {}),
     ("tc_report_spin_coupling", "tc --report --spin 1 --coupling 5K", {}),
-    ("bound_ferro_correction", "bound --chi 0.8 --unit reduced --temp 2 --spin 1 --correct-j -3K --format json", {}),
     ("synth_ferro", "synth --spin 1/2 --j -6K --g 2 --temps 1,3,10 --model chain --sites 4 --boundary open", {}),
     ("sweep_no_spins", "sweep --spins ,", {}),
     ("sweep_no_couplings", "sweep --couplings ,", {}),

@@ -131,6 +131,13 @@ class TestChainSpec:
         ChainSpec(4, SpinQuantum(2), below, boundary=boundary)
         ChainSpec(4, SpinQuantum(2), 1e307, boundary=boundary)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    def test_chain_too_long_for_a_float_level_spread_is_refused_by_the_cap(self, boundary):
+        # n_bonds (2S+1)/2 leaves the float range: the cap refuses it at once
+        for n_sites in (2**1024, 10**400):
+            with pytest.raises(RuntimeError, match="dimension above 10{18} exceeds cap 32768;"):
+                ChainSpec(n_sites, SpinQuantum(1), 1.0, boundary=boundary)
+
     def test_dimension_cap_is_a_runtime_failure(self):
         spec = ChainSpec(8, SpinQuantum(5), 1.0, dim_cap=1000)
         with pytest.raises(RuntimeError, match="20736"):

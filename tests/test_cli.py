@@ -422,29 +422,13 @@ class TestBoundCommand:
             expected, rel=1e-8
         )
         assert expected > 0.0
-        assert row["correction_applied"] == "false"
+        assert list(row)[-1] == "negativity_lower_bound"
 
-    def test_correction_flag_shifts_bound(self, capsys):
-        base_args = [
-            "bound",
-            "--chi",
-            "0.05",
-            "--unit",
-            "reduced",
-            "--temp",
-            "2.0",
-            "--spin",
-            "1/2",
-        ]
-        _, out_plain, _ = run(capsys, base_args)
-        code, out_corr, _ = run(capsys, base_args + ["--correct-j", "3K"])
-        assert code == 0
-        _, rows_plain, _ = parse_csv(out_plain)
-        _, rows_corr, _ = parse_csv(out_corr)
-        assert rows_corr[0]["correction_applied"] == "true"
-        plain = float(rows_plain[0]["negativity_lower_bound"])
-        corrected = float(rows_corr[0]["negativity_lower_bound"])
-        assert corrected != plain
+    def test_correction_flag_is_gone(self, capsys):
+        argv = ["bound", "--chi", "0.05", "--unit", "reduced", "--temp", "2"]
+        code, out, err = run(capsys, [*argv, "--spin", "1/2", "--correct-j", "3K"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --correct-j 3K" in err
 
 
 class TestBoundaryVerdict:
@@ -482,7 +466,7 @@ class TestBoundaryVerdict:
         assert self.row(capsys, argv)["negativity_lower_bound"] == "0"
         code, out, _ = run(capsys, [*argv, "--format", "json"])
         assert code == 0
-        assert '"negativity_lower_bound": 0.0,' in out
+        assert out.endswith('"negativity_lower_bound": 0.0}\n')
 
 
 class TestOutOfDomainMeasurement:
@@ -536,29 +520,6 @@ class TestOutOfDomainMeasurement:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert err.startswith("error:")
-        assert out == ""
-
-    def test_correction_overflow_exits_2(self, capsys):
-        # reduced units never convert, but J/T overflows in the correction
-        # (at a normal temperature: a subnormal one is refused before it)
-        code, out, err = run(
-            capsys,
-            [
-                "bound",
-                "--spin",
-                "1",
-                "--chi",
-                "0.1",
-                "--unit",
-                "reduced",
-                "--temp",
-                "1e-300",
-                "--correct-j",
-                "1K",
-            ],
-        )
-        assert code == 2
-        assert "corrected bound" in err
         assert out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -770,14 +731,6 @@ class TestOutOfDomainMeasurement:
         assert code == 0
         assert "inf" not in out
 
-    def test_correction_square_overflow_exits_2(self, capsys):
-        # (J/T)^2 = 1e602 overflows in the correction polynomial
-        argv = ["bound", "--chi", "1", "--unit", "reduced", "--temp", "1e-300"]
-        code, out, err = run(capsys, [*argv, "--spin", "1", "--correct-j", "10K"])
-        assert (code, out) == (2, "")
-        assert "corrected bound" in err
-
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -805,7 +758,6 @@ class TestOutOfDomainMeasurement:
             ["synth", "--spin", "1", "--j", "1e-320K", "--g", "2", "--temps", "1,2"],
             ["synth", "--spin", "1", "--j", "1e-320K", "--g", "2", "--temps", "1,2"]
             + ["--model", "chain", "--sites", "4"],
-            ["bound", "--chi", "0.1", "--temp", "5", "--spin", "1", "--correct-j", "1e-320K"],
             ["fit", "--input", CHAIN_SERIES, "--spin", "1", "--init-j", "1e-320K"],
             ["chain", "--spin", "1", "--coupling", "1K", "--temps", "1:inf:3"],
             ["chain", "--spin", "1", "--coupling", "1K", "--temps", "log:1:inf:3"],
@@ -1150,10 +1102,9 @@ class TestChainCommand:
             "chain --spin 1 --coupling -2.5cm-1 --temps 1,2",
             "sweep --couplings -3K,1K",
             "synth --spin 1 --j -3K --g 2 --temps 1",
-            "bound --chi 0.1 --unit reduced --temp 1 --spin 1 --correct-j -3K",
             f"fit --input {CHAIN_SERIES} --spin 1 --init-j -3K",
         ],
-        ids=["chain-K", "chain-cm-1", "sweep", "synth", "bound", "fit"],
+        ids=["chain-K", "chain-cm-1", "sweep", "synth", "fit"],
     )
     def test_negative_coupling_token_reads_as_the_flag_value(self, capsys, line):
         spaced = run(capsys, shlex.split(line))
@@ -1671,6 +1622,50 @@ class TestOutputContract:
         assert len(digits) <= 9
 
 
+HUGE = str(10**400)  # an integer beyond the float range
+
+
+class TestHugeIntegers:
+    """A spin, a spin list, a site count or --n beyond the float range exits
+    2 with a message naming it, or 3 where the dimension cap refuses the
+    chain first; each of these once raised OverflowError (exit 1)."""
+
+    WITNESS = ["--chi", "1", "--temp", "1"]
+    FIT = ["fit", "--input", CHAIN_SERIES, "--init-j", "5K"]
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["tc", "--spin", HUGE, "--coupling", "1K"], 2, "spin is too large"),
+            (["tc", "--spin", f"{HUGE}/2", "--coupling", "1K", "--model", "chain"], 2,
+             "spin is too large"),
+            (["tc", "--spin", "1", "--coupling", "1K", "--model", "chain", "--sites", HUGE],
+             3, "exceeds cap"),
+            (["witness", *WITNESS, "--spin", HUGE], 2, "spin is too large"),
+            (["witness", *WITNESS, "--spin", "1", "--n", HUGE], 2, "n_sites is too large"),
+            (["bound", *WITNESS, "--spin", HUGE], 2, "spin is too large"),
+            (["bound", *WITNESS, "--spin", "1", "--n", HUGE, "--unit", "reduced"], 2,
+             "n_sites is too large"),
+            (["sweep", "--spins", f"1,{HUGE}"], 2, "spin is too large"),
+            (["synth", "--spin", HUGE, "--j", "1K", "--g", "2", "--temps", "1"], 2,
+             "spin is too large"),
+            (["synth", "--spin", "1", "--j", "1K", "--g", "2", "--temps", "1"]
+             + ["--model", "chain", "--sites", HUGE], 3, "exceeds cap"),
+            (["chain", "--spin", HUGE, "--coupling", "1K", "--temps", "1"], 2,
+             "spin is too large"),
+            (["chain", "--spin", "1", "--coupling", "1K", "--temps", "1", "--sites", HUGE],
+             3, "exceeds cap"),
+            ([*FIT, "--spin", HUGE], 2, "spin is too large"),
+            ([*FIT, "--spin", "1", "--model", "chain", "--sites", HUGE, "--boundary", "open"],
+             3, "exceeds cap"),
+        ],
+    )
+    def test_exits_2_or_3_with_a_message(self, capsys, argv, code, message):
+        got, out, err = run(capsys, argv)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and message in err
+
+
 class TestJsonFollowsCsv:
     """A table's columns are named once: JSON keys follow the CSV header."""
 
@@ -1682,7 +1677,7 @@ class TestJsonFollowsCsv:
         "witness": ["witness", "--chi", "0.05", "--unit", "reduced", "--temp", "2",
                     "--spin", "1/2"],
         "bound": ["bound", "--chi", "0.0145659", "--temp", "100", "--g", "2.15",
-                  "--spin", "1", "--correct-j", "117K"],
+                  "--spin", "1"],
         "chain": ["chain", "--spin", "1", "--sites", "2", "--coupling", "2K",
                   "--boundary", "open", "--temps", "1.0,2.0"],
         "fit": ["fit", "--input", CHAIN_SERIES, "--spin", "1", "--init-j", "8K"],

@@ -1,6 +1,7 @@
 """Spin algebra, embedding, eigensolver, and unit-conversion tests."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ class TestSpinQuantum:
             SpinQuantum(1.5)
         with pytest.raises(ValueError):
             SpinQuantum(True)
+
+    def test_2s_plus_1_must_be_a_float(self):
+        # 2^1024 - 2^970 is the least integer that float() overflows on
+        limit = 2**1024 - 2**970
+        assert SpinQuantum(limit - 2).value == sys.float_info.max / 2
+        for twice_spin in (limit - 1, limit, 2 * 10**400):
+            with pytest.raises(ValueError, match=r"spin is too large: 2S \+ 1 leaves"):
+                SpinQuantum(twice_spin)
 
     def test_derived_quantities(self):
         s = SpinQuantum(5)

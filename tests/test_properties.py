@@ -191,14 +191,17 @@ EXTREME = st.sampled_from(
 NUMBER = EXTREME | st.floats().map(repr)
 COUPLING = st.tuples(NUMBER, UNIT).map("".join)
 TEMPS = st.lists(NUMBER, min_size=1, max_size=3).map(",".join)
-SPIN = st.sampled_from(["1/2", "1", "3/2"])
-CHAIN = st.sampled_from(
-    [
-        ["--model=chain", "--sites=4"],
-        ["--model=chain", "--sites=4", "--boundary=open"],
-    ]
+# an integer beyond the float range, as a spin, a site count or --n
+HUGE = str(10**400)
+HUGE_INT = st.integers(min_value=2**1024, max_value=10**400).map(str)
+SPIN = st.sampled_from(["1/2", "1", "3/2"]) | HUGE_INT | HUGE_INT.map(lambda n: f"{n}/2")
+# chain sizes: 4 sites, or far past the dimension cap
+SITES = st.just("4") | HUGE_INT
+CHAIN = st.tuples(SITES, st.sampled_from([[], ["--boundary=open"]])).map(
+    lambda p: ["--model=chain", f"--sites={p[0]}", *p[1]]
 )
 MODEL = st.just(["--model=pair"]) | CHAIN
+N_SITES = st.integers(min_value=-2, max_value=12).map(str) | HUGE_INT
 # a run that succeeds prints no non-finite cell, in CSV or in JSON
 NON_FINITE_CELL = re.compile(r"(?i)(?<![\w.])-?(nan|inf|infinity)(?![\w.])")
 
@@ -223,21 +226,21 @@ class TestNoSubcommandExits1:
     """Every subcommand exits 0, 2 or 3 on any numeric flag, and never raises."""
 
     @PROPERTY
-    @given(
-        spin=SPIN,
-        coupling=COUPLING,
-        form=st.sampled_from(
-            [[], ["--model=chain", "--sites=4"]]
-            + [["--model=chain", "--sites=4", "--boundary=open"]]
-        ),
-    )
+    @given(spin=SPIN, coupling=COUPLING, form=st.just([]) | CHAIN)
+    # each once exited 1: 2S and the chain's size overflowed a float
+    @example(HUGE, "1K", [])
+    @example("1", "1K", ["--model=chain", f"--sites={HUGE}"])
     def test_tc(self, spin, coupling, form):
         assert_documented_exit(["tc", f"--spin={spin}", f"--coupling={coupling}", *form])
 
     @PROPERTY
-    @given(couplings=st.lists(COUPLING, min_size=1, max_size=2).map(",".join))
-    def test_sweep(self, couplings):
-        assert_documented_exit(["sweep", "--spins=1/2,1", f"--couplings={couplings}"])
+    @given(
+        spins=st.lists(SPIN, min_size=1, max_size=2).map(",".join),
+        couplings=st.lists(COUPLING, min_size=1, max_size=2).map(",".join),
+    )
+    @example(f"1,{HUGE}", "1K")
+    def test_sweep(self, spins, couplings):
+        assert_documented_exit(["sweep", f"--spins={spins}", f"--couplings={couplings}"])
 
     @PROPERTY
     @given(
@@ -246,20 +249,21 @@ class TestNoSubcommandExits1:
         temp=NUMBER,
         g=NUMBER,
         unit=st.sampled_from(["emu/mol", "reduced"]),
-        correction=st.none() | COUPLING,
+        spin=SPIN,
+        n=N_SITES,
     )
-    # each once exited 1: g^2 underflowed to 0, and (J/T)^2 overflowed
-    @example("witness", "1", "1", "1e-200", "emu/mol", None)
-    @example("bound", "1", "1e-300", "2", "reduced", "10K")
-    def test_witness_and_bound(self, command, chi, temp, g, unit, correction):
-        argv = [command, "--spin=1", f"--chi={chi}", f"--temp={temp}", f"--g={g}"]
-        argv.append(f"--unit={unit}")
-        if command == "bound" and correction is not None:
-            argv.append(f"--correct-j={correction}")
-        assert_documented_exit(argv)
+    # each once exited 1: g^2 underflowed to 0, 2S and n overflowed a float
+    @example("witness", "1", "1", "1e-200", "emu/mol", "1", "2")
+    @example("bound", "1", "1", "2", "emu/mol", HUGE, "2")
+    @example("bound", "1", "1", "2", "reduced", "1", HUGE)
+    def test_witness_and_bound(self, command, chi, temp, g, unit, spin, n):
+        argv = [command, f"--spin={spin}", f"--chi={chi}", f"--temp={temp}", f"--g={g}"]
+        assert_documented_exit([*argv, f"--unit={unit}", f"--n={n}"])
 
     @PROPERTY
     @given(spin=SPIN, j=COUPLING, g=NUMBER, temps=TEMPS, model=MODEL)
+    @example(HUGE, "1K", "2", "1", ["--model=pair"])
+    @example("1", "1K", "2", "1", ["--model=chain", f"--sites={HUGE}"])
     def test_synth(self, spin, j, g, temps, model):
         argv = ["synth", f"--spin={spin}", f"--j={j}", f"--g={g}", f"--temps={temps}"]
         assert_documented_exit([*argv, *model])
@@ -267,27 +271,32 @@ class TestNoSubcommandExits1:
     @PROPERTY
     @given(
         spin=SPIN,
+        sites=SITES,
         coupling=COUPLING,
         temps=TEMPS,
         boundary=st.sampled_from(["periodic", "open"]),
     )
-    def test_chain(self, spin, coupling, temps, boundary):
-        argv = ["chain", f"--spin={spin}", "--sites=4", f"--coupling={coupling}"]
+    @example(HUGE, "4", "1K", "1", "periodic")
+    @example("1", HUGE, "1K", "1", "open")
+    def test_chain(self, spin, sites, coupling, temps, boundary):
+        argv = ["chain", f"--spin={spin}", f"--sites={sites}", f"--coupling={coupling}"]
         assert_documented_exit([*argv, f"--temps={temps}", f"--boundary={boundary}"])
 
     @PROPERTY
     @given(
+        spin=SPIN,
         init_j=COUPLING,
         init_g=NUMBER,
         window=st.none() | st.tuples(NUMBER, NUMBER).map(":".join),
         model=MODEL,
     )
     # each once exited 1: exp(log J) overflowed, and so did a squared residual
-    @example("1e300K", "2", None, ["--model=pair"])
-    @example("1e300K", "2", None, ["--model=chain", "--sites=4"])
-    @example("12K", "1e100", None, ["--model=pair"])
-    def test_fit(self, series_csv, init_j, init_g, window, model):
-        argv = ["fit", f"--input={series_csv}", "--spin=1", f"--init-j={init_j}"]
+    @example("1", "1e300K", "2", None, ["--model=pair"])
+    @example("1", "1e300K", "2", None, ["--model=chain", "--sites=4"])
+    @example("1", "12K", "1e100", None, ["--model=pair"])
+    @example("1", "12K", "2", None, ["--model=chain", f"--sites={HUGE}"])
+    def test_fit(self, series_csv, spin, init_j, init_g, window, model):
+        argv = ["fit", f"--input={series_csv}", f"--spin={spin}", f"--init-j={init_j}"]
         argv += [f"--init-g={init_g}", *model]
         if window is not None:
             argv.append(f"--window={window}")

@@ -12,10 +12,17 @@ import numpy as np
 import pytest
 
 from mixedspin import cli
-from mixedspin.chain import ChainSpec, diagonalize, thermal_mean, thermal_mean_and_slope
+from mixedspin.chain import (
+    ChainSpec,
+    diagonalize,
+    susceptibility_exact,
+    thermal_mean,
+    thermal_mean_and_slope,
+)
 from mixedspin.operators import SpinQuantum
 from mixedspin.pair import (
     characteristic_temperature,
+    negativity_from_g1,
     pair_correlator,
     pair_negativity,
 )
@@ -24,8 +31,6 @@ from mixedspin.witness import (
     CompoundRecord,
     builtin_compounds,
     compound_report,
-    corrected_bound,
-    correction_polynomial,
     lookup_compound,
     negativity_lower_bound,
     separability_threshold,
@@ -148,6 +153,29 @@ class TestNegativityBound:
             -3.0, rel=1e-14
         )
 
+    def test_the_bound_exceeds_the_exact_negativity_of_a_ring(self):
+        # not a proven lower bound: on the S = 1/2 ring of 4 sites at
+        # T = 0.5 J the exact chi gives 0.321, the exact negativity 0.137
+        spin = SpinQuantum(1)
+        data = diagonalize(ChainSpec(4, spin, 1.0), vectors=False)
+        chi = float(susceptibility_exact(data, 0.5))
+        bound = witness_report(chi, "reduced", 0.5, 2.0, 4, spin).negativity_lower_bound
+        exact = negativity_from_g1(spin, thermal_mean(data, data.bond, 0.5))
+        assert (round(bound, 9), round(exact, 9)) == (0.321195617, 0.136912911)
+
+    @pytest.mark.parametrize("n_sites", [2**1023, 10**400])
+    def test_sites_whose_product_with_2s_plus_1_leaves_the_floats_are_refused(
+        self, n_sites
+    ):
+        # 2^1023 is a float, but 3 * 2^1023 is not
+        for call in (
+            functools.partial(negativity_lower_bound, -1.0, n_sites, SpinQuantum(2)),
+            functools.partial(separability_threshold, n_sites, SpinQuantum(2)),
+            functools.partial(witness_report, 1.0, "reduced", 1.0, 2.0, n_sites, SpinQuantum(2)),
+        ):
+            with pytest.raises(ValueError, match=r"n_sites is too large: n_sites \(2S \+ 1\)"):
+                call()
+
     @pytest.mark.parametrize("spin", ALL_SPINS)
     def test_bound_never_exceeds_negativity(self, spin):
         j = 1.7
@@ -182,33 +210,6 @@ class TestNegativityBound:
         tc = characteristic_temperature(spin, 1.0)
         chi = chi_nn_pair(spin, 1.0, 2.0 * tc)
         assert negativity_lower_bound(witness_value(chi, 2, spin), 2, spin) < 0.0
-
-
-class TestCorrectedBound:
-    def test_polynomial_values(self):
-        assert correction_polynomial(0.0) == 0.0
-        assert correction_polynomial(1.0) == pytest.approx(0.04, abs=1e-15)
-        assert correction_polynomial(11.0 / 7.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_correction_is_additive(self):
-        g1 = -0.8
-        base = 0.2
-        got = corrected_bound(base, 3.0, 2.0, g1)
-        assert got == pytest.approx(base + correction_polynomial(1.5) * g1, rel=1e-14)
-
-    def test_vanishes_at_high_temperature(self):
-        got = corrected_bound(0.1, 1.0, 1e9, -0.8)
-        assert got == pytest.approx(0.1, abs=1e-9)
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            corrected_bound(0.1, 1.0, 0.0, -0.5)
-
-    def test_overflowing_square_is_inf_and_the_bound_is_rejected(self):
-        # (J/T)^2 overflows at J/T = 1e301; P(y) is then -inf, not an error
-        assert correction_polynomial(1e301) == -math.inf
-        with pytest.raises(ValueError, match="corrected bound"):
-            corrected_bound(0.1, 10.0, 1e-300, -1.0)
 
 
 def pair_g1_and_slope(spin, j):
@@ -531,7 +532,6 @@ class TestWitnessReport:
         assert rep.negativity_lower_bound == pytest.approx(
             -6.0 * rep.witness_value / 4.0, rel=1e-12
         )
-        assert not rep.correction_applied
 
     def test_molar_input_matches_reduced_pathway(self):
         spin = SpinQuantum(1)
@@ -591,20 +591,6 @@ class TestWitnessReport:
                 )
         # the scan reaches inputs whose input-unit witness has its own sign
         assert signs_apart > 100
-
-    def test_correction_path(self):
-        spin = SpinQuantum(2)
-        t = 50.0
-        j = wavenumber_to_kelvin(81.4)
-        chi_red = chi_nn_pair(spin, j, t)
-        plain = witness_report(chi_red, "reduced", t, 2.15, 2, spin)
-        corrected = witness_report(
-            chi_red, "reduced", t, 2.15, 2, spin, correction_coupling_kelvin=j
-        )
-        assert corrected.correction_applied
-        g1 = pair_correlator(spin, j, t)
-        expected = plain.negativity_lower_bound + correction_polynomial(j / t) * g1
-        assert corrected.negativity_lower_bound == pytest.approx(expected, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
