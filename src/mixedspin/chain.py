@@ -253,9 +253,12 @@ def _basis(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     `SectorBlock`) and its 2Sz. `dim_cap` is checked before anything is
     allocated."""
     _check_cap(spec)
-    tspins = np.asarray(spec.site_twice_spins, dtype=np.int16)
+    # the labels and twice the digits lie within +-2 (2S): int16 where
+    # that fits, else the narrowest width that holds them
+    width = np.promote_types(np.int16, np.min_scalar_type(-2 * spec.spin.twice_spin))
+    tspins = np.asarray(spec.site_twice_spins, dtype=width)
     # row k of the index grid is site k's mixed-radix digit of each code
-    digits = np.indices(spec.site_dimensions, dtype=np.int16).reshape(spec.n_sites, -1)
+    digits = np.indices(spec.site_dimensions, dtype=width).reshape(spec.n_sites, -1)
     labels = np.ascontiguousarray((tspins[:, None] - 2 * digits).T)  # m descending
     twice_sz = labels.sum(axis=1, dtype=np.int64)
     return np.arange(labels.shape[0], dtype=np.int64), labels, twice_sz
@@ -437,7 +440,10 @@ def _ring_blocks(spec: ChainSpec) -> Iterator[tuple[int, int, int, np.ndarray, i
     )
     tgt, turns = rep_of[tgt_state], shift[tgt_state]
     rep_sz = twice_sz[reps]
-    sector = (rep_sz // 2).astype(np.int16)
+    # the sector numbers, and the groups 2 sector + 1 below, in int16
+    # where that fits, else the narrowest width that holds them
+    width = np.promote_types(np.int16, np.min_scalar_type(int(rep_sz.max()) + 1))
+    sector = (rep_sz // 2).astype(width)
     zz = _zz_energy(rep_labels, spec.bonds(), spec.coupling_kelvin)
     del codes, labels, twice_sz, rep_of, shift, reflected, digits, tgt_state
     # J/2 sqrt(x) sqrt(y) / 4 sqrt(L_a / L_b), and 1/sqrt 2 for each end of
@@ -562,9 +568,15 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     strides = np.asarray(spec.site_strides)
     paths = _coupling_paths(spec)
     inner = paths[:, 1:-1]  # j_k of the bonds (k, k + 1), 1 <= k <= n - 2
-    # each distinct symbol once, by its (2j_k-1, 2s_k, 2j_k, 2s_k+1, 2j_k+1)
+    # the steps d_k = j_k - j_k-1 + s_k of a path, each in 0 ... 2s_k
+    steps = (np.diff(paths, axis=1) + twice[1:]) // 2
+    # each distinct symbol once: (2j_k-1, 2s_k, 2j_k, 2s_k+1, 2j_k+1) is
+    # fixed by 2j_k, d_k, d_k+1 and whether site k is an S site (k even),
+    # packed in a radix of 4 (2S + 1) per value of 2j_k, which fits in
+    # int64 for every path table that fits in memory
     args = np.broadcast_arrays(paths[:, :-2], twice[1:-1], inner, twice[2:], paths[:, 2:])
-    key = np.ravel_multi_index(args, (paths.max() + 1,) * 5)
+    key = (inner * (twice[1:-1] + 1) + steps[:, :-1]) * (twice[2:] + 1) + steps[:, 1:]
+    key = 2 * key + np.arange(inner.shape[1]) % 2
     _, first, at = np.unique(key, return_index=True, return_inverse=True)
     symbols = np.stack(args, axis=-1).reshape(-1, 5)[first]
     six = np.array([six_j(*row, ts - 1) for row in symbols.tolist()])
@@ -573,10 +585,9 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     diagonal = coupling * (
         edge + (spec.n_sites - 2) * ts / 4 - (ts + 1) / 2 * (u * u).sum(1)
     )
-    # the steps d_k = j_k - j_k-1 + s_k of a path are digits in the sites'
-    # mixed radix, so its code ranks it among the paths; raising j_k by 1
-    # (d_k + 1, d_k+1 - 1) adds stride_k - stride_k+1 to the code
-    steps = (np.diff(paths, axis=1) + twice[1:]) // 2
+    # the steps d_k of a path are digits in the sites' mixed radix, so its
+    # code ranks it among the paths; raising j_k by 1 (d_k + 1, d_k+1 - 1)
+    # adds stride_k - stride_k+1 to the code
     codes = steps @ strides[1:]
     raises = (steps[:, :-1] < twice[1:-1]) & (steps[:, 1:] > 0)
     levels, twice_j, edges = [], [], []
@@ -630,7 +641,18 @@ def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
 # blocks span at most 6.0e-14 |J| (momentum blocks, n=6, 2S=7) and
 # 3.8e-14 |J| (Sz blocks, n=10, 2S=2), while two distinct levels of one
 # group lie at least 9.7e-7 |J| apart (Sz blocks of the n=12, 2S=1 ring).
+# Roundoff grows with the levels, which |J| n (S + 1)/2 bounds (a bond's
+# eigenvalues are S/2 and -(S + 1)/2), so the tolerance grows with
+# (S + 1)/2 from S = 1 on: at 2S = 32767 one ulp of the n=2 ring's
+# levels, 3.6e-12 |J|, exceeds 1e-12 |J| n.
 _GROUND_SNAP = 1e-12
+
+
+def _level_tolerance(spec: ChainSpec) -> float:
+    """1e-12 |J| n max(1, (S + 1)/2): the ground snap's and `_multiplets`'
+    tolerance."""
+    scale = max(1.0, (spec.spin.twice_spin + 2) / 4.0)
+    return _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites * scale
 
 
 def _multiplets(
@@ -644,8 +666,8 @@ def _multiplets(
     for (a ring's translation T and reflection P), so the levels of block
     (2Sz + 2, group) are among those of (2Sz, group), and a multiplet of
     spin J has one level in each 2Sz <= 2J. The eigenvalues of one group
-    are clustered, levels less than 1e-12 |J| n apart (the ground snap's
-    tolerance) falling in one cluster. A cluster with c_M levels in
+    are clustered, levels less than `_level_tolerance` apart (the ground
+    snap's tolerance) falling in one cluster. A cluster with c_M levels in
     2Sz = M holds c_M - c_{M+2} multiplets of 2J = M, and its lowest
     c_M - c_{M+2} levels in 2Sz = M are their energies, each taken from
     the smallest block that holds it: one vectorized pass over every
@@ -659,7 +681,7 @@ def _multiplets(
     twice_sz, group, copies, energy = (
         twice_sz[order], group[order], copies[order], energy[order]
     )
-    tol = _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites
+    tol = _level_tolerance(spec)
     starts = np.diff(energy, prepend=-np.inf) > tol
     starts[1:] |= group[1:] != group[:-1]
     cluster = np.cumsum(starts) - 1
@@ -678,7 +700,7 @@ def _multiplets(
             f"the 2Sz = {lowest + 2 * r + 2} block holds a level at "
             f"{float(energy[cluster == c][0])!r} K that the 2Sz = {lowest + 2 * r} "
             "block of its symmetry lacks: the levels are not SU(2) multiplets "
-            "to within 1e-12 |J| n"
+            f"to within {tol!r} K"
         )
     # each level's rank among its cluster's levels of its 2Sz, by energy (a
     # stable sort on the key); the lowest ones are the multiplets
@@ -729,7 +751,8 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
     made read-only because they are shared. Sectors keep their order
     (2Sz descending).
 
-    Every level within 1e-12 |J| n of the global ground energy is set to
+    Every level within `_level_tolerance` of the global ground energy,
+    1e-12 |J| n max(1, (S + 1)/2), is set to
     exactly that energy. Below T ~ 1e-13 J the Boltzmann factors would
     otherwise resolve the roundoff split of the ground multiplet; snapped,
     the multiplet keeps equal weights down to any T, so every thermal
@@ -765,7 +788,7 @@ def diagonalize(spec: ChainSpec, vectors: bool = True) -> SectorSpectralData:
             f"dimension {spec.total_dimension}"
         )
     e0 = float(levels.min())
-    levels[levels - e0 <= _GROUND_SNAP * abs(spec.coupling_kelvin) * spec.n_sites] = e0
+    levels[levels - e0 <= _level_tolerance(spec)] = e0
     if spec.boundary == "periodic" and not vectors:
         bond = levels / (spec.n_sites * spec.coupling_kelvin)
     spectra = {tsz: np.sort(levels[twice_j >= tsz]) for tsz in evecs}

@@ -16,7 +16,9 @@ two-point Nelder-Mead simplex on plain floats (`nelder_mead`) searches
 log J alone. log J keeps the coupling positive without constraints.
 
 Checks run once where they can: a series when it is built, the start
-and the chain spec once per fit. `fit` binds its model once
+values and the chain spec once per fit. The search starts from J alone:
+the start g is checked finite and > 0 and named in messages, but never
+evaluated, so it does not change the result. `fit` binds its model once
 (`_bind_model`), and each J of the search then guards only what J can
 push out of range. `model_chi` puts the public checks in front of the
 same model.
@@ -463,11 +465,12 @@ def fit(
     The model is `model_chi`'s, bound once (`_bind_model`): the pair for
     n_sites None, else the n_sites chain. The simplex minimizes the
     `_profile` residual p over log J from log init_coupling_kelvin, with
-    g solved at each J; init_g_factor enters only the check of the
-    start. Non-convergence is
-    not an exception: the best-so-far parameters come back with
-    converged=False. A start or a step that leaves the float range
-    raises ValueError, naming the start values, and so does
+    g solved at each J. init_g_factor must be finite and > 0, but no
+    model is evaluated at it: it names the start in messages and does
+    not change the result. Non-convergence is not an exception: the
+    best-so-far parameters come back with converged=False. A step that
+    leaves the float range (the first is the start J) raises
+    ValueError, naming the start values, and so does
     a result whose J the data do not pin (`_check_determined`): one where
     neither 2J nor J/2, each at its best g, raises the residual by one
     point's share, or where another minimum of the residual over J,
@@ -494,21 +497,6 @@ def fit(
     # a bad chain spec fails here, with its own message
     model = _bind_model(spin, n_sites, boundary, dim_cap)
     origin = f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor}"
-    # the start is the one point where g is not solved for: it must keep
-    # the model and its sum of squared residuals in the float range
-    try:
-        with np.errstate(over="ignore"):
-            residuals = model(init_coupling_kelvin, init_g_factor, temps) - chi
-            squares = float(np.sum(residuals**2))
-    except (OverflowError, ValueError):
-        squares = math.inf
-    if not squares < math.inf:
-        raise ValueError(
-            f"{origin} reached J = exp({math.log(init_coupling_kelvin)}) K, "
-            f"g = {init_g_factor}, where J, the model or a squared residual leaves "
-            "the float range"
-        )
-
     # chi is g^2 times the g = 1 model, so g^2 is solved at each J
     # (`_profile`) and the simplex searches log J alone
     g_squares: dict[float, float] = {}

@@ -131,7 +131,8 @@ def six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
     for x, y, z in triads:
         num *= f((x + y - z) // 2) * f((x - y + z) // 2) * f((y + z - x) // 2)
         den *= f((x + y + z) // 2 + 1)
-    return math.copysign(math.sqrt(num / den), total)
+    # the sign by comparison: a large total has no float
+    return -math.sqrt(num / den) if total < 0 else math.sqrt(num / den)
 
 
 @dataclass(frozen=True, eq=False)

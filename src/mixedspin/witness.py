@@ -284,28 +284,36 @@ def sweep_tc(
         for j in coupling_kelvins:
             tc = characteristic_temperature(spin, j)
             rows.append(SweepRow(spin, j, tc, tc / j))
-    xs = [row.spin.value for row in rows]
-    ys = [row.tc_over_j for row in rows]
     unique_spins = sorted({row.spin for row in rows})
     degenerate = len(unique_spins) == 1
     if degenerate:
-        law = LinearLaw(0.0, ys[0], 1.0)
+        law = LinearLaw(0.0, rows[0].tc_over_j, 1.0)
         return SweepResult(tuple(rows), law, law, True)
+    # both lines are fitted to x = S / 2^ex and y = (T_c/J) / 2^ey, which
+    # lie below 1, so no sum or square leaves the float range for any
+    # spin; scaling by powers of two is exact, so each law has the bits
+    # of the unscaled fit wherever that stays in range
+    ex = math.frexp(unique_spins[-1].value)[1]
+    ey = math.frexp(max(row.tc_over_j for row in rows))[1]
+    xs = [math.ldexp(row.spin.value, -ex) for row in rows]
+    ys = [math.ldexp(row.tc_over_j, -ey) for row in rows]
+
+    def law(slope: float, icpt: float) -> LinearLaw:
+        r_squared = _r_squared(xs, ys, slope, icpt)
+        return LinearLaw(math.ldexp(slope, ey - ex), math.ldexp(icpt, ey), r_squared)
+
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
     sxx = sum((x - mx) ** 2 for x in xs)
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     ls_slope = sxy / sxx
-    ls_icpt = my - ls_slope * mx
-    ls = LinearLaw(ls_slope, ls_icpt, _r_squared(xs, ys, ls_slope, ls_icpt))
-    s_lo, s_hi = unique_spins[0], unique_spins[-1]
+    ls = law(ls_slope, my - ls_slope * mx)
     # tc/J is independent of J, so any row at the extreme spin will do
-    y_lo = next(r.tc_over_j for r in rows if r.spin == s_lo)
-    y_hi = next(r.tc_over_j for r in rows if r.spin == s_hi)
-    ep_slope = (y_hi - y_lo) / (s_hi.value - s_lo.value)
-    ep_icpt = y_lo - ep_slope * s_lo.value
-    ep = LinearLaw(ep_slope, ep_icpt, _r_squared(xs, ys, ep_slope, ep_icpt))
+    x_lo, y_lo = next((x, y) for x, y, r in zip(xs, ys, rows) if r.spin == unique_spins[0])
+    x_hi, y_hi = next((x, y) for x, y, r in zip(xs, ys, rows) if r.spin == unique_spins[-1])
+    ep_slope = (y_hi - y_lo) / (x_hi - x_lo)
+    ep = law(ep_slope, y_lo - ep_slope * x_lo)
     return SweepResult(tuple(rows), ls, ep, False)
 
 

@@ -1,6 +1,7 @@
 """Sector-blocked exact diagonalization against dense constructions."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -35,7 +36,7 @@ from mixedspin.operators import (
     six_j,
     spin_matrices,
 )
-from mixedspin.pair import pair_correlator
+from mixedspin.pair import characteristic_temperature, pair_correlator
 from mixedspin.witness import solve_tc, susceptibility_nn_approx
 
 
@@ -1507,6 +1508,37 @@ def triangle(tx, ty):
     return range(abs(tx - ty), tx + ty + 1, 2)
 
 
+class TestTwoSitesAtLargeSpin:
+    """n = 2 chains at 2S where int16 labels, a fixed level tolerance and
+    a 6j key packed in (2S + 2)^5 once failed. The ring's two bonds make
+    it the pair at 2J; the open chain is the pair at J."""
+
+    # 32767: one ulp of the levels (3.6e-12 J) exceeded the clustering
+    # tolerance 1e-12 |J| n, exit 3; 32768: int16 labels, exit 1; 65535:
+    # int16 sector numbers, whose groups 2 sector + odd collided, exit 3
+    @pytest.mark.parametrize("ts", [32767, 32768, 65535])
+    def test_ring_is_the_pair_at_twice_the_coupling(self, ts):
+        spin = SpinQuantum(ts)
+        data = diagonalize(ChainSpec(2, spin, 1.0, dim_cap=2 * (ts + 1)), vectors=False)
+        # around the gap J (2S + 1), where G1 has left its T -> 0 limit
+        for t in ((ts + 1) * np.array([0.3, 1.0, 3.0])).tolist():
+            want = pair_correlator(spin, 2.0, t)
+            assert want > pair_correlator(spin, 2.0, 1.0) + 1.0
+            assert thermal_mean(data, data.bond, t) == pytest.approx(want, rel=1e-12)
+
+    def test_open_chain_is_the_pair(self):
+        # dimension 12,416 under the default cap: numpy refused a 6j key
+        # radix of (2S + 2)^5, although n = 2 has no inner bond
+        spin = SpinQuantum(6207)
+        data = diagonalize(ChainSpec(2, spin, 1.0, boundary="open"), vectors=False)
+        for t in (100.0, 355.0, 3000.0):
+            g1 = thermal_mean(data, data.bond, t)
+            assert g1 == pytest.approx(pair_correlator(spin, 1.0, t), rel=1e-12)
+        kernel = functools.partial(thermal_mean_and_slope, data, data.bond)
+        tc = solve_tc(kernel, spin, 1.0)
+        assert f"{tc:.9g}" == f"{characteristic_temperature(spin, 1.0):.9g}" == "355.402682"
+
+
 class TestSixJ:
     @pytest.mark.parametrize("ta,tb,tc,td", [(1, 2, 1, 2), (2, 2, 2, 2), (3, 4, 5, 2), (4, 7, 6, 5), (8, 3, 6, 9)])
     def test_orthogonality_sums(self, ta, tb, tc, td):
@@ -1549,6 +1581,15 @@ class TestSixJ:
                         want = sign * math.sqrt((s + 1) * (s - 2 * a) / (2 * b * (2 * b + 1) * 2 * c * (2 * c + 1)))
                         got = six_j(ta, tb, tc, 1, tc - 1, tb - 1)
                         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("ta,tb,tc", [(400, 401, 3), (401, 200, 601), (1000, 999, 1001)])
+    def test_a_sum_beyond_the_float_range_keeps_its_sign(self, ta, tb, tc):
+        # the exact sum over t leaves the float range; its sign once went
+        # through a float, with OverflowError (open chains with 2S >= 171)
+        s = (ta + tb + tc) // 2
+        b, c = tb / 2, tc / 2
+        want = (-1) ** s * math.sqrt((s - 2 * b) * (s - 2 * c + 1) / ((2 * b + 1) * (2 * b + 2) * 2 * c * (2 * c + 1)))
+        assert six_j(ta, tb, tc, 1, tc - 1, tb + 1) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_column_permutations_leave_it_unchanged(self):
         for upper in ((3, 4, 5), (6, 6, 6), (2, 7, 7), (8, 5, 9)):

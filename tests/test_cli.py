@@ -560,10 +560,6 @@ class TestOutOfDomainMeasurement:
             (["--init-j", "1e300K"], "J = 1e+300 K, g = 2.0 "),
             # J underflows to 0 (pair) or T/J overflows (chain)
             (["--init-j", "1e-300K"], "J = 1e-300 K, g = 2.0 "),
-            # a squared residual overflows
-            (["--init-j", "12K", "--init-g", "1e100"], "J = 12.0 K, g = 1e+100 "),
-            # g^2 underflows
-            (["--init-j", "12K", "--init-g", "1e-320"], "J = 12.0 K, g = 1e-320 "),
         ],
     )
     def test_fit_leaving_the_float_range_names_the_start(
@@ -577,6 +573,27 @@ class TestOutOfDomainMeasurement:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: the fit from {named}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ["--model", "pair"],
+            ["--model", "chain", "--sites", "4"],
+            ["--model", "chain", "--sites", "4", "--boundary", "open"],
+        ],
+    )
+    # g = 1e100 once overflowed a squared residual at the start, and
+    # g = 1e-320 underflowed g^2 there: each was refused with exit 2
+    @pytest.mark.parametrize("init_g", ["1e100", "1e-320"])
+    def test_fit_prints_the_row_of_any_start_g(self, capsys, tmp_path, model, init_g):
+        # g is solved at every J, so the start g is never evaluated
+        path = tmp_path / "series.csv"
+        synth = ["synth", "--spin", "1", "--j", "12K", "--g", "2.05"]
+        run(capsys, [*synth, "--temps", "log:2:200:12", "--output", str(path)])
+        argv = ["fit", "--input", str(path), "--spin", "1", "--init-j", "12K", *model]
+        want = run(capsys, [*argv, "--init-g", "2"])
+        assert want[0] == 0
+        assert run(capsys, [*argv, "--init-g", init_g]) == want
 
     def test_fit_from_a_huge_coupling_exits_2(self, capsys, tmp_path):
         # once the simplex stepped from log J = 575.6 past 709.78, where exp

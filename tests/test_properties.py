@@ -239,6 +239,9 @@ class TestNoSubcommandExits1:
         couplings=st.lists(COUPLING, min_size=1, max_size=2).map(",".join),
     )
     @example(f"1,{HUGE}", "1K")
+    # (S - <S>)^2 once overflowed and exited 1
+    @example(f"1,{6 * 10**154}", "1K")
+    @example(f"1,{2 * 10**154}", "1K")
     def test_sweep(self, spins, couplings):
         assert_documented_exit(["sweep", f"--spins={spins}", f"--couplings={couplings}"])
 

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import random
 import re
 import shlex
 from pathlib import Path
@@ -390,6 +391,32 @@ class TestSolveTcOnLevelTables:
             # J = 3e-5 K), so both are sign changes, close together
             assert abs(got - want) <= 32 * math.ulp(want)
 
+    # the three chains of the tc_chain bench workload, each with the most
+    # and the mean evaluations measured over this draw: the bounds are 1
+    # and 0.5 above them
+    @pytest.mark.parametrize(
+        "n,ts,boundary,most,mean",
+        [(8, 2, "periodic", 11, 8.17), (6, 5, "periodic", 15, 10.8), (8, 2, "open", 11, 8.09)],
+    )
+    def test_evaluation_count_on_the_bench_chains(self, n, ts, boundary, most, mean):
+        spin = SpinQuantum(ts)
+        rng = random.Random(0)
+        counts = []
+        for _ in range(100):
+            j = rng.uniform(2.0, 60.0)
+            data = diagonalize(ChainSpec(n, spin, j, boundary=boundary), vectors=False)
+            kernel = functools.partial(thermal_mean_and_slope, data, data.bond)
+            calls = []
+
+            def counted(t):
+                calls.append(t)
+                return kernel(t)
+
+            solve_tc(counted, spin, j)
+            counts.append(len(calls))
+        assert max(counts) <= most + 1
+        assert sum(counts) / len(counts) <= mean + 0.5
+
     def test_closed_form_pair_slope_is_the_dimer_kernel(self):
         for ts in range(1, 10):
             spin = SpinQuantum(ts)
@@ -444,6 +471,40 @@ class TestSweep:
         b = sweep_tc(ALL_SPINS, [7.5]).least_squares_fit
         assert b.slope == pytest.approx(a.slope, rel=1e-12)
         assert b.intercept == pytest.approx(a.intercept, rel=1e-12)
+
+    @pytest.mark.parametrize("spin", [2 * 10**154, 6 * 10**154])
+    def test_huge_spin_fits_the_chord(self, spin):
+        # (S - <S>)^2 once overflowed: to inf, which read as slope 0 and
+        # r^2 0 at 2e154, and with OverflowError at 6e154
+        result = sweep_tc([SpinQuantum(2), SpinQuantum(2 * spin)], [1.0])
+        ls, ep = result.least_squares_fit, result.endpoint_fit
+        assert ls.slope == pytest.approx(ep.slope, rel=1e-12)
+        assert ls.r_squared == pytest.approx(1.0, rel=1e-12)
+        assert ep.r_squared == pytest.approx(1.0, rel=1e-12)
+        # the least-squares intercept is resolved only to roundoff of the
+        # largest T_c/J, so the two lines are compared on that scale
+        top = max(row.tc_over_j for row in result.rows)
+        for row in result.rows:
+            x = row.spin.value
+            assert ls.slope * x + ls.intercept == pytest.approx(
+                ep.slope * x + ep.intercept, rel=1e-12, abs=1e-12 * top
+            )
+
+    def test_fits_keep_their_bits_under_power_of_two_scaling(self):
+        # the fits run on S and T_c/J scaled by powers of two, which is
+        # exact: the unscaled sums give the same bits on the default grid
+        result = sweep_tc(ALL_SPINS, [1.0])
+        xs = [row.spin.value for row in result.rows]
+        ys = [row.tc_over_j for row in result.rows]
+        mx, my = sum(xs) / 5, sum(ys) / 5
+        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
+            (x - mx) ** 2 for x in xs
+        )
+        ls = result.least_squares_fit
+        assert (ls.slope, ls.intercept) == (slope, my - slope * mx)
+        ep_slope = (ys[-1] - ys[0]) / (xs[-1] - xs[0])
+        ep = result.endpoint_fit
+        assert (ep.slope, ep.intercept) == (ep_slope, ys[0] - ep_slope * xs[0])
 
     def test_single_spin_sweep_is_degenerate(self):
         result = sweep_tc([SpinQuantum(2)], [1.0, 2.0])
