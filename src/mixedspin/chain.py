@@ -19,7 +19,8 @@ reflection, with k = 0 and k = pi split by parity, all built by
 no lattice symmetry, but H commutes with total spin: its eigenvalue-only
 spectrum solves each SU(2) multiplet once, on the coupling paths that
 couple the sites in chain order (`_coupling_paths`). Each block H_J is
-built from 6j symbols (`operators.six_j`) with no product basis
+built from 6j symbols in closed form (`_spin_half_6j`: each has a
+spin-1/2 entry) with no product basis
 (K. Baerwinkel, H.-J. Schmidt and J. Schnack, J. Magn. Magn. Mater. 212,
 240 (2000)), and the edge bond S_0 . S_1 is diagonal on the paths.
 Every block is real symmetric by construction (see `operators`).
@@ -48,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .operators import SpinQuantum, eig_sym, embed, six_j, spin_matrices
+from .operators import SpinQuantum, eig_sym, embed, spin_matrices
 from .units import check_normal, check_positive
 
 __all__ = [
@@ -542,6 +543,33 @@ def _coupling_paths(spec: ChainSpec) -> np.ndarray:
     return paths
 
 
+def _spin_half_6j(ta: np.ndarray, ts: int, tc: np.ndarray, tm: np.ndarray) -> np.ndarray:
+    """The 6j symbols {A S C; 1/2 M S - 1/2} with M = C -+ 1/2, each spin
+    given as twice its value, in closed form (A. R. Edmonds, Angular
+    Momentum in Quantum Mechanics, Table 5).
+
+    With s = A + S + C, the sign is (-1)^s and the square is
+    (s + 1)(s - 2A) / [2S (2S + 1) 2C (2C + 1)] for M = C - 1/2 and
+    (s - 2C)(s - 2S + 1) / [(2C + 1)(2C + 2) 2S (2S + 1)] for M = C + 1/2:
+    zero where (A M S - 1/2) breaks the triangle rule. The square is one
+    ratio of integers, so one correctly rounded division and one square
+    root give the magnitude, the same float as from any exact form of that
+    ratio (Racah's sum). Numerator and denominator are int64 products
+    while the largest denominator is below 2^53, where floats hold them
+    exactly, and Python integers beyond.
+    """
+    s = (ta + ts + tc) // 2
+    down = tm < tc
+    a = np.where(down, s + 1, s - tc)
+    b = np.where(down, s - ta, s - ts + 1)
+    c = np.where(down, tc * (tc + 1), (tc + 1) * (tc + 2))
+    # a * b <= c * 2S (2S + 1): the numerator is at most the denominator
+    if int(c.max(initial=0)) * ts * (ts + 1) >= 2**53:
+        a, c = a.astype(object), c.astype(object)
+    root = np.sqrt((a * b / (c * (ts * (ts + 1)))).astype(float))
+    return np.where(s % 2 == 1, -root, root)
+
+
 def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The level table of an open chain, one run per total spin J: each
     multiplet's level, its 2J and the edge bond's value on it.
@@ -555,8 +583,9 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     sigma = S - 1/2. The edge bond S_0 . S_1 is diagonal,
     [j1(j1 + 1) - S(S + 1) - 3/4] / 2. For k >= 1, P changes only j_k,
     and on the paths that share every other j (at most two) it is u u^T,
-    u = sqrt((2 j_k + 1) 2S) {j_k-1 s_k j_k; s_k+1 j_k+1 sigma} (`six_j`;
-    the recoupling phase is common to the paths, so it cancels). A
+    u = sqrt((2 j_k + 1) 2S) {j_k-1 s_k j_k; s_k+1 j_k+1 sigma}; one of s_k
+    and s_k+1 is 1/2, so the symbol has a closed form (`_spin_half_6j`),
+    and the recoupling phase is common to the paths, so it cancels. A
     level's edge-bond value is the diagonal weighted by its eigenvector
     squared. Each level is one multiplet and one table entry: run 2J
     holds the sorted levels of H_J, 2J descending. No product basis is
@@ -570,17 +599,12 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     inner = paths[:, 1:-1]  # j_k of the bonds (k, k + 1), 1 <= k <= n - 2
     # the steps d_k = j_k - j_k-1 + s_k of a path, each in 0 ... 2s_k
     steps = (np.diff(paths, axis=1) + twice[1:]) // 2
-    # each distinct symbol once: (2j_k-1, 2s_k, 2j_k, 2s_k+1, 2j_k+1) is
-    # fixed by 2j_k, d_k, d_k+1 and whether site k is an S site (k even),
-    # packed in a radix of 4 (2S + 1) per value of 2j_k, which fits in
-    # int64 for every path table that fits in memory
-    args = np.broadcast_arrays(paths[:, :-2], twice[1:-1], inner, twice[2:], paths[:, 2:])
-    key = (inner * (twice[1:-1] + 1) + steps[:, :-1]) * (twice[2:] + 1) + steps[:, 1:]
-    key = 2 * key + np.arange(inner.shape[1]) % 2
-    _, first, at = np.unique(key, return_index=True, return_inverse=True)
-    symbols = np.stack(args, axis=-1).reshape(-1, 5)[first]
-    six = np.array([six_j(*row, ts - 1) for row in symbols.tolist()])
-    u = np.sqrt((inner + 1) * ts) * six[at.reshape(inner.shape)]
+    # column permutations make each symbol {A S j_k; 1/2 M sigma}: (A, M) is
+    # (j_k+1, j_k-1) where s_k = 1/2 (k odd), else (j_k-1, j_k+1)
+    half = np.arange(1, spec.n_sites - 1) % 2 == 1
+    below, above = paths[:, :-2], paths[:, 2:]
+    six = _spin_half_6j(np.where(half, above, below), ts, inner, np.where(half, below, above))
+    u = np.sqrt((inner + 1) * ts) * six
     edge = (paths[:, 1] * (paths[:, 1] + 2) - ts * (ts + 2) - 3) / 8.0
     diagonal = coupling * (
         edge + (spec.n_sites - 2) * ts / 4 - (ts + 1) / 2 * (u * u).sum(1)
@@ -591,8 +615,9 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
     codes = steps @ strides[1:]
     raises = (steps[:, :-1] < twice[1:-1]) & (steps[:, 1:] > 0)
     levels, twice_j, edges = [], [], []
-    for tj in sorted(set(paths[:, -1].tolist()), reverse=True):
-        block = np.flatnonzero(paths[:, -1] == tj)
+    # the paths of each J in path order, 2J descending
+    order = np.argsort(-paths[:, -1], kind="stable")
+    for block in np.split(order, np.flatnonzero(np.diff(paths[order, -1])) + 1):
         own = codes[block]
         target = own[:, None] + (strides[1:-1] - strides[2:])
         partner = np.minimum(np.searchsorted(own, target), own.size - 1)
@@ -601,7 +626,7 @@ def _multiplet_runs(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
         z = -coupling * (ts + 1) / 2 * u[block[row], bond] * u[block[col], bond]
         evals, vecs = eig_sym(_symmetric(row, col, z, diagonal[block]))
         levels.append(evals)
-        twice_j.append(np.full(evals.size, tj))
+        twice_j.append(np.full(evals.size, paths[block[0], -1]))
         edges.append((vecs * vecs).T @ edge[block])
     return np.concatenate(levels), np.concatenate(twice_j), np.concatenate(edges)
 

@@ -498,12 +498,15 @@ def fit(
     model = _bind_model(spin, n_sites, boundary, dim_cap)
     origin = f"the fit from J = {init_coupling_kelvin} K, g = {init_g_factor}"
     # chi is g^2 times the g = 1 model, so g^2 is solved at each J
-    # (`_profile`) and the simplex searches log J alone
-    g_squares: dict[float, float] = {}
+    # (`_profile`) and the simplex searches log J alone; it proposes some
+    # log J twice, and each is evaluated once
+    profiles: dict[float, tuple[float, float]] = {}
 
     def objective(log_j: float) -> float:
         try:
-            p, g_squares[log_j] = _profile(model, temps, chi, math.exp(log_j))
+            if log_j not in profiles:
+                profiles[log_j] = _profile(model, temps, chi, math.exp(log_j))
+            p = profiles[log_j][0]
         except OverflowError:
             p = math.inf
         if p < math.inf:
@@ -517,7 +520,7 @@ def fit(
     log_j, residual, iterations, converged = nelder_mead(
         objective, math.log(init_coupling_kelvin)
     )
-    coupling, g_factor = math.exp(log_j), math.sqrt(g_squares[log_j])
+    coupling, g_factor = math.exp(log_j), math.sqrt(profiles[log_j][1])
     reached = f"{origin} reached J = {coupling} K, g = {g_factor}"
     _check_determined(model, temps, chi, coupling, residual, reached)
     return FitResult(

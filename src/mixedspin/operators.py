@@ -23,7 +23,6 @@ __all__ = [
     "spin_matrices",
     "raise_coefficient",
     "lower_coefficient",
-    "six_j",
     "embed",
     "eig_sym",
 ]
@@ -92,47 +91,6 @@ def raise_coefficient(twice_spin: int, twice_m: int) -> float:
 def lower_coefficient(twice_spin: int, twice_m: int) -> float:
     """<m-1| S- |m> = sqrt(S(S+1) - m(m-1)), integer arithmetic under the root."""
     return 0.5 * math.sqrt(twice_spin * (twice_spin + 2) - twice_m * (twice_m - 2))
-
-
-def six_j(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
-    """The Wigner 6j symbol {a b c; d e f}, every spin given as twice its value.
-
-    Racah's formula: the product of the four triangle coefficients
-    Delta(abc) Delta(aef) Delta(dbf) Delta(dec) and the alternating sum
-    over t of (t + 1)! / [(t - a - b - c)! (t - a - e - f)! (t - d - b - f)!
-    (t - d - e - c)! (a + b + d + e - t)! (b + c + e + f - t)!
-    (c + a + f + d - t)!]. The sum is taken over one common denominator
-    in exact integers and squared into one ratio of integers with the
-    triangle coefficients, then one (correctly rounded) division and one
-    square root give the result within an ulp of the exact value. Zero
-    wherever a triad (a b c), (a e f), (d b f), (d e c) fails the triangle
-    rule or sums to a half-integer.
-    """
-    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
-    if any(
-        not abs(x - y) <= z <= x + y or (x + y + z) % 2 for x, y, z in triads
-    ):
-        return 0.0
-    f = math.factorial
-    rise = [(x + y + z) // 2 for x, y, z in triads]  # t >= each
-    fall = [(ta + tb + td + te) // 2, (tb + tc + te + tf) // 2, (tc + ta + tf + td) // 2]
-    lo, hi = max(rise), min(fall)
-    # each term times the common denominator prod (hi - r)! prod (s - lo)!
-    # is an integer
-    total = sum(
-        (-1) ** t
-        * f(t + 1)
-        * math.prod(math.perm(hi - r, hi - t) for r in rise)
-        * math.prod(math.perm(s - lo, t - lo) for s in fall)
-        for t in range(lo, hi + 1)
-    )
-    num = total**2
-    den = (math.prod(f(hi - r) for r in rise) * math.prod(f(s - lo) for s in fall)) ** 2
-    for x, y, z in triads:
-        num *= f((x + y - z) // 2) * f((x - y + z) // 2) * f((y + z - x) // 2)
-        den *= f((x + y + z) // 2 + 1)
-    # the sign by comparison: a large total has no float
-    return -math.sqrt(num / den) if total < 0 else math.sqrt(num / den)
 
 
 @dataclass(frozen=True, eq=False)

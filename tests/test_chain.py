@@ -12,9 +12,11 @@ from mixedspin import chain
 from mixedspin.chain import (
     ChainSpec,
     SectorSpectrum,
+    _coupling_paths,
     _enumerate_sectors,
     _hops,
     _ring_blocks,
+    _spin_half_6j,
     bond_levels,
     build_hamiltonian,
     correlator_matrix,
@@ -33,7 +35,6 @@ from mixedspin.operators import (
     embed,
     lower_coefficient,
     raise_coefficient,
-    six_j,
     spin_matrices,
 )
 from mixedspin.pair import characteristic_temperature, pair_correlator
@@ -1508,6 +1509,46 @@ def triangle(tx, ty):
     return range(abs(tx - ty), tx + ty + 1, 2)
 
 
+def six_j(ta, tb, tc, td, te, tf):
+    """The Wigner 6j symbol {a b c; d e f}, every spin given as twice its
+    value: the reference for the closed form of `_spin_half_6j`.
+
+    Racah's formula: the product of the four triangle coefficients
+    Delta(abc) Delta(aef) Delta(dbf) Delta(dec) and the alternating sum
+    over t of (t + 1)! / [(t - a - b - c)! (t - a - e - f)! (t - d - b - f)!
+    (t - d - e - c)! (a + b + d + e - t)! (b + c + e + f - t)!
+    (c + a + f + d - t)!]. The sum is taken over one common denominator
+    in exact integers and squared into one ratio of integers with the
+    triangle coefficients, then one (correctly rounded) division and one
+    square root give the result within an ulp of the exact value. Zero
+    wherever a triad (a b c), (a e f), (d b f), (d e c) fails the triangle
+    rule or sums to a half-integer.
+    """
+    triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
+    if any(not abs(x - y) <= z <= x + y or (x + y + z) % 2 for x, y, z in triads):
+        return 0.0
+    f = math.factorial
+    rise = [(x + y + z) // 2 for x, y, z in triads]  # t >= each
+    fall = [(ta + tb + td + te) // 2, (tb + tc + te + tf) // 2, (tc + ta + tf + td) // 2]
+    lo, hi = max(rise), min(fall)
+    # each term times the common denominator prod (hi - r)! prod (s - lo)!
+    # is an integer
+    total = sum(
+        (-1) ** t
+        * f(t + 1)
+        * math.prod(math.perm(hi - r, hi - t) for r in rise)
+        * math.prod(math.perm(s - lo, t - lo) for s in fall)
+        for t in range(lo, hi + 1)
+    )
+    num = total**2
+    den = (math.prod(f(hi - r) for r in rise) * math.prod(f(s - lo) for s in fall)) ** 2
+    for x, y, z in triads:
+        num *= f((x + y - z) // 2) * f((x - y + z) // 2) * f((y + z - x) // 2)
+        den *= f((x + y + z) // 2 + 1)
+    # the sign by comparison: a large total has no float
+    return -math.sqrt(num / den) if total < 0 else math.sqrt(num / den)
+
+
 class TestTwoSitesAtLargeSpin:
     """n = 2 chains at 2S where int16 labels, a fixed level tolerance and
     a 6j key packed in (2S + 2)^5 once failed. The ring's two bonds make
@@ -1600,3 +1641,83 @@ class TestSixJ:
                     top, bottom = zip(*perm)
                     # the same exact integers, so bitwise the same value
                     assert six_j(*top, *bottom) == value
+
+
+def open_chain_symbols(spec):
+    """Every distinct symbol {j_k-1 s_k j_k; s_k+1 j_k+1 S - 1/2} on the
+    coupling paths of an open chain, sorted, each with twice (A, C, M) of
+    its form {A S C; 1/2 M S - 1/2}: (A, M) is (j_k+1, j_k-1) where s_k =
+    1/2 (k odd), else (j_k-1, j_k+1)."""
+    ts, twice = spec.spin.twice_spin, spec.site_twice_spins
+    symbols = {}
+    for path in _coupling_paths(spec).tolist():
+        for k in range(1, spec.n_sites - 1):
+            below, tc, above = path[k - 1 : k + 2]
+            form = (above, tc, below) if k % 2 else (below, tc, above)
+            symbols[below, twice[k], tc, twice[k + 1], above, ts - 1] = form
+    return sorted(symbols.items())
+
+
+class TestSpinHalfSixJ:
+    """`_spin_half_6j`, the closed form of the open chains' symbols, equals
+    Racah's sum (`six_j`) to the bit: both are the correctly rounded root
+    of one exact ratio. `==` does not tell the two zeros apart."""
+
+    @pytest.mark.parametrize(
+        "n,ts",
+        [
+            (n, ts)
+            for n in (2, 4, 6, 8)
+            for ts in range(1, 10)
+            if (2 * (ts + 1)) ** (n // 2) <= chain.DEFAULT_DIM_CAP
+        ],
+    )
+    def test_every_symbol_of_the_open_chains_under_the_cap(self, n, ts):
+        symbols = open_chain_symbols(ChainSpec(n, SpinQuantum(ts), 1.0, boundary="open"))
+        assert len(symbols) > 0 or n == 2
+        ta, tc, tm = np.array([form for _, form in symbols]).reshape(-1, 3).T
+        got = _spin_half_6j(ta, ts, tc, tm)
+        assert got.tolist() == [six_j(*symbol) for symbol, _ in symbols]
+
+    @pytest.mark.parametrize("ts,samples", [(601, 40), (6207, 12), (20001, 5)])
+    def test_sampled_symbols_at_large_spin(self, ts, samples):
+        # all of a chain's symbols at once, as the chain evaluates them: past
+        # 2^53 at 2S = 20001, where the ratio is taken in Python integers
+        spec = ChainSpec(4, SpinQuantum(ts), 1.0, boundary="open", dim_cap=2_000_000_000)
+        symbols = open_chain_symbols(spec)
+        ta, tc, tm = np.array([form for _, form in symbols]).T
+        got = _spin_half_6j(ta, ts, tc, tm)
+        picks = np.linspace(0, len(symbols) - 1, samples).round().astype(int).tolist()
+        assert got[picks].tolist() == [six_j(*symbols[k][0]) for k in picks]
+        assert np.count_nonzero(got[picks]) >= samples // 2
+
+    @pytest.mark.parametrize("down", [True, False])
+    def test_either_side_of_the_int64_limit(self, down):
+        # the largest product is the denominator 2C (2C + 1) 2S (2S + 1) for
+        # M = C - 1/2, (2C + 1)(2C + 2) 2S (2S + 1) for M = C + 1/2; find the
+        # last 2C that keeps it below 2^53 and take that and the next
+        ts = 6207
+
+        def den(tc):
+            return (tc + (0 if down else 1)) * (tc + (1 if down else 2)) * ts * (ts + 1)
+
+        tc = math.isqrt(2**53 // (ts * (ts + 1)))
+        while den(tc) >= 2**53:
+            tc -= 1
+        while den(tc + 1) < 2**53:
+            tc += 1
+        for c in (tc, tc + 1):
+            ta, tm = c + 1, c - 1 if down else c + 1
+            got = _spin_half_6j(np.array([ta]), ts, np.array([c]), np.array([tm]))
+            want = six_j(ta, ts, c, 1, tm, ts - 1)
+            assert want != 0.0 and got.tolist() == [want]
+
+    def test_a_ratio_whose_nearest_floats_divide_to_another_root(self):
+        # 2S = 20001, n = 4: past 2^53 the quotient of the floats nearest to
+        # numerator and denominator has a root one ulp off the exact ratio's
+        ts, ta, tc, tm = 20001, 20000, 9489, 9490
+        s = (ta + ts + tc) // 2
+        num, den = (s - tc) * (s - ts + 1), (tc + 1) * (tc + 2) * ts * (ts + 1)
+        assert den > 2**53 and math.sqrt(float(num) / float(den)) != math.sqrt(num / den)
+        got = _spin_half_6j(np.array([ta]), ts, np.array([tc]), np.array([tm]))
+        assert got.tolist() == [six_j(ta, ts, tc, 1, tm, ts - 1)]

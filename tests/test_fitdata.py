@@ -748,6 +748,38 @@ class TestFit:
         assert binds == [(S_ONE, n_sites, "periodic", fitdata.DEFAULT_DIM_CAP)]
         assert 50 <= len(calls) <= 100
 
+    @pytest.mark.parametrize("n_sites", [8, None])
+    def test_the_search_evaluates_each_coupling_once(self, monkeypatch, n_sites):
+        # the simplex proposes some log J twice (a rejected expansion comes
+        # back as the next reflection, a failed inside contraction is the
+        # shrink point); the model sees each J of the search once
+        series = MeasurementSeries(*_bench_shaped_series())
+        proposed, seen, searching = [], [], []
+
+        def bind(*args):
+            model = real_bind(*args)
+
+            def counted(coupling, g_factor, temps):
+                if searching and temps.size == series.temperatures_kelvin.size:
+                    seen.append(coupling)
+                return model(coupling, g_factor, temps)
+
+            return counted
+
+        def spied(objective, x0):
+            searching.append(True)
+            try:
+                return nelder_mead(lambda x: proposed.append(x) or objective(x), x0)
+            finally:
+                searching.clear()
+
+        real_bind = fitdata._bind_model
+        monkeypatch.setattr(fitdata, "_bind_model", bind)
+        monkeypatch.setattr(fitdata, "nelder_mead", spied)
+        fit(series, S_ONE, 1.25 * 4.5, 2.0, n_sites=n_sites)
+        assert len(set(proposed)) < len(proposed)
+        assert len(seen) == len(set(seen)) == len(set(proposed))
+
     def test_too_few_points_rejected(self):
         series = load_measurements(io.StringIO(VALID_CSV))
         with pytest.raises(ValueError, match="4 points"):
